@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omq_bench::generators::{university, UniversityConfig};
-use omq_core::{OmqEngine, Semantics};
+use omq_core::{QueryPlan, Semantics};
 use omq_data::Value;
 use std::time::Duration;
 
@@ -16,9 +16,11 @@ fn bench_all_testing(c: &mut Criterion) {
             researchers,
             ..Default::default()
         });
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-        let tester = engine.all_tester().expect("free-connex query");
-        let answers: Vec<Vec<omq_data::ConstId>> = engine
+        let instance = QueryPlan::compile(&omq)
+            .and_then(|plan| plan.execute(&db))
+            .expect("guarded OMQ");
+        let tester = instance.all_tester().expect("free-connex query");
+        let answers: Vec<Vec<omq_data::ConstId>> = instance
             .answers(Semantics::Complete)
             .expect("tractable")
             .map(|a| a.into_complete().expect("complete semantics"))

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omq_bench::generators::{university, UniversityConfig};
 use omq_chase::ChaseConfig;
-use omq_core::{baseline::BruteForce, OmqEngine, Semantics};
+use omq_core::{baseline::BruteForce, QueryPlan, Semantics};
 use std::time::Duration;
 
 fn bench_baseline(c: &mut Criterion) {
@@ -21,8 +21,10 @@ fn bench_baseline(c: &mut Criterion) {
             &researchers,
             |b, _| {
                 b.iter(|| {
-                    let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-                    engine
+                    let instance = QueryPlan::compile(&omq)
+                        .and_then(|plan| plan.execute(&db))
+                        .expect("guarded OMQ");
+                    instance
                         .answers(Semantics::MinimalPartial)
                         .expect("tractable")
                         .count()

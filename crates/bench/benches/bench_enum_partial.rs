@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omq_bench::generators::{university, UniversityConfig};
-use omq_core::{OmqEngine, Semantics};
+use omq_core::{QueryPlan, Semantics};
 use std::time::Duration;
 
 fn bench_enum_partial(c: &mut Criterion) {
@@ -17,14 +17,16 @@ fn bench_enum_partial(c: &mut Criterion) {
             building_ratio: 0.6,
             ..Default::default()
         });
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
+        let instance = QueryPlan::compile(&omq)
+            .and_then(|plan| plan.execute(&db))
+            .expect("guarded OMQ");
         group.bench_with_input(
             BenchmarkId::from_parameter(researchers),
             &researchers,
             |b, _| {
                 b.iter(|| {
                     let mut count = 0usize;
-                    count += engine
+                    count += instance
                         .answers(Semantics::MinimalPartial)
                         .expect("tractable")
                         .count();

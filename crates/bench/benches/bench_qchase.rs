@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omq_bench::generators::{university, UniversityConfig};
-use omq_core::OmqEngine;
+use omq_core::QueryPlan;
 use std::time::Duration;
 
 fn bench_qchase(c: &mut Criterion) {
@@ -20,7 +20,11 @@ fn bench_qchase(c: &mut Criterion) {
             BenchmarkId::from_parameter(researchers),
             &researchers,
             |b, _| {
-                b.iter(|| OmqEngine::preprocess(&omq, &db).expect("guarded OMQ"));
+                b.iter(|| {
+                    QueryPlan::compile(&omq)
+                        .and_then(|plan| plan.execute(&db))
+                        .expect("guarded OMQ")
+                });
             },
         );
     }

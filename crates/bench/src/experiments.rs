@@ -4,11 +4,6 @@
 //! writes the machine-readable `BENCH_<exp>.json` counterparts (see
 //! [`crate::report`]), and `EXPERIMENTS.md` records a reference run together
 //! with the paper claim the experiment validates.
-//!
-//! The deprecated `enumerate_*`/`stream_*` engine wrappers are used
-//! deliberately in the older experiments: they time the legacy callback path
-//! next to the cursor path (E12/E14 report the iterator metric).
-#![allow(deprecated)]
 
 use crate::generators::{
     clustered_university, random_bipartite_graph, random_graph, sparse_boolean_matrix, university,
@@ -18,12 +13,14 @@ use crate::measure::{
     linear_fit, measure_drain, measure_iterator, measure_stream, measure_take_k, DelayStats,
 };
 use crate::reductions;
-use omq_chase::{ChaseConfig, FactArena, QchaseConfig};
+use omq_chase::{ChaseConfig, FactArena, OntologyMediatedQuery, QchaseConfig};
 use omq_core::{
-    baseline::BruteForce, Answer, EngineConfig, OmqEngine, PartialEnumerator, QueryPlan, Semantics,
+    baseline::BruteForce, Answer, PartialEnumerator, PreparedInstance, QueryPlan, Semantics,
 };
 use omq_cq::acyclicity::AcyclicityReport;
 use omq_cq::ConjunctiveQuery;
+use omq_data::Database;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// A printable result table.
@@ -95,6 +92,42 @@ impl Table {
         }
         out
     }
+}
+
+/// The one-off evaluation path: a plan compiled for, and executed over, one
+/// database.
+fn prepare_with(
+    omq: &OntologyMediatedQuery,
+    db: &Database,
+    config: &QchaseConfig,
+) -> PreparedInstance {
+    QueryPlan::compile_with(omq, config)
+        .and_then(|plan| plan.execute(db))
+        .expect("guarded OMQ")
+}
+
+fn prepare(omq: &OntologyMediatedQuery, db: &Database) -> PreparedInstance {
+    prepare_with(omq, db, &QchaseConfig::default())
+}
+
+/// The answers of one semantics rendered with constant names, in stream
+/// order.
+fn rendered(instance: &PreparedInstance, semantics: Semantics) -> Vec<String> {
+    instance
+        .answers(semantics)
+        .expect("tractable query")
+        .map(|a| instance.format_answer(&a))
+        .collect()
+}
+
+/// Drains one semantics through `for_each_answer`, ticking per answer.
+fn tick_answers(instance: &PreparedInstance, semantics: Semantics, tick: &mut dyn FnMut()) {
+    instance
+        .for_each_answer(semantics, |_| {
+            tick();
+            ControlFlow::Continue(())
+        })
+        .expect("tractable query");
 }
 
 fn university_sizes(quick: bool) -> Vec<usize> {
@@ -173,10 +206,10 @@ pub fn e2_qchase_scaling(quick: bool) -> Table {
             ..Default::default()
         });
         let start = Instant::now();
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
+        let instance = prepare(&omq, &db);
         let chase_micros = start.elapsed().as_micros();
         let start = Instant::now();
-        let _ = engine
+        let _ = instance
             .test_complete_names(&["person0", "office0", "building0"])
             .expect("arity matches");
         let test_micros = start.elapsed().as_micros();
@@ -186,8 +219,8 @@ pub fn e2_qchase_scaling(quick: bool) -> Table {
             researchers.to_string(),
             db.len().to_string(),
             chase_micros.to_string(),
-            engine.stats().chased_facts.to_string(),
-            engine.stats().memo_hits.to_string(),
+            instance.stats().chased_facts.to_string(),
+            instance.stats().memo_hits.to_string(),
             test_micros.to_string(),
         ]);
     }
@@ -235,8 +268,9 @@ pub fn e3_complete_enum(quick: bool) -> Table {
         let facts = db.len();
         let stats = measure_stream(
             || {
-                let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-                engine.complete_structure().expect("tractable query")
+                prepare(&omq, &db)
+                    .complete_structure()
+                    .expect("tractable query")
             },
             |structure, tick| {
                 for _ in omq_core::AnswerIter::new(structure) {
@@ -269,17 +303,18 @@ pub fn e4_all_testing(quick: bool) -> Table {
             ..Default::default()
         });
         let start = Instant::now();
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-        let tester = engine.all_tester().expect("free-connex query");
+        let instance = prepare(&omq, &db);
+        let tester = instance.all_tester().expect("free-connex query");
         let preprocess_micros = start.elapsed().as_micros();
         // Candidate stream: a mix of true answers and misses.
-        let answers = engine.enumerate_complete().expect("tractable");
-        let mut candidates: Vec<Vec<omq_data::Value>> = answers
-            .iter()
+        let mut candidates: Vec<Vec<omq_data::Value>> = instance
+            .answers(Semantics::Complete)
+            .expect("tractable")
             .take(500)
-            .map(|a| a.iter().map(|&c| omq_data::Value::Const(c)).collect())
+            .filter_map(Answer::into_complete)
+            .map(|a| a.into_iter().map(omq_data::Value::Const).collect())
             .collect();
-        let adom = engine.chased_database().adom_consts();
+        let adom = instance.chased_database().adom_consts();
         for i in 0..candidates.len().max(100) {
             let pick = |k: usize| omq_data::Value::Const(adom[(i * 7 + k) % adom.len()]);
             candidates.push(vec![pick(0), pick(1), pick(2)]);
@@ -322,8 +357,11 @@ pub fn e5_partial_enum(quick: bool) -> Table {
         let facts = db.len();
         let stats = measure_stream(
             || {
-                let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-                Some(engine.partial_enumerator().expect("tractable query"))
+                Some(
+                    prepare(&omq, &db)
+                        .partial_enumerator()
+                        .expect("tractable query"),
+                )
             },
             |enumerator, tick| {
                 enumerator
@@ -355,12 +393,8 @@ pub fn e6_multi_enum(quick: bool) -> Table {
         });
         let facts = db.len();
         let stats = measure_stream(
-            || OmqEngine::preprocess(&omq, &db).expect("guarded OMQ"),
-            |engine, tick| {
-                engine
-                    .stream_minimal_partial_multi(|_| tick())
-                    .expect("tractable query");
-            },
+            || prepare(&omq, &db),
+            |instance, tick| tick_answers(instance, Semantics::MinimalPartialMulti, tick),
         );
         table.push_row(delay_row(researchers, facts, &stats));
     }
@@ -478,33 +512,22 @@ pub fn e9_running_example() -> Table {
         &["mode", "answers"],
     );
     let (omq, db) = crate::experiments::example_1_1();
-    let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-    let complete: Vec<String> = engine
-        .enumerate_complete()
-        .expect("tractable")
-        .iter()
-        .map(|a| engine.format_complete(a))
-        .collect();
-    table.push_row(vec!["complete".to_owned(), complete.join("  ")]);
-    let partial: Vec<String> = engine
-        .enumerate_minimal_partial()
-        .expect("tractable")
-        .iter()
-        .map(|a| engine.format_partial(a))
-        .collect();
-    table.push_row(vec!["minimal partial".to_owned(), partial.join("  ")]);
-    let multi: Vec<String> = engine
-        .enumerate_minimal_partial_multi()
-        .expect("tractable")
-        .iter()
-        .map(|a| engine.format_multi(a))
-        .collect();
-    table.push_row(vec!["multi-wildcard".to_owned(), multi.join("  ")]);
-    let ordered: Vec<String> = engine
+    let instance = prepare(&omq, &db);
+    for (mode, semantics) in [
+        ("complete", Semantics::Complete),
+        ("minimal partial", Semantics::MinimalPartial),
+        ("multi-wildcard", Semantics::MinimalPartialMulti),
+    ] {
+        table.push_row(vec![
+            mode.to_owned(),
+            rendered(&instance, semantics).join("  "),
+        ]);
+    }
+    let ordered: Vec<String> = instance
         .enumerate_minimal_partial_complete_first()
         .expect("tractable")
         .iter()
-        .map(|a| engine.format_partial(a))
+        .map(|a| instance.format_answer(a))
         .collect();
     table.push_row(vec!["complete-first order".to_owned(), ordered.join("  ")]);
     table
@@ -558,8 +581,11 @@ pub fn e10_baseline(quick: bool) -> Table {
             ..Default::default()
         });
         let start = Instant::now();
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
-        let fast_answers = engine.enumerate_minimal_partial().expect("tractable");
+        let instance = prepare(&omq, &db);
+        let fast_answers = instance
+            .answers(Semantics::MinimalPartial)
+            .and_then(|stream| stream.try_collect())
+            .expect("tractable");
         let fast_micros = start.elapsed().as_micros();
         let start = Instant::now();
         let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).expect("chase runs");
@@ -567,7 +593,7 @@ pub fn e10_baseline(quick: bool) -> Table {
         let slow_micros = start.elapsed().as_micros();
         let fast_set: std::collections::BTreeSet<String> = fast_answers
             .iter()
-            .map(|t| engine.format_partial(t))
+            .map(|a| instance.format_answer(a))
             .collect();
         let slow_set: std::collections::BTreeSet<String> = slow_answers
             .iter()
@@ -608,43 +634,29 @@ pub fn e11_ablation(quick: bool) -> Table {
             ..Default::default()
         });
         let start = Instant::now();
-        let with_memo = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
+        let with_memo = prepare(&omq, &db);
         let memo_micros = start.elapsed().as_micros();
         let start = Instant::now();
-        let without_memo = OmqEngine::preprocess_with(
+        let without_memo = prepare_with(
             &omq,
             &db,
-            &EngineConfig {
-                qchase: QchaseConfig {
-                    memoize: false,
-                    ..Default::default()
-                },
+            &QchaseConfig {
+                memoize: false,
+                ..Default::default()
             },
-        )
-        .expect("guarded OMQ");
+        );
         let no_memo_micros = start.elapsed().as_micros();
-        let shallow = OmqEngine::preprocess_with(
-            &omq,
-            &db,
-            &EngineConfig {
-                qchase: QchaseConfig {
-                    tree_depth: Some(2),
+        let at_depth = |depth| {
+            prepare_with(
+                &omq,
+                &db,
+                &QchaseConfig {
+                    tree_depth: Some(depth),
                     ..Default::default()
                 },
-            },
-        )
-        .expect("guarded OMQ");
-        let deep = OmqEngine::preprocess_with(
-            &omq,
-            &db,
-            &EngineConfig {
-                qchase: QchaseConfig {
-                    tree_depth: Some(4),
-                    ..Default::default()
-                },
-            },
-        )
-        .expect("guarded OMQ");
+            )
+        };
+        let (shallow, deep) = (at_depth(2), at_depth(4));
         let _ = (&with_memo, &without_memo);
         table.push_row(vec![
             researchers.to_string(),
@@ -712,8 +724,8 @@ fn enumerate_via_hash_index(
 /// E12 — the plan/instance split: plan-reuse amortisation (one compiled
 /// `QueryPlan` executed over many databases, chase memo shared) and the
 /// delay distributions of the columnar (dense CSR) enumeration loop versus
-/// the old hash-index loop.  Also cross-checks, per database, that the plan
-/// path agrees answer-for-answer with a fresh per-database engine.
+/// the old hash-index loop.  Also cross-checks, per database, that the reused
+/// plan agrees answer-for-answer with a plan compiled for that database alone.
 pub fn e12_plan_columnar(quick: bool) -> Table {
     let mut table = Table::new(
         "E12",
@@ -722,7 +734,7 @@ pub fn e12_plan_columnar(quick: bool) -> Table {
             "researchers",
             "|D| facts",
             "plan exec µs",
-            "fresh engine µs",
+            "fresh plan µs",
             "memo hits",
             "answers",
             "dense mean ns",
@@ -755,10 +767,10 @@ pub fn e12_plan_columnar(quick: bool) -> Table {
             ..Default::default()
         });
         let facts = db.len();
-        // Fresh per-database engine: recompiles the plan and starts with a
-        // cold chase memo every time.
+        // A plan compiled per database: recompiles the query side and starts
+        // with a cold chase memo every time.
         let start = Instant::now();
-        let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
+        let fresh = prepare(&omq, &db);
         let fresh_micros = start.elapsed().as_micros();
         // The compiled plan: query artefacts and chase memo amortised.
         let start = Instant::now();
@@ -802,10 +814,20 @@ pub fn e12_plan_columnar(quick: bool) -> Table {
             },
         );
 
-        // Answer-for-answer agreement of the plan path with the fresh
-        // engine, on all three semantics (multi-wildcards only at the
-        // smaller sizes to keep the experiment's runtime bounded).
-        let mut equal = plan_agrees_with_engine(&instance, &engine, researchers <= 1_000);
+        // Answer-for-answer agreement of the reused plan with the fresh one,
+        // on all three semantics (multi-wildcards only at the smaller sizes
+        // to keep the experiment's runtime bounded).
+        let mut equal = Semantics::ALL
+            .into_iter()
+            .filter(|&sem| sem != Semantics::MinimalPartialMulti || researchers <= 1_000)
+            .all(|sem| {
+                let sorted = |instance: &PreparedInstance| {
+                    let mut answers = rendered(instance, sem);
+                    answers.sort();
+                    answers
+                };
+                sorted(&instance) == sorted(&fresh)
+            });
         equal &= dense.answers == hash.answers;
         equal &= dense.answers == iter.answers;
 
@@ -863,64 +885,6 @@ pub fn e12_plan_columnar(quick: bool) -> Table {
     table
 }
 
-/// Compares every semantics of the plan-produced instance with a fresh
-/// engine over the same database.
-fn plan_agrees_with_engine(
-    instance: &omq_core::PreparedInstance,
-    engine: &OmqEngine,
-    include_multi: bool,
-) -> bool {
-    use std::collections::BTreeSet;
-    let complete_plan: BTreeSet<String> = instance
-        .enumerate_complete()
-        .expect("tractable")
-        .iter()
-        .map(|a| instance.format_complete(a))
-        .collect();
-    let complete_engine: BTreeSet<String> = engine
-        .enumerate_complete()
-        .expect("tractable")
-        .iter()
-        .map(|a| engine.format_complete(a))
-        .collect();
-    if complete_plan != complete_engine {
-        return false;
-    }
-    let partial_plan: BTreeSet<String> = instance
-        .enumerate_minimal_partial()
-        .expect("tractable")
-        .iter()
-        .map(|t| instance.format_partial(t))
-        .collect();
-    let partial_engine: BTreeSet<String> = engine
-        .enumerate_minimal_partial()
-        .expect("tractable")
-        .iter()
-        .map(|t| engine.format_partial(t))
-        .collect();
-    if partial_plan != partial_engine {
-        return false;
-    }
-    if include_multi {
-        let multi_plan: BTreeSet<String> = instance
-            .enumerate_minimal_partial_multi()
-            .expect("tractable")
-            .iter()
-            .map(|t| instance.format_multi(t))
-            .collect();
-        let multi_engine: BTreeSet<String> = engine
-            .enumerate_minimal_partial_multi()
-            .expect("tractable")
-            .iter()
-            .map(|t| engine.format_multi(t))
-            .collect();
-        if multi_plan != multi_engine {
-            return false;
-        }
-    }
-    true
-}
-
 /// E13 — shared-nothing parallel execution: speedup of
 /// `QueryPlan::execute_parallel` versus thread count on a component-rich
 /// clustered workload, plus the per-answer delay of the merged (chained)
@@ -967,19 +931,14 @@ pub fn e13_parallel_speedup(quick: bool) -> Table {
     let start = Instant::now();
     let sequential = plan.execute(&db).expect("guarded OMQ");
     let sequential_micros = start.elapsed().as_micros().max(1);
-    let answer_multisets = |instance: &omq_core::PreparedInstance| {
-        let mut complete: BTreeMap<Vec<omq_data::ConstId>, usize> = BTreeMap::new();
-        for a in instance.enumerate_complete().expect("tractable query") {
-            *complete.entry(a).or_default() += 1;
-        }
-        let mut partial: BTreeMap<omq_data::PartialTuple, usize> = BTreeMap::new();
-        for t in instance
-            .enumerate_minimal_partial()
-            .expect("tractable query")
-        {
-            *partial.entry(t).or_default() += 1;
-        }
-        (complete, partial)
+    let answer_multisets = |instance: &PreparedInstance| {
+        [Semantics::Complete, Semantics::MinimalPartial].map(|sem| {
+            let mut multiset: BTreeMap<Answer, usize> = BTreeMap::new();
+            for a in instance.answers(sem).expect("tractable query") {
+                *multiset.entry(a).or_default() += 1;
+            }
+            multiset
+        })
     };
     let baseline = answer_multisets(&sequential);
 
@@ -987,11 +946,7 @@ pub fn e13_parallel_speedup(quick: bool) -> Table {
     for threads in [1usize, 2, 4, 8] {
         let stats = measure_stream(
             || plan.execute_parallel(&db, threads).expect("guarded OMQ"),
-            |instance, tick| {
-                instance
-                    .stream_minimal_partial(|_| tick())
-                    .expect("tractable query");
-            },
+            |instance, tick| tick_answers(instance, Semantics::MinimalPartial, tick),
         );
         let exec_micros = stats.preprocess_micros.max(1);
         let speedup = sequential_micros as f64 / exec_micros as f64;
@@ -2618,8 +2573,8 @@ mod tests {
     fn e12_plan_agrees_and_exports_metrics() {
         let table = e12_plan_columnar(true);
         assert!(table.rows.len() >= 4);
-        // The plan path agrees with the fresh engine (and the dense loop
-        // with the hash loop) on every database.
+        // The reused plan agrees with the per-database plan (and the dense
+        // loop with the hash loop) on every database.
         let equal_col = table.headers.len() - 1;
         assert!(table.rows.iter().all(|r| r[equal_col] == "true"));
         let names: Vec<&str> = table.metrics.iter().map(|(k, _)| k.as_str()).collect();

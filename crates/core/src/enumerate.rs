@@ -112,48 +112,20 @@ impl AnswerCursor {
     }
 
     /// Produces the next answer, or `None` once the enumeration is
-    /// exhausted.  Constant work per call (in the size of the query).
+    /// exhausted.  Constant work per call (in the size of the query):
+    /// [`AnswerCursor::fill_with`] at `limit = 1`.
     pub fn next_answer(&mut self, structure: &FreeConnexStructure) -> Option<Vec<Value>> {
-        match self.state {
-            IterState::Empty => None,
-            IterState::Boolean { emitted } => {
-                if emitted {
-                    None
-                } else {
-                    self.state = IterState::Boolean { emitted: true };
-                    Some(Vec::new())
-                }
-            }
-            IterState::Running { started, done } => {
-                if done {
-                    return None;
-                }
-                let produced = if started {
-                    self.advance(structure)
-                } else {
-                    self.descend(structure, 0)
-                };
-                self.state = IterState::Running {
-                    started: true,
-                    done: !produced,
-                };
-                if produced {
-                    Some(self.current_answer(structure))
-                } else {
-                    None
-                }
-            }
-        }
+        let mut out = None;
+        self.fill_with(structure, 1, |values| out = Some(values.to_vec()));
+        out
     }
 
     /// Batched pull: produces up to `limit` answers, invoking `emit` once per
-    /// answer with the answer values in a reused scratch buffer.  Equivalent
-    /// to `limit` calls of [`AnswerCursor::next_answer`] (same answers, same
-    /// order), but the state machine is entered once per batch and no
-    /// per-answer `Vec<Value>` is allocated — the caller copies out of the
-    /// scratch slice in whatever shape it needs.  Returns the number of
-    /// answers emitted; a return `< limit` means the enumeration is
-    /// exhausted.
+    /// answer with the answer values in a reused scratch buffer.  The state
+    /// machine is entered once per batch and no per-answer `Vec<Value>` is
+    /// allocated — the caller copies out of the scratch slice in whatever
+    /// shape it needs.  Returns the number of answers emitted; a return
+    /// `< limit` means the enumeration is exhausted.
     pub fn fill_with(
         &mut self,
         structure: &FreeConnexStructure,
@@ -299,19 +271,6 @@ impl AnswerCursor {
             }
             self.levels.pop();
         }
-    }
-
-    /// Materialises the current answer through the precompiled sources.
-    fn current_answer(&self, structure: &FreeConnexStructure) -> Vec<Value> {
-        structure
-            .answer_sources
-            .iter()
-            .map(|&(node, col)| {
-                structure.nodes[node]
-                    .extension
-                    .value(self.cur_tuple[node], col)
-            })
-            .collect()
     }
 }
 
@@ -478,9 +437,7 @@ fn count_prefixes(structure: &FreeConnexStructure, cur_tuple: &mut [usize], dept
 /// Constant work — one cursor descent, no materialisation beyond the first
 /// tuple's indices.
 pub fn has_answer(structure: &FreeConnexStructure) -> bool {
-    AnswerCursor::new(structure)
-        .next_answer(structure)
-        .is_some()
+    AnswerCursor::new(structure).fill_with(structure, 1, |_| {}) == 1
 }
 
 #[cfg(test)]

@@ -24,9 +24,16 @@ pub enum CoreError {
     UnknownConstant(String),
     /// The operation is only defined on single-shard instances (sequential
     /// executions); the instance at hand was produced by a sharded parallel
-    /// execution.  Use the shard-aware `enumerate_*`/`stream_*`/`test_*`
-    /// methods, or evaluate per shard.
+    /// execution.  Use the shard-aware `answers`/`count`/`test`, or evaluate
+    /// per shard.
     ShardedInstance(String),
+    /// The guarded saturation of the query-directed chase was cut off by
+    /// `QchaseConfig::max_saturation_rounds` before reaching its fixpoint;
+    /// answers over the truncated chase could be silently incomplete.
+    SaturationNotConverged {
+        /// Saturation rounds executed before the cut-off.
+        rounds: usize,
+    },
     /// Internal invariant violation (indicates a bug; reported instead of
     /// panicking so that callers can surface it).
     Internal(String),
@@ -56,6 +63,11 @@ impl fmt::Display for CoreError {
                 f,
                 "`{op}` exposes a single chased database and is only defined on single-shard \
                  instances; this instance is sharded — use the shard-aware methods"
+            ),
+            CoreError::SaturationNotConverged { rounds } => write!(
+                f,
+                "guarded saturation did not reach a fixpoint within {rounds} round(s); \
+                 raise `max_saturation_rounds`"
             ),
             CoreError::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
             CoreError::Cq(e) => write!(f, "query error: {e}"),

@@ -9,7 +9,7 @@
 //!   time (Theorem 3.1), see [`single_testing`];
 //! * **enumeration of complete answers** with linear-time preprocessing and
 //!   constant delay for acyclic, free-connex acyclic OMQs (Theorem 4.1(1)),
-//!   see [`enumerate`] and [`omq_eval`];
+//!   see [`enumerate`];
 //! * **all-testing of complete answers** for free-connex acyclic OMQs
 //!   (Theorem 4.1(2), Proposition 4.2), see [`all_testing`];
 //! * **enumeration of minimal partial answers** with a single wildcard
@@ -30,9 +30,11 @@
 //! (`Iterator<Item = Answer>`) with constant work per `next()`, early
 //! termination via `take(k)`, and shard-sound chaining — see [`stream`].
 //!
-//! The top-level entry point is [`OmqEngine`] in [`omq_eval`]; serving
-//! workloads should use the compile-once/execute-many [`QueryPlan`] (and the
-//! `omq-serve` crate's batch front end) instead.
+//! The one evaluation entry is [`QueryPlan`] in [`plan`]:
+//! `QueryPlan::compile(&omq)?.execute(&db)?` yields a [`PreparedInstance`]
+//! with `answers(Semantics)`, `count`, `exists` and `test(&Answer)`.  Compile
+//! once and execute per database to amortise the query-side work (the
+//! `omq-serve` crate's session front end does exactly that).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +45,6 @@ pub mod enumerate;
 pub mod error;
 pub mod extension;
 pub mod multi_enum;
-pub mod omq_eval;
 pub mod parallel;
 pub mod partial_enum;
 pub mod plan;
@@ -61,9 +62,8 @@ pub use error::CoreError;
 pub use extension::{Extension, Tuple};
 pub use multi_enum::MultiEnumerator;
 pub use omq_data::{Answer, Semantics};
-pub use omq_eval::{EngineConfig, OmqEngine, PreprocessStats};
 pub use partial_enum::PartialEnumerator;
-pub use plan::{PreparedInstance, QueryPlan};
+pub use plan::{PreparedInstance, PreprocessStats, QueryPlan};
 pub use preprocess::{FreeConnexStructure, JoinCsr, PlanSkeleton};
 pub use progress::{ProgressIndex, ProgressTree};
 pub use remote::RemoteShard;

@@ -131,8 +131,8 @@ impl<'a> MultiEnumerator<'a> {
         self.error.as_ref()
     }
 
-    /// Batched pull: produces up to `limit` answers, invoking `emit` for each,
-    /// without re-entering [`Iterator::next`] per tuple.  Returns the number
+    /// Batched pull — the enumerator's one state machine: produces up to
+    /// `limit` answers, invoking `emit` for each.  Returns the number
     /// produced; fewer than `limit` means the stream ended (exhausted or
     /// failed — check [`MultiEnumerator::error`]).
     pub fn fill_with(&mut self, limit: usize, mut emit: impl FnMut(MultiTuple)) -> usize {
@@ -227,33 +227,11 @@ impl<'a> MultiEnumerator<'a> {
 impl Iterator for MultiEnumerator<'_> {
     type Item = MultiTuple;
 
+    /// [`MultiEnumerator::fill_with`] at `limit = 1`.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.error.is_some() {
-            return None;
-        }
-        if self.flush_pos.is_none() {
-            while let Some(a_star) = self.single.next() {
-                match self.step(&a_star) {
-                    Ok(Some(t)) => return Some(t),
-                    Ok(None) => {}
-                    Err(e) => {
-                        self.error = Some(e);
-                        return None;
-                    }
-                }
-            }
-            // Single-wildcard answers exhausted: flush the remainder of L.
-            self.flush_pos = Some(0);
-        }
-        let pos = self.flush_pos.as_mut().expect("set above");
-        while *pos < self.l_order.len() {
-            let i = *pos;
-            *pos += 1;
-            if self.l_alive[i] {
-                return Some(self.l_order[i].clone());
-            }
-        }
-        None
+        let mut out = None;
+        self.fill_with(1, |t| out = Some(t));
+        out
     }
 }
 

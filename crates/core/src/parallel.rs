@@ -44,9 +44,14 @@
 //! answer is bounded by the (query-constant) number of patterns, so the
 //! chained enumeration keeps its constant delay.
 
+use crate::error::CoreError;
+use crate::multi_enum::MultiEnumerator;
+use crate::partial_enum::PartialEnumerator;
 use crate::plan::{PreparedInstance, QueryPlan};
-use crate::{PreprocessStats, Result};
-use omq_data::{multi_wildcard_ball, Database, MultiTuple, PartialTuple, PartialValue};
+use crate::preprocess::PlanSkeleton;
+use crate::Result;
+use omq_data::{multi_wildcard_ball, Answer, Database, MultiTuple, PartialTuple, PartialValue};
+use std::sync::Arc;
 use std::time::Instant;
 
 impl QueryPlan {
@@ -85,7 +90,7 @@ impl QueryPlan {
         };
         let start = Instant::now();
         let chase = self.chase_plan();
-        let results: Vec<_> = std::thread::scope(|scope| {
+        let chased = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .map(|shard| scope.spawn(move || chase.chase(shard)))
@@ -93,53 +98,109 @@ impl QueryPlan {
             handles
                 .into_iter()
                 .map(|h| h.join().expect("chase worker panicked"))
-                .collect()
-        });
-        let mut stats = PreprocessStats {
-            input_facts: db.len(),
-            saturation_converged: true,
-            shards: results.len(),
-            ..PreprocessStats::default()
-        };
-        let mut shard_dbs = Vec::with_capacity(results.len());
-        for result in results {
-            let chased = result?;
-            stats.chased_facts += chased.database.len();
-            stats.grafts += chased.grafts;
-            stats.memo_hits += chased.memo_hits;
-            stats.saturation_converged &= chased.saturation_converged;
-            shard_dbs.push(chased.database);
-        }
-        stats.chase_micros = start.elapsed().as_micros();
-        Ok(self.instance_from_shards(shard_dbs, stats))
+                .collect::<std::result::Result<Vec<_>, _>>()
+        })?;
+        self.assemble(db.len(), start, chased, Vec::new(), None)
     }
 }
 
-/// A tuple kind that can flow through the cross-shard wildcard merge.
-pub(crate) trait MergeTuple: Clone + PartialEq {
+/// One of the two wildcard answer kinds: the tuple that flows through the
+/// cross-shard merge, together with the shard enumerator producing it — what
+/// the stream's wildcard batch loop and `PreparedInstance::count` are
+/// generic over.
+pub(crate) trait MergeTuple: Clone + PartialEq + Send + Into<Answer> {
+    /// The per-shard enumerator yielding tuples of this kind.
+    type Cursor;
+    /// Every wildcard-only tuple of the arity, i.e. the patterns whose
+    /// minimality is a cross-shard property.
+    fn wildcard_only(arity: usize) -> Vec<Self>;
     /// `true` iff the tuple carries no constant (its minimality is a
     /// cross-shard property).
     fn constant_free(&self) -> bool;
     /// The strict preference order `≺`: `self` carries strictly more
     /// information than `other`.
     fn dominates(&self, other: &Self) -> bool;
+    /// Runs the enumeration preprocessing of shard `idx` (linear in the
+    /// shard's chase).
+    fn open(
+        skeleton: &PlanSkeleton,
+        shards: &Arc<Vec<Arc<Database>>>,
+        idx: usize,
+    ) -> Result<Self::Cursor>;
+    /// Batched pull of up to `limit` owned tuples; fewer means the cursor
+    /// ended (check [`MergeTuple::error`]).
+    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize;
+    /// [`MergeTuple::fill`] handing out borrowed tuples, allocation-free
+    /// where the enumerator supports it.
+    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize;
+    /// The error that ended the cursor early, if any.
+    fn error(cursor: &Self::Cursor) -> Option<&CoreError>;
 }
 
 impl MergeTuple for PartialTuple {
+    type Cursor = PartialEnumerator;
+    /// The only wildcard-only tuple of arity `n` is `(*, …, *)`.
+    fn wildcard_only(arity: usize) -> Vec<Self> {
+        vec![PartialTuple(vec![PartialValue::Star; arity])]
+    }
     fn constant_free(&self) -> bool {
         self.0.iter().all(|v| v.is_star())
     }
     fn dominates(&self, other: &Self) -> bool {
         self.preferred_lt(other)
     }
+    fn open(
+        skeleton: &PlanSkeleton,
+        shards: &Arc<Vec<Arc<Database>>>,
+        idx: usize,
+    ) -> Result<Self::Cursor> {
+        PartialEnumerator::with_skeleton(skeleton, &shards[idx])
+    }
+    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
+        cursor.fill_with(limit, emit)
+    }
+    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, mut emit: impl FnMut(&Self)) -> usize {
+        let mut probe = PartialTuple(Vec::new());
+        cursor.fill_values(limit, |values| {
+            probe.0.clear();
+            probe.0.extend_from_slice(values);
+            emit(&probe);
+        })
+    }
+    fn error(_: &Self::Cursor) -> Option<&CoreError> {
+        None
+    }
 }
 
 impl MergeTuple for MultiTuple {
+    type Cursor = MultiEnumerator<'static>;
+    /// One pattern per way of identifying wildcards across the positions
+    /// (the multi-wildcard ball of `(*, …, *)`, one canonical tuple per set
+    /// partition).
+    fn wildcard_only(arity: usize) -> Vec<Self> {
+        multi_wildcard_ball(&PartialTuple(vec![PartialValue::Star; arity]))
+    }
     fn constant_free(&self) -> bool {
         self.0.iter().all(|v| v.is_wild())
     }
     fn dominates(&self, other: &Self) -> bool {
         self.preferred_lt(other)
+    }
+    fn open(
+        skeleton: &PlanSkeleton,
+        shards: &Arc<Vec<Arc<Database>>>,
+        idx: usize,
+    ) -> Result<Self::Cursor> {
+        MultiEnumerator::for_shard(skeleton, Arc::clone(shards), idx)
+    }
+    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
+        cursor.fill_with(limit, emit)
+    }
+    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, mut emit: impl FnMut(&Self)) -> usize {
+        cursor.fill_with(limit, |t| emit(&t))
+    }
+    fn error(cursor: &Self::Cursor) -> Option<&CoreError> {
+        cursor.error()
     }
 }
 
@@ -167,28 +228,11 @@ pub(crate) struct WildcardMerge<T> {
     patterns: Vec<Pattern<T>>,
 }
 
-impl WildcardMerge<PartialTuple> {
-    /// Merge state for the single-wildcard semantics: the only wildcard-only
-    /// tuple of arity `n` is `(*, …, *)`.
-    pub(crate) fn partial(arity: usize) -> Self {
+impl<T: MergeTuple> WildcardMerge<T> {
+    /// Fresh merge state for answers of the given arity.
+    pub(crate) fn new(arity: usize) -> Self {
         WildcardMerge {
-            patterns: vec![Pattern {
-                tuple: PartialTuple(vec![PartialValue::Star; arity]),
-                seen: false,
-                dominated: false,
-            }],
-        }
-    }
-}
-
-impl WildcardMerge<MultiTuple> {
-    /// Merge state for the multi-wildcard semantics: one pattern per way of
-    /// identifying wildcards across the positions (the multi-wildcard ball
-    /// of `(*, …, *)`, one canonical tuple per set partition).
-    pub(crate) fn multi(arity: usize) -> Self {
-        let all_star = PartialTuple(vec![PartialValue::Star; arity]);
-        WildcardMerge {
-            patterns: multi_wildcard_ball(&all_star)
+            patterns: T::wildcard_only(arity)
                 .into_iter()
                 .map(|tuple| Pattern {
                     tuple,
@@ -198,9 +242,7 @@ impl WildcardMerge<MultiTuple> {
                 .collect(),
         }
     }
-}
 
-impl<T: MergeTuple> WildcardMerge<T> {
     /// Offers one per-shard minimal answer to the merge; constant-bearing
     /// answers are forwarded to `emit` unchanged.
     pub(crate) fn offer(&mut self, t: T, emit: &mut impl FnMut(T)) {
@@ -255,8 +297,8 @@ impl<T: MergeTuple> WildcardMerge<T> {
     }
 
     /// Folds another merge of the **same arity and semantics** into this one.
-    /// Both sides were constructed by the same `partial`/`multi` constructor,
-    /// so their pattern lists are identical and positionally aligned; a
+    /// Both sides come from [`WildcardMerge::new`] at the same `T`, so their
+    /// pattern lists are identical and positionally aligned; a
     /// pattern is seen (dominated) globally iff it is seen (dominated) in
     /// either side.  This is the associative combine of the embarrassingly
     /// parallel per-shard counting reduce.
@@ -290,12 +332,11 @@ const _: () = {
 };
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use omq_chase::{Ontology, OntologyMediatedQuery};
     use omq_cq::ConjunctiveQuery;
-    use omq_data::{ConstId, MultiValue, Schema};
+    use omq_data::{ConstId, MultiValue, Schema, Semantics};
     use std::collections::BTreeSet;
 
     fn office_omq() -> OntologyMediatedQuery {
@@ -332,13 +373,16 @@ mod tests {
             .unwrap()
     }
 
-    fn partial_set(instance: &PreparedInstance) -> BTreeSet<String> {
+    fn answer_set(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
         instance
-            .enumerate_minimal_partial()
+            .answers(semantics)
             .unwrap()
-            .iter()
-            .map(|t| instance.format_partial(t))
+            .map(|a| instance.format_answer(&a))
             .collect()
+    }
+
+    fn partial_set(instance: &PreparedInstance) -> BTreeSet<String> {
+        answer_set(instance, Semantics::MinimalPartial)
     }
 
     #[test]
@@ -355,36 +399,12 @@ mod tests {
                 parallel.stats().chased_facts,
                 sequential.stats().chased_facts
             );
-            // Complete answers.
-            let seq: BTreeSet<String> = sequential
-                .enumerate_complete()
-                .unwrap()
-                .iter()
-                .map(|a| sequential.format_complete(a))
-                .collect();
-            let par: BTreeSet<String> = parallel
-                .enumerate_complete()
-                .unwrap()
-                .iter()
-                .map(|a| parallel.format_complete(a))
-                .collect();
-            assert_eq!(seq, par);
-            // Minimal partial answers.
-            assert_eq!(partial_set(&sequential), partial_set(&parallel));
-            // Multi-wildcard answers.
-            let seq: BTreeSet<String> = sequential
-                .enumerate_minimal_partial_multi()
-                .unwrap()
-                .iter()
-                .map(|t| sequential.format_multi(t))
-                .collect();
-            let par: BTreeSet<String> = parallel
-                .enumerate_minimal_partial_multi()
-                .unwrap()
-                .iter()
-                .map(|t| parallel.format_multi(t))
-                .collect();
-            assert_eq!(seq, par);
+            for semantics in Semantics::ALL {
+                assert_eq!(
+                    answer_set(&sequential, semantics),
+                    answer_set(&parallel, semantics)
+                );
+            }
         }
     }
 
@@ -452,7 +472,7 @@ mod tests {
         // the answer (a, o) combines values from both.
         let parallel = plan.execute_parallel(&db, 4).unwrap();
         assert_eq!(parallel.shard_count(), 1);
-        assert_eq!(parallel.enumerate_complete().unwrap().len(), 1);
+        assert_eq!(parallel.answers(Semantics::Complete).unwrap().count(), 1);
     }
 
     #[test]
@@ -477,13 +497,13 @@ mod tests {
             .test_complete_names(&["mike", "room1", "main1"])
             .unwrap());
         let mike_partial = parallel.parse_partial(&["mike", "*", "*"]).unwrap();
-        assert!(parallel.test_minimal_partial(&mike_partial).unwrap());
+        assert!(parallel.test(&Answer::Partial(mike_partial)).unwrap());
     }
 
     #[test]
     fn wildcard_merge_multi_patterns_track_domination() {
         // Arity 2: patterns (*1,*2) and (*1,*1).
-        let mut merge = WildcardMerge::multi(2);
+        let mut merge = WildcardMerge::<MultiTuple>::new(2);
         assert_eq!(merge.patterns.len(), 2);
         let mut emitted: Vec<MultiTuple> = Vec::new();
         let distinct = MultiTuple(vec![MultiValue::Wild(1), MultiValue::Wild(2)]);
@@ -496,7 +516,7 @@ mod tests {
         assert_eq!(emitted, vec![identified]);
         // A constant-bearing answer kills every pattern it dominates, even if
         // the pattern streams by later.
-        let mut merge = WildcardMerge::multi(2);
+        let mut merge = WildcardMerge::<MultiTuple>::new(2);
         let mut emitted: Vec<MultiTuple> = Vec::new();
         let constant = MultiTuple(vec![MultiValue::Const(ConstId(0)), MultiValue::Wild(1)]);
         merge.offer(constant.clone(), &mut |t| emitted.push(t));

@@ -257,23 +257,9 @@ impl PartialEnumerator {
         }
     }
 
-    /// Materialises the answer described by the current assignment and runs
-    /// the `prune` step against it.
-    fn emit(&mut self) -> PartialTuple {
-        let answer = PartialTuple(
-            self.structure
-                .answer_positions
-                .iter()
-                .map(|v| self.assignment[v.0 as usize].expect("answer variable bound"))
-                .collect(),
-        );
-        self.prune();
-        answer
-    }
-
-    /// Batched pull: produces up to `limit` answers, invoking `emit` for each,
-    /// without re-entering [`Iterator::next`] per tuple.  Returns the number
-    /// produced; fewer than `limit` means the enumeration is exhausted.
+    /// Batched pull: produces up to `limit` answers, invoking `emit` for each.
+    /// Returns the number produced; fewer than `limit` means the enumeration
+    /// is exhausted.
     ///
     /// Thin owning wrapper over [`PartialEnumerator::fill_values`] for
     /// callers that need `PartialTuple`s to keep.
@@ -283,11 +269,12 @@ impl PartialEnumerator {
 
     /// Allocation-free batched pull: produces up to `limit` answers, invoking
     /// `emit` once per answer with the answer values in a scratch buffer
-    /// reused across answers *and* across batches.  Same answers in the same
-    /// order as [`Iterator::next`], but the only per-answer heap traffic left
-    /// is whatever the caller's `emit` does with the slice — counting and
-    /// merge probing consume it in place.  Returns the number produced; fewer
-    /// than `limit` means the enumeration is exhausted.
+    /// reused across answers *and* across batches.  The only per-answer heap
+    /// traffic left is whatever the caller's `emit` does with the slice —
+    /// counting and merge probing consume it in place.  Returns the number
+    /// produced; fewer than `limit` means the enumeration is exhausted.  This
+    /// is the enumerator's one state machine; every other pull is a call of
+    /// it.
     pub fn fill_values(&mut self, limit: usize, mut emit: impl FnMut(&[PartialValue])) -> usize {
         if limit == 0 {
             return 0;
@@ -452,35 +439,11 @@ impl PartialEnumerator {
 impl Iterator for PartialEnumerator {
     type Item = PartialTuple;
 
+    /// [`PartialEnumerator::fill_with`] at `limit = 1`.
     fn next(&mut self) -> Option<Self::Item> {
-        match self.phase {
-            Phase::Done => None,
-            Phase::Start => {
-                if self.structure.empty {
-                    self.phase = Phase::Done;
-                    return None;
-                }
-                if let Some(satisfiable) = self.structure.boolean_satisfiable {
-                    self.phase = Phase::Done;
-                    return satisfiable.then(|| PartialTuple(Vec::new()));
-                }
-                if self.advance(true) {
-                    self.phase = Phase::AtAnswer;
-                    Some(self.emit())
-                } else {
-                    self.phase = Phase::Done;
-                    None
-                }
-            }
-            Phase::AtAnswer => {
-                if self.advance(false) {
-                    Some(self.emit())
-                } else {
-                    self.phase = Phase::Done;
-                    None
-                }
-            }
-        }
+        let mut out = None;
+        self.fill_with(1, |t| out = Some(t));
+        out
     }
 }
 

@@ -13,20 +13,21 @@
 //! This is the architectural seam for serving workloads: a fixed catalogue of
 //! OMQs is compiled up front, and per-request databases are only charged the
 //! data-linear work (chase copy + columnar extension scans), with the chase's
-//! bag-type memo amortised across requests.  [`crate::OmqEngine`] remains as
-//! a thin per-database facade over a plan plus one instance.
+//! bag-type memo amortised across requests.  One-off callers write
+//! `QueryPlan::compile(&omq)?.execute(&db)?`.
 
 use crate::all_testing::AllTester;
 use crate::error::CoreError;
 use crate::multi_enum;
-use crate::parallel::WildcardMerge;
+use crate::parallel::{MergeTuple, WildcardMerge};
 use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::single_testing;
 use crate::stream::AnswerStream;
-use crate::{EngineConfig, PreprocessStats, Result};
-use omq_chase::{OntologyMediatedQuery, QchasePlan};
+use crate::Result;
+use omq_chase::{OntologyMediatedQuery, QchaseConfig, QchasePlan, QueryDirectedChase};
 use omq_cq::acyclicity::AcyclicityReport;
+use omq_cq::ConjunctiveQuery;
 use omq_data::{
     Answer, CommitReceipt, ConstId, Database, MultiTuple, PartialTuple, Semantics, Value,
 };
@@ -39,10 +40,30 @@ use std::time::Instant;
 /// the batched-cursor dispatch, small enough to stay cache-resident.
 const COUNT_BATCH: usize = 256;
 
+/// Statistics about the preprocessing phase.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PreprocessStats {
+    /// Facts in the input database.
+    pub input_facts: usize,
+    /// Facts in the query-directed chase.
+    pub chased_facts: usize,
+    /// Wall-clock microseconds spent computing the query-directed chase.
+    pub chase_micros: u128,
+    /// Number of grafted null trees.
+    pub grafts: usize,
+    /// Bag-memoisation hits during the chase.
+    pub memo_hits: usize,
+    /// Number of Gaifman shards the execution ran over (1 for sequential).
+    pub shards: usize,
+    /// Shards spliced in unchanged from a predecessor instance by
+    /// [`PreparedInstance::refresh`] (0 for fresh executions).  Their chase
+    /// output and columnar indexes were not recomputed.
+    pub reused_shards: usize,
+}
+
 #[derive(Debug)]
 struct PlanInner {
     omq: OntologyMediatedQuery,
-    config: EngineConfig,
     report: AcyclicityReport,
     /// The reduced-relation layout; `None` when the query is not
     /// enumeration-tractable (testing modes still work).
@@ -65,11 +86,11 @@ impl QueryPlan {
     ///
     /// Returns an error if the ontology is not guarded.
     pub fn compile(omq: &OntologyMediatedQuery) -> Result<QueryPlan> {
-        Self::compile_with(omq, &EngineConfig::default())
+        Self::compile_with(omq, &QchaseConfig::default())
     }
 
-    /// Compiles a plan with an explicit configuration.
-    pub fn compile_with(omq: &OntologyMediatedQuery, config: &EngineConfig) -> Result<QueryPlan> {
+    /// Compiles a plan with an explicit chase configuration.
+    pub fn compile_with(omq: &OntologyMediatedQuery, config: &QchaseConfig) -> Result<QueryPlan> {
         if !omq.is_guarded() {
             return Err(CoreError::NotGuarded(
                 omq.ontology()
@@ -83,11 +104,10 @@ impl QueryPlan {
             Ok(skeleton) => (Some(skeleton), None),
             Err(e) => (None, Some(e.to_string())),
         };
-        let chase = QchasePlan::new(omq, &config.qchase)?;
+        let chase = QchasePlan::new(omq, config)?;
         Ok(QueryPlan {
             inner: Arc::new(PlanInner {
                 omq: omq.clone(),
-                config: *config,
                 report,
                 skeleton,
                 skeleton_error,
@@ -99,11 +119,6 @@ impl QueryPlan {
     /// The OMQ this plan evaluates.
     pub fn omq(&self) -> &OntologyMediatedQuery {
         &self.inner.omq
-    }
-
-    /// The configuration the plan was compiled with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.inner.config
     }
 
     /// The acyclicity classification of the query.
@@ -145,22 +160,7 @@ impl QueryPlan {
         let db = db.as_ref();
         let start = Instant::now();
         let chased = self.inner.chase.chase(db)?;
-        let stats = PreprocessStats {
-            input_facts: db.len(),
-            chased_facts: chased.database.len(),
-            chase_micros: start.elapsed().as_micros(),
-            grafts: chased.grafts,
-            memo_hits: chased.memo_hits,
-            saturation_converged: chased.saturation_converged,
-            shards: 1,
-            reused_shards: 0,
-        };
-        Ok(PreparedInstance {
-            plan: self.clone(),
-            shards: Arc::new(vec![Arc::new(chased.database)]),
-            stats,
-            provenance: None,
-        })
+        self.assemble(db.len(), start, vec![chased], Vec::new(), None)
     }
 
     /// Like [`QueryPlan::execute`], but shards the database by Gaifman
@@ -186,48 +186,59 @@ impl QueryPlan {
         let keyed = db.shard_by_component_keyed();
         let (keys, parts): (Vec<Option<u32>>, Vec<Database>) = keyed.into_iter().unzip();
         let chased = self.inner.chase.chase_many(&parts)?;
-        let mut stats = PreprocessStats {
-            input_facts: db.len(),
-            saturation_converged: true,
-            shards: chased.len(),
-            ..PreprocessStats::default()
-        };
-        let mut shards = Vec::with_capacity(chased.len());
-        for part in chased {
-            stats.chased_facts += part.database.len();
-            stats.grafts += part.grafts;
-            stats.memo_hits += part.memo_hits;
-            stats.saturation_converged &= part.saturation_converged;
-            shards.push(Arc::new(part.database));
-        }
-        stats.chase_micros = start.elapsed().as_micros();
-        let provenance = Some(Arc::new(Provenance {
+        let provenance = Provenance {
             source_revision: db.revision(),
             schema_len: db.schema().len(),
             keys,
-        }));
+        };
+        self.assemble(db.len(), start, chased, Vec::new(), Some(provenance))
+    }
+
+    /// The one assembly point behind [`QueryPlan::execute`],
+    /// [`QueryPlan::execute_parallel`], [`QueryPlan::execute_tracked`] and
+    /// [`PreparedInstance::refresh`]: rejects a chase whose saturation was cut
+    /// off by `max_saturation_rounds` (its answer set would be silently
+    /// incomplete), folds the per-part chase statistics, puts every freshly
+    /// chased part behind its own [`Arc`] — fresh shards lead, `reused` ones
+    /// follow — and attaches the provenance.
+    pub(crate) fn assemble(
+        &self,
+        input_facts: usize,
+        started: Instant,
+        fresh: Vec<QueryDirectedChase>,
+        reused: Vec<Arc<Database>>,
+        provenance: Option<Provenance>,
+    ) -> Result<PreparedInstance> {
+        let mut stats = PreprocessStats {
+            input_facts,
+            reused_shards: reused.len(),
+            ..PreprocessStats::default()
+        };
+        let mut shards = Vec::with_capacity(fresh.len() + reused.len());
+        for part in fresh {
+            if !part.saturation_converged {
+                return Err(CoreError::SaturationNotConverged {
+                    rounds: part.saturation_rounds,
+                });
+            }
+            stats.chased_facts += part.database.len();
+            stats.grafts += part.grafts;
+            stats.memo_hits += part.memo_hits;
+            shards.push(Arc::new(part.database));
+        }
+        for shard in reused {
+            stats.chased_facts += shard.len();
+            shards.push(shard);
+        }
+        debug_assert!(!shards.is_empty());
+        stats.shards = shards.len();
+        stats.chase_micros = started.elapsed().as_micros();
         Ok(PreparedInstance {
             plan: self.clone(),
             shards: Arc::new(shards),
             stats,
-            provenance,
+            provenance: provenance.map(Arc::new),
         })
-    }
-
-    /// Builds a [`PreparedInstance`] from already-chased shard databases
-    /// (used by the parallel executor).
-    pub(crate) fn instance_from_shards(
-        &self,
-        shards: Vec<Database>,
-        stats: PreprocessStats,
-    ) -> PreparedInstance {
-        debug_assert!(!shards.is_empty());
-        PreparedInstance {
-            plan: self.clone(),
-            shards: Arc::new(shards.into_iter().map(Arc::new).collect()),
-            stats,
-            provenance: None,
-        }
     }
 }
 
@@ -236,7 +247,7 @@ impl QueryPlan {
 /// [`PreparedInstance::refresh`] matches these keys against the refreshed
 /// database's component partition to decide which shards can be reused.
 #[derive(Debug)]
-struct Provenance {
+pub(crate) struct Provenance {
     /// `Database::revision` of the source at execution time.
     source_revision: u64,
     /// Number of schema relations at execution time; a schema that grew in
@@ -446,30 +457,17 @@ impl PreparedInstance {
             parts.push(db.nullary_database());
         }
         let chased = self.plan.chase_plan().chase_many(&parts)?;
-        let mut stats = PreprocessStats {
-            input_facts: db.len(),
-            saturation_converged: self.stats.saturation_converged,
-            ..PreprocessStats::default()
-        };
         // Fresh shards first: they derive from the new head (so the symbol
         // shard resolves every constant, including ones this commit minted)
         // and they are delta-sized, which is what makes post-refresh
         // time-to-first-answer proportional to the delta.
-        let fresh_keys = fresh_roots
+        let mut keys: Vec<Option<u32>> = fresh_roots
             .iter()
             .map(|&root| Some(root))
-            .chain(nullary_dirty.then_some(None));
-        let mut shards: Vec<Arc<Database>> = Vec::new();
-        let mut keys: Vec<Option<u32>> = Vec::new();
-        for (part, key) in chased.into_iter().zip(fresh_keys) {
-            stats.chased_facts += part.database.len();
-            stats.grafts += part.grafts;
-            stats.memo_hits += part.memo_hits;
-            stats.saturation_converged &= part.saturation_converged;
-            shards.push(Arc::new(part.database));
-            keys.push(key);
-        }
+            .chain(nullary_dirty.then_some(None))
+            .collect();
         // Then the untouched shards of the predecessor, spliced by pointer.
+        let mut reused: Vec<Arc<Database>> = Vec::new();
         for (old_idx, key) in new_keys.iter().enumerate() {
             let clean = match key {
                 Some(root) => !dirty.contains(root),
@@ -480,24 +478,16 @@ impl PreparedInstance {
             }
             let shard = &self.shards[old_idx];
             shard.verify_columnar()?;
-            stats.chased_facts += shard.len();
-            stats.reused_shards += 1;
-            shards.push(Arc::clone(shard));
+            reused.push(Arc::clone(shard));
             keys.push(*key);
         }
-        stats.shards = shards.len();
-        stats.chase_micros = start.elapsed().as_micros();
-        let provenance = Some(Arc::new(Provenance {
+        let provenance = Provenance {
             source_revision: db.revision(),
             schema_len: prov.schema_len,
             keys,
-        }));
-        Ok(PreparedInstance {
-            plan: self.plan.clone(),
-            shards: Arc::new(shards),
-            stats,
-            provenance,
-        })
+        };
+        self.plan
+            .assemble(db.len(), start, chased, reused, Some(provenance))
     }
 
     /// Preprocessing statistics of this execution.
@@ -564,9 +554,51 @@ impl PreparedInstance {
                 }
                 Ok(false)
             }
-            Answer::Partial(t) => self.test_partial_impl(t),
-            Answer::Multi(t) => self.test_multi_impl(t),
+            Answer::Partial(t) => {
+                self.test_wildcard(t, answer, single_testing::test_minimal_partial)
+            }
+            Answer::Multi(t) => {
+                self.test_wildcard(t, answer, single_testing::test_minimal_partial_multi)
+            }
         }
+    }
+
+    /// Shard-aware single-testing of a minimal partial answer of either
+    /// wildcard kind (`answer` is `candidate` in its [`Answer`] form): a
+    /// candidate carrying at least one constant is an answer only in the
+    /// shard owning its constants, and every tuple dominating it shares
+    /// those constants, so the shard-local test is exact.  A wildcard-only
+    /// candidate's minimality is a cross-shard property; it is resolved
+    /// against the merged enumeration (constant-many candidates exist, so
+    /// this stays cheap relative to an enumeration pass).
+    fn test_wildcard<T: MergeTuple>(
+        &self,
+        candidate: &T,
+        answer: &Answer,
+        test: impl Fn(&ConjunctiveQuery, &Database, &T) -> Result<bool>,
+    ) -> Result<bool> {
+        let query = self.omq().query();
+        if let [shard] = self.shards.as_slice() {
+            return test(query, shard, candidate);
+        }
+        if !candidate.constant_free() {
+            for shard in self.shards.iter() {
+                if test(query, shard, candidate)? {
+                    return Ok(true);
+                }
+            }
+            return Ok(false);
+        }
+        let mut found = false;
+        self.for_each_answer(answer.semantics(), |streamed| {
+            if streamed == *answer {
+                found = true;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+        Ok(found)
     }
 
     /// The shard vector behind this instance, shared with the answer
@@ -597,8 +629,9 @@ impl PreparedInstance {
         let skeleton = self.plan.skeleton()?;
         match semantics {
             Semantics::Complete => {
-                let counts = self.map_shards(|shard| {
-                    let structure = FreeConnexStructure::materialize(skeleton, shard, true)?;
+                let counts = self.map_shards(|idx| {
+                    let structure =
+                        FreeConnexStructure::materialize(skeleton, &self.shards[idx], true)?;
                     Ok(crate::enumerate::count_answers(&structure))
                 })?;
                 if skeleton.boolean {
@@ -609,61 +642,40 @@ impl PreparedInstance {
                     Ok(counts.iter().sum())
                 }
             }
-            Semantics::MinimalPartial => {
-                let arity = skeleton.answer_positions.len();
-                let parts = self.map_shards(|shard| {
-                    let mut cursor = PartialEnumerator::with_skeleton(skeleton, shard)?;
-                    let mut merge = WildcardMerge::partial(arity);
-                    let mut counted = 0u64;
-                    let mut probe = PartialTuple(Vec::new());
-                    loop {
-                        let got = cursor.fill_values(COUNT_BATCH, |values| {
-                            probe.0.clear();
-                            probe.0.extend_from_slice(values);
-                            counted += u64::from(merge.observe(&probe));
-                        });
-                        if got < COUNT_BATCH {
-                            break;
-                        }
-                    }
-                    Ok((counted, merge))
-                })?;
-                let mut total = 0u64;
-                let mut merge = WildcardMerge::partial(arity);
-                for (counted, shard_merge) in parts {
-                    total += counted;
-                    merge.absorb(shard_merge);
-                }
-                Ok(total + merge.survivors())
-            }
-            Semantics::MinimalPartialMulti => {
-                let arity = skeleton.answer_positions.len();
-                let parts = self.map_shards(|shard| {
-                    let mut cursor = multi_enum::MultiEnumerator::with_skeleton(skeleton, shard)?;
-                    let mut merge = WildcardMerge::multi(arity);
-                    let mut counted = 0u64;
-                    loop {
-                        let got = cursor.fill_with(COUNT_BATCH, |t| {
-                            counted += u64::from(merge.observe(&t));
-                        });
-                        if got < COUNT_BATCH {
-                            break;
-                        }
-                    }
-                    if let Some(e) = cursor.error() {
-                        return Err(e.clone());
-                    }
-                    Ok((counted, merge))
-                })?;
-                let mut total = 0u64;
-                let mut merge = WildcardMerge::multi(arity);
-                for (counted, shard_merge) in parts {
-                    total += counted;
-                    merge.absorb(shard_merge);
-                }
-                Ok(total + merge.survivors())
-            }
+            Semantics::MinimalPartial => self.count_wildcard::<PartialTuple>(skeleton),
+            Semantics::MinimalPartialMulti => self.count_wildcard::<MultiTuple>(skeleton),
         }
+    }
+
+    /// The wildcard arm of [`PreparedInstance::count`], generic over the
+    /// tuple kind: per shard, drain the enumerator in borrowed batches
+    /// through a [`WildcardMerge`], then reduce the per-shard merges.
+    fn count_wildcard<T: MergeTuple>(&self, skeleton: &PlanSkeleton) -> Result<u64> {
+        let arity = skeleton.answer_positions.len();
+        let parts = self.map_shards(|idx| {
+            let mut cursor = T::open(skeleton, &self.shards, idx)?;
+            let mut merge = WildcardMerge::<T>::new(arity);
+            let mut counted = 0u64;
+            loop {
+                let got = T::fill_ref(&mut cursor, COUNT_BATCH, |t| {
+                    counted += u64::from(merge.observe(t));
+                });
+                if got < COUNT_BATCH {
+                    break;
+                }
+            }
+            if let Some(e) = T::error(&cursor) {
+                return Err(e.clone());
+            }
+            Ok((counted, merge))
+        })?;
+        let mut total = 0u64;
+        let mut merge = WildcardMerge::<T>::new(arity);
+        for (counted, shard_merge) in parts {
+            total += counted;
+            merge.absorb(shard_merge);
+        }
+        Ok(total + merge.survivors())
     }
 
     /// Emptiness probe for `semantics` — always equal to
@@ -695,20 +707,17 @@ impl PreparedInstance {
         Ok(false)
     }
 
-    /// Applies `f` to every shard, on scoped worker threads when the
+    /// Applies `f` to every shard index, on scoped worker threads when the
     /// instance is sharded — the map half of the aggregate reduces above.
-    fn map_shards<R: Send>(&self, f: impl Fn(&Database) -> Result<R> + Sync) -> Result<Vec<R>> {
+    fn map_shards<R: Send>(&self, f: impl Fn(usize) -> Result<R> + Sync) -> Result<Vec<R>> {
         if self.shards.len() <= 1 {
-            return self.shards.iter().map(|shard| f(shard)).collect();
+            return (0..self.shards.len()).map(f).collect();
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    let shard: &Database = shard;
+            let handles: Vec<_> = (0..self.shards.len())
+                .map(|idx| {
                     let f = &f;
-                    scope.spawn(move || f(shard))
+                    scope.spawn(move || f(idx))
                 })
                 .collect();
             handles
@@ -747,126 +756,23 @@ impl PreparedInstance {
         PartialEnumerator::with_skeleton(self.plan.skeleton()?, shard)
     }
 
-    // ------------------------------------------------------------------
-    // Legacy per-mode surface: thin wrappers over the cursor.
-    // ------------------------------------------------------------------
-
-    /// Enumerates all complete (certain) answers.
-    #[deprecated(
-        note = "use `answers(Semantics::Complete)` — the lazy cursor supports early termination"
-    )]
-    pub fn enumerate_complete(&self) -> Result<Vec<Vec<ConstId>>> {
-        Ok(self
-            .answers(Semantics::Complete)?
-            .try_collect()?
-            .into_iter()
-            .map(|a| {
-                a.into_complete()
-                    .expect("complete stream yields complete answers")
-            })
-            .collect())
-    }
-
-    /// Streams the complete answers to a callback.
-    #[deprecated(
-        note = "use `answers(Semantics::Complete)`, or `for_each_answer` for callback-style \
-                streaming with early exit"
-    )]
-    pub fn stream_complete(&self, mut f: impl FnMut(&[Value])) -> Result<usize> {
-        self.for_each_answer(Semantics::Complete, |answer| {
-            let tuple = answer
-                .into_complete()
-                .expect("complete stream yields complete answers");
-            let values: Vec<Value> = tuple.into_iter().map(Value::Const).collect();
-            f(&values);
-            ControlFlow::Continue(())
-        })
-    }
-
-    /// Enumerates the minimal partial answers (single wildcard, Theorem 5.2).
-    #[deprecated(
-        note = "use `answers(Semantics::MinimalPartial)` — the lazy cursor supports early \
-                termination"
-    )]
-    pub fn enumerate_minimal_partial(&self) -> Result<Vec<PartialTuple>> {
-        Ok(self
-            .answers(Semantics::MinimalPartial)?
-            .try_collect()?
-            .into_iter()
-            .map(|a| {
-                a.into_partial()
-                    .expect("partial stream yields partial answers")
-            })
-            .collect())
-    }
-
-    /// Streams the minimal partial answers to a callback.
-    #[deprecated(
-        note = "use `answers(Semantics::MinimalPartial)`, or `for_each_answer` for \
-                callback-style streaming with early exit"
-    )]
-    pub fn stream_minimal_partial(&self, mut f: impl FnMut(&PartialTuple)) -> Result<usize> {
-        self.for_each_answer(Semantics::MinimalPartial, |answer| {
-            f(answer
-                .as_partial()
-                .expect("partial stream yields partial answers"));
-            ControlFlow::Continue(())
-        })
-    }
-
     /// Enumerates the minimal partial answers with all complete answers first
     /// (Proposition 2.1).  This ordering guarantee is not expressible as a
-    /// plain [`Semantics`], so the method is not deprecated; it materialises
-    /// the full answer set by construction.
-    pub fn enumerate_minimal_partial_complete_first(&self) -> Result<Vec<PartialTuple>> {
-        if self.shards.len() == 1 {
-            return multi_enum::minimal_partial_answers_complete_first_prepared(
+    /// plain [`Semantics`]; the method materialises the full answer set by
+    /// construction.
+    pub fn enumerate_minimal_partial_complete_first(&self) -> Result<Vec<Answer>> {
+        if let [shard] = self.shards.as_slice() {
+            let ordered = multi_enum::minimal_partial_answers_complete_first_prepared(
                 self.plan.skeleton()?,
-                &self.shards[0],
-            );
+                shard,
+            )?;
+            return Ok(ordered.into_iter().map(Answer::Partial).collect());
         }
         // Sharded: merge, then stable-partition the complete answers first.
-        let merged: Vec<PartialTuple> = self
-            .answers(Semantics::MinimalPartial)?
-            .try_collect()?
-            .into_iter()
-            .map(|a| {
-                a.into_partial()
-                    .expect("partial stream yields partial answers")
-            })
-            .collect();
+        let merged = self.answers(Semantics::MinimalPartial)?.try_collect()?;
         let (complete, partial): (Vec<_>, Vec<_>) =
-            merged.into_iter().partition(PartialTuple::is_complete);
+            merged.into_iter().partition(Answer::is_complete);
         Ok(complete.into_iter().chain(partial).collect())
-    }
-
-    /// Enumerates the minimal partial answers with multi-wildcards
-    /// (Theorem 6.1).
-    #[deprecated(
-        note = "use `answers(Semantics::MinimalPartialMulti)` — the lazy cursor supports \
-                early termination"
-    )]
-    pub fn enumerate_minimal_partial_multi(&self) -> Result<Vec<MultiTuple>> {
-        Ok(self
-            .answers(Semantics::MinimalPartialMulti)?
-            .try_collect()?
-            .into_iter()
-            .map(|a| a.into_multi().expect("multi stream yields multi answers"))
-            .collect())
-    }
-
-    /// Streams the minimal partial answers with multi-wildcards to a callback.
-    #[deprecated(
-        note = "use `answers(Semantics::MinimalPartialMulti)`, or `for_each_answer` for \
-                callback-style streaming with early exit"
-    )]
-    pub fn stream_minimal_partial_multi(&self, mut f: impl FnMut(&MultiTuple)) -> Result<usize> {
-        self.for_each_answer(Semantics::MinimalPartialMulti, |answer| {
-            f(answer
-                .as_multi()
-                .expect("multi stream yields multi answers"));
-            ControlFlow::Continue(())
-        })
     }
 
     // ------------------------------------------------------------------
@@ -888,96 +794,12 @@ impl PreparedInstance {
     /// one Gaifman component, so the candidate is an answer iff it is an
     /// answer of some shard.
     pub fn test_complete_names(&self, names: &[&str]) -> Result<bool> {
-        let values = match single_testing::resolve_constants(self.symbols(), names) {
-            Ok(v) => v,
+        match self.resolve(names) {
+            Ok(tuple) => self.test(&Answer::Complete(tuple)),
             // A name that does not occur in the data cannot be an answer.
-            Err(CoreError::UnknownConstant(_)) => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        for shard in self.shards.iter() {
-            if single_testing::test_complete(self.omq().query(), shard, &values)? {
-                return Ok(true);
-            }
+            Err(CoreError::UnknownConstant(_)) => Ok(false),
+            Err(e) => Err(e),
         }
-        Ok(false)
-    }
-
-    /// Single-tests a minimal partial answer (single wildcard).
-    #[deprecated(note = "use `test(&Answer::Partial(candidate))`")]
-    pub fn test_minimal_partial(&self, candidate: &PartialTuple) -> Result<bool> {
-        self.test_partial_impl(candidate)
-    }
-
-    /// Single-tests a minimal partial answer with multi-wildcards.
-    #[deprecated(note = "use `test(&Answer::Multi(candidate))`")]
-    pub fn test_minimal_partial_multi(&self, candidate: &MultiTuple) -> Result<bool> {
-        self.test_multi_impl(candidate)
-    }
-
-    /// Shard-aware single-testing of a minimal partial answer: a candidate
-    /// carrying at least one constant is an answer only in the shard owning
-    /// its constants, and every tuple dominating it shares those constants,
-    /// so the shard-local test is exact.  A wildcard-only candidate's
-    /// minimality is a cross-shard property; it is resolved against the
-    /// merged enumeration (constant-many candidates exist, so this stays
-    /// cheap relative to an enumeration pass).
-    fn test_partial_impl(&self, candidate: &PartialTuple) -> Result<bool> {
-        if self.shards.len() == 1 {
-            return single_testing::test_minimal_partial(
-                self.omq().query(),
-                &self.shards[0],
-                candidate,
-            );
-        }
-        if candidate.0.iter().any(|v| !v.is_star()) {
-            for shard in self.shards.iter() {
-                if single_testing::test_minimal_partial(self.omq().query(), shard, candidate)? {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        let mut found = false;
-        self.for_each_answer(Semantics::MinimalPartial, |answer| {
-            if answer.as_partial() == Some(candidate) {
-                found = true;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })?;
-        Ok(found)
-    }
-
-    /// Shard-aware single-testing with multi-wildcards, with the same split
-    /// as [`PreparedInstance::test_partial_impl`].
-    fn test_multi_impl(&self, candidate: &MultiTuple) -> Result<bool> {
-        if self.shards.len() == 1 {
-            return single_testing::test_minimal_partial_multi(
-                self.omq().query(),
-                &self.shards[0],
-                candidate,
-            );
-        }
-        if candidate.0.iter().any(|v| !v.is_wild()) {
-            for shard in self.shards.iter() {
-                if single_testing::test_minimal_partial_multi(self.omq().query(), shard, candidate)?
-                {
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
-        let mut found = false;
-        self.for_each_answer(Semantics::MinimalPartialMulti, |answer| {
-            if answer.as_multi() == Some(candidate) {
-                found = true;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })?;
-        Ok(found)
     }
 
     // ------------------------------------------------------------------
@@ -1018,36 +840,13 @@ impl PreparedInstance {
     pub fn format_answer(&self, answer: &Answer) -> String {
         answer.display_with(|c| self.symbols().const_name(c).to_owned())
     }
-
-    /// Renders a complete answer with constant names.
-    pub fn format_complete(&self, answer: &[ConstId]) -> String {
-        let names: Vec<&str> = answer
-            .iter()
-            .map(|&c| self.symbols().const_name(c))
-            .collect();
-        format!("({})", names.join(","))
-    }
-
-    /// Renders a partial answer with constant names.
-    pub fn format_partial(&self, answer: &PartialTuple) -> String {
-        answer.display_with(|c| self.symbols().const_name(c).to_owned())
-    }
-
-    /// Renders a multi-wildcard answer with constant names.
-    pub fn format_multi(&self, answer: &MultiTuple) -> String {
-        answer.display_with(|c| self.symbols().const_name(c).to_owned())
-    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::OmqEngine;
     use omq_chase::Ontology;
-    use omq_cq::ConjunctiveQuery;
     use omq_data::Schema;
-    use rustc_hash::FxHashSet;
     use std::collections::BTreeSet;
 
     fn office_omq() -> OntologyMediatedQuery {
@@ -1094,12 +893,11 @@ mod tests {
             .unwrap()
     }
 
-    fn rendered_partial(instance: &PreparedInstance) -> FxHashSet<String> {
+    fn answer_set(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
         instance
-            .enumerate_minimal_partial()
+            .answers(semantics)
             .unwrap()
-            .iter()
-            .map(|t| instance.format_partial(t))
+            .map(|a| instance.format_answer(&a))
             .collect()
     }
 
@@ -1108,45 +906,93 @@ mod tests {
         let omq = office_omq();
         let plan = QueryPlan::compile(&omq).unwrap();
         for db in [db_one(), db_two()] {
-            let instance = plan.execute(&db).unwrap();
-            let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-            // Complete answers.
-            let via_plan: FxHashSet<String> = instance
-                .enumerate_complete()
-                .unwrap()
-                .iter()
-                .map(|a| instance.format_complete(a))
-                .collect();
-            let via_engine: FxHashSet<String> = engine
-                .enumerate_complete()
-                .unwrap()
-                .iter()
-                .map(|a| engine.format_complete(a))
-                .collect();
-            assert_eq!(via_plan, via_engine);
-            // Minimal partial answers.
-            let engine_partial: FxHashSet<String> = engine
-                .enumerate_minimal_partial()
-                .unwrap()
-                .iter()
-                .map(|t| engine.format_partial(t))
-                .collect();
-            assert_eq!(rendered_partial(&instance), engine_partial);
-            // Multi-wildcard answers.
-            let via_plan: FxHashSet<String> = instance
-                .enumerate_minimal_partial_multi()
-                .unwrap()
-                .iter()
-                .map(|t| instance.format_multi(t))
-                .collect();
-            let via_engine: FxHashSet<String> = engine
-                .enumerate_minimal_partial_multi()
-                .unwrap()
-                .iter()
-                .map(|t| engine.format_multi(t))
-                .collect();
-            assert_eq!(via_plan, via_engine);
+            let reused = plan.execute(&db).unwrap();
+            let fresh = QueryPlan::compile(&omq).unwrap().execute(&db).unwrap();
+            for semantics in Semantics::ALL {
+                assert_eq!(
+                    answer_set(&reused, semantics),
+                    answer_set(&fresh, semantics)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn testing_modes_agree_with_enumeration() {
+        let plan = QueryPlan::compile(&office_omq()).unwrap();
+        let instance = plan.execute(db_one()).unwrap();
+        // Single-testing by name.
+        assert!(instance
+            .test_complete_names(&["mary", "room1", "main1"])
+            .unwrap());
+        assert!(!instance
+            .test_complete_names(&["john", "room4", "main1"])
+            .unwrap());
+        assert!(!instance.test_complete_names(&["nobody", "x", "y"]).unwrap());
+        // Every enumerated answer of every semantics passes `test`.
+        for semantics in Semantics::ALL {
+            for answer in instance.answers(semantics).unwrap() {
+                assert!(instance.test(&answer).unwrap(), "{answer:?}");
+            }
+        }
+        let not_minimal = instance.parse_partial(&["mary", "room1", "*"]).unwrap();
+        assert!(!instance.test(&Answer::Partial(not_minimal)).unwrap());
+        // All-testing agrees.
+        let tester = instance.all_tester().unwrap();
+        for answer in instance.answers(Semantics::Complete).unwrap() {
+            let tuple = answer.into_complete().unwrap();
+            let values: Vec<Value> = tuple.into_iter().map(Value::Const).collect();
+            assert!(tester.test(&values).unwrap());
+        }
+        let wrong = instance.resolve(&["john", "room4", "main1"]).unwrap();
+        let wrong: Vec<Value> = wrong.into_iter().map(Value::Const).collect();
+        assert!(!tester.test(&wrong).unwrap());
+    }
+
+    #[test]
+    fn streaming_counts_match_collection() {
+        let plan = QueryPlan::compile(&office_omq()).unwrap();
+        let instance = plan.execute(db_one()).unwrap();
+        for semantics in Semantics::ALL {
+            let streamed = instance
+                .for_each_answer(semantics, |_| ControlFlow::Continue(()))
+                .unwrap();
+            assert_eq!(streamed, instance.answers(semantics).unwrap().count());
+        }
+    }
+
+    #[test]
+    fn a_cut_off_saturation_is_an_error_on_every_entry_point() {
+        let omq = office_omq();
+        let unsaturated = QchaseConfig {
+            max_saturation_rounds: 0,
+            ..QchaseConfig::default()
+        };
+        let plan = QueryPlan::compile_with(&omq, &unsaturated).unwrap();
+        let cut_off = |result: Result<PreparedInstance>, rounds: usize| {
+            assert_eq!(
+                result.map(|_| ()).unwrap_err(),
+                CoreError::SaturationNotConverged { rounds }
+            );
+        };
+        cut_off(plan.execute(db_one()), 0);
+        cut_off(plan.execute_parallel(db_one(), 2), 0);
+        cut_off(plan.execute_tracked(db_one()), 0);
+        // `refresh` needs a predecessor, which zero rounds never produce: with
+        // one round, data that derives no ground fact converges (the round
+        // stages nothing), and a delta that does derive one (`Office(room4)`)
+        // is cut off before the confirming second round.
+        let one_round = QchaseConfig {
+            max_saturation_rounds: 1,
+            ..QchaseConfig::default()
+        };
+        let plan = QueryPlan::compile_with(&omq, &one_round).unwrap();
+        let mut store = store_with(&[("Researcher", &["mary"]), ("Researcher", &["john"])]);
+        let base = plan.execute_tracked(store.snapshot()).unwrap();
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("HasOffice", ["john", "room4"]))
+            .unwrap();
+        cut_off(base.refresh(store.snapshot(), &receipt), 1);
     }
 
     #[test]
@@ -1160,14 +1006,6 @@ mod tests {
         // Same shape, so the second run hits the memo for every bag.
         assert!(second.stats().memo_hits >= first.stats().memo_hits);
         assert_eq!(plan.chase_plan().memoized_bag_types(), types);
-    }
-
-    fn answer_set(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
-        instance
-            .answers(semantics)
-            .unwrap()
-            .map(|a| instance.format_answer(&a))
-            .collect()
     }
 
     #[test]
@@ -1517,7 +1355,7 @@ mod tests {
             .unwrap();
         let instance = plan.execute(&db).unwrap();
         assert!(matches!(
-            instance.enumerate_complete(),
+            instance.answers(Semantics::Complete),
             Err(CoreError::NotEnumerationTractable(_))
         ));
         // Single-testing still works.

@@ -77,10 +77,8 @@ impl RemoteReduce {
                 boolean,
                 emitted_empty: false,
             },
-            Semantics::MinimalPartial => RemoteReduce::Partial(Some(WildcardMerge::partial(arity))),
-            Semantics::MinimalPartialMulti => {
-                RemoteReduce::Multi(Some(WildcardMerge::multi(arity)))
-            }
+            Semantics::MinimalPartial => RemoteReduce::Partial(Some(WildcardMerge::new(arity))),
+            Semantics::MinimalPartialMulti => RemoteReduce::Multi(Some(WildcardMerge::new(arity))),
         }
     }
 
@@ -197,7 +195,7 @@ impl RemoteState {
 
     /// The batched-pull engine: appends up to `k` answers via `sink` and
     /// returns how many, plus the error that terminated the stream, if any.
-    /// Mirrors the per-semantics `batch_*` methods of the local cursor.
+    /// Mirrors the batch loops of the local cursor.
     pub(crate) fn pull(
         &mut self,
         k: usize,

@@ -33,16 +33,14 @@
 //! The tractability gate still fails inside `answers()`; errors from the
 //! per-shard structure builds now surface mid-stream, like the Algorithm 2
 //! tester failures always did: the stream ends and [`AnswerStream::error`]
-//! reports it, which `try_collect`/`for_each_answer` and the legacy
-//! `enumerate_*` wrappers turn back into a `Result`.
+//! reports it, which `try_collect`/`for_each_answer` turn back into a
+//! `Result`.
 
 use crate::enumerate::AnswerCursor;
 use crate::error::CoreError;
-use crate::multi_enum::MultiEnumerator;
-use crate::parallel::WildcardMerge;
-use crate::partial_enum::PartialEnumerator;
+use crate::parallel::{MergeTuple, WildcardMerge};
 use crate::plan::{PreparedInstance, QueryPlan};
-use crate::preprocess::FreeConnexStructure;
+use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::remote::RemoteState;
 use crate::Result;
 use omq_data::{Answer, Database, MultiTuple, PartialTuple, Semantics, Value};
@@ -75,29 +73,38 @@ enum Inner {
         boolean: bool,
         done: bool,
     },
-    Partial {
-        current: Option<PartialEnumerator>,
-        /// `None` once flushed (all shards drained).
-        merge: Option<WildcardMerge<PartialTuple>>,
-        /// Answers released by the merge but not yet pulled.
-        pending: VecDeque<PartialTuple>,
-    },
-    Multi {
-        current: Option<MultiEnumerator<'static>>,
-        merge: Option<WildcardMerge<MultiTuple>>,
-        pending: VecDeque<MultiTuple>,
-    },
+    Partial(WildcardShards<PartialTuple>),
+    Multi(WildcardShards<MultiTuple>),
     /// Answers arrive pre-enumerated from remote shard executors; only the
     /// cross-shard reduce runs here.  See [`crate::remote`].
     Remote(RemoteState),
+}
+
+/// The state of a wildcard-semantics stream, generic over the tuple kind.
+struct WildcardShards<T: MergeTuple> {
+    current: Option<T::Cursor>,
+    /// `None` once flushed (all shards drained).
+    merge: Option<WildcardMerge<T>>,
+    /// Answers released by the merge but not yet pulled.
+    pending: VecDeque<T>,
+}
+
+impl<T: MergeTuple> WildcardShards<T> {
+    fn new(arity: usize) -> Self {
+        WildcardShards {
+            current: None,
+            merge: Some(WildcardMerge::new(arity)),
+            pending: VecDeque::new(),
+        }
+    }
 }
 
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (name, live) = match self {
             Inner::Complete { current, .. } => ("Complete", current.is_some()),
-            Inner::Partial { current, .. } => ("Partial", current.is_some()),
-            Inner::Multi { current, .. } => ("Multi", current.is_some()),
+            Inner::Partial(shards) => ("Partial", shards.current.is_some()),
+            Inner::Multi(shards) => ("Multi", shards.current.is_some()),
             Inner::Remote(_) => ("Remote", true),
         };
         f.debug_struct("AnswerStreamInner")
@@ -139,16 +146,8 @@ impl AnswerStream {
                 boolean: instance.omq().query().is_boolean(),
                 done: false,
             },
-            Semantics::MinimalPartial => Inner::Partial {
-                current: None,
-                merge: Some(WildcardMerge::partial(arity)),
-                pending: VecDeque::new(),
-            },
-            Semantics::MinimalPartialMulti => Inner::Multi {
-                current: None,
-                merge: Some(WildcardMerge::multi(arity)),
-                pending: VecDeque::new(),
-            },
+            Semantics::MinimalPartial => Inner::Partial(WildcardShards::new(arity)),
+            Semantics::MinimalPartialMulti => Inner::Multi(WildcardShards::new(arity)),
         };
         Ok(AnswerStream {
             semantics,
@@ -231,30 +230,34 @@ impl AnswerStream {
         })
     }
 
-    /// The shared batched-pull engine behind `next_batch` and `fill`,
-    /// monomorphised over the sink.
+    /// The one pull engine behind `next`, `next_batch` and `fill`,
+    /// monomorphised over the sink; the only writer of `self.error`.
     fn pull_batch(&mut self, k: usize, sink: &mut impl FnMut(Answer)) -> usize {
         if k == 0 || self.error.is_some() {
             return 0;
         }
-        // Remote sources carry their own reduce; the semantics dispatch
-        // below is for locally chased shards.
-        let produced = if let Inner::Remote(state) = &mut self.inner {
-            let (produced, error) = state.pull(k, sink);
-            self.error = error;
-            produced
-        } else {
-            match self.semantics {
-                Semantics::Complete => self.batch_complete(k, sink),
-                Semantics::MinimalPartial => self.batch_partial(k, sink),
-                Semantics::MinimalPartialMulti => self.batch_multi(k, sink),
+        let skeleton = self.plan.skeleton().expect("checked at stream build");
+        let (produced, error) = match &mut self.inner {
+            Inner::Complete { .. } => self.batch_complete(k, sink),
+            Inner::Partial(state) => {
+                state.pull_batch(skeleton, &self.shards, &mut self.next_shard, k, sink)
             }
+            Inner::Multi(state) => {
+                state.pull_batch(skeleton, &self.shards, &mut self.next_shard, k, sink)
+            }
+            // Remote sources carry their own reduce.
+            Inner::Remote(state) => state.pull(k, sink),
         };
+        self.error = error;
         self.emitted += produced;
         produced
     }
 
-    fn batch_complete(&mut self, k: usize, sink: &mut impl FnMut(Answer)) -> usize {
+    fn batch_complete(
+        &mut self,
+        k: usize,
+        sink: &mut impl FnMut(Answer),
+    ) -> (usize, Option<CoreError>) {
         let Inner::Complete {
             current,
             boolean,
@@ -264,12 +267,12 @@ impl AnswerStream {
             unreachable!("semantics-checked dispatch");
         };
         if *done {
-            return 0;
+            return (0, None);
         }
         let mut produced = 0usize;
         loop {
             if produced == k {
-                return produced;
+                return (produced, None);
             }
             if let Some(shard) = current.as_mut() {
                 // Boolean queries emit at most one (empty) tuple overall.
@@ -298,15 +301,13 @@ impl AnswerStream {
                     }
                 });
                 if invariant_null {
-                    self.error = Some(CoreError::Internal(
-                        "complete answer contains a null".to_owned(),
-                    ));
                     *done = true;
-                    return produced;
+                    let error = CoreError::Internal("complete answer contains a null".to_owned());
+                    return (produced, Some(error));
                 }
                 if *boolean && stepped > 0 {
                     *done = true;
-                    return produced;
+                    return (produced, None);
                 }
                 if stepped < limit {
                     *current = None;
@@ -323,121 +324,67 @@ impl AnswerStream {
                 match built {
                     Ok(shard) => *current = Some(shard),
                     Err(e) => {
-                        self.error = Some(e);
                         *done = true;
-                        return produced;
+                        return (produced, Some(e));
                     }
                 }
             } else {
                 *done = true;
-                return produced;
+                return (produced, None);
             }
         }
     }
+}
 
-    fn batch_partial(&mut self, k: usize, sink: &mut impl FnMut(Answer)) -> usize {
-        let Inner::Partial {
+impl<T: MergeTuple> WildcardShards<T> {
+    /// The wildcard batch loop: drains `pending`, refills it through the
+    /// merge from the current shard's cursor, opens the next shard when the
+    /// current one is exhausted, and flushes the merge after the last.
+    /// Returns the number of answers sunk and the error that ended the
+    /// stream, if any.
+    fn pull_batch(
+        &mut self,
+        skeleton: &PlanSkeleton,
+        shards: &Arc<Vec<Arc<Database>>>,
+        next_shard: &mut usize,
+        k: usize,
+        sink: &mut impl FnMut(Answer),
+    ) -> (usize, Option<CoreError>) {
+        let WildcardShards {
             current,
             merge,
             pending,
-        } = &mut self.inner
-        else {
-            unreachable!("semantics-checked dispatch");
-        };
+        } = self;
         let mut produced = 0usize;
-        loop {
+        let error = loop {
             while produced < k {
                 let Some(t) = pending.pop_front() else { break };
-                sink(Answer::Partial(t));
+                sink(t.into());
                 produced += 1;
             }
             if produced == k {
-                return produced;
+                return (produced, None);
             }
             let Some(live_merge) = merge.as_mut() else {
-                return produced;
+                return (produced, None);
             };
             if let Some(cursor) = current.as_mut() {
                 let want = k - produced;
-                let stepped = cursor.fill_with(want, |t| {
+                let stepped = T::fill(cursor, want, |t| {
                     live_merge.offer(t, &mut |out| pending.push_back(out));
                 });
                 if stepped < want {
-                    *current = None;
-                }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
-                let skeleton = self.plan.skeleton().expect("checked at stream build");
-                match PartialEnumerator::with_skeleton(skeleton, &self.shards[idx]) {
-                    Ok(cursor) => *current = Some(cursor),
-                    Err(e) => {
-                        self.error = Some(e);
-                        *merge = None;
-                        pending.clear();
-                        return produced;
-                    }
-                }
-            } else {
-                merge
-                    .take()
-                    .expect("merge checked live above")
-                    .flush(&mut |out| pending.push_back(out));
-                if pending.is_empty() {
-                    return produced;
-                }
-            }
-        }
-    }
-
-    fn batch_multi(&mut self, k: usize, sink: &mut impl FnMut(Answer)) -> usize {
-        let Inner::Multi {
-            current,
-            merge,
-            pending,
-        } = &mut self.inner
-        else {
-            unreachable!("semantics-checked dispatch");
-        };
-        let mut produced = 0usize;
-        loop {
-            while produced < k {
-                let Some(t) = pending.pop_front() else { break };
-                sink(Answer::Multi(t));
-                produced += 1;
-            }
-            if produced == k {
-                return produced;
-            }
-            let Some(live_merge) = merge.as_mut() else {
-                return produced;
-            };
-            if let Some(cursor) = current.as_mut() {
-                let want = k - produced;
-                let stepped = cursor.fill_with(want, |t| {
-                    live_merge.offer(t, &mut |out| pending.push_back(out));
-                });
-                if stepped < want {
-                    if let Some(e) = cursor.error() {
-                        self.error = Some(e.clone());
-                        *merge = None;
-                        pending.clear();
-                        return produced;
+                    if let Some(e) = T::error(cursor) {
+                        break e.clone();
                     }
                     *current = None;
                 }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
-                let skeleton = self.plan.skeleton().expect("checked at stream build");
-                match MultiEnumerator::for_shard(skeleton, Arc::clone(&self.shards), idx) {
+            } else if *next_shard < shards.len() {
+                let idx = *next_shard;
+                *next_shard += 1;
+                match T::open(skeleton, shards, idx) {
                     Ok(cursor) => *current = Some(cursor),
-                    Err(e) => {
-                        self.error = Some(e);
-                        *merge = None;
-                        pending.clear();
-                        return produced;
-                    }
+                    Err(e) => break e,
                 }
             } else {
                 merge
@@ -445,174 +392,13 @@ impl AnswerStream {
                     .expect("merge checked live above")
                     .flush(&mut |out| pending.push_back(out));
                 if pending.is_empty() {
-                    return produced;
+                    return (produced, None);
                 }
             }
-        }
-    }
-
-    fn next_complete(&mut self) -> Option<Answer> {
-        let Inner::Complete {
-            current,
-            boolean,
-            done,
-        } = &mut self.inner
-        else {
-            unreachable!("semantics-checked dispatch");
         };
-        if *done {
-            return None;
-        }
-        loop {
-            if let Some(shard) = current.as_mut() {
-                match shard.cursor.next_answer(&shard.structure) {
-                    Some(values) => {
-                        let tuple: Option<Vec<_>> = values
-                            .iter()
-                            .map(|v| match v {
-                                Value::Const(c) => Some(*c),
-                                Value::Null(_) => None,
-                            })
-                            .collect();
-                        let Some(tuple) = tuple else {
-                            // Cannot happen for structures built with the
-                            // `complete_only` relativisation; handled as a
-                            // reportable invariant violation.
-                            self.error = Some(CoreError::Internal(
-                                "complete answer contains a null".to_owned(),
-                            ));
-                            *done = true;
-                            return None;
-                        };
-                        if *boolean {
-                            // The empty tuple is the only Boolean answer:
-                            // stop after the first satisfiable shard.
-                            *done = true;
-                        }
-                        return Some(Answer::Complete(tuple));
-                    }
-                    None => *current = None,
-                }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
-                let skeleton = self.plan.skeleton().expect("checked at stream build");
-                let built = FreeConnexStructure::materialize(skeleton, &self.shards[idx], true)
-                    .map(|structure| {
-                        let cursor = AnswerCursor::new(&structure);
-                        CompleteShard { structure, cursor }
-                    });
-                match built {
-                    Ok(shard) => *current = Some(shard),
-                    Err(e) => {
-                        self.error = Some(e);
-                        *done = true;
-                        return None;
-                    }
-                }
-            } else {
-                *done = true;
-                return None;
-            }
-        }
-    }
-
-    fn next_partial(&mut self) -> Option<Answer> {
-        let Inner::Partial {
-            current,
-            merge,
-            pending,
-        } = &mut self.inner
-        else {
-            unreachable!("semantics-checked dispatch");
-        };
-        loop {
-            if let Some(t) = pending.pop_front() {
-                return Some(Answer::Partial(t));
-            }
-            let live_merge = merge.as_mut()?;
-            if let Some(cursor) = current.as_mut() {
-                match cursor.next() {
-                    Some(t) => live_merge.offer(t, &mut |out| pending.push_back(out)),
-                    None => *current = None,
-                }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
-                let skeleton = self.plan.skeleton().expect("checked at stream build");
-                match PartialEnumerator::with_skeleton(skeleton, &self.shards[idx]) {
-                    Ok(cursor) => *current = Some(cursor),
-                    Err(e) => {
-                        self.error = Some(e);
-                        *merge = None;
-                        pending.clear();
-                        return None;
-                    }
-                }
-            } else {
-                // All shards drained: release the surviving wildcard-only
-                // answers, then drain `pending` on the next loop turns.
-                merge
-                    .take()
-                    .expect("merge checked live above")
-                    .flush(&mut |out| pending.push_back(out));
-                if pending.is_empty() {
-                    return None;
-                }
-            }
-        }
-    }
-
-    fn next_multi(&mut self) -> Option<Answer> {
-        let Inner::Multi {
-            current,
-            merge,
-            pending,
-        } = &mut self.inner
-        else {
-            unreachable!("semantics-checked dispatch");
-        };
-        loop {
-            if let Some(t) = pending.pop_front() {
-                return Some(Answer::Multi(t));
-            }
-            let live_merge = merge.as_mut()?;
-            if let Some(cursor) = current.as_mut() {
-                match cursor.next() {
-                    Some(t) => live_merge.offer(t, &mut |out| pending.push_back(out)),
-                    None => {
-                        if let Some(e) = cursor.error() {
-                            self.error = Some(e.clone());
-                            *merge = None;
-                            pending.clear();
-                            return None;
-                        }
-                        *current = None;
-                    }
-                }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
-                let skeleton = self.plan.skeleton().expect("checked at stream build");
-                match MultiEnumerator::for_shard(skeleton, Arc::clone(&self.shards), idx) {
-                    Ok(cursor) => *current = Some(cursor),
-                    Err(e) => {
-                        self.error = Some(e);
-                        *merge = None;
-                        pending.clear();
-                        return None;
-                    }
-                }
-            } else {
-                merge
-                    .take()
-                    .expect("merge checked live above")
-                    .flush(&mut |out| pending.push_back(out));
-                if pending.is_empty() {
-                    return None;
-                }
-            }
-        }
+        *merge = None;
+        pending.clear();
+        (produced, Some(error))
     }
 }
 
@@ -620,26 +406,9 @@ impl Iterator for AnswerStream {
     type Item = Answer;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.error.is_some() {
-            return None;
-        }
-        if let Inner::Remote(state) = &mut self.inner {
-            let mut out = None;
-            let (produced, error) = state.pull(1, &mut |a| out = Some(a));
-            debug_assert!(produced <= 1);
-            self.error = error;
-            self.emitted += produced;
-            return out;
-        }
-        let answer = match self.semantics {
-            Semantics::Complete => self.next_complete(),
-            Semantics::MinimalPartial => self.next_partial(),
-            Semantics::MinimalPartialMulti => self.next_multi(),
-        };
-        if answer.is_some() {
-            self.emitted += 1;
-        }
-        answer
+        let mut out = None;
+        self.pull_batch(1, &mut |a| out = Some(a));
+        out
     }
 }
 

@@ -29,10 +29,7 @@
 //! * per-request **work bounds**: [`Request::with_limit`] /
 //!   [`Request::with_offset`] page through an answer stream without ever
 //!   materialising the full answer set (`O(offset + limit)` enumeration work
-//!   thanks to the constant-delay cursor);
-//! * per-request **data parallelism** via
-//!   [`ServingEngine::with_data_parallelism`], which routes executions
-//!   through `QueryPlan::execute_parallel` (Gaifman-component sharding).
+//!   thanks to the constant-delay cursor).
 //!
 //! The catalogue and the store head are only mutated through `&mut self`
 //! entry points; serving itself is `&self` and `ServingEngine` is
@@ -82,10 +79,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use omq_chase::OntologyMediatedQuery;
-use omq_core::{
-    AnswerStream, CoreError, EngineConfig, PreparedInstance, PreprocessStats, QueryPlan,
-};
+use omq_chase::{OntologyMediatedQuery, QchaseConfig};
+use omq_core::{AnswerStream, CoreError, PreparedInstance, PreprocessStats, QueryPlan};
 use omq_data::{Answer, ConstId, Database, MultiTuple, PartialTuple};
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -93,16 +88,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use omq_data::{CommitReceipt, DataError, Semantics, Snapshot, Store, Txn};
-
-/// The answer semantics of a request.
-#[deprecated(note = "use `Semantics` — `AnswerMode` is a pre-cursor-API alias")]
-pub type AnswerMode = Semantics;
-
-/// Pre-session `Request<'a>` borrowed its database and therefore carried a
-/// lifetime.  Requests are owned values now; this alias keeps old type
-/// annotations compiling while they migrate.
-#[deprecated(note = "requests are owned now — use `Request` (no lifetime parameter)")]
-pub type BorrowedRequest<'a> = Request;
 
 /// Errors raised by the serving front end.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,18 +273,6 @@ impl Request {
     pub fn with_database(mut self, database: impl Into<Arc<Database>>) -> Self {
         self.data = DataRef::Database(database.into());
         self
-    }
-
-    /// Pre-session constructor: borrow a database for one request.  The
-    /// database is **cloned** into the owned request; callers that reuse a
-    /// database across requests should share an `Arc<Database>` via
-    /// [`Request::with_database`] instead.
-    #[deprecated(
-        note = "use `Request::new(query, semantics).with_database(...)` — requests \
-                         own their data now"
-    )]
-    pub fn for_database(query: QueryId, database: &Database, semantics: Semantics) -> Self {
-        Request::new(query, semantics).with_database(database.clone())
     }
 
     /// Caps the number of answers returned.  A million-user front end sets
@@ -510,7 +483,6 @@ pub struct ServingEngine {
     plans: Vec<(String, QueryPlan)>,
     by_name: FxHashMap<String, usize>,
     workers: usize,
-    data_parallelism: usize,
     /// Warm prepared instances over the store head, aligned with `plans`.
     /// Kept fresh by [`ServingEngine::register_data`] via incremental
     /// `PreparedInstance::refresh`; an entry is `None` when warming failed
@@ -532,7 +504,6 @@ impl ServingEngine {
             plans: Vec::new(),
             by_name: FxHashMap::default(),
             workers: workers.max(1),
-            data_parallelism: 1,
             warm: Vec::new(),
             warm_epoch: 0,
         }
@@ -549,16 +520,6 @@ impl ServingEngine {
         }
         self.rewarm_all();
         Ok(self)
-    }
-
-    /// Additionally shards every execution over up to `threads` threads via
-    /// `QueryPlan::execute_parallel` (Gaifman-component sharding).  Useful
-    /// when batches are small but the databases are large and
-    /// component-rich; for large batches the request-level pool already
-    /// saturates the cores.
-    pub fn with_data_parallelism(mut self, threads: usize) -> Self {
-        self.data_parallelism = threads.max(1);
-        self
     }
 
     /// Number of worker threads used by [`ServingEngine::serve_batch`].
@@ -632,12 +593,12 @@ impl ServingEngine {
         self.register_plan(name, plan)
     }
 
-    /// Compiles `omq` with an explicit configuration and catalogues it.
+    /// Compiles `omq` with an explicit chase configuration and catalogues it.
     pub fn register_query_with(
         &mut self,
         name: &str,
         omq: &OntologyMediatedQuery,
-        config: &EngineConfig,
+        config: &QchaseConfig,
     ) -> Result<QueryId> {
         let plan = QueryPlan::compile_with(omq, config)?;
         self.register_plan(name, plan)
@@ -700,23 +661,6 @@ impl ServingEngine {
             return None;
         }
         self.warm.get(id.0).cloned().flatten()
-    }
-
-    /// Pre-session name for [`ServingEngine::register_query`].
-    #[deprecated(note = "use `register_query`")]
-    pub fn register(&mut self, name: &str, omq: &OntologyMediatedQuery) -> Result<QueryId> {
-        self.register_query(name, omq)
-    }
-
-    /// Pre-session name for [`ServingEngine::register_query_with`].
-    #[deprecated(note = "use `register_query_with`")]
-    pub fn register_with(
-        &mut self,
-        name: &str,
-        omq: &OntologyMediatedQuery,
-        config: &EngineConfig,
-    ) -> Result<QueryId> {
-        self.register_query_with(name, omq, config)
     }
 
     /// Looks up a catalogued query by name.
@@ -796,12 +740,7 @@ impl ServingEngine {
             DataRef::Snapshot(snapshot) => (snapshot.database(), Some(snapshot.epoch())),
             DataRef::Database(db) => (db, None),
         };
-        let instance = if self.data_parallelism > 1 {
-            plan.execute_parallel(db, self.data_parallelism)?
-        } else {
-            plan.execute(db)?
-        };
-        Ok((id, epoch, Arc::new(instance)))
+        Ok((id, epoch, Arc::new(plan.execute(db)?)))
     }
 
     /// Opens the answer cursor of a request (every answer pulled afterwards
@@ -975,7 +914,6 @@ const _: () = {
 mod tests {
     use super::*;
     use omq_chase::Ontology;
-    use omq_core::OmqEngine;
     use omq_cq::ConjunctiveQuery;
     use std::collections::BTreeSet;
 
@@ -1068,7 +1006,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn batch_serving_matches_per_request_engines() {
         let office = office_omq();
         let mut engine = ServingEngine::new(4);
@@ -1080,14 +1017,7 @@ mod tests {
         let requests: Vec<Request> = dbs
             .iter()
             .enumerate()
-            .map(|(i, d)| {
-                let semantics = match i % 3 {
-                    0 => Semantics::Complete,
-                    1 => Semantics::MinimalPartial,
-                    _ => Semantics::MinimalPartialMulti,
-                };
-                Request::new(office_id, semantics).with_database(d.clone())
-            })
+            .map(|(i, d)| Request::new(office_id, Semantics::ALL[i % 3]).with_database(d.clone()))
             .collect();
         let responses = engine.serve_batch(&requests);
         assert_eq!(responses.len(), requests.len());
@@ -1095,28 +1025,16 @@ mod tests {
             let response = response.as_ref().unwrap();
             assert!(!response.truncated, "unbounded requests never truncate");
             assert_eq!(response.epoch, None, "ad-hoc data has no store epoch");
-            let reference = OmqEngine::preprocess(&office, database).unwrap();
-            match (&response.answers, request.semantics) {
-                (AnswerSet::Complete(got), Semantics::Complete) => {
-                    let want = reference.enumerate_complete().unwrap();
-                    let got: BTreeSet<_> = got.iter().collect();
-                    let want: BTreeSet<_> = want.iter().collect();
-                    assert_eq!(got, want);
-                }
-                (AnswerSet::Partial(got), Semantics::MinimalPartial) => {
-                    let want = reference.enumerate_minimal_partial().unwrap();
-                    let got: BTreeSet<_> = got.iter().collect();
-                    let want: BTreeSet<_> = want.iter().collect();
-                    assert_eq!(got, want);
-                }
-                (AnswerSet::Multi(got), Semantics::MinimalPartialMulti) => {
-                    let want = reference.enumerate_minimal_partial_multi().unwrap();
-                    let got: BTreeSet<_> = got.iter().collect();
-                    let want: BTreeSet<_> = want.iter().collect();
-                    assert_eq!(got, want);
-                }
-                (answers, semantics) => panic!("semantics {semantics:?} produced {answers:?}"),
+            // The reference: a plan compiled and executed for this request alone.
+            let reference = QueryPlan::compile(&office)
+                .unwrap()
+                .execute(database)
+                .unwrap();
+            let mut want = AnswerSet::empty(request.semantics);
+            for answer in reference.answers(request.semantics).unwrap() {
+                want.push(answer);
             }
+            assert_eq!(response.answers, want);
         }
     }
 
@@ -1345,7 +1263,7 @@ mod tests {
     fn mixed_catalogue_and_more_requests_than_workers() {
         let office = office_omq();
         let researcher = researcher_omq();
-        let mut engine = ServingEngine::new(3).with_data_parallelism(2);
+        let mut engine = ServingEngine::new(3);
         let office_id = engine.register_query("office", &office).unwrap();
         let researcher_id = engine.register_query("researcher", &researcher).unwrap();
         let office_dbs: Vec<Arc<Database>> = (0..8).map(|i| Arc::new(db(i, &office))).collect();
@@ -1393,24 +1311,6 @@ mod tests {
                 .memoized_bag_types()
                 > 0
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_keep_working() {
-        let omq = researcher_omq();
-        let mut engine = ServingEngine::new(2);
-        let id = engine.register("q", &omq).unwrap();
-        let database = db(3, &omq);
-        let response = engine
-            .serve_one(&Request::for_database(
-                id,
-                &database,
-                Semantics::MinimalPartial,
-            ))
-            .unwrap();
-        assert!(!response.answers.is_empty());
-        let _typed: BorrowedRequest<'static> = Request::new(id, Semantics::Complete);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   fragment violations such as not-guarded / not-acyclic / not-free-connex)
 //!   → [`ErrorCode::BadQuery`];
 //! - everything that indicates a server-side bug or resource exhaustion
-//!   (internal invariants, stale indices, chase budget) → [`ErrorCode::Internal`].
+//!   (internal invariants, stale indices, chase budget, a saturation cut off
+//!   by its round limit) → [`ErrorCode::Internal`].
 
 use crate::code::ErrorCode;
 use omq_chase::ChaseError;
@@ -78,7 +79,10 @@ impl ErrorCode {
             CoreError::ArityMismatch { .. } | CoreError::UnknownConstant(_) => {
                 ErrorCode::SchemaMismatch
             }
-            CoreError::ShardedInstance(_) | CoreError::Internal(_) => ErrorCode::Internal,
+            // The round limit is a server-side setting, like the chase budget.
+            CoreError::ShardedInstance(_)
+            | CoreError::SaturationNotConverged { .. }
+            | CoreError::Internal(_) => ErrorCode::Internal,
             CoreError::Cq(e) => ErrorCode::for_cq(e),
             CoreError::Chase(e) => ErrorCode::for_chase(e),
             CoreError::Data(e) => ErrorCode::for_data(e),

@@ -40,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for researchers in [1_000usize, 4_000, 16_000] {
         let (omq, db) = build_workload(researchers);
         let start = Instant::now();
-        let engine = OmqEngine::preprocess(&omq, &db)?;
+        let instance = QueryPlan::compile(&omq)?.execute(&db)?;
         // The cursor's own preprocessing (Algorithm 1's trees lists) also
         // counts as preprocessing; the delay is measured between `next()`s.
-        let stream = engine.answers(Semantics::MinimalPartial)?;
+        let stream = instance.answers(Semantics::MinimalPartial)?;
         let preprocess = start.elapsed().as_micros();
 
         let mut count = 0usize;
@@ -66,29 +66,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The other evaluation modes on the smallest workload.
     let (omq, db) = build_workload(1_000);
-    let engine = OmqEngine::preprocess(&omq, &db)?;
+    let instance = QueryPlan::compile(&omq)?.execute(&db)?;
 
     // All-testing: constant time per candidate after linear preprocessing.
-    let tester = engine.all_tester()?;
-    let answers: Vec<Answer> = engine.answers(Semantics::Complete)?.collect();
+    let tester = instance.all_tester()?;
+    let answers: Vec<Answer> = instance.answers(Semantics::Complete)?.collect();
     let first = answers[0].as_complete().expect("complete semantics");
     let hit: Vec<Value> = first.iter().map(|&c| Value::Const(c)).collect();
     println!("\nall-testing a true answer:  {}", tester.test(&hit)?);
 
     // Single-testing of a partial answer.
-    let candidate = Answer::Partial(engine.parse_partial(&["p1", "o1", "*"])?);
+    let candidate = Answer::Partial(instance.parse_partial(&["p1", "o1", "*"])?);
     println!(
         "single-testing (p1, o1, *) as a minimal partial answer: {}",
-        engine.test(&candidate)?
+        instance.test(&candidate)?
     );
 
     // Brute-force baseline agreement on a small instance.
     let (omq_small, db_small) = build_workload(100);
-    let engine_small = OmqEngine::preprocess(&omq_small, &db_small)?;
+    let small = QueryPlan::compile(&omq_small)?.execute(&db_small)?;
     let brute = BruteForce::new(&omq_small, &db_small, &ChaseConfig::default())?;
     println!(
         "\nbaseline agreement on 100 researchers: engine={} answers, baseline={} answers",
-        engine_small.answers(Semantics::MinimalPartial)?.count(),
+        small.answers(Semantics::MinimalPartial)?.count(),
         brute.minimal_partial().len()
     );
     Ok(())

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::builder(omq.data_schema().clone())
         .fact("A", ["a"])
         .build()?;
-    let engine = OmqEngine::preprocess(&omq, &db)?;
-    match engine.answers(Semantics::MinimalPartial) {
+    let instance = QueryPlan::compile(&omq)?.execute(&db)?;
+    match instance.answers(Semantics::MinimalPartial) {
         Err(e) => println!("\nnon-free-connex query correctly rejected: {e}"),
         Ok(_) => println!("\nunexpected: intractable query was enumerated"),
     }

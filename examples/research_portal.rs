@@ -48,12 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let db = builder.build()?;
 
-    let engine = OmqEngine::preprocess(&omq, &db)?;
-    let answers = engine.enumerate_minimal_partial_complete_first()?;
+    let instance = QueryPlan::compile(&omq)?.execute(&db)?;
+    let answers = instance.enumerate_minimal_partial_complete_first()?;
 
     // Summarise: how many answers are fully known, partially known, unknown?
     let mut histogram: BTreeMap<usize, usize> = BTreeMap::new();
-    for answer in &answers {
+    for answer in answers.iter().filter_map(Answer::as_partial) {
         *histogram.entry(answer.star_count()).or_insert(0) += 1;
     }
     println!("portal contains {} facts", db.len());
@@ -63,11 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nfirst five answers (complete answers first, Proposition 2.1):");
     for answer in answers.iter().take(5) {
-        println!("  {}", engine.format_partial(answer));
+        println!("  {}", instance.format_answer(answer));
     }
     println!("\nlast three answers (most incomplete):");
     for answer in answers.iter().rev().take(3) {
-        println!("  {}", engine.format_partial(answer));
+        println!("  {}", instance.format_answer(answer));
     }
     Ok(())
 }

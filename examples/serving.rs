@@ -48,7 +48,7 @@ fn main() -> omq::Result<()> {
     let office_query = ConjunctiveQuery::parse("q(x, y) :- HasOffice(x, y)")?;
 
     // The catalogue: compile every query of the workload exactly once.
-    let mut engine = ServingEngine::new(4).with_data_parallelism(2);
+    let mut engine = ServingEngine::new(4);
     let full = engine.register_query(
         "full",
         &OntologyMediatedQuery::new(ontology.clone(), full_query)?,

@@ -156,9 +156,9 @@ pub mod prelude {
         QchasePlan, Tgd,
     };
     pub use omq_core::{
-        all_testing::AllTester, baseline::BruteForce, single_testing, AnswerStream, EngineConfig,
-        MultiEnumerator, OmqEngine, PartialEnumerator, PlanSkeleton, PreparedInstance,
-        PreprocessStats, QueryPlan,
+        all_testing::AllTester, baseline::BruteForce, single_testing, AnswerStream,
+        MultiEnumerator, PartialEnumerator, PlanSkeleton, PreparedInstance, PreprocessStats,
+        QueryPlan,
     };
     pub use omq_cq::{acyclicity::AcyclicityReport, Atom, ConjunctiveQuery, Term, VarId};
     pub use omq_data::{
@@ -236,10 +236,10 @@ mod tests {
             .fact("A", ["a"])
             .build()
             .unwrap();
-        let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-        assert_eq!(engine.answers(Semantics::Complete).unwrap().count(), 0);
+        let instance = QueryPlan::compile(&omq).unwrap().execute(&db).unwrap();
+        assert_eq!(instance.answers(Semantics::Complete).unwrap().count(), 0);
         assert_eq!(
-            engine.answers(Semantics::MinimalPartial).unwrap().count(),
+            instance.answers(Semantics::MinimalPartial).unwrap().count(),
             1
         );
     }

@@ -9,8 +9,6 @@
 //! * **batch equivalence** — `next_batch(k)` produces exactly the answers of
 //!   `k` successive `next()` calls, under arbitrary mid-stream interleaving
 //!   of the pull styles (`next` / `next_batch` / `fill`);
-//! * **wrapper equivalence** — the deprecated `enumerate_*` wrappers return
-//!   the same sequences as draining the cursor;
 //! * **drop soundness** — a stream dropped mid-way (including before the
 //!   cross-shard merge flush) has no effect on the instance or later streams;
 //! * **ownership** — a stream outlives the `PreparedInstance` it came from;
@@ -103,8 +101,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The prefix property on all three semantics, sequential and sharded:
-    /// `take(k)` equals the first k of the full enumeration, and the
-    /// deprecated wrappers agree with the drained cursor.
+    /// `take(k)` equals the first k of the full enumeration.
     #[test]
     fn take_k_is_a_prefix_of_the_full_enumeration(
         random_db in db_strategy(),
@@ -317,8 +314,8 @@ proptest! {
     }
 }
 
-/// Answer streams own their data: they survive the `PreparedInstance` (and
-/// the `OmqEngine`) they came from.
+/// Answer streams own their data: they survive the `PreparedInstance` they
+/// came from.
 #[test]
 fn streams_outlive_their_instance() {
     let omq = office_omq();

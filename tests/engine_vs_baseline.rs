@@ -1,15 +1,22 @@
 //! Randomised integration tests: the constant-delay engines must agree with
 //! the brute-force chase-and-join baseline on every evaluation mode.
 
-// The deprecated `enumerate_*`/`stream_*`/`test_minimal_*` wrappers are
-// exercised on purpose: they are thin shims over the `answers()` cursor now,
-// and this suite is their regression harness (the cursor itself is covered
-// by `tests/answer_stream.rs`).
-#![allow(deprecated)]
-
 use omq::prelude::*;
 use omq_bench::generators::{university, UniversityConfig};
 use std::collections::BTreeSet;
+
+fn prepare(omq: &OntologyMediatedQuery, db: &Database) -> PreparedInstance {
+    QueryPlan::compile(omq).unwrap().execute(db).unwrap()
+}
+
+/// The answers of one semantics, rendered with constant names.
+fn rendered(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
+    instance
+        .answers(semantics)
+        .unwrap()
+        .map(|a| instance.format_answer(&a))
+        .collect()
+}
 
 fn render_partial(answers: &[PartialTuple], db: &Database) -> BTreeSet<String> {
     answers
@@ -43,57 +50,38 @@ fn render_complete(answers: &[Vec<Value>], db: &Database) -> BTreeSet<String> {
 
 fn check_workload(config: &UniversityConfig) {
     let (omq, db) = university(config);
-    let engine = OmqEngine::preprocess(&omq, &db).expect("guarded OMQ");
+    let instance = prepare(&omq, &db);
     let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).expect("chase runs");
 
-    // Complete answers.
-    let fast_complete: BTreeSet<String> = engine
-        .enumerate_complete()
-        .unwrap()
-        .iter()
-        .map(|a| engine.format_complete(a))
-        .collect();
-    let slow_complete = render_complete(&brute.complete_answers(), &brute.chased);
-    assert_eq!(fast_complete, slow_complete, "complete answers, {config:?}");
-
-    // Minimal partial answers.
-    let fast_partial: BTreeSet<String> = engine
-        .enumerate_minimal_partial()
-        .unwrap()
-        .iter()
-        .map(|t| engine.format_partial(t))
-        .collect();
-    let slow_partial = render_partial(&brute.minimal_partial(), &brute.chased);
-    assert_eq!(fast_partial, slow_partial, "partial answers, {config:?}");
-
-    // Multi-wildcard answers.
-    let fast_multi: BTreeSet<String> = engine
-        .enumerate_minimal_partial_multi()
-        .unwrap()
-        .iter()
-        .map(|t| engine.format_multi(t))
-        .collect();
-    let slow_multi = render_multi(&brute.minimal_partial_multi(), &brute.chased);
-    assert_eq!(fast_multi, slow_multi, "multi answers, {config:?}");
+    assert_eq!(
+        rendered(&instance, Semantics::Complete),
+        render_complete(&brute.complete_answers(), &brute.chased),
+        "complete answers, {config:?}"
+    );
+    assert_eq!(
+        rendered(&instance, Semantics::MinimalPartial),
+        render_partial(&brute.minimal_partial(), &brute.chased),
+        "partial answers, {config:?}"
+    );
+    assert_eq!(
+        rendered(&instance, Semantics::MinimalPartialMulti),
+        render_multi(&brute.minimal_partial_multi(), &brute.chased),
+        "multi answers, {config:?}"
+    );
 
     // All-testing agrees with the enumerated complete answers, and
-    // single-testing accepts exactly the enumerated minimal partial answers
-    // among a small candidate pool.
-    let tester = engine.all_tester().unwrap();
-    for answer in engine.enumerate_complete().unwrap().iter().take(50) {
-        let values: Vec<Value> = answer.iter().map(|&c| Value::Const(c)).collect();
+    // single-testing accepts the enumerated answers of every semantics
+    // (a small prefix of each).
+    let tester = instance.all_tester().unwrap();
+    for answer in instance.answers(Semantics::Complete).unwrap().take(50) {
+        let tuple = answer.as_complete().unwrap();
+        let values: Vec<Value> = tuple.iter().map(|&c| Value::Const(c)).collect();
         assert!(tester.test(&values).unwrap());
     }
-    for answer in engine.enumerate_minimal_partial().unwrap().iter().take(50) {
-        assert!(engine.test_minimal_partial(answer).unwrap());
-    }
-    for answer in engine
-        .enumerate_minimal_partial_multi()
-        .unwrap()
-        .iter()
-        .take(50)
-    {
-        assert!(engine.test_minimal_partial_multi(answer).unwrap());
+    for semantics in Semantics::ALL {
+        for answer in instance.answers(semantics).unwrap().take(50) {
+            assert!(instance.test(&answer).unwrap());
+        }
     }
 }
 
@@ -120,10 +108,16 @@ fn fully_complete_data_has_no_wildcards() {
         seed: 11,
     };
     let (omq, db) = university(&config);
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    let partial = engine.enumerate_minimal_partial().unwrap();
-    assert!(partial.iter().all(PartialTuple::is_complete));
-    assert_eq!(partial.len(), engine.enumerate_complete().unwrap().len());
+    let instance = prepare(&omq, &db);
+    let partial: Vec<Answer> = instance
+        .answers(Semantics::MinimalPartial)
+        .unwrap()
+        .collect();
+    assert!(partial.iter().all(Answer::is_complete));
+    assert_eq!(
+        partial.len(),
+        instance.answers(Semantics::Complete).unwrap().count()
+    );
     check_workload(&config);
 }
 
@@ -137,9 +131,13 @@ fn fully_incomplete_data_is_all_wildcards() {
         seed: 3,
     };
     let (omq, db) = university(&config);
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    assert!(engine.enumerate_complete().unwrap().is_empty());
-    let partial = engine.enumerate_minimal_partial().unwrap();
+    let instance = prepare(&omq, &db);
+    assert_eq!(instance.answers(Semantics::Complete).unwrap().count(), 0);
+    let partial: Vec<PartialTuple> = instance
+        .answers(Semantics::MinimalPartial)
+        .unwrap()
+        .filter_map(Answer::into_partial)
+        .collect();
     // One answer per researcher, with both the office and the building
     // anonymous.
     assert_eq!(partial.len(), 25);
@@ -165,24 +163,14 @@ fn star_shaped_query_with_shared_nulls() {
         .fact("R", ["s2", "r"])
         .build()
         .unwrap();
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
+    let instance = prepare(&omq, &db);
     let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
     assert_eq!(
-        engine
-            .enumerate_minimal_partial_multi()
-            .unwrap()
-            .iter()
-            .map(|t| engine.format_multi(t))
-            .collect::<BTreeSet<_>>(),
+        rendered(&instance, Semantics::MinimalPartialMulti),
         render_multi(&brute.minimal_partial_multi(), &brute.chased)
     );
     assert_eq!(
-        engine
-            .enumerate_minimal_partial()
-            .unwrap()
-            .iter()
-            .map(|t| engine.format_partial(t))
-            .collect::<BTreeSet<_>>(),
+        rendered(&instance, Semantics::MinimalPartial),
         render_partial(&brute.minimal_partial(), &brute.chased)
     );
 }

@@ -1,12 +1,24 @@
 //! End-to-end integration tests reproducing the worked examples of the paper.
 
-// The deprecated `enumerate_*`/`stream_*`/`test_minimal_*` wrappers are
-// exercised on purpose: they are thin shims over the `answers()` cursor now,
-// and this suite is their regression harness (the cursor itself is covered
-// by `tests/answer_stream.rs`).
-#![allow(deprecated)]
-
 use omq::prelude::*;
+use std::collections::BTreeSet;
+
+fn prepare(omq: &OntologyMediatedQuery, db: &Database) -> PreparedInstance {
+    QueryPlan::compile(omq).unwrap().execute(db).unwrap()
+}
+
+/// The answers of one semantics, rendered with constant names.
+fn rendered(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
+    instance
+        .answers(semantics)
+        .unwrap()
+        .map(|a| instance.format_answer(&a))
+        .collect()
+}
+
+fn set_of(answers: &[&str]) -> BTreeSet<String> {
+    answers.iter().map(|s| (*s).to_owned()).collect()
+}
 
 fn office_db(omq: &OntologyMediatedQuery) -> Database {
     Database::builder(omq.data_schema().clone())
@@ -34,30 +46,17 @@ fn example_1_1_minimal_partial_answers() {
         ConjunctiveQuery::parse("q(x1, x2, x3) :- HasOffice(x1, x2), InBuilding(x2, x3)").unwrap();
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let db = office_db(&omq);
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-
-    let rendered: std::collections::BTreeSet<String> = engine
-        .enumerate_minimal_partial()
-        .unwrap()
-        .iter()
-        .map(|t| engine.format_partial(t))
-        .collect();
-    let expected: std::collections::BTreeSet<String> =
-        ["(mary,room1,main1)", "(john,room4,*)", "(mike,*,*)"]
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-    assert_eq!(rendered, expected);
-
+    let instance = prepare(&omq, &db);
+    assert_eq!(
+        rendered(&instance, Semantics::MinimalPartial),
+        set_of(&["(mary,room1,main1)", "(john,room4,*)", "(mike,*,*)"])
+    );
     // The traditional certain answers are a subset of the minimal partial
     // answers (Q(D) ⊆ Q(D)*).
-    let complete: Vec<String> = engine
-        .enumerate_complete()
-        .unwrap()
-        .iter()
-        .map(|a| engine.format_complete(a))
-        .collect();
-    assert_eq!(complete, vec!["(mary,room1,main1)".to_owned()]);
+    assert_eq!(
+        rendered(&instance, Semantics::Complete),
+        set_of(&["(mary,room1,main1)"])
+    );
 }
 
 /// Example 2.2 (first part): the multi-wildcard answers of the running
@@ -69,19 +68,10 @@ fn example_2_2_multi_wildcard_answers() {
         ConjunctiveQuery::parse("q(x1, x2, x3) :- HasOffice(x1, x2), InBuilding(x2, x3)").unwrap();
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let db = office_db(&omq);
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    let rendered: std::collections::BTreeSet<String> = engine
-        .enumerate_minimal_partial_multi()
-        .unwrap()
-        .iter()
-        .map(|t| engine.format_multi(t))
-        .collect();
-    let expected: std::collections::BTreeSet<String> =
-        ["(mary,room1,main1)", "(john,room4,*1)", "(mike,*1,*2)"]
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-    assert_eq!(rendered, expected);
+    assert_eq!(
+        rendered(&prepare(&omq, &db), Semantics::MinimalPartialMulti),
+        set_of(&["(mary,room1,main1)", "(john,room4,*1)", "(mike,*1,*2)"])
+    );
 }
 
 /// Example 2.2 (second part): the `Prof` / `LargeOffice` extension `Q'` where
@@ -100,13 +90,8 @@ fn example_2_2_prof_extension() {
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let mut db = office_db(&omq);
     db.add_named_fact("Prof", &["mike"]).unwrap();
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    let rendered: std::collections::BTreeSet<String> = engine
-        .enumerate_minimal_partial_multi()
-        .unwrap()
-        .iter()
-        .map(|t| engine.format_multi(t))
-        .collect();
+    let instance = prepare(&omq, &db);
+    let rendered = rendered(&instance, Semantics::MinimalPartialMulti);
     // The paper: Q'(D')^W contains (mike, *1, *1, *2) but not the
     // non-minimal (mike, *1, *2, *3).
     assert!(
@@ -115,20 +100,21 @@ fn example_2_2_prof_extension() {
     );
     assert!(!rendered.contains("(mike,*1,*2,*3)"));
     // Single-testing agrees.
+    let mike = MultiValue::Const(instance.resolve(&["mike"]).unwrap()[0]);
     let minimal = MultiTuple(vec![
-        MultiValue::Const(engine.resolve(&["mike"]).unwrap()[0]),
+        mike,
         MultiValue::Wild(1),
         MultiValue::Wild(1),
         MultiValue::Wild(2),
     ]);
-    assert!(engine.test_minimal_partial_multi(&minimal).unwrap());
+    assert!(instance.test(&Answer::Multi(minimal)).unwrap());
     let non_minimal = MultiTuple(vec![
-        MultiValue::Const(engine.resolve(&["mike"]).unwrap()[0]),
+        mike,
         MultiValue::Wild(1),
         MultiValue::Wild(2),
         MultiValue::Wild(3),
     ]);
-    assert!(!engine.test_minimal_partial_multi(&non_minimal).unwrap());
+    assert!(!instance.test(&Answer::Multi(non_minimal)).unwrap());
 }
 
 /// Example 2.2 (third part): the `OfficeMate` extension `Q''` where two named
@@ -147,17 +133,17 @@ fn example_2_2_office_mate_extension() {
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let mut db = office_db(&omq);
     db.add_named_fact("OfficeMate", &["mary", "mike"]).unwrap();
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
+    let instance = prepare(&omq, &db);
 
     // Q'' is acyclic but not free-connex acyclic (the quantified building
     // variable connects x3 and x4), so constant-delay enumeration is not
     // available — the engine says so — but single-testing (Theorem 3.1(3))
     // still applies.
     assert!(!omq.classify().free_connex_acyclic);
-    assert!(engine.enumerate_minimal_partial_multi().is_err());
+    assert!(instance.answers(Semantics::MinimalPartialMulti).is_err());
 
-    let mary = engine.resolve(&["mary"]).unwrap()[0];
-    let mike = engine.resolve(&["mike"]).unwrap()[0];
+    let mary = instance.resolve(&["mary"]).unwrap()[0];
+    let mike = instance.resolve(&["mike"]).unwrap()[0];
     // Q''(D'')^W contains (mary, mike, *1, *1): the office mates share an
     // anonymous office and hence a building.
     let shared = MultiTuple(vec![
@@ -166,10 +152,10 @@ fn example_2_2_office_mate_extension() {
         MultiValue::Wild(1),
         MultiValue::Wild(1),
     ]);
-    assert!(engine.test_minimal_partial_multi(&shared).unwrap());
+    assert!(instance.test(&Answer::Multi(shared)).unwrap());
     // The brute-force oracle confirms it as well.
     let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
-    let rendered: std::collections::BTreeSet<String> = brute
+    let rendered: BTreeSet<String> = brute
         .minimal_partial_multi()
         .iter()
         .map(|t| t.display_with(|c| brute.chased.const_name(c).to_owned()))
@@ -214,12 +200,12 @@ fn example_3_5_self_join_free_rewriting() {
         .unwrap();
     let brute1 = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
     let brute2 = BruteForce::new(&omq2, &db, &ChaseConfig::default()).unwrap();
-    let answers1: std::collections::BTreeSet<String> = brute1
+    let answers1: BTreeSet<String> = brute1
         .minimal_partial()
         .iter()
         .map(|t| t.display_with(|c| brute1.chased.const_name(c).to_owned()))
         .collect();
-    let answers2: std::collections::BTreeSet<String> = brute2
+    let answers2: BTreeSet<String> = brute2
         .minimal_partial()
         .iter()
         .map(|t| t.display_with(|c| brute2.chased.const_name(c).to_owned()))
@@ -267,15 +253,9 @@ fn disconnected_queries_are_supported() {
         .fact("C1", ["c"])
         .build()
         .unwrap();
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    let fast: std::collections::BTreeSet<String> = engine
-        .enumerate_complete()
-        .unwrap()
-        .iter()
-        .map(|a| engine.format_complete(a))
-        .collect();
+    let fast = rendered(&prepare(&omq, &db), Semantics::Complete);
     let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
-    let slow: std::collections::BTreeSet<String> = brute
+    let slow: BTreeSet<String> = brute
         .complete_answers()
         .iter()
         .map(|a| {
@@ -301,13 +281,16 @@ fn proposition_2_1_complete_answers_first() {
         ConjunctiveQuery::parse("q(x1, x2, x3) :- HasOffice(x1, x2), InBuilding(x2, x3)").unwrap();
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let db = office_db(&omq);
-    let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-    let ordered = engine.enumerate_minimal_partial_complete_first().unwrap();
+    let instance = prepare(&omq, &db);
+    let ordered = instance.enumerate_minimal_partial_complete_first().unwrap();
     let first_wildcard = ordered.iter().position(|t| !t.is_complete());
     let complete_count = ordered.iter().filter(|t| t.is_complete()).count();
-    assert_eq!(complete_count, engine.enumerate_complete().unwrap().len());
+    assert_eq!(
+        complete_count,
+        instance.answers(Semantics::Complete).unwrap().count()
+    );
     if let Some(cut) = first_wildcard {
-        assert!(ordered[..cut].iter().all(PartialTuple::is_complete));
+        assert!(ordered[..cut].iter().all(Answer::is_complete));
         assert!(ordered[cut..].iter().all(|t| !t.is_complete()));
     }
 }
@@ -327,7 +310,7 @@ fn lemma_3_2_query_directed_chase_preserves_answers() {
     let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
     let over_full = brute.minimal_partial();
 
-    let render = |answers: &[PartialTuple], db: &Database| -> std::collections::BTreeSet<String> {
+    let render = |answers: &[PartialTuple], db: &Database| -> BTreeSet<String> {
         answers
             .iter()
             .map(|t| t.display_with(|c| db.const_name(c).to_owned()))

@@ -12,12 +12,6 @@
 //! and the merge filter has to drop or keep wildcard-only answers based on
 //! what *other* shards produced.
 
-// The deprecated `enumerate_*`/`stream_*`/`test_minimal_*` wrappers are
-// exercised on purpose: they are thin shims over the `answers()` cursor now,
-// and this suite is their regression harness (the cursor itself is covered
-// by `tests/answer_stream.rs`).
-#![allow(deprecated)]
-
 use omq::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -91,19 +85,13 @@ impl RandomDb {
 /// Answer multiset of every semantics, rendered with constant names so the
 /// comparison is independent of internal identifiers.
 fn answer_multisets(instance: &PreparedInstance) -> [BTreeMap<String, usize>; 3] {
-    let mut complete: BTreeMap<String, usize> = BTreeMap::new();
-    for a in instance.enumerate_complete().unwrap() {
-        *complete.entry(instance.format_complete(&a)).or_default() += 1;
-    }
-    let mut partial: BTreeMap<String, usize> = BTreeMap::new();
-    for t in instance.enumerate_minimal_partial().unwrap() {
-        *partial.entry(instance.format_partial(&t)).or_default() += 1;
-    }
-    let mut multi: BTreeMap<String, usize> = BTreeMap::new();
-    for t in instance.enumerate_minimal_partial_multi().unwrap() {
-        *multi.entry(instance.format_multi(&t)).or_default() += 1;
-    }
-    [complete, partial, multi]
+    Semantics::ALL.map(|semantics| {
+        let mut multiset: BTreeMap<String, usize> = BTreeMap::new();
+        for a in instance.answers(semantics).unwrap() {
+            *multiset.entry(instance.format_answer(&a)).or_default() += 1;
+        }
+        multiset
+    })
 }
 
 proptest! {
@@ -134,8 +122,8 @@ proptest! {
             );
             // Every merged partial answer round-trips through the
             // shard-aware single-tester.
-            for t in parallel.enumerate_minimal_partial().unwrap() {
-                prop_assert!(parallel.test_minimal_partial(&t).unwrap());
+            for answer in parallel.answers(Semantics::MinimalPartial).unwrap() {
+                prop_assert!(parallel.test(&answer).unwrap());
             }
         }
     }
@@ -194,16 +182,16 @@ fn boolean_query_is_deduplicated_across_shards() {
     assert_eq!(db.component_count(), 3);
     let parallel = plan.execute_parallel(&db, 3).unwrap();
     assert_eq!(parallel.shard_count(), 3);
-    assert_eq!(parallel.enumerate_complete().unwrap(), vec![Vec::new()]);
+    let complete = |instance: &PreparedInstance| -> Vec<Answer> {
+        instance.answers(Semantics::Complete).unwrap().collect()
+    };
+    assert_eq!(complete(&parallel), vec![Answer::Complete(Vec::new())]);
     let sequential = plan.execute(&db).unwrap();
-    assert_eq!(
-        sequential.enumerate_complete().unwrap(),
-        parallel.enumerate_complete().unwrap()
-    );
+    assert_eq!(complete(&sequential), complete(&parallel));
     // The unsatisfiable case yields no answer from any shard.
     let empty = Database::new(omq.data_schema().clone());
     let parallel = plan.execute_parallel(&empty, 3).unwrap();
-    assert!(parallel.enumerate_complete().unwrap().is_empty());
+    assert!(complete(&parallel).is_empty());
 }
 
 /// The 1-shard edge case: a single connected component must take the
@@ -225,4 +213,30 @@ fn single_component_falls_back_to_one_shard() {
     assert!(parallel.complete_structure().is_ok());
     let sequential = plan.execute(&db).unwrap();
     assert_eq!(answer_multisets(&sequential), answer_multisets(&parallel));
+}
+
+/// Regression: a guarded TGD with a *nullary* side atom (`P(x), Flag() ->
+/// Q(x)`) must chase and enumerate identically on the sequential and the
+/// Gaifman-sharded parallel paths.  Nullary facts touch no Gaifman node, so
+/// sharding must not lose the `Flag()` trigger in any shard.
+#[test]
+fn nullary_side_atom_tgd_parallel_vs_sequential() {
+    let ontology = Ontology::parse("P(x), Flag() -> Q(x)").unwrap();
+    let query = ConjunctiveQuery::parse("q(x) :- Q(x)").unwrap();
+    let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let db = Database::builder(omq.data_schema().clone())
+        .fact("P", ["a"])
+        .fact("P", ["b"])
+        .fact("Flag", Vec::<String>::new())
+        .build()
+        .unwrap();
+    let [sequential, ..] = answer_multisets(&plan.execute(&db).unwrap());
+    let [parallel, ..] = answer_multisets(&plan.execute_parallel(&db, 4).unwrap());
+    assert_eq!(
+        sequential.keys().cloned().collect::<Vec<_>>(),
+        vec!["(a)".to_owned(), "(b)".to_owned()],
+        "nullary side atom must fire for every P-fact"
+    );
+    assert_eq!(sequential, parallel, "parallel execution lost answers");
 }

@@ -1,18 +1,12 @@
 //! Property-based tests for the plan/instance split: a `QueryPlan` compiled
 //! once and executed over N random databases must agree answer-for-answer
-//! with a fresh `OmqEngine::preprocess` per database, on all three answer
+//! with a plan compiled for each database alone, on all three answer
 //! semantics (complete, minimal partial, minimal partial multi-wildcard).
 //!
 //! This exercises exactly the reuse path the compile-once/execute-many
 //! architecture adds: shared `PlanSkeleton`, shared chase rule-trigger
 //! tables, and the dense columnar enumeration structures rebuilt per
 //! database.
-
-// The deprecated `enumerate_*`/`stream_*`/`test_minimal_*` wrappers are
-// exercised on purpose: they are thin shims over the `answers()` cursor now,
-// and this suite is their regression harness (the cursor itself is covered
-// by `tests/answer_stream.rs`).
-#![allow(deprecated)]
 
 use omq::prelude::*;
 use proptest::prelude::*;
@@ -70,18 +64,20 @@ impl RandomOfficeDb {
     }
 }
 
-fn complete_set(
-    instance_answers: Vec<Vec<ConstId>>,
-    format: impl Fn(&[ConstId]) -> String,
-) -> BTreeSet<String> {
-    instance_answers.iter().map(|a| format(a)).collect()
+/// The answers of one semantics, rendered with constant names.
+fn rendered(instance: &PreparedInstance, semantics: Semantics) -> BTreeSet<String> {
+    instance
+        .answers(semantics)
+        .unwrap()
+        .map(|a| instance.format_answer(&a))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One plan, N random databases: `QueryPlan::execute` agrees with a
-    /// fresh `OmqEngine::preprocess` on every semantics.
+    /// One plan, N random databases: the reused plan agrees with a plan
+    /// compiled per database on every semantics.
     #[test]
     fn plan_reuse_matches_fresh_engines(dbs in prop::collection::vec(db_strategy(), 1..4)) {
         let omq = office_omq();
@@ -89,36 +85,14 @@ proptest! {
         for random_db in dbs {
             let db = random_db.to_database(omq.data_schema());
             let instance = plan.execute(&db).unwrap();
-            let engine = OmqEngine::preprocess(&omq, &db).unwrap();
+            let fresh = QueryPlan::compile(&omq).unwrap().execute(&db).unwrap();
+            for semantics in Semantics::ALL {
+                prop_assert_eq!(rendered(&instance, semantics), rendered(&fresh, semantics));
+            }
 
-            // Complete answers.
-            let via_plan = complete_set(instance.enumerate_complete().unwrap(),
-                |a| instance.format_complete(a));
-            let via_engine = complete_set(engine.enumerate_complete().unwrap(),
-                |a| engine.format_complete(a));
-            prop_assert_eq!(&via_plan, &via_engine);
-
-            // Minimal partial answers (single wildcard).
-            let via_plan: BTreeSet<String> = instance
-                .enumerate_minimal_partial().unwrap()
-                .iter().map(|t| instance.format_partial(t)).collect();
-            let via_engine: BTreeSet<String> = engine
-                .enumerate_minimal_partial().unwrap()
-                .iter().map(|t| engine.format_partial(t)).collect();
-            prop_assert_eq!(&via_plan, &via_engine);
-
-            // Minimal partial answers with multi-wildcards.
-            let via_plan: BTreeSet<String> = instance
-                .enumerate_minimal_partial_multi().unwrap()
-                .iter().map(|t| instance.format_multi(t)).collect();
-            let via_engine: BTreeSet<String> = engine
-                .enumerate_minimal_partial_multi().unwrap()
-                .iter().map(|t| engine.format_multi(t)).collect();
-            prop_assert_eq!(&via_plan, &via_engine);
-
-            // Every answer set also round-trips through the single testers.
-            for answer in instance.enumerate_minimal_partial().unwrap() {
-                prop_assert!(instance.test_minimal_partial(&answer).unwrap());
+            // Every answer set also round-trips through the single tester.
+            for answer in instance.answers(Semantics::MinimalPartial).unwrap() {
+                prop_assert!(instance.test(&answer).unwrap());
             }
         }
     }
@@ -138,20 +112,17 @@ proptest! {
         let db = probe.to_database(omq.data_schema());
         let cold = cold_plan.execute(&db).unwrap();
         let warm = warm_plan.execute(&db).unwrap();
-        let cold_answers: BTreeSet<String> = cold
-            .enumerate_minimal_partial().unwrap()
-            .iter().map(|t| cold.format_partial(t)).collect();
-        let warm_answers: BTreeSet<String> = warm
-            .enumerate_minimal_partial().unwrap()
-            .iter().map(|t| warm.format_partial(t)).collect();
-        prop_assert_eq!(cold_answers, warm_answers);
+        prop_assert_eq!(
+            rendered(&cold, Semantics::MinimalPartial),
+            rendered(&warm, Semantics::MinimalPartial)
+        );
         prop_assert_eq!(cold.stats().chased_facts, warm.stats().chased_facts);
     }
 }
 
 /// Deterministic spot check: the acceptance scenario — one compiled plan,
-/// two structurally different databases, all semantics equal to the
-/// per-database engine path.
+/// two structurally different databases, all semantics equal to a plan
+/// compiled per database.
 #[test]
 fn two_distinct_databases_one_plan() {
     let omq = office_omq();
@@ -174,23 +145,9 @@ fn two_distinct_databases_one_plan() {
         .unwrap();
     for db in [db1, db2] {
         let instance = plan.execute(&db).unwrap();
-        let engine = OmqEngine::preprocess(&omq, &db).unwrap();
-        let plan_partial: BTreeSet<String> = instance
-            .enumerate_minimal_partial()
-            .unwrap()
-            .iter()
-            .map(|t| instance.format_partial(t))
-            .collect();
-        let engine_partial: BTreeSet<String> = engine
-            .enumerate_minimal_partial()
-            .unwrap()
-            .iter()
-            .map(|t| engine.format_partial(t))
-            .collect();
-        assert_eq!(plan_partial, engine_partial);
-        assert_eq!(
-            instance.enumerate_complete().unwrap().len(),
-            engine.enumerate_complete().unwrap().len()
-        );
+        let fresh = QueryPlan::compile(&omq).unwrap().execute(&db).unwrap();
+        for semantics in Semantics::ALL {
+            assert_eq!(rendered(&instance, semantics), rendered(&fresh, semantics));
+        }
     }
 }

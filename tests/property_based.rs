@@ -2,12 +2,6 @@
 //! brute-force oracles on randomly generated queries and databases, and the
 //! core data structures must satisfy their invariants.
 
-// The deprecated `enumerate_*`/`stream_*`/`test_minimal_*` wrappers are
-// exercised on purpose: they are thin shims over the `answers()` cursor now,
-// and this suite is their regression harness (the cursor itself is covered
-// by `tests/answer_stream.rs`).
-#![allow(deprecated)]
-
 use omq::prelude::*;
 use omq_core::baseline;
 use proptest::prelude::*;
