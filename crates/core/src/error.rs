@@ -34,6 +34,16 @@ pub enum CoreError {
         /// Saturation rounds executed before the cut-off.
         rounds: usize,
     },
+    /// The query is too wide for the multi-wildcard semantics: Algorithm 2
+    /// inspects Bell(arity + 1) candidates per answer, so it is only served
+    /// up to [`crate::MAX_MULTI_WILDCARD_ARITY`].  The other two semantics
+    /// are unaffected.
+    MultiWildcardArityTooLarge {
+        /// Arity of the query.
+        arity: usize,
+        /// The widest arity served.
+        max: usize,
+    },
     /// Internal invariant violation (indicates a bug; reported instead of
     /// panicking so that callers can surface it).
     Internal(String),
@@ -68,6 +78,11 @@ impl fmt::Display for CoreError {
                 f,
                 "guarded saturation did not reach a fixpoint within {rounds} round(s); \
                  raise `max_saturation_rounds`"
+            ),
+            CoreError::MultiWildcardArityTooLarge { arity, max } => write!(
+                f,
+                "minimal partial answers with multi-wildcards are enumerated for queries of \
+                 arity at most {max}; this query has arity {arity}"
             ),
             CoreError::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
             CoreError::Cq(e) => write!(f, "query error: {e}"),

@@ -45,6 +45,7 @@ pub mod enumerate;
 pub mod error;
 pub mod extension;
 pub mod multi_enum;
+mod multi_templates;
 pub mod parallel;
 pub mod partial_enum;
 pub mod plan;
@@ -60,7 +61,7 @@ pub use baseline::BruteForce;
 pub use enumerate::{collect_answers, AnswerCursor, AnswerIter};
 pub use error::CoreError;
 pub use extension::{Extension, Tuple};
-pub use multi_enum::MultiEnumerator;
+pub use multi_enum::{MultiEnumerator, MultiStats, MAX_MULTI_WILDCARD_ARITY};
 pub use omq_data::{Answer, Semantics};
 pub use partial_enum::PartialEnumerator;
 pub use plan::{PreparedInstance, PreprocessStats, QueryPlan};

@@ -36,8 +36,9 @@
 //! tuples** — `(*, …, *)` for the single-wildcard semantics and the
 //! canonical wildcard-identification patterns (one per set partition of the
 //! positions, a number depending only on the query arity) for
-//! multi-wildcards.  The crate-private `WildcardMerge` filter enumerates
-//! those patterns up front,
+//! multi-wildcards.  The crate-private `WildcardMerge` filter takes those
+//! patterns from the plan (they are compiled once, with Algorithm 2's other
+//! templates, and shared by every merge of the plan),
 //! parks them as they stream by, marks each pattern dominated as soon as
 //! *any* emitted answer strictly dominates it, and flushes the surviving
 //! ones after the shard streams are exhausted.  The bookkeeping per emitted
@@ -45,12 +46,12 @@
 //! chained enumeration keeps its constant delay.
 
 use crate::error::CoreError;
-use crate::multi_enum::MultiEnumerator;
+use crate::multi_enum::{check_multi_arity, MultiEnumerator};
 use crate::partial_enum::PartialEnumerator;
 use crate::plan::{PreparedInstance, QueryPlan};
 use crate::preprocess::PlanSkeleton;
 use crate::Result;
-use omq_data::{multi_wildcard_ball, Answer, Database, MultiTuple, PartialTuple, PartialValue};
+use omq_data::{Answer, Database, MultiTuple, PartialTuple, PartialValue};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,12 +109,13 @@ impl QueryPlan {
 /// cross-shard merge, together with the shard enumerator producing it — what
 /// the stream's wildcard batch loop and `PreparedInstance::count` are
 /// generic over.
-pub(crate) trait MergeTuple: Clone + PartialEq + Send + Into<Answer> {
+pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync + Into<Answer> {
     /// The per-shard enumerator yielding tuples of this kind.
     type Cursor;
-    /// Every wildcard-only tuple of the arity, i.e. the patterns whose
-    /// minimality is a cross-shard property.
-    fn wildcard_only(arity: usize) -> Vec<Self>;
+    /// Every wildcard-only tuple of the plan's arity, i.e. the patterns
+    /// whose minimality is a cross-shard property.  Fails, before building
+    /// anything, when the semantics is not served at that arity.
+    fn wildcard_only(skeleton: &PlanSkeleton) -> Result<Arc<[Self]>>;
     /// `true` iff the tuple carries no constant (its minimality is a
     /// cross-shard property).
     fn constant_free(&self) -> bool;
@@ -140,8 +142,9 @@ pub(crate) trait MergeTuple: Clone + PartialEq + Send + Into<Answer> {
 impl MergeTuple for PartialTuple {
     type Cursor = PartialEnumerator;
     /// The only wildcard-only tuple of arity `n` is `(*, …, *)`.
-    fn wildcard_only(arity: usize) -> Vec<Self> {
-        vec![PartialTuple(vec![PartialValue::Star; arity])]
+    fn wildcard_only(skeleton: &PlanSkeleton) -> Result<Arc<[Self]>> {
+        let arity = skeleton.answer_positions.len();
+        Ok(Arc::new([PartialTuple(vec![PartialValue::Star; arity])]))
     }
     fn constant_free(&self) -> bool {
         self.0.iter().all(|v| v.is_star())
@@ -176,9 +179,10 @@ impl MergeTuple for MultiTuple {
     type Cursor = MultiEnumerator<'static>;
     /// One pattern per way of identifying wildcards across the positions
     /// (the multi-wildcard ball of `(*, …, *)`, one canonical tuple per set
-    /// partition).
-    fn wildcard_only(arity: usize) -> Vec<Self> {
-        multi_wildcard_ball(&PartialTuple(vec![PartialValue::Star; arity]))
+    /// partition), from the plan's templates.
+    fn wildcard_only(skeleton: &PlanSkeleton) -> Result<Arc<[Self]>> {
+        check_multi_arity(skeleton.answer_positions.len())?;
+        Ok(skeleton.multi_templates().merge_patterns())
     }
     fn constant_free(&self) -> bool {
         self.0.iter().all(|v| v.is_wild())
@@ -196,18 +200,17 @@ impl MergeTuple for MultiTuple {
     fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
         cursor.fill_with(limit, emit)
     }
-    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, mut emit: impl FnMut(&Self)) -> usize {
-        cursor.fill_with(limit, |t| emit(&t))
+    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize {
+        cursor.fill_ref(limit, emit)
     }
     fn error(cursor: &Self::Cursor) -> Option<&CoreError> {
         cursor.error()
     }
 }
 
-/// One wildcard-only candidate pattern tracked by the merge.
-#[derive(Debug)]
-struct Pattern<T> {
-    tuple: T,
+/// What the merge knows about one wildcard-only pattern.
+#[derive(Debug, Clone, Copy, Default)]
+struct PatternState {
     /// Some shard emitted this exact tuple as a shard-minimal answer.
     seen: bool,
     /// Some answer (from any shard) strictly dominates the tuple, so it is
@@ -220,44 +223,30 @@ struct Pattern<T> {
 /// Feed every per-shard minimal answer through [`WildcardMerge::offer`]:
 /// answers with constants are emitted immediately (their shard-local
 /// minimality is global — see the module docs), wildcard-only answers are
-/// parked against the precomputed pattern list.  [`WildcardMerge::flush`]
+/// parked against the plan's pattern list.  [`WildcardMerge::flush`]
 /// then emits the wildcard-only tuples that were produced by some shard and
 /// dominated by no answer.
 #[derive(Debug)]
 pub(crate) struct WildcardMerge<T> {
-    patterns: Vec<Pattern<T>>,
+    /// [`MergeTuple::wildcard_only`] of the plan, shared.
+    patterns: Arc<[T]>,
+    /// One entry per pattern.
+    state: Vec<PatternState>,
 }
 
 impl<T: MergeTuple> WildcardMerge<T> {
-    /// Fresh merge state for answers of the given arity.
-    pub(crate) fn new(arity: usize) -> Self {
+    /// Fresh merge state over the wildcard-only tuples of a plan.
+    pub(crate) fn new(patterns: Arc<[T]>) -> Self {
         WildcardMerge {
-            patterns: T::wildcard_only(arity)
-                .into_iter()
-                .map(|tuple| Pattern {
-                    tuple,
-                    seen: false,
-                    dominated: false,
-                })
-                .collect(),
+            state: vec![PatternState::default(); patterns.len()],
+            patterns,
         }
     }
 
     /// Offers one per-shard minimal answer to the merge; constant-bearing
     /// answers are forwarded to `emit` unchanged.
     pub(crate) fn offer(&mut self, t: T, emit: &mut impl FnMut(T)) {
-        for pattern in &mut self.patterns {
-            if !pattern.dominated && t.dominates(&pattern.tuple) {
-                pattern.dominated = true;
-            }
-        }
-        if t.constant_free() {
-            self.patterns
-                .iter_mut()
-                .find(|p| p.tuple == t)
-                .expect("the pattern list covers every wildcard-only tuple of the arity")
-                .seen = true;
-        } else {
+        if self.observe(&t) {
             emit(t);
         }
     }
@@ -265,47 +254,47 @@ impl<T: MergeTuple> WildcardMerge<T> {
     /// Emits the globally minimal wildcard-only answers.  Call once, after
     /// every shard stream has been drained.
     pub(crate) fn flush(self, emit: &mut impl FnMut(T)) {
-        for pattern in self.patterns {
-            if pattern.seen && !pattern.dominated {
-                emit(pattern.tuple);
+        for (tuple, state) in self.patterns.iter().zip(&self.state) {
+            if state.seen && !state.dominated {
+                emit(tuple.clone());
             }
         }
     }
 
-    /// Non-materialising twin of [`WildcardMerge::offer`] for the aggregate
-    /// fast paths: updates the domination/seen state from a *borrowed* tuple
-    /// and reports whether the tuple counts immediately (`true` for
-    /// constant-bearing answers, whose shard-local minimality is global) or
-    /// was parked against the wildcard patterns (`false`).  Parked tuples are
-    /// accounted for by [`WildcardMerge::survivors`] at the end.
+    /// Updates the domination/seen state from a *borrowed* tuple and reports
+    /// whether the tuple counts immediately (`true` for constant-bearing
+    /// answers, whose shard-local minimality is global) or was parked
+    /// against the wildcard patterns (`false`).  Parked tuples are accounted
+    /// for by [`WildcardMerge::flush`] / [`WildcardMerge::survivors`] at the
+    /// end.
     pub(crate) fn observe(&mut self, t: &T) -> bool {
-        for pattern in &mut self.patterns {
-            if !pattern.dominated && t.dominates(&pattern.tuple) {
-                pattern.dominated = true;
+        for (tuple, state) in self.patterns.iter().zip(&mut self.state) {
+            if !state.dominated && t.dominates(tuple) {
+                state.dominated = true;
             }
         }
         if t.constant_free() {
-            self.patterns
-                .iter_mut()
-                .find(|p| p.tuple == *t)
-                .expect("the pattern list covers every wildcard-only tuple of the arity")
-                .seen = true;
+            let parked = self
+                .patterns
+                .iter()
+                .position(|tuple| tuple == t)
+                .expect("the pattern list covers every wildcard-only tuple of the arity");
+            self.state[parked].seen = true;
             false
         } else {
             true
         }
     }
 
-    /// Folds another merge of the **same arity and semantics** into this one.
-    /// Both sides come from [`WildcardMerge::new`] at the same `T`, so their
-    /// pattern lists are identical and positionally aligned; a
+    /// Folds another merge of the **same plan and semantics** into this one.
+    /// Both sides come from [`WildcardMerge::new`] over the same pattern
+    /// list, so their states are positionally aligned; a
     /// pattern is seen (dominated) globally iff it is seen (dominated) in
     /// either side.  This is the associative combine of the embarrassingly
     /// parallel per-shard counting reduce.
     pub(crate) fn absorb(&mut self, other: Self) {
-        debug_assert_eq!(self.patterns.len(), other.patterns.len());
-        for (mine, theirs) in self.patterns.iter_mut().zip(other.patterns) {
-            debug_assert!(mine.tuple == theirs.tuple);
+        debug_assert!(Arc::ptr_eq(&self.patterns, &other.patterns));
+        for (mine, theirs) in self.state.iter_mut().zip(other.state) {
             mine.seen |= theirs.seen;
             mine.dominated |= theirs.dominated;
         }
@@ -315,10 +304,7 @@ impl<T: MergeTuple> WildcardMerge<T> {
     /// what [`WildcardMerge::flush`] would emit.  Call once, after every
     /// shard's answers have been observed.
     pub(crate) fn survivors(&self) -> u64 {
-        self.patterns
-            .iter()
-            .filter(|p| p.seen && !p.dominated)
-            .count() as u64
+        self.state.iter().filter(|p| p.seen && !p.dominated).count() as u64
     }
 }
 
@@ -502,8 +488,11 @@ mod tests {
 
     #[test]
     fn wildcard_merge_multi_patterns_track_domination() {
-        // Arity 2: patterns (*1,*2) and (*1,*1).
-        let mut merge = WildcardMerge::<MultiTuple>::new(2);
+        // Arity 2: patterns (*1,*1) and (*1,*2).
+        let query = ConjunctiveQuery::parse("q(x, y) :- R(x, y)").unwrap();
+        let skeleton = PlanSkeleton::compile(&query).unwrap();
+        let patterns = MultiTuple::wildcard_only(&skeleton).unwrap();
+        let mut merge = WildcardMerge::new(Arc::clone(&patterns));
         assert_eq!(merge.patterns.len(), 2);
         let mut emitted: Vec<MultiTuple> = Vec::new();
         let distinct = MultiTuple(vec![MultiValue::Wild(1), MultiValue::Wild(2)]);
@@ -516,7 +505,7 @@ mod tests {
         assert_eq!(emitted, vec![identified]);
         // A constant-bearing answer kills every pattern it dominates, even if
         // the pattern streams by later.
-        let mut merge = WildcardMerge::<MultiTuple>::new(2);
+        let mut merge = WildcardMerge::new(patterns);
         let mut emitted: Vec<MultiTuple> = Vec::new();
         let constant = MultiTuple(vec![MultiValue::Const(ConstId(0)), MultiValue::Wild(1)]);
         merge.offer(constant.clone(), &mut |t| emitted.push(t));

@@ -651,10 +651,10 @@ impl PreparedInstance {
     /// tuple kind: per shard, drain the enumerator in borrowed batches
     /// through a [`WildcardMerge`], then reduce the per-shard merges.
     fn count_wildcard<T: MergeTuple>(&self, skeleton: &PlanSkeleton) -> Result<u64> {
-        let arity = skeleton.answer_positions.len();
+        let patterns = T::wildcard_only(skeleton)?;
         let parts = self.map_shards(|idx| {
             let mut cursor = T::open(skeleton, &self.shards, idx)?;
-            let mut merge = WildcardMerge::<T>::new(arity);
+            let mut merge = WildcardMerge::new(Arc::clone(&patterns));
             let mut counted = 0u64;
             loop {
                 let got = T::fill_ref(&mut cursor, COUNT_BATCH, |t| {
@@ -670,7 +670,7 @@ impl PreparedInstance {
             Ok((counted, merge))
         })?;
         let mut total = 0u64;
-        let mut merge = WildcardMerge::<T>::new(arity);
+        let mut merge = WildcardMerge::new(patterns);
         for (counted, shard_merge) in parts {
             total += counted;
             merge.absorb(shard_merge);

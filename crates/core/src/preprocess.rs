@@ -19,7 +19,9 @@
 //!    `q⁺ = q₀ ∧ R₀(x̄)` rooted at the virtual guard atom `R₀`, the reduced
 //!    `q₁` node layout (variables, parent/children, predecessor variables,
 //!    pre-order), and the answer-column sources.  A skeleton is compiled once
-//!    per OMQ and reused for any number of databases.
+//!    per OMQ and reused for any number of databases.  It is also the home
+//!    of Algorithm 2's label templates, which depend on the query alone but
+//!    are filled lazily by the cursors that need them.
 //! 2. [`FreeConnexStructure::materialize`] fills a skeleton with data: it
 //!    scans the atom extensions from the columnar indexes, reduces every
 //!    subtree bottom-up by semijoins, projects the children of the guard onto
@@ -30,12 +32,14 @@
 
 use crate::error::CoreError;
 use crate::extension::{Extension, Tuple};
+use crate::multi_templates::MultiTemplates;
 use crate::Result;
 use omq_cq::acyclicity::{self, guard_node_id, AcyclicityReport};
 use omq_cq::hypergraph::Hypergraph;
 use omq_cq::{ConjunctiveQuery, VarId};
 use omq_data::{Database, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::{Arc, OnceLock};
 
 /// One `q₁` node of a compiled [`PlanSkeleton`]: the data-independent layout
 /// of the corresponding [`NodeData`].
@@ -78,6 +82,10 @@ pub struct PlanSkeleton {
     /// For every answer position: the `(node, column)` of `T₁` supplying its
     /// value (the first pre-order node containing the variable).
     pub answer_sources: Vec<(usize, usize)>,
+    /// Algorithm 2's cone/ball/dominated-set templates: created and filled
+    /// by the multi-wildcard cursors and counts (the other semantics never
+    /// touch them) and shared by all of them.
+    multi: OnceLock<Arc<MultiTemplates>>,
 }
 
 impl PlanSkeleton {
@@ -102,6 +110,7 @@ impl PlanSkeleton {
             nodes: Vec::new(),
             preorder: Vec::new(),
             answer_sources: Vec::new(),
+            multi: OnceLock::new(),
         };
         if skeleton.boolean || query.atoms().is_empty() {
             return Ok(skeleton);
@@ -212,6 +221,12 @@ impl PlanSkeleton {
     /// The number of `q₁` nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The plan-wide template cache of Algorithm 2.
+    pub(crate) fn multi_templates(&self) -> &Arc<MultiTemplates> {
+        self.multi
+            .get_or_init(|| Arc::new(MultiTemplates::new(&self.query)))
     }
 }
 

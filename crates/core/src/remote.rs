@@ -25,8 +25,9 @@
 //! the stream, exactly like a mid-stream builder failure in the local cursor.
 
 use crate::error::CoreError;
-use crate::parallel::WildcardMerge;
+use crate::parallel::{MergeTuple, WildcardMerge};
 use crate::plan::QueryPlan;
+use crate::preprocess::PlanSkeleton;
 use crate::stream::AnswerStream;
 use omq_data::{Answer, MultiTuple, PartialTuple, Semantics};
 use std::collections::VecDeque;
@@ -71,15 +72,19 @@ enum RemoteReduce {
 }
 
 impl RemoteReduce {
-    fn new(semantics: Semantics, arity: usize, boolean: bool) -> Self {
-        match semantics {
+    fn new(semantics: Semantics, skeleton: &PlanSkeleton) -> crate::Result<Self> {
+        Ok(match semantics {
             Semantics::Complete => RemoteReduce::Complete {
-                boolean,
+                boolean: skeleton.boolean,
                 emitted_empty: false,
             },
-            Semantics::MinimalPartial => RemoteReduce::Partial(Some(WildcardMerge::new(arity))),
-            Semantics::MinimalPartialMulti => RemoteReduce::Multi(Some(WildcardMerge::new(arity))),
-        }
+            Semantics::MinimalPartial => RemoteReduce::Partial(Some(WildcardMerge::new(
+                PartialTuple::wildcard_only(skeleton)?,
+            ))),
+            Semantics::MinimalPartialMulti => RemoteReduce::Multi(Some(WildcardMerge::new(
+                MultiTuple::wildcard_only(skeleton)?,
+            ))),
+        })
     }
 
     /// Feeds one per-shard answer through the reduce; released answers are
@@ -179,18 +184,17 @@ impl std::fmt::Debug for RemoteState {
 impl RemoteState {
     pub(crate) fn new(
         semantics: Semantics,
-        arity: usize,
-        boolean: bool,
+        skeleton: &PlanSkeleton,
         sources: Vec<Box<dyn RemoteShard>>,
-    ) -> Self {
-        RemoteState {
+    ) -> crate::Result<Self> {
+        Ok(RemoteState {
             sources,
             current: 0,
-            reduce: RemoteReduce::new(semantics, arity, boolean),
+            reduce: RemoteReduce::new(semantics, skeleton)?,
             pending: VecDeque::new(),
             scratch: Vec::new(),
             flushed: false,
-        }
+        })
     }
 
     /// The batched-pull engine: appends up to `k` answers via `sink` and
@@ -263,8 +267,8 @@ impl AnswerStream {
     /// cross-shard reduce (wildcard minimality merge, Boolean dedup) locally.
     ///
     /// `plan` must be the plan the remote executors evaluate — it supplies
-    /// the tractability gate and the query arity the merge state is sized
-    /// by.  Sources are drained in order, one at a time; each must yield the
+    /// the tractability gate and the wildcard-only patterns the merge
+    /// tracks.  Sources are drained in order, one at a time; each must yield the
     /// per-shard minimal answers of a distinct group of Gaifman components
     /// under `semantics` (see the [module docs](self) for the contract).
     pub fn from_remote(
@@ -272,14 +276,8 @@ impl AnswerStream {
         semantics: Semantics,
         sources: Vec<Box<dyn RemoteShard>>,
     ) -> crate::Result<AnswerStream> {
-        plan.skeleton()?;
-        let arity = plan.omq().arity();
-        let boolean = plan.omq().query().is_boolean();
-        Ok(AnswerStream::with_remote(
-            plan.clone(),
-            semantics,
-            RemoteState::new(semantics, arity, boolean, sources),
-        ))
+        let state = RemoteState::new(semantics, plan.skeleton()?, sources)?;
+        Ok(AnswerStream::with_remote(plan.clone(), semantics, state))
     }
 }
 

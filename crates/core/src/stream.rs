@@ -90,12 +90,12 @@ struct WildcardShards<T: MergeTuple> {
 }
 
 impl<T: MergeTuple> WildcardShards<T> {
-    fn new(arity: usize) -> Self {
-        WildcardShards {
+    fn new(skeleton: &PlanSkeleton) -> Result<Self> {
+        Ok(WildcardShards {
             current: None,
-            merge: Some(WildcardMerge::new(arity)),
+            merge: Some(WildcardMerge::new(T::wildcard_only(skeleton)?)),
             pending: VecDeque::new(),
-        }
+        })
     }
 }
 
@@ -136,18 +136,18 @@ impl AnswerStream {
     /// gate runs here; the per-shard enumeration preprocessing (linear in
     /// each shard's chase) is deferred until the cursor reaches the shard.
     pub(crate) fn build(instance: &PreparedInstance, semantics: Semantics) -> Result<Self> {
-        // Fail the intractable cases eagerly — the skeleton is compiled at
-        // plan build time, so this is a cheap check, not per-shard work.
-        instance.plan().skeleton()?;
-        let arity = instance.omq().arity();
+        // Fail the intractable cases (and a query too wide for Algorithm 2)
+        // eagerly — the skeleton is compiled at plan build time, so this is
+        // a cheap check, not per-shard work.
+        let skeleton = instance.plan().skeleton()?;
         let inner = match semantics {
             Semantics::Complete => Inner::Complete {
                 current: None,
                 boolean: instance.omq().query().is_boolean(),
                 done: false,
             },
-            Semantics::MinimalPartial => Inner::Partial(WildcardShards::new(arity)),
-            Semantics::MinimalPartialMulti => Inner::Multi(WildcardShards::new(arity)),
+            Semantics::MinimalPartial => Inner::Partial(WildcardShards::new(skeleton)?),
+            Semantics::MinimalPartialMulti => Inner::Multi(WildcardShards::new(skeleton)?),
         };
         Ok(AnswerStream {
             semantics,

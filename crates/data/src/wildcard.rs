@@ -14,6 +14,15 @@
 //! This module implements the orders, minimality filters, conversion from raw
 //! answer tuples with nulls, and the *ball* / *cone* constructions used by
 //! Algorithm 2 of the paper.
+//!
+//! The ball and the cone of a tuple depend only on its arity and on which of
+//! its positions are `*`; [`set_partitions`], [`multi_wildcard_ball`] and
+//! [`multi_wildcard_cone`] are therefore *template generators*: `omq-core`
+//! runs them once per star mask on a representative tuple, keeps per
+//! position "the tuple's constant" or "`*k`", and applies that to every
+//! answer of the mask.  They are also the test oracles for those templates.
+//! Nothing should call them once per answer: a cone has Bell(arity + 1)
+//! members, each built through a hash map.
 
 use crate::error::DataError;
 use crate::value::{ConstId, NullId, Value};
@@ -337,8 +346,9 @@ impl fmt::Display for MultiTuple {
 }
 
 /// Enumerates all set partitions of `items` (each partition is a vector of
-/// blocks).  Used by the multi-wildcard ball: every partition of the wildcard
-/// positions induces one multi-wildcard tuple.
+/// blocks) — Bell(`items.len()`) of them.  Used by the multi-wildcard ball:
+/// every partition of the wildcard positions induces one multi-wildcard
+/// tuple.
 pub fn set_partitions<T: Clone>(items: &[T]) -> Vec<Vec<Vec<T>>> {
     fn go<T: Clone>(items: &[T], current: &mut Vec<Vec<T>>, out: &mut Vec<Vec<Vec<T>>>) {
         match items.split_first() {
@@ -362,7 +372,7 @@ pub fn set_partitions<T: Clone>(items: &[T]) -> Vec<Vec<Vec<T>>> {
 }
 
 /// The *multi-wildcard ball* `B_W(ā*)`: all multi-wildcard tuples whose
-/// star-collapse equals `ā*`.
+/// star-collapse equals `ā*`, in ascending order.
 pub fn multi_wildcard_ball(tuple: &PartialTuple) -> Vec<MultiTuple> {
     let star_positions = tuple.star_positions();
     let partitions = set_partitions(&star_positions);
@@ -391,7 +401,9 @@ pub fn multi_wildcard_ball(tuple: &PartialTuple) -> Vec<MultiTuple> {
 
 /// The *multi-wildcard cone* `cone_W(ā*) = ⋃_{ā* ⪯ b̄*} B_W(b̄*)`: balls of all
 /// single-wildcard tuples obtained from `ā*` by replacing further constants
-/// with `*`.
+/// with `*`, in ascending order.  All members carry `ā*`'s constant or a
+/// wildcard at every position and constants sort before wildcards, so the
+/// order does not depend on which constants `ā*` has.
 pub fn multi_wildcard_cone(tuple: &PartialTuple) -> Vec<MultiTuple> {
     let const_positions: Vec<usize> = (0..tuple.len())
         .filter(|&i| !tuple.0[i].is_star())

@@ -14,7 +14,8 @@
 //! - anything the *data* in the request violates (unknown relation, arity
 //!   mismatch, unknown constant, ill-formed tuple) → [`ErrorCode::SchemaMismatch`];
 //! - anything wrong with a submitted *query or ontology* (parse errors,
-//!   fragment violations such as not-guarded / not-acyclic / not-free-connex)
+//!   fragment violations such as not-guarded / not-acyclic / not-free-connex,
+//!   a query too wide for the multi-wildcard semantics)
 //!   → [`ErrorCode::BadQuery`];
 //! - everything that indicates a server-side bug or resource exhaustion
 //!   (internal invariants, stale indices, chase budget, a saturation cut off
@@ -75,7 +76,8 @@ impl ErrorCode {
             CoreError::NotAcyclic(_)
             | CoreError::NotFreeConnex(_)
             | CoreError::NotEnumerationTractable(_)
-            | CoreError::NotGuarded(_) => ErrorCode::BadQuery,
+            | CoreError::NotGuarded(_)
+            | CoreError::MultiWildcardArityTooLarge { .. } => ErrorCode::BadQuery,
             CoreError::ArityMismatch { .. } | CoreError::UnknownConstant(_) => {
                 ErrorCode::SchemaMismatch
             }

@@ -231,6 +231,11 @@ mod tests {
                 true,
             ),
             (
+                omq_core::CoreError::MultiWildcardArityTooLarge { arity: 9, max: 8 }.into(),
+                ErrorCode::BadQuery,
+                true,
+            ),
+            (
                 omq_core::CoreError::UnknownConstant("c".into()).into(),
                 ErrorCode::SchemaMismatch,
                 true,
