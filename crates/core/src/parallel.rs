@@ -52,6 +52,7 @@ use crate::plan::{PreparedInstance, QueryPlan};
 use crate::preprocess::PlanSkeleton;
 use crate::Result;
 use omq_data::{Answer, Database, MultiTuple, PartialTuple, PartialValue};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,8 +60,8 @@ impl QueryPlan {
     /// Executes the plan over `db` with up to `threads` worker threads,
     /// sharding the database by Gaifman connected component.
     ///
-    /// The shards are chased concurrently (scoped threads, no extra
-    /// dependencies) against the plan's shared bag-type memo, and the
+    /// The shards are chased concurrently (at most `threads` scoped threads,
+    /// no extra dependencies) against the plan's shared bag-type memo, and the
     /// resulting [`PreparedInstance`] keeps one chased database per shard;
     /// its answer cursor (`PreparedInstance::answers`) chains the shard
     /// streams and re-filters the wildcard-only answers, so every evaluation
@@ -91,18 +92,53 @@ impl QueryPlan {
         };
         let start = Instant::now();
         let chase = self.chase_plan();
-        let chased = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| scope.spawn(move || chase.chase(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("chase worker panicked"))
-                .collect::<std::result::Result<Vec<_>, _>>()
-        })?;
-        self.assemble(db.len(), start, chased, Vec::new(), None)
+        let chased = map_bounded(shards.len(), threads, |idx| chase.chase(&shards[idx]))?;
+        self.assemble(db, db.len(), start, chased, Vec::new(), None)
     }
+}
+
+/// Applies `f` to every index in `0..n` on `min(n, max_workers)` workers and
+/// returns the results in index order, or the error of the lowest failing
+/// index.  The workers are scoped threads claiming indices off a shared
+/// cursor, the caller being one of them — so one worker means **no thread at
+/// all**: the indices are mapped inline.
+pub(crate) fn map_bounded<R: Send, E: Send>(
+    n: usize,
+    max_workers: usize,
+    f: impl Fn(usize) -> std::result::Result<R, E> + Sync,
+) -> std::result::Result<Vec<R>, E> {
+    let workers = max_workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // `Relaxed`: the cursor only hands out indices; the results reach the
+    // caller through `join`.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= n {
+                return local;
+            }
+            local.push((idx, f(idx)));
+        }
+    };
+    let mut slots: Vec<Option<std::result::Result<R, E>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut claimed = claim();
+        for handle in spawned {
+            claimed.extend(handle.join().expect("shard worker panicked"));
+        }
+        for (idx, result) in claimed {
+            slots[idx] = Some(result);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index was claimed exactly once"))
+        .collect()
 }
 
 /// One of the two wildcard answer kinds: the tuple that flows through the
@@ -484,6 +520,47 @@ mod tests {
             .unwrap());
         let mike_partial = parallel.parse_partial(&["mike", "*", "*"]).unwrap();
         assert!(parallel.test(&Answer::Partial(mike_partial)).unwrap());
+    }
+
+    #[test]
+    fn map_bounded_keeps_index_order_reports_errors_and_bounds_its_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+        let caller = thread::current().id();
+        for max_workers in [1usize, 2, 3, 8, 5_000] {
+            let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            let squares = map_bounded(1_000, max_workers, |idx| {
+                seen.lock().unwrap().insert(thread::current().id());
+                Ok::<usize, String>(idx * idx)
+            })
+            .unwrap();
+            assert_eq!(squares, (0..1_000).map(|i| i * i).collect::<Vec<_>>());
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                seen.len() <= max_workers.min(1_000),
+                "{} threads",
+                seen.len()
+            );
+            if max_workers == 1 {
+                assert_eq!(seen, HashSet::from([caller]), "one worker runs inline");
+            }
+            // An error from any index comes back — the lowest failing one.
+            for failing in [0usize, 499, 999] {
+                let result = map_bounded(1_000, max_workers, |idx| {
+                    if idx >= failing {
+                        Err(format!("index {idx}"))
+                    } else {
+                        Ok(idx)
+                    }
+                });
+                assert_eq!(result.unwrap_err(), format!("index {failing}"));
+            }
+        }
+        assert!(map_bounded(0, 4, Ok::<usize, String>).unwrap().is_empty());
+        // A single index never leaves the caller's thread either.
+        let ids = map_bounded(1, 4, |_| Ok::<ThreadId, String>(thread::current().id()));
+        assert_eq!(ids.unwrap(), vec![caller]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::all_testing::AllTester;
 use crate::error::CoreError;
 use crate::multi_enum;
-use crate::parallel::{MergeTuple, WildcardMerge};
+use crate::parallel::{map_bounded, MergeTuple, WildcardMerge};
 use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::single_testing;
@@ -31,7 +31,8 @@ use omq_cq::ConjunctiveQuery;
 use omq_data::{
     Answer, CommitReceipt, ConstId, Database, MultiTuple, PartialTuple, Semantics, Value,
 };
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,12 +54,23 @@ pub struct PreprocessStats {
     pub grafts: usize,
     /// Bag-memoisation hits during the chase.
     pub memo_hits: usize,
-    /// Number of Gaifman shards the execution ran over (1 for sequential).
+    /// Number of shards the execution ran over (1 for sequential).  Every
+    /// shard is a union of whole Gaifman components.
     pub shards: usize,
     /// Shards spliced in unchanged from a predecessor instance by
     /// [`PreparedInstance::refresh`] (0 for fresh executions).  Their chase
     /// output and columnar indexes were not recomputed.
     pub reused_shards: usize,
+    /// Gaifman components of the input behind the shards (the nullary
+    /// pseudo-component included): `components / shards` is how many
+    /// components a shard holds on average.
+    pub components: usize,
+    /// Input facts this execution chased: all of them for the `execute*`
+    /// entry points, the re-packed ones — the dirty components, their
+    /// pack-mates and what compaction took along — for
+    /// [`PreparedInstance::refresh`].  Delta-proportionality is asserted on
+    /// this count, not on a clock.
+    pub rechased_facts: usize,
 }
 
 #[derive(Debug)]
@@ -160,15 +172,20 @@ impl QueryPlan {
         let db = db.as_ref();
         let start = Instant::now();
         let chased = self.inner.chase.chase(db)?;
-        self.assemble(db.len(), start, vec![chased], Vec::new(), None)
+        self.assemble(db, db.len(), start, vec![chased], Vec::new(), None)
     }
 
-    /// Like [`QueryPlan::execute`], but shards the database by Gaifman
-    /// component (one shard per component, keyed by its stable component
-    /// root) and records the keys as *provenance*, enabling incremental
-    /// maintenance via [`PreparedInstance::refresh`]: after a store commit,
-    /// only the components the commit touched are re-chased, and every
-    /// untouched shard is spliced into the refreshed instance unchanged.
+    /// Like [`QueryPlan::execute`], but shards the database into **packs**
+    /// — unions of whole Gaifman components holding at most 64 input facts,
+    /// a larger component being a pack of its own
+    /// ([`Database::pack_components`]) — and records each pack's stable
+    /// component keys as *provenance*, enabling incremental maintenance via
+    /// [`PreparedInstance::refresh`]: after a store commit, only the packs
+    /// the commit touched are re-chased, and every untouched shard is
+    /// spliced into the refreshed instance unchanged.  The number of shards
+    /// is thereby bounded by the data's size, not by its component count,
+    /// and a database of fewer than sixteen facts keeps one shard per
+    /// component.
     ///
     /// Sharding is only sound for connected query bodies (see the `parallel`
     /// module docs); for a disconnected query — or an empty database, which
@@ -183,15 +200,10 @@ impl QueryPlan {
             return self.execute(db);
         }
         let start = Instant::now();
-        let keyed = db.shard_by_component_keyed();
-        let (keys, parts): (Vec<Option<u32>>, Vec<Database>) = keyed.into_iter().unzip();
+        let mut provenance = Provenance::new(db);
+        let parts = provenance.pack(db, &db.component_keys());
         let chased = self.inner.chase.chase_many(&parts)?;
-        let provenance = Provenance {
-            source_revision: db.revision(),
-            schema_len: db.schema().len(),
-            keys,
-        };
-        self.assemble(db.len(), start, chased, Vec::new(), Some(provenance))
+        self.assemble(db, db.len(), start, chased, Vec::new(), Some(provenance))
     }
 
     /// The one assembly point behind [`QueryPlan::execute`],
@@ -200,18 +212,25 @@ impl QueryPlan {
     /// off by `max_saturation_rounds` (its answer set would be silently
     /// incomplete), folds the per-part chase statistics, puts every freshly
     /// chased part behind its own [`Arc`] — fresh shards lead, `reused` ones
-    /// follow — and attaches the provenance.
+    /// follow — and attaches the provenance.  `rechased_facts` is how many
+    /// of `db`'s facts went into `fresh`.
     pub(crate) fn assemble(
         &self,
-        input_facts: usize,
+        db: &Database,
+        rechased_facts: usize,
         started: Instant,
         fresh: Vec<QueryDirectedChase>,
         reused: Vec<Arc<Database>>,
         provenance: Option<Provenance>,
     ) -> Result<PreparedInstance> {
         let mut stats = PreprocessStats {
-            input_facts,
+            input_facts: db.len(),
             reused_shards: reused.len(),
+            components: match &provenance {
+                Some(prov) => prov.keys.len(),
+                None => db.component_count(),
+            },
+            rechased_facts,
             ..PreprocessStats::default()
         };
         let mut shards = Vec::with_capacity(fresh.len() + reused.len());
@@ -243,9 +262,10 @@ impl QueryPlan {
 }
 
 /// Where a tracked instance's shards came from: the source database's
-/// revision and the stable component key of every shard, in shard order.
-/// [`PreparedInstance::refresh`] matches these keys against the refreshed
-/// database's component partition to decide which shards can be reused.
+/// revision and, per shard, the stable keys of the components packed into
+/// it.  [`PreparedInstance::refresh`] re-canonicalises these keys against
+/// the refreshed database's component partition to decide which shards can
+/// be reused.
 #[derive(Debug)]
 pub(crate) struct Provenance {
     /// `Database::revision` of the source at execution time.
@@ -254,9 +274,60 @@ pub(crate) struct Provenance {
     /// the meantime (e.g. `add_relation` in a later transaction) invalidates
     /// the chase outputs' relation-id layout.
     schema_len: usize,
-    /// Per shard, its stable component key: the canonical component root
-    /// (`None` for the nullary pseudo-component).
+    /// The component keys of every shard, shard after shard: a canonical
+    /// component root, or `None` for the nullary pseudo-component.
     keys: Vec<Option<u32>>,
+    /// Shard `i` holds the components `keys[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Input facts per shard — what compaction sizes a shard by.
+    facts: Vec<usize>,
+}
+
+impl Provenance {
+    /// The provenance of no shards yet, over `db`.
+    fn new(db: &Database) -> Self {
+        Provenance {
+            source_revision: db.revision(),
+            schema_len: db.schema().len(),
+            keys: Vec::new(),
+            offsets: vec![0],
+            facts: Vec::new(),
+        }
+    }
+
+    /// Number of shards recorded.
+    fn shards(&self) -> usize {
+        self.facts.len()
+    }
+
+    /// Where the component keys of shard `idx` lie in `keys`.
+    fn range(&self, idx: usize) -> std::ops::Range<usize> {
+        self.offsets[idx]..self.offsets[idx + 1]
+    }
+
+    /// Records one shard of `facts` input facts holding the components
+    /// `members`.
+    fn push(&mut self, members: &[Option<u32>], facts: usize) {
+        self.keys.extend_from_slice(members);
+        self.offsets.push(self.keys.len());
+        self.facts.push(facts);
+    }
+
+    /// Packs the components `keys` of `db` (canonical-root order, the
+    /// nullary key last) by [`Database::pack_components`], records the packs
+    /// as the next shards and returns their extracted databases, ready to
+    /// chase.
+    fn pack(&mut self, db: &Database, keys: &[Option<u32>]) -> Vec<Database> {
+        let offsets = db.pack_components(keys);
+        let mut parts = Vec::with_capacity(offsets.len() - 1);
+        for pack in offsets.windows(2) {
+            let members = &keys[pack[0]..pack[1]];
+            let part = db.pack_database(members);
+            self.push(members, part.len());
+            parts.push(part);
+        }
+        parts
+    }
 }
 
 /// A plan executed over one database: the query-directed chase `ch^q_O(D)`
@@ -264,7 +335,9 @@ pub(crate) struct Provenance {
 ///
 /// A sequential [`QueryPlan::execute`] produces exactly one *shard* (the
 /// whole chase); [`QueryPlan::execute_parallel`] produces one shard per
-/// Gaifman component group, chased independently.  The unified cursor
+/// worker thread and [`QueryPlan::execute_tracked`] one per pack of at most
+/// 64 input facts — every shard a union of whole Gaifman components, chased
+/// independently.  The unified cursor
 /// ([`PreparedInstance::answers`]) and the testers are shard-aware and agree
 /// with the sequential result (see `crate::parallel` for why sharding is
 /// sound); the structure-level accessors
@@ -281,7 +354,7 @@ pub struct PreparedInstance {
     /// successor instance without copying a fact.
     shards: Arc<Vec<Arc<Database>>>,
     stats: PreprocessStats,
-    /// Component keys of the shards, present iff the instance was produced
+    /// Component keys of every shard, present iff the instance was produced
     /// by [`QueryPlan::execute_tracked`] (or a refresh thereof).
     provenance: Option<Arc<Provenance>>,
 }
@@ -342,18 +415,33 @@ impl PreparedInstance {
     }
 
     /// Incrementally re-executes the plan after a store commit, reusing
-    /// every shard whose Gaifman component the commit did not touch.
+    /// every shard the commit did not touch.
     ///
     /// `db` is the store's head *after* the commit and `receipt` the
     /// [`CommitReceipt`] that commit returned.  The dirty components are read
-    /// off the receipt's delta window (`db.facts()[receipt.base_facts..]`):
-    /// only those are re-chased (sharing the plan's bag-type memo), and the
-    /// remaining shards of `self` are spliced into the new instance by
-    /// [`Arc`]-clone — their chase output and columnar indexes are not
-    /// recomputed ([`PreprocessStats::reused_shards`] counts them).  The
-    /// freshly chased shards are ordered *first*, so the time to the first
-    /// answer of a post-refresh [`PreparedInstance::answers`] stream scales
-    /// with the delta's chase, not with `|D|`.
+    /// off the receipt's delta window (`db.facts()[receipt.base_facts..]`);
+    /// a shard (a pack of whole components) is dirty iff one of its
+    /// components is.  The components of the dirty shards, together with the
+    /// brand-new ones, are packed again against `db` and re-chased (sharing
+    /// the plan's bag-type memo), and the remaining shards of `self` are
+    /// spliced into the new instance by [`Arc`]-clone — their chase output
+    /// and columnar indexes are not recomputed
+    /// ([`PreprocessStats::reused_shards`] counts them).  A commit that
+    /// merges two components is no exception: both their shards are dirty,
+    /// the merged component is chased once.  The freshly chased shards are
+    /// ordered *first*, so the time to the first answer of a post-refresh
+    /// [`PreparedInstance::answers`] stream scales with the delta's chase,
+    /// not with `|D|`.
+    ///
+    /// What is re-chased ([`PreprocessStats::rechased_facts`]) is, per dirty
+    /// component, at most the larger of the component and one pack's
+    /// capacity (its pack-mates), plus the delta.  So that a stream of small
+    /// commits does not fragment the instance into ever more small shards, a
+    /// refresh whose re-chase is below one pack's capacity also takes along
+    /// clean shards of under half the capacity while the total stays within
+    /// it — at most one pack's worth of extra chase, after which either the
+    /// new shard holds at least half the capacity or no other shard that
+    /// small is left.
     ///
     /// Falls back to a full (tracked) re-execution whenever incremental
     /// maintenance would be unsound or the lineage cannot be verified:
@@ -363,9 +451,7 @@ impl PreparedInstance {
     /// * the commit added relation symbols, or the schema length changed
     ///   (chase outputs bake in relation ids);
     /// * the receipt does not chain `self`'s source revision to `db`'s
-    ///   current revision (a commit was skipped, or `db` mutated since);
-    /// * an insert merged two previously separate components (the reusable
-    ///   partition no longer exists).
+    ///   current revision (a commit was skipped, or `db` mutated since).
     ///
     /// The fallback is transparent: the result is always answer-equivalent
     /// to `self.plan().execute(db)` (property-tested in
@@ -391,7 +477,7 @@ impl PreparedInstance {
             || db.revision() != receipt.revision
             || db.schema().len() != prov.schema_len
             || receipt.base_facts > db.len()
-            || prov.keys.len() != self.shards.len()
+            || prov.shards() != self.shards.len()
         {
             return self.plan.execute_tracked(db);
         }
@@ -400,6 +486,7 @@ impl PreparedInstance {
             let mut stats = self.stats;
             stats.chase_micros = 0;
             stats.reused_shards = self.shards.len();
+            stats.rechased_facts = 0;
             return Ok(PreparedInstance {
                 plan: self.plan.clone(),
                 shards: Arc::clone(&self.shards),
@@ -408,86 +495,86 @@ impl PreparedInstance {
             });
         }
         let start = Instant::now();
-        // Dirty set: the components the delta facts landed in, under the
-        // *new* head's partition.
-        let mut dirty: FxHashSet<u32> = FxHashSet::default();
-        let mut nullary_dirty = false;
+        // Dirty set: the keys of the components the delta facts landed in,
+        // under the *new* head's partition (`None`: a nullary fact).
+        let mut dirty: FxHashSet<Option<u32>> = FxHashSet::default();
         for fact in &db.facts()[receipt.base_facts..] {
-            match fact.args.first() {
-                Some(&v) => {
-                    let Some(root) = db.component_root(v) else {
-                        // A fact argument always has a component root; treat
-                        // a miss as lineage corruption and rebuild.
-                        return self.plan.execute_tracked(db);
-                    };
-                    dirty.insert(root);
-                }
-                None => nullary_dirty = true,
+            dirty.insert(match fact.args.first() {
+                Some(&v) => match db.component_root(v) {
+                    Some(root) => Some(root),
+                    // A fact argument always has a component root; treat a
+                    // miss as lineage corruption and rebuild.
+                    None => return self.plan.execute_tracked(db),
+                },
+                None => None,
+            });
+        }
+        // Re-canonicalise every old component key against the new partition:
+        // components a delta fact bridged collapse onto one (dirty) root.
+        let mut roots: Vec<Option<u32>> = Vec::with_capacity(prov.keys.len());
+        for key in &prov.keys {
+            roots.push(match key {
+                Some(old_root) => match db.component_root_of_code(*old_root) {
+                    Some(root) => Some(root),
+                    None => return self.plan.execute_tracked(db),
+                },
+                None => None,
+            });
+        }
+        // What to chase again: the dirty keys — those no shard owns are
+        // brand-new components — and every pack-mate of one, in canonical
+        // root order and without the duplicates a merge leaves.
+        let mut rechase: BTreeSet<Option<u32>> = dirty.iter().copied().collect();
+        let mut clean: Vec<usize> = Vec::with_capacity(prov.shards());
+        for idx in 0..prov.shards() {
+            let members = &roots[prov.range(idx)];
+            if members.iter().any(|key| dirty.contains(key)) {
+                rechase.extend(members);
+            } else {
+                clean.push(idx);
             }
         }
-        // Re-canonicalise every old shard key against the new partition.  If
-        // two old components collapsed onto one root, a delta fact bridged
-        // them: the old shard boundaries are gone, fall back to a rebuild.
-        let mut owner: FxHashMap<u32, usize> = FxHashMap::default();
-        let mut new_keys: Vec<Option<u32>> = Vec::with_capacity(prov.keys.len());
-        for (idx, key) in prov.keys.iter().enumerate() {
-            match key {
-                Some(old_root) => {
-                    let Some(root) = db.component_root_of_code(*old_root) else {
-                        return self.plan.execute_tracked(db);
-                    };
-                    if owner.insert(root, idx).is_some() {
-                        return self.plan.execute_tracked(db);
-                    }
-                    new_keys.push(Some(root));
+        // Local compaction: a re-chase that leaves room in its pack fills it
+        // with clean shards of under half the capacity, so that small shards
+        // do not pile up under a stream of small commits.
+        let capacity = db.pack_capacity();
+        let mut load: usize = rechase.iter().map(|&key| db.component_len(key)).sum();
+        if load < capacity {
+            clean.retain(|&idx| {
+                let facts = prov.facts[idx];
+                let fits = 2 * facts < capacity && load + facts <= capacity;
+                if fits {
+                    load += facts;
+                    rechase.extend(&roots[prov.range(idx)]);
                 }
-                None => new_keys.push(None),
-            }
+                !fits
+            });
         }
-        // Re-chase the dirty components from the new head.  Each component
-        // database carries *all* of the component's facts (old and new), so
-        // grown components and brand-new ones are handled uniformly.
-        let mut fresh_roots: Vec<u32> = dirty.iter().copied().collect();
-        fresh_roots.sort_unstable();
-        let mut parts: Vec<Database> = fresh_roots
-            .iter()
-            .map(|&root| db.component_database(root))
-            .collect();
-        if nullary_dirty {
-            parts.push(db.nullary_database());
+        // Pack and re-chase them from the new head.  Each extracted pack
+        // carries *all* facts of its components (old and new), so grown,
+        // merged and brand-new components are handled uniformly.
+        let mut keys: Vec<Option<u32>> = rechase.into_iter().collect();
+        if keys.first() == Some(&None) {
+            // The nullary key sorts first but is packed last.
+            keys.rotate_left(1);
         }
+        let mut provenance = Provenance::new(db);
+        let parts = provenance.pack(db, &keys);
         let chased = self.plan.chase_plan().chase_many(&parts)?;
         // Fresh shards first: they derive from the new head (so the symbol
         // shard resolves every constant, including ones this commit minted)
         // and they are delta-sized, which is what makes post-refresh
-        // time-to-first-answer proportional to the delta.
-        let mut keys: Vec<Option<u32>> = fresh_roots
-            .iter()
-            .map(|&root| Some(root))
-            .chain(nullary_dirty.then_some(None))
-            .collect();
-        // Then the untouched shards of the predecessor, spliced by pointer.
-        let mut reused: Vec<Arc<Database>> = Vec::new();
-        for (old_idx, key) in new_keys.iter().enumerate() {
-            let clean = match key {
-                Some(root) => !dirty.contains(root),
-                None => !nullary_dirty,
-            };
-            if !clean {
-                continue;
-            }
-            let shard = &self.shards[old_idx];
+        // time-to-first-answer proportional to the delta.  Then the
+        // untouched shards of the predecessor, spliced by pointer.
+        let mut reused: Vec<Arc<Database>> = Vec::with_capacity(clean.len());
+        for idx in clean {
+            let shard = &self.shards[idx];
             shard.verify_columnar()?;
             reused.push(Arc::clone(shard));
-            keys.push(*key);
+            provenance.push(&roots[prov.range(idx)], prov.facts[idx]);
         }
-        let provenance = Provenance {
-            source_revision: db.revision(),
-            schema_len: prov.schema_len,
-            keys,
-        };
         self.plan
-            .assemble(db.len(), start, chased, reused, Some(provenance))
+            .assemble(db, load, start, chased, reused, Some(provenance))
     }
 
     /// Preprocessing statistics of this execution.
@@ -624,7 +711,8 @@ impl PreparedInstance {
     ///   counted in place and only the wildcard-only patterns are tracked;
     /// * shards are counted independently and reduced (count is associative
     ///   — the embarrassingly parallel half of the sharded execution), on
-    ///   scoped threads when the instance is sharded.
+    ///   at most as many threads as the machine has CPUs and on the
+    ///   caller's alone when that is one.
     pub fn count(&self, semantics: Semantics) -> Result<u64> {
         let skeleton = self.plan.skeleton()?;
         match semantics {
@@ -707,24 +795,18 @@ impl PreparedInstance {
         Ok(false)
     }
 
-    /// Applies `f` to every shard index, on scoped worker threads when the
-    /// instance is sharded — the map half of the aggregate reduces above.
+    /// Applies `f` to every shard index — the map half of the aggregate
+    /// reduces above — on at most as many workers as the machine has CPUs,
+    /// and inline on one.  The CPUs are asked about per call, and only when
+    /// there is more than one shard to spread.
     fn map_shards<R: Send>(&self, f: impl Fn(usize) -> Result<R> + Sync) -> Result<Vec<R>> {
-        if self.shards.len() <= 1 {
-            return (0..self.shards.len()).map(f).collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|idx| {
-                    let f = &f;
-                    scope.spawn(move || f(idx))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard aggregate worker panicked"))
-                .collect()
-        })
+        let shards = self.shards.len();
+        let workers = if shards > 1 {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        } else {
+            1
+        };
+        map_bounded(shards, workers, f)
     }
 
     // ------------------------------------------------------------------
@@ -1242,7 +1324,110 @@ mod tests {
     }
 
     #[test]
-    fn refresh_falls_back_on_merges_relations_and_untracked_instances() {
+    fn refresh_maintains_a_component_merge_incrementally() {
+        let omq = office_omq();
+        let plan = QueryPlan::compile(&omq).unwrap();
+        // Five components: mary's chain, john's office, ada's office and
+        // the lone mike and bob.
+        let mut store = store_with(&[
+            ("Researcher", &["mary"]),
+            ("HasOffice", &["mary", "room1"]),
+            ("InBuilding", &["room1", "main1"]),
+            ("Researcher", &["john"]),
+            ("HasOffice", &["john", "room4"]),
+            ("Researcher", &["mike"]),
+            ("Researcher", &["ada"]),
+            ("HasOffice", &["ada", "lab2"]),
+            ("Researcher", &["bob"]),
+        ]);
+        let base = plan.execute_tracked(store.snapshot()).unwrap();
+        assert_eq!(base.shard_count(), 5);
+        assert_eq!(base.stats().components, 5);
+        assert_eq!(base.stats().rechased_facts, 9);
+        // A fact bridging mary's and john's components: both their shards
+        // are dirty, the merged component is chased once, the rest reused.
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("InBuilding", ["room4", "main1"]))
+            .unwrap();
+        let head = store.snapshot();
+        let refreshed = base.refresh(&head, &receipt).unwrap();
+        assert_eq!(refreshed.stats().reused_shards, 3);
+        assert_eq!(refreshed.shard_count(), 4);
+        assert_eq!(refreshed.stats().components, 4);
+        assert_eq!(refreshed.stats().rechased_facts, 6);
+        for untouched in &base.shards()[2..] {
+            assert!(
+                refreshed.shards()[1..]
+                    .iter()
+                    .any(|shard| Arc::ptr_eq(shard, untouched)),
+                "an untouched shard was not spliced by pointer"
+            );
+        }
+        let scratch = plan.execute(&head).unwrap();
+        for semantics in Semantics::ALL {
+            assert_eq!(
+                answer_set(&scratch, semantics),
+                answer_set(&refreshed, semantics)
+            );
+        }
+        // The chain stays incremental: the merged component is one key now.
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("InBuilding", ["lab2", "west"]))
+            .unwrap();
+        let again = refreshed.refresh(store.snapshot(), &receipt).unwrap();
+        assert_eq!(again.stats().reused_shards, 3);
+        assert_eq!(again.stats().rechased_facts, 3);
+    }
+
+    #[test]
+    fn refresh_tracks_the_nullary_pseudo_component_inside_a_pack() {
+        let omq = office_omq();
+        let plan = QueryPlan::compile(&omq).unwrap();
+        let mut schema = schema();
+        schema.add_relation("Flag", 0).unwrap();
+        schema.add_relation("Mark", 0).unwrap();
+        let mut store = omq_data::Store::new(schema);
+        // Fifteen lone researchers and a nullary fact: sixteen facts, so two
+        // facts a pack, the last one holding `s14` and the nullary fact.
+        let none: [&str; 0] = [];
+        let mut load = omq_data::Txn::new();
+        for i in 0..15 {
+            load = load.insert("Researcher", [format!("s{i}")]);
+        }
+        store.commit(load.insert("Flag", none)).unwrap();
+        let base = plan.execute_tracked(store.snapshot()).unwrap();
+        assert_eq!(base.stats().components, 16);
+        assert_eq!(base.shard_count(), 8);
+        // A delta into `s14` dirties that pack: its two-fact component and
+        // the nullary fact are chased again, as a pack each.
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("HasOffice", ["s14", "room"]))
+            .unwrap();
+        let grown = base.refresh(store.snapshot(), &receipt).unwrap();
+        assert_eq!(grown.stats().reused_shards, 7);
+        assert_eq!(grown.stats().rechased_facts, 3);
+        assert_eq!(grown.shard_count(), 9);
+        // A nullary fact arriving dirties the nullary key's shard alone.
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("Mark", none))
+            .unwrap();
+        let head = store.snapshot();
+        let marked = grown.refresh(&head, &receipt).unwrap();
+        assert_eq!(marked.stats().reused_shards, 8);
+        assert_eq!(marked.stats().rechased_facts, 2);
+        assert_eq!(marked.stats().components, 16);
+        let scratch = plan.execute(&head).unwrap();
+        assert_eq!(marked.stats().chased_facts, scratch.stats().chased_facts);
+        for semantics in Semantics::ALL {
+            assert_eq!(
+                answer_set(&scratch, semantics),
+                answer_set(&marked, semantics)
+            );
+        }
+    }
+
+    #[test]
+    fn refresh_reuses_nothing_on_a_total_merge_a_new_relation_or_an_untracked_instance() {
         let omq = office_omq();
         let plan = QueryPlan::compile(&omq).unwrap();
         let mut store = store_with(&[

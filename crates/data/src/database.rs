@@ -14,6 +14,18 @@ use std::sync::{Arc, OnceLock};
 /// Sentinel for "value has no code yet" in the dense code tables.
 const NO_CODE: u32 = u32::MAX;
 
+/// Most input facts a pack of several Gaifman components holds (see
+/// [`Database::pack_components`]).  It bounds what a refresh re-chases beside
+/// the dirty component, and was chosen by the sweep recorded in DESIGN.md
+/// (*Incremental maintenance*): above 64 the pack-mates dominate the
+/// re-chase of a typical delta.
+const PACK_FACTS: usize = 64;
+
+/// Packing bounds the shard count, it does not minimise it: a pack never
+/// holds more than one `MIN_SHARDS`-th of the facts, so a database too small
+/// to gain from packing keeps one shard per component.
+const MIN_SHARDS: usize = 8;
+
 /// A finite instance over a [`Schema`].
 ///
 /// Following the paper, an *S-database* is a finite instance that uses only
@@ -717,18 +729,19 @@ impl Database {
     /// list because unions move the intrusive fact list to the surviving
     /// root.  Costs time proportional to the component, not the database.
     pub fn component_fact_indices(&self, root: u32) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut cur = match self.comp_head.get(root as usize) {
-            Some(&head) => head,
-            None => return out,
-        };
-        while cur != NO_CODE {
-            out.push(cur as usize);
-            cur = self.comp_next[cur as usize];
-        }
+        let mut out: Vec<usize> = self.component_list(root).map(|idx| idx as usize).collect();
         // Unions concatenate lists, so restore global insertion order.
         out.sort_unstable();
         out
+    }
+
+    /// Walks the intrusive fact list of the canonical root `root` (list
+    /// order, not insertion order); empty for any other code.
+    fn component_list(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
+        let head = self.comp_head.get(root as usize).copied();
+        std::iter::successors(head.filter(|&idx| idx != NO_CODE), |&idx| {
+            Some(self.comp_next[idx as usize]).filter(|&next| next != NO_CODE)
+        })
     }
 
     /// The indices of the nullary facts (the pseudo-component), in insertion
@@ -737,47 +750,98 @@ impl Database {
         &self.nullary_facts
     }
 
-    /// Extracts the single component rooted at `root` as an independent
-    /// database sharing this database's interner snapshot (like one shard of
-    /// [`Database::shard_by_component`]).  Time proportional to the
-    /// component.
-    pub fn component_database(&self, root: u32) -> Database {
-        let mut out = self.derived_empty();
-        for idx in self.component_fact_indices(root) {
-            out.add_fact(self.facts[idx].clone())
-                .expect("shard schema is a clone of the parent schema");
-        }
-        out
-    }
+    // ------------------------------------------------------------------
+    // Packs: bounded unions of whole components, the shards of tracked
+    // execution.
+    // ------------------------------------------------------------------
 
-    /// Extracts the nullary pseudo-component as an independent database
-    /// sharing this database's interner snapshot.
-    pub fn nullary_database(&self) -> Database {
-        let mut out = self.derived_empty();
-        for &idx in &self.nullary_facts {
-            out.add_fact(self.facts[idx as usize].clone())
-                .expect("shard schema is a clone of the parent schema");
-        }
-        out
-    }
-
-    /// Partitions the facts into one database per Gaifman component, each
-    /// tagged with its stable key: the canonical component root (`None` for
-    /// the nullary pseudo-component, which sorts last).  This is the keyed
-    /// form of [`Database::shard_by_component`] used by delta-chase
-    /// maintenance, which must recognise untouched components across
+    /// The stable key of every Gaifman component: the canonical component
+    /// roots in ascending order, then `None` for the nullary
+    /// pseudo-component if there are nullary facts.  Keys survive later
+    /// inserts up to re-canonicalisation
+    /// ([`Database::component_root_of_code`]), which is what lets
+    /// delta-chase maintenance recognise untouched components across
     /// revisions of one database lineage.
-    pub fn shard_by_component_keyed(&self) -> Vec<(Option<u32>, Database)> {
-        let mut out = Vec::new();
-        for code in 0..self.comp_head.len() {
-            // Non-empty fact lists live only at canonical roots.
-            if self.comp_head[code] != NO_CODE {
-                let root = code as u32;
-                out.push((Some(root), self.component_database(root)));
+    pub fn component_keys(&self) -> Vec<Option<u32>> {
+        // Non-empty fact lists live only at canonical roots.
+        let roots =
+            (0..self.comp_head.len() as u32).filter(|&c| self.comp_head[c as usize] != NO_CODE);
+        roots
+            .map(Some)
+            .chain((!self.nullary_facts.is_empty()).then_some(None))
+            .collect()
+    }
+
+    /// Number of facts of the component with key `key` (a canonical root,
+    /// or `None` for the nullary pseudo-component), read off the intrusive
+    /// fact list in time proportional to the component.
+    pub fn component_len(&self, key: Option<u32>) -> usize {
+        match key {
+            Some(root) => self.component_list(root).count(),
+            None => self.nullary_facts.len(),
+        }
+    }
+
+    /// Most facts a pack of *several* components holds in this database: an
+    /// eighth of the facts (so that a small database keeps one shard per
+    /// component), at most 64.
+    pub fn pack_capacity(&self) -> usize {
+        (self.facts.len() / MIN_SHARDS).clamp(1, PACK_FACTS)
+    }
+
+    /// Groups the components `keys` into **packs** — unions of whole
+    /// components holding at most [`Database::pack_capacity`] facts — and
+    /// returns the pack boundaries: pack `i` is
+    /// `keys[offsets[i]..offsets[i + 1]]`.
+    ///
+    /// The rule is next-fit over `keys` in the order given (callers list
+    /// them as [`Database::component_keys`] does: canonical roots ascending,
+    /// the nullary key last): a component joins the open pack if the pack
+    /// then holds at most the capacity, otherwise it opens a new one, so a
+    /// component larger than the capacity is a pack by itself.  The number
+    /// of packs is thereby bounded by the data's size — any two neighbouring
+    /// packs hold more than the capacity between them — instead of by its
+    /// component count.  Every pack is a union of whole components, which is
+    /// all sharding needs to be sound (no fact spans two packs).
+    pub fn pack_components(&self, keys: &[Option<u32>]) -> Vec<usize> {
+        let capacity = self.pack_capacity();
+        let mut offsets = vec![0];
+        let mut open = 0usize;
+        for (i, &key) in keys.iter().enumerate() {
+            let len = self.component_len(key);
+            if i > 0 && open + len > capacity {
+                offsets.push(i);
+                open = 0;
+            }
+            open += len;
+        }
+        if !keys.is_empty() {
+            offsets.push(keys.len());
+        }
+        offsets
+    }
+
+    /// Extracts the union of the components `keys` as one independent
+    /// database over a clone of the schema, sharing this database's interner
+    /// snapshot, with the facts in global insertion order.  Time
+    /// proportional to the extracted facts (plus their sort).
+    pub fn pack_database(&self, keys: &[Option<u32>]) -> Database {
+        let mut indices: Vec<u32> = Vec::new();
+        for &key in keys {
+            match key {
+                Some(root) => indices.extend(self.component_list(root)),
+                None => indices.extend_from_slice(&self.nullary_facts),
             }
         }
-        if !self.nullary_facts.is_empty() {
-            out.push((None, self.nullary_database()));
+        // Unions concatenate lists, so restore global insertion order; a key
+        // listed twice must not copy its facts twice.
+        indices.sort_unstable();
+        indices.dedup();
+        let mut out = self.derived_empty();
+        for idx in indices {
+            // Distinct, arity-checked facts over a clone of the schema: the
+            // duplicate probe of `add_fact` has nothing to find.
+            out.insert_new_fact(self.facts[idx as usize].clone());
         }
         out
     }
@@ -786,7 +850,10 @@ impl Database {
     /// occur in no fact do not count; nullary facts contribute at most one
     /// pseudo-component).
     pub fn component_count(&self) -> usize {
-        self.fact_components().1
+        // Non-empty fact lists live only at canonical roots, and every
+        // active-domain value occurs in a fact.
+        let rooted = self.comp_head.iter().filter(|&&h| h != NO_CODE).count();
+        rooted + usize::from(!self.nullary_facts.is_empty())
     }
 
     /// Partitions the facts by Gaifman connected component into independent
@@ -1198,19 +1265,23 @@ mod tests {
     }
 
     #[test]
-    fn component_roots_and_keyed_shards_track_inserts() {
+    fn component_roots_and_keys_track_inserts() {
         let mut db = office_db();
         let mary = Value::Const(db.const_id("mary").unwrap());
         let room1 = Value::Const(db.const_id("room1").unwrap());
         let mike = Value::Const(db.const_id("mike").unwrap());
         assert_eq!(db.component_root(mary), db.component_root(room1));
         assert_ne!(db.component_root(mary), db.component_root(mike));
-        // Keyed shards partition the facts and agree with the roots.
-        let keyed = db.shard_by_component_keyed();
-        assert_eq!(keyed.len(), 3);
-        assert_eq!(keyed.iter().map(|(_, s)| s.len()).sum::<usize>(), db.len());
-        for (key, shard) in &keyed {
+        // The keyed components partition the facts and agree with the roots.
+        let keys = db.component_keys();
+        assert_eq!(keys.len(), 3);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending roots");
+        let lens: Vec<usize> = keys.iter().map(|&k| db.component_len(k)).collect();
+        assert_eq!(lens.iter().sum::<usize>(), db.len());
+        for &key in &keys {
             let root = key.expect("no nullary facts in the office db");
+            let shard = db.pack_database(&[key]);
+            assert_eq!(shard.len(), db.component_len(key));
             assert!(shard.shares_interner_with(&db));
             for fact in shard.facts() {
                 assert_eq!(db.component_root(fact.args[0]), Some(root));
@@ -1219,7 +1290,7 @@ mod tests {
         // Extracting a component yields exactly its facts, insertion order.
         let root = db.component_root(mary).unwrap();
         assert_eq!(db.component_fact_indices(root), vec![0, 3, 5]);
-        assert_eq!(db.component_database(root).len(), 3);
+        assert_eq!(db.pack_database(&[Some(root)]).len(), 3);
         // A bridging fact merges two components: both old roots
         // re-canonicalise to the one survivor, which owns all the facts.
         let old_mary = root;
@@ -1230,22 +1301,157 @@ mod tests {
         assert_eq!(db.component_root_of_code(old_mary), Some(merged));
         assert_eq!(db.component_root_of_code(old_mike), Some(merged));
         assert_eq!(db.component_count(), 2);
-        assert_eq!(db.component_database(merged).len(), 5);
+        assert_eq!(db.component_len(Some(merged)), 5);
+        let extracted = db.pack_database(&[Some(merged)]);
+        let order: Vec<String> = extracted
+            .facts()
+            .iter()
+            .map(|f| db.display_fact(f))
+            .collect();
+        let expected: Vec<String> = [0usize, 2, 3, 5, 6]
+            .iter()
+            .map(|&i| db.display_fact(db.fact(i)))
+            .collect();
+        assert_eq!(order, expected, "global insertion order survives a merge");
         assert_eq!(db.component_root_of_code(u32::MAX - 1), None);
     }
 
     #[test]
-    fn keyed_shards_put_the_nullary_pseudo_component_last() {
+    fn the_nullary_pseudo_component_is_one_key_and_sorts_last() {
         let mut db = office_db();
         db.add_relation("Flag", 0).unwrap();
+        db.add_relation("Mark", 0).unwrap();
         db.add_fact(Fact::new(db.schema().relation_id("Flag").unwrap(), vec![]))
             .unwrap();
-        assert_eq!(db.nullary_fact_indices(), &[6]);
-        assert_eq!(db.nullary_database().len(), 1);
-        let keyed = db.shard_by_component_keyed();
-        assert_eq!(keyed.len(), 4);
-        assert_eq!(keyed.last().unwrap().0, None);
-        assert_eq!(keyed.iter().map(|(_, s)| s.len()).sum::<usize>(), db.len());
+        db.add_fact(Fact::new(db.schema().relation_id("Mark").unwrap(), vec![]))
+            .unwrap();
+        assert_eq!(db.nullary_fact_indices(), &[6, 7]);
+        let keys = db.component_keys();
+        assert_eq!(keys.len(), 4);
+        assert_eq!(keys.iter().filter(|k| k.is_none()).count(), 1);
+        assert_eq!(keys.last().unwrap(), &None);
+        assert_eq!(db.component_len(None), 2);
+        assert_eq!(db.pack_database(&[None]).len(), 2);
+        assert_eq!(db.component_count(), 4);
+        let packed: usize = keys.iter().map(|&k| db.component_len(k)).sum();
+        assert_eq!(packed, db.len());
+    }
+
+    /// A database of `singles` one-fact components, then one component per
+    /// entry of `chains` with that many facts, then optionally a nullary
+    /// fact.
+    fn packing_db(singles: usize, chains: &[usize], nullary: bool) -> Database {
+        let mut s = Schema::new();
+        s.add_relation("Node", 1).unwrap();
+        s.add_relation("Edge", 2).unwrap();
+        s.add_relation("Flag", 0).unwrap();
+        let mut db = Database::new(s);
+        for i in 0..singles {
+            db.add_named_fact("Node", &[format!("s{i}")]).unwrap();
+        }
+        for (c, &len) in chains.iter().enumerate() {
+            for i in 0..len {
+                let (a, b) = (format!("c{c}_{i}"), format!("c{c}_{}", i + 1));
+                db.add_named_fact("Edge", &[a, b]).unwrap();
+            }
+        }
+        if nullary {
+            let flag = db.schema().relation_id("Flag").unwrap();
+            db.add_fact(Fact::new(flag, vec![])).unwrap();
+        }
+        db
+    }
+
+    /// The packs of the whole database, as key slices.
+    fn packs_of(db: &Database) -> Vec<Vec<Option<u32>>> {
+        let keys = db.component_keys();
+        let offsets = db.pack_components(&keys);
+        offsets
+            .windows(2)
+            .map(|w| keys[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn packs_partition_the_facts_into_bounded_unions_of_components() {
+        // 700 singletons, components of 100, 30, 40 and 64 facts, a nullary
+        // fact: 935 facts, so the capacity is the full 64.
+        let db = packing_db(700, &[100, 30, 40, 64], true);
+        assert_eq!(db.pack_capacity(), 64);
+        let packs = packs_of(&db);
+        // Every component key sits in exactly one pack…
+        let flat: Vec<Option<u32>> = packs.iter().flatten().copied().collect();
+        assert_eq!(flat, db.component_keys());
+        // …and the extracted packs partition the fact set exactly.
+        let parts: Vec<Database> = packs.iter().map(|p| db.pack_database(p)).collect();
+        assert_eq!(parts.iter().map(Database::len).sum::<usize>(), db.len());
+        for part in &parts {
+            assert!(part.shares_interner_with(&db));
+            assert!(part.facts().iter().all(|f| db.contains_fact(f)));
+        }
+        for (i, a) in parts.iter().enumerate() {
+            for b in &parts[i + 1..] {
+                assert!(
+                    a.adom().iter().all(|v| !b.in_adom(*v)),
+                    "a value spans packs"
+                );
+            }
+        }
+        // No pack above the capacity holds two components; the 100-fact
+        // component sits alone, the 64-fact one fills a pack by itself.
+        for (pack, part) in packs.iter().zip(&parts) {
+            assert!(part.len() <= 64 || pack.len() == 1, "{} facts", part.len());
+        }
+        assert!(parts.iter().any(|p| p.len() == 100));
+        // Next-fit: two neighbouring packs never fit into one.
+        for pair in parts.windows(2) {
+            assert!(pair[0].len() + pair[1].len() > 64);
+        }
+        // The count is bounded by the size, not by the 705 components.
+        assert!(parts.len() <= db.len() / 32 + 1, "{} packs", parts.len());
+        // The nullary fact is one key, packed last like any other component.
+        assert_eq!(packs.last().unwrap().last().unwrap(), &None);
+        // Facts keep their global insertion order inside a pack.
+        let first: Vec<String> = parts[0]
+            .facts()
+            .iter()
+            .map(|f| db.display_fact(f))
+            .collect();
+        let expected: Vec<String> = (0..64).map(|i| db.display_fact(db.fact(i))).collect();
+        assert_eq!(first, expected);
+    }
+
+    #[test]
+    fn the_pack_assignment_is_a_function_of_the_database_alone() {
+        let db = packing_db(300, &[70, 10, 20], true);
+        let again = packing_db(300, &[70, 10, 20], true);
+        assert_eq!(packs_of(&db), packs_of(&again));
+        assert_eq!(packs_of(&db), packs_of(&db.clone()));
+        // Packing a sub-list of the keys uses the same capacity and rule.
+        let keys = db.component_keys();
+        assert_eq!(db.pack_components(&keys[..1]), vec![0, 1]);
+        assert_eq!(db.pack_components(&[]), vec![0]);
+        // A key listed twice is extracted once.
+        assert_eq!(db.pack_database(&[keys[0], keys[0]]).len(), 1);
+    }
+
+    #[test]
+    fn small_databases_keep_one_shard_per_component() {
+        // Under sixteen facts the capacity is one fact: nothing is packed.
+        let db = office_db();
+        assert_eq!(db.pack_capacity(), 1);
+        assert_eq!(packs_of(&db).len(), db.component_count());
+        let db = packing_db(15, &[], false);
+        assert_eq!(packs_of(&db).len(), 15);
+        // A pack never holds more than an eighth of the facts, so eight (or
+        // fewer) components of like size stay one shard each however large.
+        let db = packing_db(0, &[40; 8], false);
+        assert_eq!(db.pack_capacity(), 40);
+        assert_eq!(packs_of(&db).len(), 8);
+        // From there on singletons share packs.
+        let db = packing_db(32, &[], false);
+        assert_eq!(db.pack_capacity(), 4);
+        assert_eq!(packs_of(&db).len(), 8);
     }
 
     #[test]

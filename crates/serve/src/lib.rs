@@ -1400,6 +1400,57 @@ mod tests {
     }
 
     #[test]
+    fn warm_shards_stay_packed_over_a_run_of_delta_commits() {
+        let omq = office_omq();
+        let mut engine = ServingEngine::new(1);
+        let id = engine.register_query("office", &omq).unwrap();
+        // Four 60-fact building components and 200 lone researchers.
+        let mut load = Txn::new();
+        for i in 0..200 {
+            load = load.insert("Researcher", [format!("lone{i}")]);
+        }
+        for i in 0..80 {
+            load = load
+                .insert("Researcher", [format!("p{i}")])
+                .insert("HasOffice", [format!("p{i}"), format!("o{i}")])
+                .insert("InBuilding", [format!("o{i}"), format!("b{}", i % 4)]);
+        }
+        engine.register_data(load).unwrap();
+        let mut warm = engine.warm_instance(id).expect("the load warms the cache");
+        let initial = warm.shard_count();
+        assert_eq!(warm.stats().components, 204);
+        assert!(initial <= 12, "{initial} shards for 204 components");
+
+        for i in 0..40 {
+            let building = format!("b{}", i % 4);
+            engine
+                .register_data(
+                    Txn::new()
+                        .insert("Researcher", [format!("d{i}")])
+                        .insert("HasOffice", [format!("d{i}"), format!("od{i}")])
+                        .insert("InBuilding", [format!("od{i}"), building]),
+                )
+                .unwrap();
+            let refreshed = engine.warm_instance(id).expect("still warm");
+            let stats = *refreshed.stats();
+            // Only the building's shard was chased again; every other one
+            // is the previous instance's, by pointer.
+            assert_eq!(refreshed.shard_count(), initial, "commit {i}");
+            assert_eq!(stats.reused_shards, initial - 1, "commit {i}");
+            assert_eq!(stats.rechased_facts, 60 + 3 * (i / 4 + 1), "commit {i}");
+            let shared = refreshed
+                .shards()
+                .iter()
+                .filter(|shard| warm.shards().iter().any(|old| Arc::ptr_eq(shard, old)))
+                .count();
+            assert_eq!(shared, stats.reused_shards, "commit {i}");
+            warm = refreshed;
+        }
+        let request = Request::new(id, Semantics::MinimalPartial);
+        assert_eq!(engine.count(&request).unwrap().count, 200 + 80 + 40);
+    }
+
+    #[test]
     fn batched_pulls_match_single_pulls_through_the_serving_layer() {
         let omq = office_omq();
         let mut engine = ServingEngine::new(2);

@@ -9,8 +9,9 @@
 //!   from-scratch [`QueryPlan::execute_parallel`] of the new head, under all
 //!   three [`Semantics`];
 //! * **fallback soundness** — commits the delta-chase cannot absorb
-//!   component-locally (new relations mid-stream, component-merging
-//!   inserts) silently degrade to a full rebuild, never to a wrong answer;
+//!   (new relations mid-stream) silently degrade to a full rebuild, and
+//!   component-merging inserts re-chase the merged component, never to a
+//!   wrong answer;
 //! * **no-effect commits** — empty and all-duplicate transactions keep the
 //!   answers unchanged (and, per the unit tests, reuse every shard);
 //! * **self-healing** — refreshing with a stale or skipped receipt (or from
@@ -20,9 +21,21 @@
 //! (pointer reuse counts, fallback triggers); this suite only asserts the
 //! end-to-end semantics, so it stays valid under any future refresh
 //! strategy.
+//!
+//! The central property runs over two kinds of store.  A bare one of 10–30
+//! facts is too small to pack: nearly every component is a shard of its own.
+//! One whose initial load also carries
+//! [`BALLAST`] singleton components is large enough for tracked execution to
+//! pack dozens of components into a shard, and the random commits reach into
+//! the ballast — so they dirty, bridge and extend *multi-component* shards.
 
 use omq::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// Researchers `p12 … p311`, one singleton component each, in the initial
+/// load of the ballasted workloads.
+const BALLAST: usize = 300;
 
 /// The office OMQ of the running example: guarded, acyclic, free-connex.
 fn office_omq() -> OntologyMediatedQuery {
@@ -79,11 +92,28 @@ impl CommitOp {
 #[derive(Debug, Clone)]
 struct RandomWorkload {
     initial: Vec<(usize, usize, usize)>,
+    /// Singleton components `Researcher(p{12 + i})` loaded with `initial`.
+    ballast: usize,
     commits: Vec<CommitOp>,
 }
 
-fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
-    let triple = || (0..12usize, 0..8usize, 0..4usize);
+impl RandomWorkload {
+    /// The store after the initial load.
+    fn load(&self, omq: &OntologyMediatedQuery) -> Store {
+        let mut txn = txn_of(&self.initial);
+        for i in 0..self.ballast {
+            txn = txn.insert("Researcher", [format!("p{}", 12 + i)]);
+        }
+        let mut store = Store::new(omq.data_schema().clone());
+        store.commit(txn).unwrap();
+        store
+    }
+}
+
+/// Random workloads whose researchers range over `p0 … p11` and the
+/// `ballast` singletons behind them.
+fn workload_strategy(ballast: usize) -> impl Strategy<Value = RandomWorkload> {
+    let triple = move || (0..12 + ballast, 0..8usize, 0..4usize);
     // Plain fact batches listed twice: they should dominate the mix, with
     // the fallback-triggering variants sprinkled in.
     let batch = || prop::collection::vec(triple(), 1..6).prop_map(CommitOp::Facts);
@@ -99,7 +129,11 @@ fn workload_strategy() -> impl Strategy<Value = RandomWorkload> {
         prop::collection::vec(triple(), 1..10),
         prop::collection::vec(op, 1..6),
     )
-        .prop_map(|(initial, commits)| RandomWorkload { initial, commits })
+        .prop_map(move |(initial, commits)| RandomWorkload {
+            initial,
+            ballast,
+            commits,
+        })
 }
 
 /// Same fact-dropping scheme as `tests/store_sessions.rs`, so incomplete
@@ -129,34 +163,50 @@ fn answer_multiset(instance: &PreparedInstance, semantics: Semantics) -> Vec<Str
     rendered
 }
 
+/// The central differential property: after every commit of a random
+/// workload, the incrementally maintained instance agrees with from-scratch
+/// sequential *and* parallel evaluation of the head, under every semantics.
+fn check_refresh_chain(workload: &RandomWorkload) -> Result<(), TestCaseError> {
+    let omq = office_omq();
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let mut store = workload.load(&omq);
+    let mut maintained = plan.execute_tracked(store.snapshot()).unwrap();
+
+    for op in &workload.commits {
+        let receipt = store.commit(op.to_txn(&workload.initial)).unwrap();
+        let head = store.snapshot();
+        maintained = maintained.refresh(&head, &receipt).unwrap();
+
+        let scratch = plan.execute(&head).unwrap();
+        let parallel = plan.execute_parallel(&head, 3).unwrap();
+        for sem in Semantics::ALL {
+            let want = answer_multiset(&scratch, sem);
+            prop_assert_eq!(answer_multiset(&maintained, sem), want.clone());
+            prop_assert_eq!(answer_multiset(&parallel, sem), want);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The central differential property: after every commit of a random
-    /// workload, the incrementally maintained instance agrees with
-    /// from-scratch sequential *and* parallel evaluation of the head, under
-    /// every semantics.
+    /// 10–30-fact stores, nearly one shard per component.
     #[test]
-    fn refresh_chain_matches_from_scratch_evaluation(workload in workload_strategy()) {
-        let omq = office_omq();
-        let plan = QueryPlan::compile(&omq).unwrap();
-        let mut store = Store::new(omq.data_schema().clone());
-        store.commit(txn_of(&workload.initial)).unwrap();
-        let mut maintained = plan.execute_tracked(store.snapshot()).unwrap();
+    fn refresh_chain_matches_from_scratch_evaluation(workload in workload_strategy(0)) {
+        check_refresh_chain(&workload)?;
+    }
 
-        for op in &workload.commits {
-            let receipt = store.commit(op.to_txn(&workload.initial)).unwrap();
-            let head = store.snapshot();
-            maintained = maintained.refresh(&head, &receipt).unwrap();
-
-            let scratch = plan.execute(&head).unwrap();
-            let parallel = plan.execute_parallel(&head, 3).unwrap();
-            for sem in Semantics::ALL {
-                let want = answer_multiset(&scratch, sem);
-                prop_assert_eq!(answer_multiset(&maintained, sem), want.clone());
-                prop_assert_eq!(answer_multiset(&parallel, sem), want);
-            }
-        }
+    /// Shards of dozens of components: the same chain over a store with
+    /// [`BALLAST`] singleton components that the commits reach into.
+    #[test]
+    fn refresh_chain_over_packed_shards_matches_from_scratch_evaluation(
+        workload in workload_strategy(BALLAST),
+    ) {
+        let head = workload.load(&office_omq()).snapshot();
+        let shards = head.pack_components(&head.component_keys()).len() - 1;
+        prop_assert!(head.component_count() > 8 * shards, "{shards} shards");
+        check_refresh_chain(&workload)?;
     }
 
     /// Receipts may be dropped on the floor: refreshing with only the
@@ -164,13 +214,12 @@ proptest! {
     /// the head (by rebuilding), and the chain stays incremental afterwards.
     #[test]
     fn refresh_self_heals_across_skipped_receipts(
-        workload in workload_strategy(),
+        workload in workload_strategy(0),
         skip in 1..4usize,
     ) {
         let omq = office_omq();
         let plan = QueryPlan::compile(&omq).unwrap();
-        let mut store = Store::new(omq.data_schema().clone());
-        store.commit(txn_of(&workload.initial)).unwrap();
+        let mut store = workload.load(&omq);
         let mut maintained = plan.execute_tracked(store.snapshot()).unwrap();
 
         let mut last_receipt = None;
