@@ -2262,7 +2262,6 @@ pub fn e20_distributed_execution(quick: bool) -> Table {
             spawn: spawn.clone(),
             kill,
             page_answers,
-            ..ClusterConfig::default()
         };
         let start = Instant::now();
         let run = execute(

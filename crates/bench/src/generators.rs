@@ -131,7 +131,7 @@ impl Default for ClusteredConfig {
 /// cluster has its own researchers, offices and buildings (disjoint
 /// constant ranges), so the database's Gaifman graph has at least one
 /// connected component per cluster.  This is the component-rich workload of
-/// experiment E13 — the shape `Database::shard_by_component` and
+/// experiment E13 — the shape `Database::pack_components` and
 /// `QueryPlan::execute_parallel` are designed for.
 pub fn clustered_university(config: &ClusteredConfig) -> (OntologyMediatedQuery, Database) {
     let omq = OntologyMediatedQuery::new(university_ontology(), university_query())
@@ -341,10 +341,15 @@ mod tests {
         // At least one component per cluster (office-less researchers are
         // their own islands, so usually many more).
         assert!(db.component_count() >= 6);
-        // No constant is shared between clusters: sharding into 6 shards
+        // No constant is shared between clusters: packing the components
         // keeps every fact in exactly one shard.
-        let shards = db.shard_into(6);
-        assert_eq!(shards.len(), 6);
+        let keys = db.component_keys();
+        let offsets = db.pack_components(&keys, db.pack_capacity());
+        let shards: Vec<Database> = offsets
+            .windows(2)
+            .map(|pack| db.pack_database(&keys[pack[0]..pack[1]]))
+            .collect();
+        assert!(shards.len() > 1);
         assert_eq!(shards.iter().map(Database::len).sum::<usize>(), db.len());
     }
 

@@ -209,7 +209,7 @@ impl QchasePlan {
     /// matches (otherwise the run falls back to a private table).
     pub fn chase(&self, db: &Database) -> Result<QueryDirectedChase> {
         Ok(self
-            .chase_many(std::slice::from_ref(db))?
+            .chase_many(vec![db.clone()])?
             .pop()
             .expect("one part in, one chase out"))
     }
@@ -217,26 +217,26 @@ impl QchasePlan {
     /// Computes the query-directed chase of every database in `parts` as one
     /// batch: a single memo snapshot (and a single publish) serves them all,
     /// and bag types discovered while chasing one part are immediately
-    /// reusable by the next (intra-batch memoisation).
+    /// reusable by the next (intra-batch memoisation).  The parts are
+    /// consumed: each is extended into its own chase in place, so a caller
+    /// that built them only to chase them (the packs of a sharded
+    /// execution) copies no fact twice.
     ///
     /// All parts must share one schema layout — the memo fingerprint is
     /// derived from the first part, and bag signatures embed `RelId`s.  The
-    /// intended callers satisfy this by construction: Gaifman-component
-    /// shards of one database (parallel execution, delta-chase maintenance)
-    /// all clone the parent schema.  An empty batch returns no chases.
-    pub fn chase_many(&self, parts: &[Database]) -> Result<Vec<QueryDirectedChase>> {
+    /// intended callers satisfy this by construction: the packs of one
+    /// database (sharded execution, delta-chase maintenance) all clone the
+    /// parent schema.  An empty batch returns no chases.
+    pub fn chase_many(&self, mut parts: Vec<Database>) -> Result<Vec<QueryDirectedChase>> {
         if parts.is_empty() {
             return Ok(Vec::new());
         }
-        let mut prepared = Vec::with_capacity(parts.len());
-        for db in parts {
-            let mut result = db.clone();
+        for part in &mut parts {
             for (name, arity) in &self.relations {
-                result.add_relation(name, *arity)?;
+                part.add_relation(name, *arity)?;
             }
-            prepared.push(result);
         }
-        let fingerprint: Vec<(String, usize)> = prepared[0]
+        let fingerprint: Vec<(String, usize)> = parts[0]
             .schema()
             .iter()
             .map(|(_, rel)| (rel.name.clone(), rel.arity))
@@ -291,10 +291,9 @@ impl QchasePlan {
         let mut stage = self.acquire_arena();
         let mut bag_arena = self.acquire_arena();
         let mut out = Vec::with_capacity(parts.len());
-        for (db, result) in parts.iter().zip(prepared) {
+        for part in parts {
             let chased = self.chase_prepared(
-                db,
-                result,
+                part,
                 &mut local.ground,
                 &mut local.graft,
                 &mut stage,
@@ -326,11 +325,10 @@ impl QchasePlan {
         Ok(out)
     }
 
-    /// The chase proper, over a `result` database that already contains the
-    /// input facts and the full extended schema.
+    /// The chase proper, over a `result` database that holds exactly the
+    /// input facts, under the full extended schema.
     fn chase_prepared(
         &self,
-        db: &Database,
         mut result: Database,
         ground_memo: &mut FxHashMap<BagSignature, Vec<(RelId, Vec<usize>)>>,
         graft_memo: &mut FxHashMap<BagSignature, GraftTemplate>,
@@ -339,7 +337,7 @@ impl QchasePlan {
     ) -> Result<QueryDirectedChase> {
         let ontology = self.omq.ontology();
         let config = &self.config;
-        let original_adom: FxHashSet<Value> = db.adom().iter().copied().collect();
+        let original_adom: FxHashSet<Value> = result.adom().iter().copied().collect();
 
         let mut memo_hits = 0usize;
 
@@ -783,7 +781,7 @@ mod tests {
         let db = office_db();
         let parts = db.shard_by_component();
         assert!(parts.len() > 1);
-        let batch = plan.chase_many(&parts).unwrap();
+        let batch = plan.chase_many(parts.clone()).unwrap();
         assert_eq!(batch.len(), parts.len());
         for (part, chased) in parts.iter().zip(&batch) {
             let solo = query_directed_chase(part, &omq, &QchaseConfig::default()).unwrap();
@@ -793,7 +791,7 @@ mod tests {
         // Intra-batch memoisation: a later part reuses bag types discovered
         // while chasing an earlier one, within a single snapshot/publish.
         assert!(batch.iter().skip(1).any(|c| c.memo_hits > 0));
-        assert!(plan.chase_many(&[]).unwrap().is_empty());
+        assert!(plan.chase_many(Vec::new()).unwrap().is_empty());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //!
 //! [`execute`] turns one query over one database into a fleet-wide run:
 //!
-//! 1. **Shard.** The database splits by Gaifman component
-//!    (`Database::try_shard_into`), over-partitioned into roughly
-//!    `workers × shard_factor` bins so the placement below has slack to
-//!    balance skew.  The soundness argument is `omq-core`'s (components never
-//!    interact under a guarded chase, connected queries never join across
-//!    them); a disconnected query or a single-component database degrades to
-//!    one shard on one worker.
+//! 1. **Shard.** The database splits into packs of whole Gaifman components
+//!    (`Database::pack_components`, the rule in-process execution shards
+//!    by), sized so that there are roughly four per worker and the placement
+//!    below has slack to balance skew.  The soundness argument is
+//!    `omq-core`'s (components never interact under a guarded chase,
+//!    connected queries never join across them); a disconnected query or a
+//!    single-component database degrades to one shard on one worker.
 //! 2. **Ship.** Each shard is exported as named fact rows
 //!    (`Database::export_fact_rows` — names survive re-interning, ids do
 //!    not) and sent over the wire in byte-bounded `facts` batches.
@@ -91,10 +91,6 @@ pub struct Kill {
 pub struct ClusterConfig {
     /// Number of workers to spawn.
     pub workers: usize,
-    /// Over-partitioning factor: the database is split into up to
-    /// `workers × shard_factor` shards so the work-stealing queue can
-    /// balance uneven components.
-    pub shard_factor: usize,
     /// Read timeout on worker connections; a worker silent for this long is
     /// treated as dead and its shard is reassigned.
     pub worker_timeout: Duration,
@@ -112,7 +108,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             workers: 2,
-            shard_factor: 4,
             worker_timeout: Duration::from_secs(30),
             spawn: WorkerSpawn::InProcess,
             kill: None,
@@ -120,6 +115,10 @@ impl Default for ClusterConfig {
         }
     }
 }
+
+/// Over-partitioning factor: a pack holds about one `workers × SHARD_FACTOR`-th
+/// of the facts, so the work-stealing queue can balance uneven components.
+const SHARD_FACTOR: usize = 4;
 
 /// Counters for one distributed run, filled in as the pumps work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -308,28 +307,27 @@ pub fn execute(
     let omq = omq_chase::OntologyMediatedQuery::new(parsed_ontology, parsed_query)?;
     let plan = QueryPlan::compile(&omq)?;
 
-    // Shard by Gaifman component, with the same connectivity gate as
-    // `execute_parallel`: a disconnected query joins across components and
-    // must run as one shard.
+    // Shard into packs of whole Gaifman components, with the same gate as
+    // in-process sharded execution: a disconnected query joins across
+    // components and must run as one shard.
     let workers = config.workers.max(1);
-    let shard_dbs: Vec<Database> = if workers > 1 && omq.query().is_connected() {
-        match db.try_shard_into(workers * config.shard_factor.max(1)) {
-            Some(shards) => shards,
-            None => vec![db.clone()],
-        }
-    } else {
-        vec![db.clone()]
-    };
-    let mut works: Vec<ShardWork> = shard_dbs
-        .iter()
+    let shard_rows: Vec<Vec<FactRow>> =
+        if workers > 1 && omq.query().is_connected() && !db.is_empty() {
+            let keys = db.component_keys();
+            let capacity = db.len().div_ceil(workers * SHARD_FACTOR);
+            let offsets = db.pack_components(&keys, capacity);
+            offsets
+                .windows(2)
+                .map(|pack| db.pack_database(&keys[pack[0]..pack[1]]).export_fact_rows())
+                .collect::<Result<_, omq_data::DataError>>()?
+        } else {
+            vec![db.export_fact_rows()?]
+        };
+    let mut works: Vec<ShardWork> = shard_rows
+        .into_iter()
         .enumerate()
-        .map(|(id, shard)| {
-            Ok(ShardWork {
-                id,
-                rows: shard.export_fact_rows()?,
-            })
-        })
-        .collect::<Result<_, omq_data::DataError>>()?;
+        .map(|(id, rows)| ShardWork { id, rows })
+        .collect();
     let shards = works.len();
     // Ascending by size: `pop()` hands out the largest remaining shard.
     works.sort_by_key(|w| w.rows.len());

@@ -2,9 +2,10 @@
 //! query plan across worker processes.
 //!
 //! This crate scales the engine's shared-nothing parallel story
-//! (`QueryPlan::execute_parallel`, threads in one address space) out to
-//! **processes**: a coordinator shards the database by Gaifman component,
-//! ships each shard's facts plus the ontology/query text to workers over
+//! (`QueryPlan::execute_tracked`, threads in one address space) out to
+//! **processes**: a coordinator packs the database's Gaifman components into
+//! shards by the rule the in-process executor uses
+//! (`Database::pack_components`), ships each shard's facts plus the ontology/query text to workers over
 //! the length-prefixed JSON wire shared with `omq-server` (the `omq-wire`
 //! codec), places shards with a work-stealing queue (largest first, idle
 //! workers steal), and folds the returned answer pages through the engine's

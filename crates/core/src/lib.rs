@@ -16,9 +16,10 @@
 //!   (Theorem 5.2, Algorithm 1), see [`progress`] and [`partial_enum`];
 //! * **enumeration of minimal partial answers with multi-wildcards**
 //!   (Theorem 6.1, Algorithm 2), see [`multi_enum`];
-//! * **shared-nothing parallel execution**: Gaifman-component sharding of
-//!   the chase and the enumeration pipeline across scoped threads
-//!   (`QueryPlan::execute_parallel`), see [`parallel`];
+//! * **shared-nothing parallel execution**: the chase and the enumeration
+//!   pipeline sharded into packs of whole Gaifman components and run on
+//!   scoped threads (`QueryPlan::execute_tracked`, `execute_parallel`), see
+//!   [`parallel`];
 //! * the **distributed execution seam**: [`RemoteShard`] answer sources and
 //!   `AnswerStream::from_remote`, which run the same cross-shard reduce over
 //!   pages produced by worker processes (used by `omq-cluster`), see

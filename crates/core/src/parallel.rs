@@ -1,5 +1,7 @@
-//! Shared-nothing parallel execution of a [`QueryPlan`] over the Gaifman
-//! components of the database.
+//! Shared-nothing parallel execution of a [`QueryPlan`] over packs of whole
+//! Gaifman components of the database: the soundness argument, the
+//! bounded-worker helper every fan-out goes through, the run split of the
+//! sharded executor and the cross-shard merge.
 //!
 //! # Why sharding is sound
 //!
@@ -22,8 +24,10 @@
 //! For a *connected* query (atoms connected via shared variables or
 //! constants), every homomorphic image of the body is connected and thus
 //! falls inside one component, so the answer set over `D` is the union of
-//! the per-shard answer sets.  [`QueryPlan::execute_parallel`] checks the
-//! connectivity gate and falls back to the sequential path when it fails.
+//! the per-shard answer sets.  The sharded executor behind
+//! [`QueryPlan::execute_tracked`] and [`QueryPlan::execute_parallel`] checks
+//! the connectivity gate and falls back to the sequential path when it
+//! fails.
 //!
 //! # Cross-shard minimality of wildcard answers
 //!
@@ -51,58 +55,83 @@ use crate::partial_enum::PartialEnumerator;
 use crate::plan::{PreparedInstance, QueryPlan};
 use crate::preprocess::PlanSkeleton;
 use crate::Result;
+use omq_chase::{QchasePlan, QueryDirectedChase};
 use omq_data::{Answer, Database, MultiTuple, PartialTuple, PartialValue};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 impl QueryPlan {
-    /// Executes the plan over `db` with up to `threads` worker threads,
-    /// sharding the database by Gaifman connected component.
+    /// [`QueryPlan::execute_tracked`] with the caller's bound on the worker
+    /// count in place of the machine's CPU count: the packs are chased on
+    /// `min(packs, threads)` workers, the caller being one of them (so
+    /// `threads <= 1` spawns nothing).  The bound is what lets a test or an
+    /// experiment drive the multi-worker path on a host pinned to one CPU;
+    /// it changes nothing else — the shards, their order, the provenance and
+    /// the answer sequence are those of `execute_tracked`, and the instance
+    /// refreshes incrementally like one.
     ///
-    /// The shards are chased concurrently (at most `threads` scoped threads,
-    /// no extra dependencies) against the plan's shared bag-type memo, and the
-    /// resulting [`PreparedInstance`] keeps one chased database per shard;
-    /// its answer cursor (`PreparedInstance::answers`) chains the shard
-    /// streams and re-filters the wildcard-only answers, so every evaluation
-    /// mode agrees with the sequential [`QueryPlan::execute`] (see the module docs for the
-    /// soundness argument and `tests/parallel_equivalence.rs` for the
-    /// property tests).
-    ///
-    /// Falls back to the sequential path when `threads <= 1`, when the
-    /// query's body is not connected (answers could combine values from
-    /// several components), or when the database has a single component.
-    ///
-    /// Like [`QueryPlan::execute`], accepts `&Database` or a store
-    /// [`omq_data::Snapshot`].
+    /// Every evaluation mode agrees with the sequential
+    /// [`QueryPlan::execute`] (see the module docs for the soundness
+    /// argument and `tests/parallel_equivalence.rs` for the property tests).
     pub fn execute_parallel(
         &self,
         db: impl AsRef<Database>,
         threads: usize,
     ) -> Result<PreparedInstance> {
-        let db = db.as_ref();
-        if threads <= 1 || !self.omq().query().is_connected() {
-            return self.execute(db);
-        }
-        // `try_shard_into` hands back `None` without copying a single fact
-        // when there is nothing to split — the common single-component
-        // request must not pay for a database clone it would throw away.
-        let Some(shards) = db.try_shard_into(threads) else {
-            return self.execute(db);
-        };
-        let start = Instant::now();
-        let chase = self.chase_plan();
-        let chased = map_bounded(shards.len(), threads, |idx| chase.chase(&shards[idx]))?;
-        self.assemble(db, db.len(), start, chased, Vec::new(), None)
+        self.execute_sharded(db.as_ref(), |_| threads)
     }
+}
+
+/// How many workers `pieces` independent pieces of work are spread over when
+/// the caller sets no bound: as many as the machine has CPUs.  The CPUs are
+/// asked about per call, and only when there is more than one piece.
+pub(crate) fn available_workers(pieces: usize) -> usize {
+    if pieces > 1 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        1
+    }
+}
+
+/// Chases the packs `parts` of one database on `min(parts, workers)` workers
+/// and returns the chases in pack order.  The packs are cut into contiguous
+/// runs balanced by fact count, one [`QchasePlan::chase_many`] per run — one
+/// memo snapshot, one arena pair and at most one publish per worker — so one
+/// worker is one `chase_many` over all packs on the calling thread.
+pub(crate) fn chase_packs(
+    chase: &QchasePlan,
+    parts: Vec<Database>,
+    workers: usize,
+) -> Result<Vec<QueryDirectedChase>> {
+    let workers = workers.min(parts.len());
+    if workers <= 1 {
+        return Ok(chase.chase_many(parts)?);
+    }
+    // A pack joins the run its first fact falls into when the facts are cut
+    // into `workers` equal stretches.  Each run sits behind a mutex so that
+    // the one worker claiming its index can take it by value.
+    let total: usize = parts.iter().map(Database::len).sum();
+    let mut runs: Vec<Mutex<Vec<Database>>> = (0..workers).map(|_| Mutex::default()).collect();
+    let mut before = 0usize;
+    for part in parts {
+        let run = (before * workers / total.max(1)).min(workers - 1);
+        before += part.len();
+        runs[run].get_mut().expect("unshared").push(part);
+    }
+    let chased = map_bounded(workers, workers, |idx| {
+        chase.chase_many(std::mem::take(&mut *runs[idx].lock().expect("locked once")))
+    })?;
+    Ok(chased.into_iter().flatten().collect())
 }
 
 /// Applies `f` to every index in `0..n` on `min(n, max_workers)` workers and
 /// returns the results in index order, or the error of the lowest failing
 /// index.  The workers are scoped threads claiming indices off a shared
 /// cursor, the caller being one of them — so one worker means **no thread at
-/// all**: the indices are mapped inline.
-pub(crate) fn map_bounded<R: Send, E: Send>(
+/// all**: the indices are mapped inline.  This is the one fan-out of the
+/// in-process stack: shard chases, shard counts and `omq-serve`'s request
+/// batches all go through it.
+pub fn map_bounded<R: Send, E: Send>(
     n: usize,
     max_workers: usize,
     f: impl Fn(usize) -> std::result::Result<R, E> + Sync,

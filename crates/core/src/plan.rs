@@ -19,7 +19,7 @@
 use crate::all_testing::AllTester;
 use crate::error::CoreError;
 use crate::multi_enum;
-use crate::parallel::{map_bounded, MergeTuple, WildcardMerge};
+use crate::parallel::{available_workers, chase_packs, map_bounded, MergeTuple, WildcardMerge};
 use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::single_testing;
@@ -166,8 +166,8 @@ impl QueryPlan {
     /// over them reuse the already-built columnar indexes instead of
     /// recomputing per request.
     ///
-    /// For multi-core execution over component-rich databases see
-    /// [`QueryPlan::execute_parallel`].
+    /// For sharded, multi-core execution over component-rich databases see
+    /// [`QueryPlan::execute_tracked`].
     pub fn execute(&self, db: impl AsRef<Database>) -> Result<PreparedInstance> {
         let db = db.as_ref();
         let start = Instant::now();
@@ -178,14 +178,17 @@ impl QueryPlan {
     /// Like [`QueryPlan::execute`], but shards the database into **packs**
     /// — unions of whole Gaifman components holding at most 64 input facts,
     /// a larger component being a pack of its own
-    /// ([`Database::pack_components`]) — and records each pack's stable
-    /// component keys as *provenance*, enabling incremental maintenance via
-    /// [`PreparedInstance::refresh`]: after a store commit, only the packs
-    /// the commit touched are re-chased, and every untouched shard is
-    /// spliced into the refreshed instance unchanged.  The number of shards
-    /// is thereby bounded by the data's size, not by its component count,
-    /// and a database of fewer than sixteen facts keeps one shard per
-    /// component.
+    /// ([`Database::pack_components`] at [`Database::pack_capacity`]) —
+    /// chases the packs on at most as many workers as the machine has CPUs
+    /// (on the calling thread alone when that is one) and records each
+    /// pack's stable component keys as *provenance*, enabling incremental
+    /// maintenance via [`PreparedInstance::refresh`]: after a store commit,
+    /// only the packs the commit touched are re-chased, and every untouched
+    /// shard is spliced into the refreshed instance unchanged.  The number
+    /// of shards is thereby bounded by the data's size, not by its component
+    /// count, and a database of fewer than sixteen facts keeps one shard per
+    /// component.  The shards, their order and the answer sequence are a
+    /// function of the database alone, whatever the worker count.
     ///
     /// Sharding is only sound for connected query bodies (see the `parallel`
     /// module docs); for a disconnected query — or an empty database, which
@@ -195,25 +198,35 @@ impl QueryPlan {
     /// (still tracked, so the *next* refresh is incremental again when
     /// possible).
     pub fn execute_tracked(&self, db: impl AsRef<Database>) -> Result<PreparedInstance> {
-        let db = db.as_ref();
+        self.execute_sharded(db.as_ref(), available_workers)
+    }
+
+    /// The one sharded executor behind [`QueryPlan::execute_tracked`] and
+    /// [`QueryPlan::execute_parallel`]: pack, chase the packs on
+    /// `workers(packs)` bounded workers, record provenance, assemble.
+    pub(crate) fn execute_sharded(
+        &self,
+        db: &Database,
+        workers: impl FnOnce(usize) -> usize,
+    ) -> Result<PreparedInstance> {
         if !self.omq().query().is_connected() || db.is_empty() {
             return self.execute(db);
         }
         let start = Instant::now();
         let mut provenance = Provenance::new(db);
         let parts = provenance.pack(db, &db.component_keys());
-        let chased = self.inner.chase.chase_many(&parts)?;
+        let workers = workers(parts.len());
+        let chased = chase_packs(&self.inner.chase, parts, workers)?;
         self.assemble(db, db.len(), start, chased, Vec::new(), Some(provenance))
     }
 
-    /// The one assembly point behind [`QueryPlan::execute`],
-    /// [`QueryPlan::execute_parallel`], [`QueryPlan::execute_tracked`] and
-    /// [`PreparedInstance::refresh`]: rejects a chase whose saturation was cut
-    /// off by `max_saturation_rounds` (its answer set would be silently
-    /// incomplete), folds the per-part chase statistics, puts every freshly
-    /// chased part behind its own [`Arc`] — fresh shards lead, `reused` ones
-    /// follow — and attaches the provenance.  `rechased_facts` is how many
-    /// of `db`'s facts went into `fresh`.
+    /// The one assembly point behind [`QueryPlan::execute`], the sharded
+    /// executor and [`PreparedInstance::refresh`]: rejects a chase whose
+    /// saturation was cut off by `max_saturation_rounds` (its answer set
+    /// would be silently incomplete), folds the per-part chase statistics,
+    /// puts every freshly chased part behind its own [`Arc`] — fresh shards
+    /// lead, `reused` ones follow — and attaches the provenance.
+    /// `rechased_facts` is how many of `db`'s facts went into `fresh`.
     pub(crate) fn assemble(
         &self,
         db: &Database,
@@ -318,7 +331,7 @@ impl Provenance {
     /// as the next shards and returns their extracted databases, ready to
     /// chase.
     fn pack(&mut self, db: &Database, keys: &[Option<u32>]) -> Vec<Database> {
-        let offsets = db.pack_components(keys);
+        let offsets = db.pack_components(keys, db.pack_capacity());
         let mut parts = Vec::with_capacity(offsets.len() - 1);
         for pack in offsets.windows(2) {
             let members = &keys[pack[0]..pack[1]];
@@ -334,9 +347,9 @@ impl Provenance {
 /// plus every evaluation mode of the paper over it.
 ///
 /// A sequential [`QueryPlan::execute`] produces exactly one *shard* (the
-/// whole chase); [`QueryPlan::execute_parallel`] produces one shard per
-/// worker thread and [`QueryPlan::execute_tracked`] one per pack of at most
-/// 64 input facts — every shard a union of whole Gaifman components, chased
+/// whole chase); [`QueryPlan::execute_tracked`] and
+/// [`QueryPlan::execute_parallel`] produce one per pack of at most 64 input
+/// facts — every shard a union of whole Gaifman components, chased
 /// independently.  The unified cursor
 /// ([`PreparedInstance::answers`]) and the testers are shard-aware and agree
 /// with the sequential result (see `crate::parallel` for why sharding is
@@ -355,7 +368,8 @@ pub struct PreparedInstance {
     shards: Arc<Vec<Arc<Database>>>,
     stats: PreprocessStats,
     /// Component keys of every shard, present iff the instance was produced
-    /// by [`QueryPlan::execute_tracked`] (or a refresh thereof).
+    /// by the sharded executor ([`QueryPlan::execute_tracked`],
+    /// [`QueryPlan::execute_parallel`]) or a refresh thereof.
     provenance: Option<Arc<Provenance>>,
 }
 
@@ -446,8 +460,8 @@ impl PreparedInstance {
     /// Falls back to a full (tracked) re-execution whenever incremental
     /// maintenance would be unsound or the lineage cannot be verified:
     ///
-    /// * `self` carries no provenance (sequential/parallel execution,
-    ///   disconnected query, or empty source database);
+    /// * `self` carries no provenance (sequential execution, disconnected
+    ///   query, or empty source database);
     /// * the commit added relation symbols, or the schema length changed
     ///   (chase outputs bake in relation ids);
     /// * the receipt does not chain `self`'s source revision to `db`'s
@@ -560,7 +574,7 @@ impl PreparedInstance {
         }
         let mut provenance = Provenance::new(db);
         let parts = provenance.pack(db, &keys);
-        let chased = self.plan.chase_plan().chase_many(&parts)?;
+        let chased = self.plan.chase_plan().chase_many(parts)?;
         // Fresh shards first: they derive from the new head (so the symbol
         // shard resolves every constant, including ones this commit minted)
         // and they are delta-sized, which is what makes post-refresh
@@ -797,16 +811,10 @@ impl PreparedInstance {
 
     /// Applies `f` to every shard index — the map half of the aggregate
     /// reduces above — on at most as many workers as the machine has CPUs,
-    /// and inline on one.  The CPUs are asked about per call, and only when
-    /// there is more than one shard to spread.
+    /// and inline on one.
     fn map_shards<R: Send>(&self, f: impl Fn(usize) -> Result<R> + Sync) -> Result<Vec<R>> {
         let shards = self.shards.len();
-        let workers = if shards > 1 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            1
-        };
-        map_bounded(shards, workers, f)
+        map_bounded(shards, available_workers(shards), f)
     }
 
     // ------------------------------------------------------------------

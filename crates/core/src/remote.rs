@@ -1,7 +1,8 @@
 //! Remote shard sources: plugging distributed executors into [`AnswerStream`].
 //!
-//! `QueryPlan::execute_parallel` shards the database by Gaifman component and
-//! chases the shards on local threads; the cross-shard reduce (the
+//! `QueryPlan::execute_tracked` (and `execute_parallel`, its twin with a
+//! caller-set worker bound) packs the database's Gaifman components into
+//! shards and chases them on local threads; the cross-shard reduce (the
 //! `WildcardMerge` minimality filter plus the Boolean empty-tuple dedup) is
 //! folded into the [`AnswerStream`] cursor.  A *distributed* executor — the
 //! `omq-cluster` coordinator — does the per-shard chase and enumeration in

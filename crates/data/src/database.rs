@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 const NO_CODE: u32 = u32::MAX;
 
 /// Most input facts a pack of several Gaifman components holds (see
-/// [`Database::pack_components`]).  It bounds what a refresh re-chases beside
+/// [`Database::pack_capacity`]).  It bounds what a refresh re-chases beside
 /// the dirty component, and was chosen by the sweep recorded in DESIGN.md
 /// (*Incremental maintenance*): above 64 the pack-mates dominate the
 /// re-chase of a typical delta.
@@ -662,47 +662,6 @@ impl Database {
     // Gaifman-component sharding.
     // ------------------------------------------------------------------
 
-    /// Assigns every fact the (dense) id of its Gaifman connected component.
-    ///
-    /// Two values are connected when they co-occur in a fact, so all values
-    /// of one fact share a component and the label of any argument labels the
-    /// fact.  Nullary facts (propositional relations) have no values; they
-    /// are grouped into one pseudo-component of their own.  Returns the
-    /// per-fact labels and the number of components; labels are dense
-    /// (`0..count`) in order of first appearance in the fact table.
-    ///
-    /// Served from the incrementally maintained union-find (one linear pass
-    /// over the fact table, no re-derivation of the partition).
-    pub fn fact_components(&self) -> (Vec<u32>, usize) {
-        const UNLABELLED: u32 = u32::MAX;
-        let mut label_of_root: Vec<u32> = vec![UNLABELLED; self.adom.len()];
-        let mut nullary_label = UNLABELLED;
-        let mut count = 0u32;
-        let mut labels = Vec::with_capacity(self.facts.len());
-        for fact in &self.facts {
-            let label = match fact.args.first() {
-                Some(&v) => {
-                    let code = self.value_code(v).expect("fact values are in the adom");
-                    let root = self.find(code) as usize;
-                    if label_of_root[root] == UNLABELLED {
-                        label_of_root[root] = count;
-                        count += 1;
-                    }
-                    label_of_root[root]
-                }
-                None => {
-                    if nullary_label == UNLABELLED {
-                        nullary_label = count;
-                        count += 1;
-                    }
-                    nullary_label
-                }
-            };
-            labels.push(label);
-        }
-        (labels, count as usize)
-    }
-
     /// The canonical component root — a dense value code — of the Gaifman
     /// connected component containing `v`, or `None` if `v` does not occur
     /// in the database.
@@ -723,18 +682,6 @@ impl Database {
         ((code as usize) < self.comp_parent.len()).then(|| self.find(code))
     }
 
-    /// The fact indices of the component canonically rooted at `root`, in
-    /// insertion order.  `root` must be a canonical root (as returned by
-    /// [`Database::component_root`]); a non-canonical code yields an empty
-    /// list because unions move the intrusive fact list to the surviving
-    /// root.  Costs time proportional to the component, not the database.
-    pub fn component_fact_indices(&self, root: u32) -> Vec<usize> {
-        let mut out: Vec<usize> = self.component_list(root).map(|idx| idx as usize).collect();
-        // Unions concatenate lists, so restore global insertion order.
-        out.sort_unstable();
-        out
-    }
-
     /// Walks the intrusive fact list of the canonical root `root` (list
     /// order, not insertion order); empty for any other code.
     fn component_list(&self, root: u32) -> impl Iterator<Item = u32> + '_ {
@@ -744,15 +691,9 @@ impl Database {
         })
     }
 
-    /// The indices of the nullary facts (the pseudo-component), in insertion
-    /// order.
-    pub fn nullary_fact_indices(&self) -> &[u32] {
-        &self.nullary_facts
-    }
-
     // ------------------------------------------------------------------
-    // Packs: bounded unions of whole components, the shards of tracked
-    // execution.
+    // Packs: bounded unions of whole components, the shards of every
+    // sharded execution.
     // ------------------------------------------------------------------
 
     /// The stable key of every Gaifman component: the canonical component
@@ -782,17 +723,19 @@ impl Database {
         }
     }
 
-    /// Most facts a pack of *several* components holds in this database: an
-    /// eighth of the facts (so that a small database keeps one shard per
-    /// component), at most 64.
+    /// Most facts a pack of *several* components holds when this database is
+    /// sharded in process: an eighth of the facts (so that a small database
+    /// keeps one shard per component), at most 64.
     pub fn pack_capacity(&self) -> usize {
         (self.facts.len() / MIN_SHARDS).clamp(1, PACK_FACTS)
     }
 
     /// Groups the components `keys` into **packs** — unions of whole
-    /// components holding at most [`Database::pack_capacity`] facts — and
-    /// returns the pack boundaries: pack `i` is
-    /// `keys[offsets[i]..offsets[i + 1]]`.
+    /// components holding at most `capacity` facts — and returns the pack
+    /// boundaries: pack `i` is `keys[offsets[i]..offsets[i + 1]]`.  This is
+    /// the one sharding rule: in-process execution passes
+    /// [`Database::pack_capacity`], the cluster coordinator a capacity
+    /// derived from its worker count.
     ///
     /// The rule is next-fit over `keys` in the order given (callers list
     /// them as [`Database::component_keys`] does: canonical roots ascending,
@@ -803,8 +746,7 @@ impl Database {
     /// packs hold more than the capacity between them — instead of by its
     /// component count.  Every pack is a union of whole components, which is
     /// all sharding needs to be sound (no fact spans two packs).
-    pub fn pack_components(&self, keys: &[Option<u32>]) -> Vec<usize> {
-        let capacity = self.pack_capacity();
+    pub fn pack_components(&self, keys: &[Option<u32>], capacity: usize) -> Vec<usize> {
         let mut offsets = vec![0];
         let mut open = 0usize;
         for (i, &key) in keys.iter().enumerate() {
@@ -866,56 +808,11 @@ impl Database {
     /// set, and no fact mentions values from two shards.  An empty database
     /// yields a single empty shard.
     pub fn shard_by_component(&self) -> Vec<Database> {
-        self.shard_into(usize::MAX)
-    }
-
-    /// Like [`Database::shard_by_component`], but groups the components into
-    /// at most `max_shards` sub-databases, balanced by fact count (greedy
-    /// largest-component-first bin packing).  Grouping preserves the sharding
-    /// invariant — no fact spans two shards — because every group is a union
-    /// of whole components.  Always returns at least one database.
-    pub fn shard_into(&self, max_shards: usize) -> Vec<Database> {
-        self.try_shard_into(max_shards)
-            .unwrap_or_else(|| vec![self.clone()])
-    }
-
-    /// Like [`Database::shard_into`], but returns `None` — without copying
-    /// any fact — when there is nothing to split (a single component, a
-    /// single requested shard, or an empty database).  This is the form the
-    /// parallel executor probes on its hot path, where the single-shard case
-    /// must not pay for a database clone it would immediately discard.
-    pub fn try_shard_into(&self, max_shards: usize) -> Option<Vec<Database>> {
-        let (labels, count) = self.fact_components();
-        let bins = max_shards.max(1).min(count.max(1));
-        if count <= 1 || bins == 1 {
-            return None;
+        if self.is_empty() {
+            return vec![self.derived_empty()];
         }
-        // Component sizes, then greedy assignment of components to bins.
-        let mut sizes = vec![0usize; count];
-        for &label in &labels {
-            sizes[label as usize] += 1;
-        }
-        let mut order: Vec<usize> = (0..count).collect();
-        order.sort_by_key(|&c| std::cmp::Reverse(sizes[c]));
-        let mut load = vec![0usize; bins];
-        let mut bin_of_component = vec![0u32; count];
-        for c in order {
-            let bin = (0..bins).min_by_key(|&b| (load[b], b)).expect("bins >= 1");
-            bin_of_component[c] = bin as u32;
-            load[bin] += sizes[c];
-        }
-        let mut shards: Vec<Database> = (0..bins).map(|_| self.derived_empty()).collect();
-        for (fact, &label) in self.facts.iter().zip(&labels) {
-            shards[bin_of_component[label as usize] as usize]
-                .add_fact(fact.clone())
-                .expect("shard schema is a clone of the parent schema");
-        }
-        // Drop bins that received no component (more bins than needed).
-        shards.retain(|s| !s.is_empty());
-        if shards.is_empty() {
-            shards.push(self.derived_empty());
-        }
-        Some(shards)
+        let keys = self.component_keys();
+        keys.iter().map(|&key| self.pack_database(&[key])).collect()
     }
 
     /// Renders a fact for display.
@@ -1238,17 +1135,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_into_respects_bounds_and_balances() {
-        let db = office_db();
-        assert_eq!(db.shard_into(1).len(), 1);
-        assert_eq!(db.shard_into(0).len(), 1); // clamped to one bin
-        let two = db.shard_into(2);
-        assert_eq!(two.len(), 2);
-        assert_eq!(two.iter().map(Database::len).sum::<usize>(), db.len());
-        // More bins than components collapses to one shard per component.
-        assert_eq!(db.shard_into(64).len(), 3);
-        // The empty database still yields one (empty) shard.
+    fn pack_components_follows_the_callers_capacity() {
+        // 40 singletons, components of 30, 7 and 12 facts, a nullary fact.
+        let db = packing_db(40, &[30, 7, 12], true);
+        let keys = db.component_keys();
+        for capacity in [1, 2, 5, 7, 12, 29, 30, 64, usize::MAX] {
+            let offsets = db.pack_components(&keys, capacity);
+            // An exact partition of the keys, hence of the facts.
+            assert_eq!((offsets[0], *offsets.last().unwrap()), (0, keys.len()));
+            assert!(offsets.windows(2).all(|w| w[0] < w[1]));
+            let lens: Vec<usize> = offsets
+                .windows(2)
+                .map(|w| db.pack_database(&keys[w[0]..w[1]]).len())
+                .collect();
+            assert_eq!(lens.iter().sum::<usize>(), db.len());
+            // No pack above the capacity holds two components.
+            for (w, &len) in offsets.windows(2).zip(&lens) {
+                assert!(len <= capacity || w[1] - w[0] == 1, "{len} > {capacity}");
+            }
+            let bound = 2 * db.len().div_ceil(capacity) + 1;
+            assert!(lens.len() <= bound, "{} packs at {capacity}", lens.len());
+        }
+        assert_eq!(db.pack_components(&keys, usize::MAX), vec![0, keys.len()]);
+        let singly: Vec<usize> = (0..=keys.len()).collect();
+        assert_eq!(db.pack_components(&keys, 1), singly);
+        // The empty database has no packs but still one (empty) shard.
         let empty = Database::new(office_schema());
+        assert_eq!(empty.pack_components(&[], 64), vec![0]);
         assert_eq!(empty.shard_by_component().len(), 1);
         assert_eq!(empty.component_count(), 0);
     }
@@ -1289,8 +1202,9 @@ mod tests {
         }
         // Extracting a component yields exactly its facts, insertion order.
         let root = db.component_root(mary).unwrap();
-        assert_eq!(db.component_fact_indices(root), vec![0, 3, 5]);
-        assert_eq!(db.pack_database(&[Some(root)]).len(), 3);
+        let extracted = db.pack_database(&[Some(root)]);
+        let expected: Vec<Fact> = [0usize, 3, 5].map(|i| db.fact(i).clone()).into();
+        assert_eq!(extracted.facts(), expected);
         // A bridging fact merges two components: both old roots
         // re-canonicalise to the one survivor, which owns all the facts.
         let old_mary = root;
@@ -1325,7 +1239,9 @@ mod tests {
             .unwrap();
         db.add_fact(Fact::new(db.schema().relation_id("Mark").unwrap(), vec![]))
             .unwrap();
-        assert_eq!(db.nullary_fact_indices(), &[6, 7]);
+        let nullary = db.pack_database(&[None]);
+        let expected: Vec<Fact> = [6usize, 7].map(|i| db.fact(i).clone()).into();
+        assert_eq!(nullary.facts(), expected);
         let keys = db.component_keys();
         assert_eq!(keys.len(), 4);
         assert_eq!(keys.iter().filter(|k| k.is_none()).count(), 1);
@@ -1365,7 +1281,7 @@ mod tests {
     /// The packs of the whole database, as key slices.
     fn packs_of(db: &Database) -> Vec<Vec<Option<u32>>> {
         let keys = db.component_keys();
-        let offsets = db.pack_components(&keys);
+        let offsets = db.pack_components(&keys, db.pack_capacity());
         offsets
             .windows(2)
             .map(|w| keys[w[0]..w[1]].to_vec())
@@ -1429,8 +1345,9 @@ mod tests {
         assert_eq!(packs_of(&db), packs_of(&db.clone()));
         // Packing a sub-list of the keys uses the same capacity and rule.
         let keys = db.component_keys();
-        assert_eq!(db.pack_components(&keys[..1]), vec![0, 1]);
-        assert_eq!(db.pack_components(&[]), vec![0]);
+        let capacity = db.pack_capacity();
+        assert_eq!(db.pack_components(&keys[..1], capacity), vec![0, 1]);
+        assert_eq!(db.pack_components(&[], capacity), vec![0]);
         // A key listed twice is extracted once.
         assert_eq!(db.pack_database(&[keys[0], keys[0]]).len(), 1);
     }

@@ -186,7 +186,7 @@ pub struct CommitReceipt {
 /// Cheap to take and to clone (an `Arc` bump); see the module docs for the
 /// copy-on-write contract.  A snapshot derefs to [`Database`] and implements
 /// `AsRef<Database>`, so everything that evaluates over a database —
-/// `QueryPlan::execute`, `QueryPlan::execute_parallel`, serving requests —
+/// `QueryPlan::execute`, `QueryPlan::execute_tracked`, serving requests —
 /// accepts a snapshot directly and reuses the shared columnar index and
 /// interner instead of recomputing them.
 #[derive(Debug, Clone)]

@@ -80,11 +80,12 @@
 #![warn(missing_docs)]
 
 use omq_chase::{OntologyMediatedQuery, QchaseConfig};
+use omq_core::parallel::map_bounded;
 use omq_core::{AnswerStream, CoreError, PreparedInstance, PreprocessStats, QueryPlan};
 use omq_data::{Answer, ConstId, Database, MultiTuple, PartialTuple};
 use rustc_hash::FxHashMap;
+use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use omq_data::{CommitReceipt, DataError, Semantics, Snapshot, Store, Txn};
@@ -849,50 +850,21 @@ impl ServingEngine {
     /// Serves a batch of requests across the worker pool, returning one
     /// result per request in request order.
     ///
-    /// Shared-nothing scheduling: workers claim request indices off an
-    /// atomic cursor, evaluate against the immutable catalogue (warming the
-    /// plans' shared chase memos as a side effect), and only the collected
-    /// results are merged at the end.  Each request pins its own snapshot at
-    /// open time.  A failed request does not affect the others.  Per-request
+    /// Shared-nothing scheduling: at most `workers` threads (the caller one
+    /// of them) claim request indices through `omq-core`'s bounded-worker
+    /// helper, evaluate against the immutable catalogue (warming the plans'
+    /// shared chase memos as a side effect), and only the collected results
+    /// are merged at the end.  Each request pins its own snapshot at open
+    /// time.  A failed request does not affect the others.  Per-request
     /// `limit`/`offset` windows are honoured, so a batch of bounded requests
     /// never materialises an unbounded answer set.
     pub fn serve_batch(&self, requests: &[Request]) -> Vec<Result<Response>> {
-        let n = requests.len();
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 {
-            return requests.iter().map(|r| self.serve_one(r)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, Result<Response>)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, self.serve_one(&requests[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serving worker panicked"))
-                .collect()
-        });
-        let mut out: Vec<Option<Result<Response>>> = (0..n).map(|_| None).collect();
-        for batch in collected {
-            for (i, result) in batch {
-                out[i] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every request index was claimed exactly once"))
-            .collect()
+        // One result per request: a request's error is its result, never
+        // the batch's.
+        map_bounded(requests.len(), self.workers, |idx| {
+            Ok::<_, Infallible>(self.serve_one(&requests[idx]))
+        })
+        .unwrap_or_else(|never| match never {})
     }
 }
 

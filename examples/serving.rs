@@ -2,9 +2,10 @@
 //!
 //! The production shape this workspace grows toward: a fixed catalogue of
 //! ontology-mediated queries compiled up front, batches of owned requests
-//! served across a worker pool (`ServingEngine`), and individual large,
-//! component-rich databases additionally sharded by Gaifman connected
-//! component (`QueryPlan::execute_parallel`).
+//! served on a bounded number of workers (`ServingEngine`), and individual
+//! large, component-rich databases additionally sharded into packs of whole
+//! Gaifman connected components (`QueryPlan::execute_tracked`, or
+//! `execute_parallel` to set the worker bound by hand).
 //!
 //! This example serves **ad-hoc, per-tenant databases** shipped with the
 //! requests (`Request::with_database`); see `examples/live_store.rs` for the

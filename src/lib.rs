@@ -20,10 +20,11 @@
 //!   query-side artefacts once per OMQ and evaluates them over any number of
 //!   databases (or store snapshots) via `QueryPlan::execute` — see
 //!   `examples/plan_reuse.rs`;
-//! * **shared-nothing parallel execution**: `QueryPlan::execute_parallel`
-//!   shards a database by Gaifman connected component (sound under
-//!   guardedness) and chases + enumerates the shards on scoped threads,
-//!   merging answer streams without losing constant delay;
+//! * **shared-nothing parallel execution**: `QueryPlan::execute_tracked`
+//!   shards a database into packs of whole Gaifman connected components
+//!   (sound under guardedness), chases them on as many scoped threads as
+//!   there are CPUs (`execute_parallel` takes the bound from the caller)
+//!   and merges the shards' answer streams without losing constant delay;
 //! * **distributed execution**: `omq::cluster::execute` runs the same
 //!   sharded pipeline across worker *processes* — a coordinator ships fact
 //!   shards over the wire, places them with a work-stealing queue, survives

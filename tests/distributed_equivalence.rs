@@ -183,7 +183,6 @@ fn killed_worker_process_is_reassigned_without_losing_answers() {
             worker: 0,
             after_pages: 1,
         }),
-        ..ClusterConfig::default()
     };
     let (distributed, stats) = cluster_multiset(QUERY, &db, Semantics::Complete, &config);
     assert_eq!(distributed, sequential);

@@ -204,7 +204,8 @@ proptest! {
         workload in workload_strategy(BALLAST),
     ) {
         let head = workload.load(&office_omq()).snapshot();
-        let shards = head.pack_components(&head.component_keys()).len() - 1;
+        let keys = head.component_keys();
+        let shards = head.pack_components(&keys, head.pack_capacity()).len() - 1;
         prop_assert!(head.component_count() > 8 * shards, "{shards} shards");
         check_refresh_chain(&workload)?;
     }

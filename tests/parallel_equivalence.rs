@@ -108,7 +108,10 @@ proptest! {
             let db = random_db.to_database(omq.data_schema());
             let sequential = plan.execute(&db).unwrap();
             let parallel = plan.execute_parallel(&db, threads).unwrap();
-            prop_assert!(parallel.shard_count() <= threads.max(1));
+            prop_assert_eq!(
+                parallel.shard_count(),
+                plan.execute_tracked(&db).unwrap().shard_count()
+            );
             prop_assert!(parallel.shard_count() <= db.component_count().max(1));
             let seq = answer_multisets(&sequential);
             let par = answer_multisets(&parallel);
@@ -150,7 +153,10 @@ proptest! {
         prop_assert!(db.component_count() > threads);
         let sequential = plan.execute(&db).unwrap();
         let parallel = plan.execute_parallel(&db, threads).unwrap();
-        prop_assert_eq!(parallel.shard_count(), threads);
+        prop_assert_eq!(
+            parallel.shard_count(),
+            plan.execute_tracked(&db).unwrap().shard_count()
+        );
         let seq = answer_multisets(&sequential);
         let par = answer_multisets(&parallel);
         prop_assert_eq!(&seq[1], &par[1]);

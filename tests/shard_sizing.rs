@@ -12,7 +12,10 @@
 //!   and reuses every other shard;
 //! * **packed for good** — a stream of commits that each add a component
 //!   does not fragment the instance: after any number of refreshes it has at
-//!   most twice the shards of a fresh execution of the same head, plus eight.
+//!   most twice the shards of a fresh execution of the same head, plus eight;
+//! * **one rule, whoever asks** — [`QueryPlan::execute_parallel`] yields
+//!   `execute_tracked`'s shards, order and answer sequence at every worker
+//!   count, and its instances refresh incrementally like tracked ones.
 
 use omq::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -54,7 +57,9 @@ fn assert_equivalent(maintained: &PreparedInstance, scratch: &PreparedInstance) 
 /// How many shards a fresh `execute_tracked(head)` has, from the packing rule
 /// alone (no chase).
 fn fresh_shard_count(head: &Database) -> usize {
-    head.pack_components(&head.component_keys()).len() - 1
+    head.pack_components(&head.component_keys(), head.pack_capacity())
+        .len()
+        - 1
 }
 
 /// (a) 2 000 singleton components, then 500 commits that each add one more,
@@ -194,4 +199,80 @@ fn shards_follow_the_size_and_a_delta_rechases_its_component() {
     assert_eq!(refreshed.shard_count(), base.shard_count());
     assert_eq!(stats.components, CLUSTERS * 101);
     assert_equivalent(&refreshed, &plan.execute(&head).unwrap());
+}
+
+/// 600 researchers, a third of them with an office, every ninth office in one
+/// of four buildings: singleton, two-fact and large components, dozens of
+/// packs.
+fn researcher_store(omq: &OntologyMediatedQuery) -> Store {
+    let mut store = Store::new(omq.data_schema().clone());
+    let mut load = Txn::new();
+    for i in 0..600 {
+        load = load.insert("Researcher", [format!("r{i}")]);
+        if i % 3 == 0 {
+            load = load.insert("HasOffice", [format!("r{i}"), format!("room{i}")]);
+        }
+        if i % 27 == 0 {
+            load = load.insert("InBuilding", [format!("room{i}"), format!("hq{}", i % 4)]);
+        }
+    }
+    store.commit(load).unwrap();
+    store
+}
+
+/// (c) An `execute_parallel` instance carries provenance: a single-fact
+/// commit re-chases a pack or two, not the database.
+#[test]
+fn an_execute_parallel_instance_refreshes_incrementally() {
+    let omq = office_omq();
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let mut store = researcher_store(&omq);
+    let base = plan.execute_parallel(store.snapshot(), 3).unwrap();
+    assert!(base.shard_count() > 3);
+    let receipt = store
+        .commit(Txn::new().insert("HasOffice", ["r1", "room1"]))
+        .unwrap();
+    let head = store.snapshot();
+    let refreshed = base.refresh(&head, &receipt).unwrap();
+    let stats = refreshed.stats();
+    assert!(stats.reused_shards > 0, "the refresh rebuilt the instance");
+    assert!(
+        stats.rechased_facts <= 2 * PACK_FACTS,
+        "re-chased {} facts for a one-fact delta",
+        stats.rechased_facts
+    );
+    assert_equivalent(&refreshed, &plan.execute(&head).unwrap());
+}
+
+/// (d) The worker count is not an input of the sharding rule: whatever the
+/// bound, `execute_parallel` has `execute_tracked`'s shards, fact for fact and
+/// in order, and therefore its answer *sequence* under every semantics.
+#[test]
+fn the_worker_count_changes_neither_shards_nor_answer_order() {
+    let omq = office_omq();
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let head = researcher_store(&omq).snapshot();
+    let tracked = plan.execute_tracked(&head).unwrap();
+    assert_eq!(tracked.shard_count(), fresh_shard_count(&head));
+    let sequence = |instance: &PreparedInstance, semantics| -> Vec<String> {
+        instance
+            .answers(semantics)
+            .unwrap()
+            .map(|a| instance.format_answer(&a))
+            .collect()
+    };
+    for threads in [1, 2, 3, 8] {
+        let parallel = plan.execute_parallel(&head, threads).unwrap();
+        assert_eq!(parallel.shard_count(), tracked.shard_count(), "{threads}");
+        for (ours, theirs) in parallel.shards().iter().zip(tracked.shards()) {
+            assert_eq!(ours.facts(), theirs.facts(), "{threads} threads");
+        }
+        for semantics in Semantics::ALL {
+            assert_eq!(
+                sequence(&parallel, semantics),
+                sequence(&tracked, semantics),
+                "{threads} threads, {semantics:?}"
+            );
+        }
+    }
 }
