@@ -1,5 +1,4 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md and
-//! writes machine-readable `BENCH_<exp>.json` reports.
+//! The experiment harness: regenerates every table of EXPERIMENTS.md.
 //!
 //! Usage:
 //!
@@ -7,81 +6,76 @@
 //! cargo run -p omq-bench --bin harness --release                # full suite
 //! cargo run -p omq-bench --bin harness --release -- --quick     # smaller sizes
 //! cargo run -p omq-bench --bin harness --release -- E3 E5       # selected experiments
-//! cargo run -p omq-bench --bin harness --release -- --json-dir out E12
-//! cargo run -p omq-bench --bin harness --release -- --no-json   # tables only
 //! ```
 //!
-//! One `BENCH_<exp>.json` file is written per experiment (default directory:
-//! the working directory), carrying the table cells plus the experiment's
-//! summary metrics, so the performance trajectory can be tracked by tooling.
+//! An unknown flag or experiment id exits 2 before anything runs.
 
-use omq_bench::{experiments, report};
-use std::path::PathBuf;
+use omq_bench::experiments::{find_experiment, run_all, Experiment};
+
+/// Splits the command line into the `--quick` switch and the selected
+/// experiments (none selected means the whole suite).
+fn parse_args(args: &[String]) -> Result<(bool, Vec<Experiment>), String> {
+    let mut quick = false;
+    let mut selected = Vec::new();
+    for arg in args {
+        if arg == "--quick" {
+            quick = true;
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag `{arg}` (expected --quick)"));
+        } else {
+            selected.push(
+                find_experiment(arg)
+                    .ok_or_else(|| format!("unknown experiment `{arg}` (expected E1..E11)"))?,
+            );
+        }
+    }
+    Ok((quick, selected))
+}
 
 fn main() {
-    // E20 spawns this very binary as its worker fleet: when the cluster
-    // environment variables are set, become a worker instead of a harness.
-    if omq_cluster::maybe_run_worker() {
-        return;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let no_json = args.iter().any(|a| a == "--no-json");
-    let mut json_dir = PathBuf::from(".");
-    let mut selected: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = PathBuf::from(dir),
-                    None => {
-                        eprintln!("--json-dir requires a directory argument");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--quick" | "-q" | "--no-json" => {}
-            a if a.starts_with('-') => {
-                eprintln!("unknown flag `{a}` (expected --quick/-q, --no-json, --json-dir DIR)");
-                std::process::exit(2);
-            }
-            a => selected.push(a.to_owned()),
-        }
-        i += 1;
-    }
-
+    let (quick, selected) = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     let tables = if selected.is_empty() {
-        experiments::run_all(quick)
+        run_all(quick)
     } else {
-        selected
-            .iter()
-            .filter_map(|id| {
-                let table = experiments::run_experiment(id, quick);
-                if table.is_none() {
-                    eprintln!("unknown experiment `{id}` (expected E1..E20)");
-                }
-                table
-            })
-            .collect()
+        selected.iter().map(|(_, run)| run(quick)).collect()
     };
-
     for table in &tables {
         println!("{}", table.render());
     }
+}
 
-    if !no_json {
-        match report::write_json_reports(&tables, &json_dir) {
-            Ok(written) => {
-                for path in written {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("failed to write JSON reports: {e}");
-                std::process::exit(1);
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The parsed switch and the selected ids.
+    fn parse(args: &[&str]) -> Result<(bool, Vec<&'static str>), String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_args(&args).map(|(quick, selected)| {
+            let ids = selected.into_iter().map(|(id, _)| id).collect();
+            (quick, ids)
+        })
+    }
+
+    #[test]
+    fn selection_and_quick_are_parsed() {
+        assert_eq!(parse(&[]), Ok((false, vec![])));
+        assert_eq!(
+            parse(&["e3", "--quick", "E11"]),
+            Ok((true, vec!["E3", "E11"]))
+        );
+    }
+
+    #[test]
+    fn unknown_ids_and_flags_are_errors() {
+        // A retired id fails the whole invocation, whatever else is named.
+        assert!(parse(&["E1", "E12"]).unwrap_err().contains("E12"));
+        assert!(parse(&["E0"]).is_err());
+        assert!(parse(&["--json-dir", "out"]).is_err());
+        assert!(parse(&["--no-json"]).is_err());
     }
 }

@@ -97,70 +97,6 @@ pub fn university(config: &UniversityConfig) -> (OntologyMediatedQuery, Database
     (omq, db)
 }
 
-/// Configuration of the clustered (component-rich) university workload.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusteredConfig {
-    /// Number of independent clusters (≈ Gaifman components).
-    pub clusters: usize,
-    /// Researchers per cluster.
-    pub researchers_per_cluster: usize,
-    /// Fraction of researchers with a listed office.
-    pub office_ratio: f64,
-    /// Fraction of listed offices with a listed building.
-    pub building_ratio: f64,
-    /// Buildings available within each cluster.
-    pub buildings_per_cluster: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ClusteredConfig {
-    fn default() -> Self {
-        ClusteredConfig {
-            clusters: 16,
-            researchers_per_cluster: 250,
-            office_ratio: 0.7,
-            building_ratio: 0.8,
-            buildings_per_cluster: 4,
-            seed: 11,
-        }
-    }
-}
-
-/// The university workload partitioned into independent clusters: every
-/// cluster has its own researchers, offices and buildings (disjoint
-/// constant ranges), so the database's Gaifman graph has at least one
-/// connected component per cluster.  This is the component-rich workload of
-/// experiment E13 — the shape `Database::pack_components` and
-/// `QueryPlan::execute_parallel` are designed for.
-pub fn clustered_university(config: &ClusteredConfig) -> (OntologyMediatedQuery, Database) {
-    let omq = OntologyMediatedQuery::new(university_ontology(), university_query())
-        .expect("static OMQ is well-formed");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut db = Database::new(university_schema());
-    for c in 0..config.clusters {
-        for i in 0..config.researchers_per_cluster {
-            let person = format!("c{c}person{i}");
-            db.add_named_fact("Researcher", &[person.as_str()])
-                .expect("schema fits");
-            if rng.gen_bool(config.office_ratio) {
-                let office = format!("c{c}office{i}");
-                db.add_named_fact("HasOffice", &[person.as_str(), office.as_str()])
-                    .expect("schema fits");
-                if rng.gen_bool(config.building_ratio) {
-                    let building = format!(
-                        "c{c}building{}",
-                        rng.gen_range(0..config.buildings_per_cluster.max(1))
-                    );
-                    db.add_named_fact("InBuilding", &[office.as_str(), building.as_str()])
-                        .expect("schema fits");
-                }
-            }
-        }
-    }
-    (omq, db)
-}
-
 /// An undirected graph as an edge list over vertices `0..n`.
 #[derive(Debug, Clone)]
 pub struct EdgeList {
@@ -328,29 +264,6 @@ mod tests {
             ..Default::default()
         });
         assert!(complete.1.len() > incomplete.1.len());
-    }
-
-    #[test]
-    fn clustered_university_is_component_rich() {
-        let (omq, db) = clustered_university(&ClusteredConfig {
-            clusters: 6,
-            researchers_per_cluster: 10,
-            ..Default::default()
-        });
-        assert!(omq.is_guarded());
-        // At least one component per cluster (office-less researchers are
-        // their own islands, so usually many more).
-        assert!(db.component_count() >= 6);
-        // No constant is shared between clusters: packing the components
-        // keeps every fact in exactly one shard.
-        let keys = db.component_keys();
-        let offsets = db.pack_components(&keys, db.pack_capacity());
-        let shards: Vec<Database> = offsets
-            .windows(2)
-            .map(|pack| db.pack_database(&keys[pack[0]..pack[1]]))
-            .collect();
-        assert!(shards.len() > 1);
-        assert_eq!(shards.iter().map(Database::len).sum::<usize>(), db.len());
     }
 
     #[test]

@@ -16,28 +16,16 @@
 //! * E8 — Theorems 4.4/4.6 (Boolean matrix multiplication reductions);
 //! * E9 — Proposition 2.1 and the running example;
 //! * E10 — comparison against the brute-force baseline;
-//! * E11 — ablations (chase depth, memoisation);
-//! * E12 — the plan/instance split: plan-reuse amortisation and
-//!   columnar-vs-hash per-answer delay distributions;
-//! * E17 — batched hot-path enumeration: `next_batch` dispatch amortisation
-//!   and arena-vs-malloc chase staging;
-//! * E18 — aggregate fast paths: non-materializing `count()`/`exists()`
-//!   versus drain-and-count, allocation-free batched partial emission, and
-//!   the chunked scan kernels versus scalar loops;
-//! * E19 — the network front end (`omq-server`): closed-loop wire fetch
-//!   latency (p50/p99), sustained request throughput, post-commit
-//!   time-to-first-page, and the pinned-cursor isolation gate under a
-//!   concurrent commit writer;
-//! * E20 — distributed execution (`omq-cluster`): end-to-end speedup over
-//!   real worker processes, shard-shipping volume, work-stealing placement,
-//!   and the answers-equal gate including a worker killed mid-shard.
+//! * E11 — ablations (chase depth, memoisation).
+//!
+//! What the *system* costs — compile, chase, refresh, page, wire, count — is
+//! timed by the repository's benchmark (`benchmark/`, `BENCHMARK.json`), not
+//! here; `EXPERIMENTS.md` maps each such measurement to its metric and to the
+//! differential test that guards it.
 //!
 //! See `EXPERIMENTS.md` at the workspace root for the paper-vs-measured
 //! discussion and `cargo run -p omq-bench --bin harness --release` to
-//! regenerate every table.  The harness also writes machine-readable
-//! `BENCH_<exp>.json` reports (see [`report`]), which the perf-trajectory
-//! lab (see [`trajectory`] and the `trajectory` binary) persists across
-//! commits into `bench_history/` and gates CI on.
+//! regenerate every table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,11 +34,7 @@ pub mod experiments;
 pub mod generators;
 pub mod measure;
 pub mod reductions;
-pub mod report;
-pub mod trajectory;
 
 pub use experiments::{run_all, run_experiment, Table};
 pub use generators::{university, UniversityConfig};
-pub use measure::{measure_drain, measure_stream, DelayStats, DrainStats};
-pub use report::write_json_reports;
-pub use trajectory::{check as trajectory_check, GatedMetric, Regression, RunRecord};
+pub use measure::{measure_stream, DelayStats};

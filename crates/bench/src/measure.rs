@@ -25,9 +25,6 @@ pub struct DelayStats {
     pub p99_delay_nanos: u128,
     /// Mean delay in nanoseconds.
     pub mean_delay_nanos: u128,
-    /// Time to the *first* answer after preprocessing, in nanoseconds — the
-    /// serving-layer "time to first answer" (0 when no answer was produced).
-    pub first_delay_nanos: u128,
 }
 
 impl DelayStats {
@@ -68,90 +65,6 @@ pub fn measure_stream<S>(
     finish_stats(preprocess_micros, enumeration_micros, delays)
 }
 
-/// Measures a pull-based enumeration through its `Iterator` interface — the
-/// metric the cursor API actually exposes to callers: `build` is the
-/// preprocessing (e.g. `instance.answers(sem)`), and every `next()` call is
-/// timed individually.
-///
-/// This measures the same quantity as [`measure_stream`]'s callback ticks,
-/// but through the iterator seam, so experiments can assert that the pull
-/// path has the same flat per-answer delay the paper states.
-pub fn measure_iterator<I: Iterator>(build: impl FnOnce() -> I) -> DelayStats {
-    measure_take_k(build, usize::MAX)
-}
-
-/// Like [`measure_iterator`], but stops after `k` answers — the cost profile
-/// of a `take(k)` page: preprocessing plus `O(k)` enumeration work.
-pub fn measure_take_k<I: Iterator>(build: impl FnOnce() -> I, k: usize) -> DelayStats {
-    let start = Instant::now();
-    let mut iter = build();
-    let preprocess_micros = start.elapsed().as_micros();
-
-    let mut delays: Vec<u128> = Vec::new();
-    let enumeration_start = Instant::now();
-    let mut last = Instant::now();
-    for answer in iter.by_ref().take(k) {
-        let now = Instant::now();
-        delays.push(now.duration_since(last).as_nanos());
-        last = now;
-        std::hint::black_box(&answer);
-    }
-    let enumeration_micros = enumeration_start.elapsed().as_micros();
-    // The rest of the stream is deliberately dropped unenumerated.
-    drop(iter);
-    finish_stats(preprocess_micros, enumeration_micros, delays)
-}
-
-/// Timing of one *drained* enumeration: total wall-clock only, no per-answer
-/// clock reads.
-///
-/// [`measure_take_k`] calls `Instant::now` twice per answer to observe the
-/// delay *distribution*; that observation overhead is itself on the order of
-/// the constant being measured, so it is the wrong tool for comparing two
-/// pull strategies (per-answer `next()` vs `next_batch` blocks).  A drain
-/// measurement times the whole loop once and divides — the difference between
-/// two drains is exactly the per-answer dispatch cost the batched API
-/// amortises (experiment E17).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DrainStats {
-    /// Wall-clock microseconds spent in the build closure.
-    pub preprocess_micros: u128,
-    /// Number of answers drained.
-    pub answers: usize,
-    /// Total wall-clock nanoseconds of the drain loop.
-    pub total_nanos: u128,
-}
-
-impl DrainStats {
-    /// Mean per-answer cost of the drain, in nanoseconds.
-    pub fn per_answer_nanos(&self) -> f64 {
-        if self.answers == 0 {
-            return 0.0;
-        }
-        self.total_nanos as f64 / self.answers as f64
-    }
-}
-
-/// Measures a two-phase drain: `build` the source, then `drain` it to
-/// exhaustion (returning how many answers were pulled).  Only two clock reads
-/// bracket the drain — see [`DrainStats`] for why.
-pub fn measure_drain<S>(
-    build: impl FnOnce() -> S,
-    drain: impl FnOnce(&mut S) -> usize,
-) -> DrainStats {
-    let start = Instant::now();
-    let mut state = build();
-    let preprocess_micros = start.elapsed().as_micros();
-    let drain_start = Instant::now();
-    let answers = drain(&mut state);
-    let total_nanos = drain_start.elapsed().as_nanos();
-    DrainStats {
-        preprocess_micros,
-        answers,
-        total_nanos,
-    }
-}
-
 fn finish_stats(
     preprocess_micros: u128,
     enumeration_micros: u128,
@@ -178,7 +91,6 @@ fn finish_stats(
         } else {
             total_delay / answers as u128
         },
-        first_delay_nanos: delays.first().copied().unwrap_or(0),
     }
 }
 
@@ -225,39 +137,6 @@ mod tests {
         assert_eq!(stats.answers, 100);
         assert!(stats.max_delay_nanos >= stats.mean_delay_nanos);
         assert!(stats.throughput() > 0.0);
-    }
-
-    #[test]
-    fn iterator_measurement_counts_and_bounds() {
-        let stats = measure_iterator(|| 0..1000u32);
-        assert_eq!(stats.answers, 1000);
-        assert!(stats.first_delay_nanos > 0);
-        let page = measure_take_k(|| 0..1000u32, 10);
-        assert_eq!(page.answers, 10);
-        let empty = measure_take_k(std::iter::empty::<u32>, 10);
-        assert_eq!(empty.answers, 0);
-        assert_eq!(empty.first_delay_nanos, 0);
-    }
-
-    #[test]
-    fn drain_measurement_totals() {
-        let stats = measure_drain(
-            || (0..500u32).collect::<Vec<u32>>(),
-            |v| {
-                let mut n = 0;
-                for x in v.iter() {
-                    std::hint::black_box(x);
-                    n += 1;
-                }
-                n
-            },
-        );
-        assert_eq!(stats.answers, 500);
-        assert!(stats.total_nanos > 0);
-        assert!(stats.per_answer_nanos() > 0.0);
-        let empty = measure_drain(|| (), |_| 0);
-        assert_eq!(empty.answers, 0);
-        assert_eq!(empty.per_answer_nanos(), 0.0);
     }
 
     #[test]

@@ -71,13 +71,13 @@ pub enum WorkerSpawn {
     },
     /// Run each worker on a thread of this process, still over real TCP
     /// loopback connections.  Same wire, no process isolation — the default,
-    /// and what unit tests use; integration tests and the benchmark run
-    /// real processes via `Command`.
+    /// and what unit tests use; integration tests run real processes via
+    /// `Command`.
     InProcess,
 }
 
 /// Kill one worker after it has sent a number of pages — fault injection
-/// for the reassignment tests and the E20 fault row.
+/// for the reassignment tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kill {
     /// Index of the worker to kill.

@@ -30,9 +30,8 @@
 //! # Fault injection
 //!
 //! [`WorkerFault`] makes a worker drop its connection after sending a fixed
-//! number of pages — the hook behind the kill-a-worker reassignment tests
-//! and the E20 fault row.  Process workers read it from
-//! `OMQ_CLUSTER_DIE_AFTER_PAGES` (set by the coordinator on the one child it
+//! number of pages — the hook behind the kill-a-worker reassignment tests.
+//! Process workers read it from `OMQ_CLUSTER_DIE_AFTER_PAGES` (set by the coordinator on the one child it
 //! is told to kill); in-process workers get it passed directly.
 
 use crate::messages::{CoordFrame, FactRow, WorkerFrame, MAX_PAGE_BYTES, PAGE_ANSWERS};

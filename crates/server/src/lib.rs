@@ -21,7 +21,7 @@
 //!   producers and nothing else, page frames byte-capped at
 //!   [`MAX_PAGE_BYTES`] so no response can outgrow the frame limit;
 //! - [`client`] — a small blocking client used by the examples, the
-//!   end-to-end tests and the E19 load harness in `omq-bench`.
+//!   end-to-end tests and the benchmark's `wire-paging` workload.
 //!
 //! The serving semantics on the wire are exactly the in-process ones: a
 //! cursor maps onto `ServingEngine::serve_stream` and its pages onto

@@ -107,16 +107,6 @@ impl Json {
         }
     }
 
-    /// The numeric value, if this is a number of either kind (an integer
-    /// beyond 2^53 rounds to the nearest `f64`).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

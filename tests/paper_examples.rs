@@ -321,3 +321,45 @@ fn lemma_3_2_query_directed_chase_preserves_answers() {
         render(&over_full, &brute.chased)
     );
 }
+
+/// Proposition 3.3: the query-directed chase is linear in `|D|` — checked in
+/// counts, not on a clock.  One compiled plan over `university` at n, 2n and
+/// 4n researchers: the chase output and the grafted null trees grow in
+/// proportion to the input, and the memoised bag types stop growing after the
+/// first database, because they depend on the ontology and the query alone —
+/// which is why the chase is linear.
+#[test]
+fn proposition_3_3_chase_output_is_linear_in_counts() {
+    use omq_bench::generators::{university, UniversityConfig};
+
+    let (omq, _) = university(&UniversityConfig::default());
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let mut per_size = Vec::new();
+    for researchers in [500, 1_000, 2_000] {
+        let (_, db) = university(&UniversityConfig {
+            researchers,
+            ..Default::default()
+        });
+        let stats = *plan.execute(&db).unwrap().stats();
+        assert_eq!(stats.input_facts, db.len());
+        per_size.push((stats, plan.chase_plan().memoized_bag_types()));
+    }
+
+    let (base, bag_types) = per_size[0];
+    assert!(base.input_facts > 0 && base.chased_facts > base.input_facts && base.grafts > 0);
+    assert!(bag_types > 0);
+    for (stats, types) in &per_size[1..] {
+        assert_eq!(*types, bag_types, "bag types must not depend on |D|");
+        let growth = stats.input_facts as f64 / base.input_facts as f64;
+        for (name, now, then) in [
+            ("chased_facts", stats.chased_facts, base.chased_facts),
+            ("grafts", stats.grafts, base.grafts),
+        ] {
+            let ratio = now as f64 / (then as f64 * growth);
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "{name} grew {ratio:.3}× as fast as the input ({then} → {now}, input ×{growth:.2})"
+            );
+        }
+    }
+}
