@@ -16,6 +16,10 @@
 //!   (Theorem 5.2, Algorithm 1), see [`progress`] and [`partial_enum`];
 //! * **enumeration of minimal partial answers with multi-wildcards**
 //!   (Theorem 6.1, Algorithm 2), see [`multi_enum`];
+//! * **one preprocessing per shard**: the enumeration structures are built
+//!   on first use and kept with the chased shard they derive from, so a
+//!   second cursor, a `count` or a refreshed instance starts from them, see
+//!   [`shard`];
 //! * **shared-nothing parallel execution**: the chase and the enumeration
 //!   pipeline sharded into packs of whole Gaifman components and run on
 //!   scoped threads (`QueryPlan::execute_tracked`, `execute_parallel`), see
@@ -53,6 +57,7 @@ pub mod plan;
 pub mod preprocess;
 pub mod progress;
 pub mod remote;
+pub mod shard;
 pub mod single_testing;
 pub mod stream;
 pub mod yannakakis;
@@ -64,11 +69,12 @@ pub use error::CoreError;
 pub use extension::{Extension, Tuple};
 pub use multi_enum::{MultiEnumerator, MultiStats, MAX_MULTI_WILDCARD_ARITY};
 pub use omq_data::{Answer, Semantics};
-pub use partial_enum::PartialEnumerator;
+pub use partial_enum::{PartialEnumerator, PreparedPartial};
 pub use plan::{PreparedInstance, PreprocessStats, QueryPlan};
 pub use preprocess::{FreeConnexStructure, JoinCsr, PlanSkeleton};
-pub use progress::{ProgressIndex, ProgressTree};
+pub use progress::{ProgressIndex, ProgressTree, TreeLists};
 pub use remote::RemoteShard;
+pub use shard::Shard;
 pub use stream::AnswerStream;
 
 /// Convenient `Result` alias for fallible operations in this crate.

@@ -52,10 +52,12 @@
 //! the constant-work test below holds the per-step counts flat as the data
 //! grows.
 
+use crate::enumerate::AnswerIter;
 use crate::error::CoreError;
 use crate::multi_templates::{apply_row, MultiTemplates};
 use crate::partial_enum::PartialEnumerator;
-use crate::preprocess::PlanSkeleton;
+use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
+use crate::shard::Shard;
 use crate::single_testing;
 use crate::Result;
 use omq_cq::{ConjunctiveQuery, Term};
@@ -78,19 +80,19 @@ pub(crate) fn check_multi_arity(arity: usize) -> Result<()> {
 }
 
 /// How the cursor reaches the chased database it tests candidates against:
-/// either a caller-provided borrow, or a shared shard vector (which makes the
+/// either a caller-provided borrow, or a shared shard (which makes the
 /// cursor `'static` and lets it outlive the `PreparedInstance` it came from).
 #[derive(Debug)]
 enum DbRef<'a> {
     Borrowed(&'a Database),
-    Shard(Arc<Vec<Arc<Database>>>, usize),
+    Shard(Arc<Shard>),
 }
 
 impl DbRef<'_> {
     fn get(&self) -> &Database {
         match self {
             DbRef::Borrowed(db) => db,
-            DbRef::Shard(shards, idx) => &shards[*idx],
+            DbRef::Shard(shard) => shard,
         }
     }
 }
@@ -494,6 +496,15 @@ impl ConeStep {
 /// answers with multi-wildcards.  See the [module docs](self) for what a step
 /// costs.
 ///
+/// The cursor draws its single-wildcard answers from a [`PartialEnumerator`]
+/// and owns, besides it, the candidate table and the compiled tester
+/// (query-sized).  Every constructor prepares Algorithm 1 and opens in one
+/// call — for now also the one behind an `AnswerStream` or a count over a
+/// shard.  Opening those over the prepared half the shard keeps is
+/// `PartialEnumerator::open(shard.prepared_partial(..))` in place of
+/// `PartialEnumerator::with_skeleton` and nothing else, but it has to wait
+/// for the benchmark to be able to measure it (CHANGES.md, PR 22).
+///
 /// The only fallible step after construction is the candidate tester; a
 /// tester error ends the stream and is reported by
 /// [`MultiEnumerator::error`].
@@ -510,7 +521,8 @@ pub struct MultiEnumerator<'a> {
 }
 
 impl<'a> MultiEnumerator<'a> {
-    /// Preprocesses `query` over the chased instance `d0`.
+    /// Preprocesses `query` over the chased instance `d0` and opens a cursor
+    /// over the result.
     ///
     /// Requires the query to be acyclic and free-connex acyclic, and of arity
     /// at most [`MAX_MULTI_WILDCARD_ARITY`].
@@ -519,19 +531,19 @@ impl<'a> MultiEnumerator<'a> {
         Self::with_skeleton(&skeleton, d0)
     }
 
-    /// Preprocesses a compiled skeleton over the chased instance `d0`.
+    /// Preprocesses a compiled skeleton over the chased instance `d0` and
+    /// opens a cursor over the result.
     pub fn with_skeleton(skeleton: &PlanSkeleton, d0: &'a Database) -> Result<Self> {
         Self::open(skeleton, DbRef::Borrowed(d0))
     }
 
-    /// Builds a `'static` cursor over one shard of a shared shard vector
-    /// (used by the owning `AnswerStream`).
+    /// Builds a `'static` cursor over a shard (used by the owning
+    /// `AnswerStream`), preparing Algorithm 1 afresh — see the type's docs.
     pub(crate) fn for_shard(
         skeleton: &PlanSkeleton,
-        shards: Arc<Vec<Arc<Database>>>,
-        idx: usize,
+        shard: &Arc<Shard>,
     ) -> Result<MultiEnumerator<'static>> {
-        MultiEnumerator::open(skeleton, DbRef::Shard(shards, idx))
+        MultiEnumerator::open(skeleton, DbRef::Shard(Arc::clone(shard)))
     }
 
     fn open(skeleton: &PlanSkeleton, db: DbRef<'a>) -> Result<MultiEnumerator<'a>> {
@@ -696,20 +708,20 @@ pub fn minimal_partial_answers_complete_first(
     query: &ConjunctiveQuery,
     d0: &Database,
 ) -> Result<Vec<PartialTuple>> {
-    let skeleton = PlanSkeleton::compile(query)?;
-    minimal_partial_answers_complete_first_prepared(&skeleton, d0)
+    Ok(complete_first(
+        &FreeConnexStructure::build(query, d0, true)?,
+        PartialEnumerator::new(query, d0)?,
+    ))
 }
 
-/// [`minimal_partial_answers_complete_first`] over a precompiled skeleton.
-pub fn minimal_partial_answers_complete_first_prepared(
-    skeleton: &PlanSkeleton,
-    d0: &Database,
-) -> Result<Vec<PartialTuple>> {
-    let complete_structure =
-        crate::preprocess::FreeConnexStructure::materialize(skeleton, d0, true)?;
-    let mut complete_iter = crate::enumerate::AnswerIter::new(&complete_structure);
-    let partial: Vec<PartialTuple> = PartialEnumerator::with_skeleton(skeleton, d0)?.collect();
-
+/// [`minimal_partial_answers_complete_first`] over structures the caller
+/// already has: the join structure for complete answers and an Algorithm 1
+/// cursor, both over the same chased instance.
+pub(crate) fn complete_first(
+    complete_structure: &FreeConnexStructure,
+    partial: PartialEnumerator,
+) -> Vec<PartialTuple> {
+    let mut complete_iter = AnswerIter::new(complete_structure);
     let mut output: Vec<PartialTuple> = Vec::new();
     let mut stored: Vec<PartialTuple> = Vec::new();
     let mut complete_done = false;
@@ -741,7 +753,7 @@ pub fn minimal_partial_answers_complete_first_prepared(
     // Any remaining stored answers (when Algorithm 1 finished before the
     // complete enumerator did not happen — defensively flush).
     output.extend(stored);
-    Ok(output)
+    output
 }
 
 #[cfg(test)]

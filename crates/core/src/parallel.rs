@@ -54,6 +54,7 @@ use crate::multi_enum::{check_multi_arity, MultiEnumerator};
 use crate::partial_enum::PartialEnumerator;
 use crate::plan::{PreparedInstance, QueryPlan};
 use crate::preprocess::PlanSkeleton;
+use crate::shard::Shard;
 use crate::Result;
 use omq_chase::{QchasePlan, QueryDirectedChase};
 use omq_data::{Answer, Database, MultiTuple, PartialTuple, PartialValue};
@@ -187,13 +188,9 @@ pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync + Into<Answer> {
     /// The strict preference order `≺`: `self` carries strictly more
     /// information than `other`.
     fn dominates(&self, other: &Self) -> bool;
-    /// Runs the enumeration preprocessing of shard `idx` (linear in the
-    /// shard's chase).
-    fn open(
-        skeleton: &PlanSkeleton,
-        shards: &Arc<Vec<Arc<Database>>>,
-        idx: usize,
-    ) -> Result<Self::Cursor>;
+    /// Opens a cursor over the shard's prepared half of Algorithm 1, which
+    /// the shard builds on first use (linear in its chase) and keeps.
+    fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor>;
     /// Batched pull of up to `limit` owned tuples; fewer means the cursor
     /// ended (check [`MergeTuple::error`]).
     fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize;
@@ -217,23 +214,15 @@ impl MergeTuple for PartialTuple {
     fn dominates(&self, other: &Self) -> bool {
         self.preferred_lt(other)
     }
-    fn open(
-        skeleton: &PlanSkeleton,
-        shards: &Arc<Vec<Arc<Database>>>,
-        idx: usize,
-    ) -> Result<Self::Cursor> {
-        PartialEnumerator::with_skeleton(skeleton, &shards[idx])
+    fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor> {
+        let prepared = shard.prepared_partial(skeleton)?;
+        Ok(PartialEnumerator::open(Arc::clone(prepared)))
     }
     fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
         cursor.fill_with(limit, emit)
     }
-    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, mut emit: impl FnMut(&Self)) -> usize {
-        let mut probe = PartialTuple(Vec::new());
-        cursor.fill_values(limit, |values| {
-            probe.0.clear();
-            probe.0.extend_from_slice(values);
-            emit(&probe);
-        })
+    fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize {
+        cursor.fill_ref(limit, emit)
     }
     fn error(_: &Self::Cursor) -> Option<&CoreError> {
         None
@@ -255,12 +244,8 @@ impl MergeTuple for MultiTuple {
     fn dominates(&self, other: &Self) -> bool {
         self.preferred_lt(other)
     }
-    fn open(
-        skeleton: &PlanSkeleton,
-        shards: &Arc<Vec<Arc<Database>>>,
-        idx: usize,
-    ) -> Result<Self::Cursor> {
-        MultiEnumerator::for_shard(skeleton, Arc::clone(shards), idx)
+    fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor> {
+        MultiEnumerator::for_shard(skeleton, shard)
     }
     fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
         cursor.fill_with(limit, emit)

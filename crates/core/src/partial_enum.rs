@@ -10,18 +10,27 @@
 //! are strictly dominated by the pattern just output — this is what guarantees
 //! that only *minimal* partial answers are produced, without repetition.
 //!
-//! The enumerator is a **pull-based cursor**: the recursive `enum` procedure
-//! of the paper is unrolled into an explicit frame stack
-//! ([`PartialEnumerator`] implements [`Iterator`]), so a caller can take the
-//! first `k` answers for `O(k)` cost, pause between answers, or drop the
-//! enumerator mid-stream.  The callback entry point
-//! ([`PartialEnumerator::enumerate`]) is a thin loop over the iterator.
+//! The two phases are two types.  [`PreparedPartial`] is the result of the
+//! preprocessing: immutable, built once per chased database (a
+//! `PreparedInstance` keeps one per shard, built on first use) and shared
+//! behind an [`Arc`] by every cursor over that database.
+//! [`PartialEnumerator`] is one enumeration run over it, a **pull-based
+//! cursor**: the recursive `enum` procedure of the paper is unrolled into an
+//! explicit frame stack ([`PartialEnumerator`] implements [`Iterator`]), so a
+//! caller can take the first `k` answers for `O(k)` cost, pause between
+//! answers, or drop the enumerator mid-stream.  Everything `prune` edits —
+//! the list linkage — belongs to the cursor, so opening one costs a few
+//! array fills linear in the number of progress trees, not a rebuild, and
+//! any number of cursors run over one prepared half without seeing each
+//! other.  The callback entry point ([`PartialEnumerator::enumerate`]) is a
+//! thin loop over the iterator.
 
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
-use crate::progress::{ProgressIndex, ProgressTree};
+use crate::progress::{ProgressIndex, TreeLists};
 use crate::Result;
 use omq_cq::{ConjunctiveQuery, VarId};
 use omq_data::{Database, PartialTuple, PartialValue};
+use std::sync::Arc;
 
 /// One suspended level of the unrolled `enum` recursion: the progress-tree
 /// entry currently applied at pre-order position `pos`, together with the
@@ -49,23 +58,88 @@ enum Phase {
     Done,
 }
 
-/// The Algorithm 1 enumerator — a lazy cursor over the minimal partial
-/// answers.
+/// The prepared half of Algorithm 1: what the linear-time preprocessing of
+/// Theorem 5.2 leaves behind for one chased database.  Immutable; every
+/// [`PartialEnumerator`] (and through it every `MultiEnumerator`) over the
+/// database shares one behind an [`Arc`].
 ///
-/// The enumeration phase mutates the preprocessed `trees` lists (pruning), so
-/// the cursor is consumed as it is iterated; build a new one (linear time) to
-/// re-enumerate.
+/// It keeps the progress-tree index and the query-sized layout the traversal
+/// reads, and nothing of the join structure it was built from: the reduced
+/// extensions are only needed to *find* the progress trees.
+#[derive(Debug)]
+pub struct PreparedPartial {
+    index: ProgressIndex,
+    /// The variables of every `q₁` node, in pre-order.
+    preorder_vars: Vec<Vec<VarId>>,
+    /// The node at every pre-order position.
+    preorder: Vec<usize>,
+    /// The answer tuple `x̄` (possibly with repeated variables).
+    answer_positions: Vec<VarId>,
+    /// Number of variables of the query (the width of an assignment).
+    var_count: usize,
+    /// No answer at all (detected during preprocessing).
+    empty: bool,
+    /// For Boolean queries: whether the query holds.
+    boolean_satisfiable: Option<bool>,
+}
+
+impl PreparedPartial {
+    /// Runs the preprocessing of a compiled skeleton over the chased
+    /// instance `d0`: the join structure, then the progress trees over it.
+    /// This is the one place the two are built together; the per-shard cache
+    /// of a `PreparedInstance` and the "prepare, then open" constructors of
+    /// the cursors all come here.
+    pub fn prepare(skeleton: &PlanSkeleton, d0: &Database) -> Result<Self> {
+        Self::from_structure(&FreeConnexStructure::materialize(skeleton, d0, false)?)
+    }
+
+    /// Builds the prepared half from an existing structure (which must have
+    /// been built with `complete_only = false`).
+    pub fn from_structure(structure: &FreeConnexStructure) -> Result<Self> {
+        Ok(PreparedPartial {
+            index: ProgressIndex::build(structure)?,
+            preorder_vars: structure
+                .preorder
+                .iter()
+                .map(|&node| structure.nodes[node].vars.clone())
+                .collect(),
+            preorder: structure.preorder.clone(),
+            answer_positions: structure.answer_positions.clone(),
+            var_count: structure.query.var_count(),
+            empty: structure.empty,
+            boolean_satisfiable: structure.boolean_satisfiable,
+        })
+    }
+
+    /// `true` iff a cursor over this would yield no answer.  A non-empty
+    /// join structure guarantees one (Lemma 5.4's progress invariant), so no
+    /// enumeration is needed to know.
+    pub fn is_empty(&self) -> bool {
+        self.empty
+    }
+}
+
+/// The Algorithm 1 enumerator — a lazy cursor over the minimal partial
+/// answers, over a shared [`PreparedPartial`].
+///
+/// The enumeration phase prunes the `trees` lists as it goes, so a cursor is
+/// consumed as it is iterated; what it prunes is its own linkage
+/// ([`TreeLists`]), so re-enumerating is [`PartialEnumerator::open`] on the
+/// same prepared half — a few array fills linear in the number of progress
+/// trees — and cursors over one prepared half are independent.  A cursor
+/// keeps its prepared half alive; nothing else.
 ///
 /// The per-answer loop is hash-free: the variable assignment is a dense
 /// array indexed by [`VarId`], the `trees(v, h)` list for an open node is
 /// read from precomputed *continuation sites* (see
 /// [`ProgressIndex::sites_of`]) instead of hashing the predecessor binding,
 /// and the `prune` step locates dominated trees with one hash probe per
-/// candidate weakening through a pooled probe tree.
+/// candidate weakening through a pooled probe pattern.
 #[derive(Debug)]
 pub struct PartialEnumerator {
-    structure: FreeConnexStructure,
-    index: ProgressIndex,
+    prepared: Arc<PreparedPartial>,
+    /// This cursor's linkage of the `trees` lists: what `prune` edits.
+    lists: TreeLists,
     /// Dense assignment, indexed by `VarId`.
     assignment: Vec<Option<PartialValue>>,
     /// Per node: the list id to enumerate when the node opens (maintained
@@ -81,69 +155,73 @@ pub struct PartialEnumerator {
     /// The explicit stack of the unrolled `enum` recursion.
     frames: Vec<EnumFrame>,
     phase: Phase,
-    /// Reused answer buffer for [`PartialEnumerator::fill_values`]: batched
-    /// pulls materialise each answer into this scratch and hand out a slice,
-    /// so no per-answer `PartialTuple` vector is allocated.
-    emit_scratch: Vec<PartialValue>,
+    /// Reused answer buffer of the batched pulls: each answer is
+    /// materialised into this scratch and handed out by reference, so no
+    /// per-answer `PartialTuple` vector is allocated.
+    emit_scratch: PartialTuple,
     /// Pooled scratch of the `prune` step (entry removals, base pattern,
-    /// weakenable positions, candidate probe tree).  Pruning runs once per
-    /// answer; keeping these as fields removes its per-answer heap
+    /// weakenable positions, candidate probe pattern).  Pruning runs once
+    /// per answer; keeping these as fields removes its per-answer heap
     /// allocations.
     prune_removals: Vec<usize>,
-    prune_base: Vec<(VarId, PartialValue)>,
+    prune_base: Vec<PartialValue>,
     prune_weakenable: Vec<usize>,
-    prune_probe: ProgressTree,
+    prune_probe: Vec<PartialValue>,
 }
 
 impl PartialEnumerator {
-    /// Preprocesses `query` over the chased instance `d0`.
+    /// Preprocesses `query` over the chased instance `d0` and opens a cursor
+    /// over the result.
     ///
     /// Requires the query to be acyclic and free-connex acyclic.
     pub fn new(query: &ConjunctiveQuery, d0: &Database) -> Result<Self> {
-        let structure = FreeConnexStructure::build(query, d0, false)?;
-        Self::from_structure(structure)
+        Self::from_structure(FreeConnexStructure::build(query, d0, false)?)
     }
 
-    /// Preprocesses a compiled skeleton over the chased instance `d0`.
+    /// Preprocesses a compiled skeleton over the chased instance `d0`
+    /// ([`PreparedPartial::prepare`]) and opens a cursor over the result.
     pub fn with_skeleton(skeleton: &PlanSkeleton, d0: &Database) -> Result<Self> {
-        let structure = FreeConnexStructure::materialize(skeleton, d0, false)?;
-        Self::from_structure(structure)
+        Ok(Self::open(Arc::new(PreparedPartial::prepare(
+            skeleton, d0,
+        )?)))
     }
 
-    /// Builds an enumerator from an existing structure (must have been built
-    /// with `complete_only = false`).
+    /// Prepares from an existing structure (must have been built with
+    /// `complete_only = false`) and opens a cursor over the result.
     pub fn from_structure(structure: FreeConnexStructure) -> Result<Self> {
-        let index = ProgressIndex::build(&structure)?;
-        let var_count = structure.query.var_count();
-        let node_count = structure.nodes.len();
-        let mut open_list = vec![None; node_count];
-        for &(node, list) in index.root_sites() {
+        Ok(Self::open(Arc::new(PreparedPartial::from_structure(
+            &structure,
+        )?)))
+    }
+
+    /// Opens a cursor over a prepared half: fresh list linkage, empty
+    /// assignment.  Linear in the number of progress trees, with a constant
+    /// of a few array writes per tree.
+    pub fn open(prepared: Arc<PreparedPartial>) -> Self {
+        let mut open_list = vec![None; prepared.preorder.len()];
+        for &(node, list) in prepared.index.root_sites() {
             open_list[node] = list;
         }
-        Ok(PartialEnumerator {
-            structure,
-            index,
-            assignment: vec![None; var_count],
+        PartialEnumerator {
+            lists: prepared.index.lists(),
+            assignment: vec![None; prepared.var_count],
             open_list,
             site_undo: Vec::new(),
             var_undo: Vec::new(),
             frames: Vec::new(),
             phase: Phase::Start,
-            emit_scratch: Vec::new(),
+            emit_scratch: PartialTuple(Vec::new()),
             prune_removals: Vec::new(),
             prune_base: Vec::new(),
             prune_weakenable: Vec::new(),
-            prune_probe: ProgressTree {
-                root: 0,
-                nodes: Vec::new(),
-                pattern: Vec::new(),
-            },
-        })
+            prune_probe: Vec::new(),
+            prepared,
+        }
     }
 
-    /// The underlying preprocessed structure.
-    pub fn structure(&self) -> &FreeConnexStructure {
-        &self.structure
+    /// The prepared half this cursor runs over.
+    pub fn prepared(&self) -> &Arc<PreparedPartial> {
+        &self.prepared
     }
 
     /// Runs the enumeration to completion, invoking `output` for every
@@ -159,10 +237,8 @@ impl PartialEnumerator {
     /// The `nextat` helper: the first pre-order position `≥ from` whose node
     /// has an unassigned variable, or `None` for "end of atoms".
     fn next_open(&self, from: usize) -> Option<usize> {
-        (from..self.structure.preorder.len()).find(|&pos| {
-            let node = self.structure.preorder[pos];
-            self.structure.nodes[node]
-                .vars
+        (from..self.prepared.preorder.len()).find(|&pos| {
+            self.prepared.preorder_vars[pos]
                 .iter()
                 .any(|v| self.assignment[v.0 as usize].is_none())
         })
@@ -174,9 +250,10 @@ impl PartialEnumerator {
     /// root and agree with the pattern), publishes the tree's continuation
     /// sites, and pushes the frame that remembers how to undo both.
     fn apply(&mut self, pos: usize, entry: usize) {
+        let index = &self.prepared.index;
         let var_base = self.var_undo.len();
-        for i in 0..self.index.tree(entry).pattern.len() {
-            let (var, value) = self.index.tree(entry).pattern[i];
+        let tree = index.tree(entry);
+        for (&var, &value) in tree.vars.iter().zip(tree.values) {
             let slot = &mut self.assignment[var.0 as usize];
             if slot.is_none() {
                 *slot = Some(value);
@@ -184,8 +261,7 @@ impl PartialEnumerator {
             }
         }
         let site_base = self.site_undo.len();
-        for i in 0..self.index.sites_of(entry).len() {
-            let (site_node, list) = self.index.sites_of(entry)[i];
+        for (site_node, list) in index.sites_of(entry) {
             self.site_undo.push((site_node, self.open_list[site_node]));
             self.open_list[site_node] = list;
         }
@@ -211,7 +287,7 @@ impl PartialEnumerator {
                 let var = self.var_undo.pop().expect("frame non-empty");
                 self.assignment[var.0 as usize] = None;
             }
-            if let Some(next_entry) = self.index.next_of(frame.entry) {
+            if let Some(next_entry) = self.lists.next_of(frame.entry) {
                 self.apply(frame.pos, next_entry);
                 return Some(frame.pos + 1);
             }
@@ -237,13 +313,13 @@ impl PartialEnumerator {
                 // End of atoms: the assignment describes the next answer.
                 return true;
             };
-            let node = self.structure.preorder[pos];
+            let node = self.prepared.preorder[pos];
             // The list for this node under the current predecessor binding
             // was precomputed as a site of the tree that bound the
             // predecessors (or as a root site).  `None` means no progress
             // tree exists for the binding: nothing to enumerate below it
             // (Lemma 5.4 rules this out; handled defensively).
-            let head = self.open_list[node].and_then(|list| self.index.head(list));
+            let head = self.open_list[node].and_then(|list| self.lists.head(list));
             match head {
                 Some(entry) => {
                     self.apply(pos, entry);
@@ -261,47 +337,54 @@ impl PartialEnumerator {
     /// Returns the number produced; fewer than `limit` means the enumeration
     /// is exhausted.
     ///
-    /// Thin owning wrapper over [`PartialEnumerator::fill_values`] for
-    /// callers that need `PartialTuple`s to keep.
+    /// Thin owning wrapper over [`PartialEnumerator::fill_ref`] for callers
+    /// that need `PartialTuple`s to keep.
     pub fn fill_with(&mut self, limit: usize, mut emit: impl FnMut(PartialTuple)) -> usize {
-        self.fill_values(limit, |values| emit(PartialTuple(values.to_vec())))
+        self.fill_ref(limit, |tuple| emit(tuple.clone()))
+    }
+
+    /// [`PartialEnumerator::fill_ref`] handing out the answer as a value
+    /// slice.
+    pub fn fill_values(&mut self, limit: usize, mut emit: impl FnMut(&[PartialValue])) -> usize {
+        self.fill_ref(limit, |tuple| emit(&tuple.0))
     }
 
     /// Allocation-free batched pull: produces up to `limit` answers, invoking
-    /// `emit` once per answer with the answer values in a scratch buffer
-    /// reused across answers *and* across batches.  The only per-answer heap
-    /// traffic left is whatever the caller's `emit` does with the slice —
+    /// `emit` once per answer with the answer in a scratch tuple reused
+    /// across answers *and* across batches.  The only per-answer heap
+    /// traffic left is whatever the caller's `emit` does with the tuple —
     /// counting and merge probing consume it in place.  Returns the number
     /// produced; fewer than `limit` means the enumeration is exhausted.  This
     /// is the enumerator's one state machine; every other pull is a call of
     /// it.
-    pub fn fill_values(&mut self, limit: usize, mut emit: impl FnMut(&[PartialValue])) -> usize {
+    pub fn fill_ref(&mut self, limit: usize, mut emit: impl FnMut(&PartialTuple)) -> usize {
         if limit == 0 {
             return 0;
         }
         let mut produced = 0usize;
         // Detach the scratch so the traversal below can borrow `self`
-        // mutably while `emit` sees the materialised slice.
-        let mut scratch = std::mem::take(&mut self.emit_scratch);
+        // mutably while `emit` sees the materialised tuple.
+        let mut scratch = std::mem::replace(&mut self.emit_scratch, PartialTuple(Vec::new()));
         loop {
             match self.phase {
                 Phase::Done => break,
                 Phase::Start => {
-                    if self.structure.empty {
+                    if self.prepared.empty {
                         self.phase = Phase::Done;
                         break;
                     }
-                    if let Some(satisfiable) = self.structure.boolean_satisfiable {
+                    if let Some(satisfiable) = self.prepared.boolean_satisfiable {
                         self.phase = Phase::Done;
                         if satisfiable {
-                            emit(&[]);
+                            scratch.0.clear();
+                            emit(&scratch);
                             produced += 1;
                         }
                         break;
                     }
                     if self.advance(true) {
                         self.phase = Phase::AtAnswer;
-                        self.materialise_into(&mut scratch);
+                        self.materialise_into(&mut scratch.0);
                         emit(&scratch);
                         self.prune();
                         produced += 1;
@@ -312,7 +395,7 @@ impl PartialEnumerator {
                 }
                 Phase::AtAnswer => {
                     if self.advance(false) {
-                        self.materialise_into(&mut scratch);
+                        self.materialise_into(&mut scratch.0);
                         emit(&scratch);
                         self.prune();
                         produced += 1;
@@ -335,7 +418,7 @@ impl PartialEnumerator {
     fn materialise_into(&self, out: &mut Vec<PartialValue>) {
         out.clear();
         out.extend(
-            self.structure
+            self.prepared
                 .answer_positions
                 .iter()
                 .map(|v| self.assignment[v.0 as usize].expect("answer variable bound")),
@@ -347,92 +430,66 @@ impl PartialEnumerator {
     /// that are strictly dominated (same nodes, strictly more wildcards
     /// compatible with the output pattern).  Each candidate weakening is one
     /// hash probe against the index's tree→entry table, through a pooled
-    /// probe tree — prune runs once per answer, and this loop is the bulk of
-    /// the enumeration phase's per-answer constant.
+    /// probe pattern — prune runs once per answer, and this loop is the bulk
+    /// of the enumeration phase's per-answer constant.
     fn prune(&mut self) {
-        // The scratch buffers are pooled on the enumerator (prune runs once
-        // per answer); they are detached for the duration of the pass because
-        // `subtrees()` keeps `self.index` borrowed.
-        let mut removals = std::mem::take(&mut self.prune_removals);
-        let mut base = std::mem::take(&mut self.prune_base);
-        let mut weakenable = std::mem::take(&mut self.prune_weakenable);
-        let mut probe = std::mem::replace(
-            &mut self.prune_probe,
-            ProgressTree {
-                root: 0,
-                nodes: Vec::new(),
-                pattern: Vec::new(),
-            },
-        );
+        let PartialEnumerator {
+            prepared,
+            lists,
+            assignment,
+            open_list,
+            prune_removals: removals,
+            prune_base: base,
+            prune_weakenable: weakenable,
+            prune_probe: probe,
+            ..
+        } = self;
+        let index = &prepared.index;
         removals.clear();
-        for (root, nodes, vars) in self.index.subtrees() {
-            // Progress trees carry constants on the predecessor variables of
-            // their root; if the output assigns a wildcard there, no tree in
-            // any list can match a weakening of this output.
-            let pred_vars = &self.structure.nodes[root].pred_vars;
-            if pred_vars
-                .iter()
-                .any(|w| matches!(self.assignment[w.0 as usize], Some(PartialValue::Star)))
-            {
-                continue;
-            }
+        for (shape, (root, _, vars, pinned)) in index.shapes().enumerate() {
             // The list holding trees rooted here under the output's
             // predecessor binding is the node's active list; with no active
             // list, no tree can be dominated.
-            let Some(list_id) = self.open_list[root] else {
+            let Some(list_id) = open_list[root] else {
                 continue;
             };
-            // Base pattern: the output restricted to the subtree's variables.
+            // Base pattern: the output restricted to the shape's variables.
             base.clear();
             base.extend(
                 vars.iter()
-                    .map(|v| (*v, self.assignment[v.0 as usize].expect("variable bound"))),
+                    .map(|v| assignment[v.0 as usize].expect("variable bound")),
             );
-            // Predecessor variables of the subtree root must stay non-wildcard
-            // (condition (1) of progress trees), so only the other constant
-            // positions may be weakened.
-            weakenable.clear();
-            weakenable.extend(
-                base.iter()
-                    .enumerate()
-                    .filter(|(_, (v, value))| {
-                        matches!(value, PartialValue::Const(_)) && !pred_vars.contains(v)
-                    })
-                    .map(|(i, _)| i),
-            );
-            if weakenable.is_empty() {
+            // Progress trees carry constants on the predecessor variables of
+            // their root (condition (1) of progress trees): if the output
+            // assigns a wildcard there, no tree in any list can match a
+            // weakening of this output, and otherwise only the other
+            // constant positions may be weakened.
+            if base.iter().zip(pinned).any(|(v, &p)| p && v.is_star()) {
                 continue;
             }
-            probe.root = root;
-            probe.nodes.clear();
-            probe.nodes.extend_from_slice(nodes);
+            weakenable.clear();
+            weakenable.extend((0..base.len()).filter(|&i| !pinned[i] && !base[i].is_star()));
             // All non-empty subsets of weakenable positions.
             let subset_count: u64 = 1u64 << weakenable.len().min(63);
             for mask in 1..subset_count {
-                probe.pattern.clear();
-                probe.pattern.extend_from_slice(&base);
+                probe.clear();
+                probe.extend_from_slice(base);
                 for (bit, &pos) in weakenable.iter().enumerate() {
                     if mask & (1 << bit) != 0 {
-                        probe.pattern[pos].1 = PartialValue::Star;
+                        probe[pos] = PartialValue::Star;
                     }
                 }
-                if let Some(entry) = self.index.entry_of(&probe) {
+                if let Some(entry) = index.entry_of(shape, probe) {
                     // A tree's pattern pins its predecessor binding, so a
                     // matching tree necessarily lives in the active list.
-                    debug_assert!(
-                        self.index.find_in_list(list_id, nodes, &probe.pattern) == Some(entry)
-                    );
+                    debug_assert!(index.find_in_list(list_id, shape, probe) == Some(entry));
                     removals.push(entry);
                 }
             }
         }
-        for &entry in &removals {
-            self.index.remove_entry(entry);
+        for &entry in removals.iter() {
+            index.remove_entry(lists, entry);
         }
-        self.prune_removals = removals;
-        self.prune_base = base;
-        self.prune_weakenable = weakenable;
-        self.prune_probe = probe;
     }
 }
 
@@ -564,6 +621,31 @@ mod tests {
             PartialEnumerator::new(&q, &db).unwrap().count(),
             minimal_partial_answers(&q, &db).unwrap().len()
         );
+    }
+
+    #[test]
+    fn cursors_over_one_prepared_half_are_independent() {
+        let db = chaselike_db();
+        let q = ConjunctiveQuery::parse("q(x, y, z) :- A(x), R(x, y), S(y, z)").unwrap();
+        let reference = minimal_partial_answers(&q, &db).unwrap();
+        let mut first = PartialEnumerator::new(&q, &db).unwrap();
+        let mut second = PartialEnumerator::open(Arc::clone(first.prepared()));
+        // Interleaved: each prunes its own linkage only.
+        let mut seen = (Vec::new(), Vec::new());
+        loop {
+            let (a, b) = (first.next(), second.next());
+            if a.is_none() && b.is_none() {
+                break;
+            }
+            seen.0.extend(a);
+            seen.1.extend(b);
+        }
+        assert_eq!(seen.0, reference);
+        assert_eq!(seen.1, reference);
+        // An exhausted cursor has pruned; one opened afterwards starts over.
+        let third = PartialEnumerator::open(Arc::clone(second.prepared()));
+        assert!(Arc::ptr_eq(first.prepared(), third.prepared()));
+        assert_eq!(third.collect::<Vec<_>>(), reference);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::multi_enum;
 use crate::parallel::{available_workers, chase_packs, map_bounded, MergeTuple, WildcardMerge};
 use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
+use crate::shard::Shard;
 use crate::single_testing;
 use crate::stream::AnswerStream;
 use crate::Result;
@@ -224,8 +225,9 @@ impl QueryPlan {
     /// executor and [`PreparedInstance::refresh`]: rejects a chase whose
     /// saturation was cut off by `max_saturation_rounds` (its answer set
     /// would be silently incomplete), folds the per-part chase statistics,
-    /// puts every freshly chased part behind its own [`Arc`] — fresh shards
-    /// lead, `reused` ones follow — and attaches the provenance.
+    /// puts every freshly chased part behind its own [`Arc`]'d [`Shard`] —
+    /// fresh shards lead, `reused` ones follow, with whatever structures they
+    /// have built — and attaches the provenance.
     /// `rechased_facts` is how many of `db`'s facts went into `fresh`.
     pub(crate) fn assemble(
         &self,
@@ -233,7 +235,7 @@ impl QueryPlan {
         rechased_facts: usize,
         started: Instant,
         fresh: Vec<QueryDirectedChase>,
-        reused: Vec<Arc<Database>>,
+        reused: Vec<Arc<Shard>>,
         provenance: Option<Provenance>,
     ) -> Result<PreparedInstance> {
         let mut stats = PreprocessStats {
@@ -256,7 +258,7 @@ impl QueryPlan {
             stats.chased_facts += part.database.len();
             stats.grafts += part.grafts;
             stats.memo_hits += part.memo_hits;
-            shards.push(Arc::new(part.database));
+            shards.push(Arc::new(Shard::new(part.database)));
         }
         for shard in reused {
             stats.chased_facts += shard.len();
@@ -359,13 +361,15 @@ impl Provenance {
 #[derive(Debug)]
 pub struct PreparedInstance {
     plan: QueryPlan,
-    /// The chased database(s), one per shard; never empty.  The vector is
-    /// shared behind an [`Arc`] so that [`AnswerStream`]s own the data they
+    /// The chased database(s), one per shard, each with the enumeration
+    /// structures built over it so far; never empty.  The vector is shared
+    /// behind an [`Arc`] so that [`AnswerStream`]s own the data they
     /// enumerate and can outlive the instance; each *shard* is additionally
     /// its own [`Arc`] so that [`PreparedInstance::refresh`] can splice
-    /// untouched shards — chase output, columnar indexes and all — into a
-    /// successor instance without copying a fact.
-    shards: Arc<Vec<Arc<Database>>>,
+    /// untouched shards — chase output, columnar indexes, enumeration
+    /// structures and all — into a successor instance without copying a
+    /// fact.
+    shards: Arc<Vec<Arc<Shard>>>,
     stats: PreprocessStats,
     /// Component keys of every shard, present iff the instance was produced
     /// by the sharded executor ([`QueryPlan::execute_tracked`],
@@ -404,9 +408,25 @@ impl PreparedInstance {
     ///
     /// Each shard sits behind its own [`Arc`]: instances produced by
     /// [`PreparedInstance::refresh`] share the untouched shards of their
-    /// predecessor by pointer (observable via [`Arc::ptr_eq`]).
-    pub fn shards(&self) -> &[Arc<Database>] {
+    /// predecessor by pointer (observable via [`Arc::ptr_eq`]).  A [`Shard`]
+    /// dereferences to its [`Database`] and carries the enumeration
+    /// structures built over it, so a shared shard is also a shared cache.
+    pub fn shards(&self) -> &[Arc<Shard>] {
         &self.shards
+    }
+
+    /// How many enumeration-structure builds have run over the shards of
+    /// this instance — by it, by a predecessor it inherited the shard from,
+    /// or by a stream either handed out.  Every shard builds each of its two
+    /// kinds (the join structure for complete answers, Algorithm 1's
+    /// prepared half for the wildcard semantics) at most once, on first use:
+    /// the number is `0` after an execution, at most `2 × shards` ever, and
+    /// does not move when a cursor is opened, a count taken or an `exists`
+    /// asked a second time.  The per-layer accessors
+    /// ([`PreparedInstance::complete_structure`] and friends) build afresh
+    /// and are not counted.
+    pub fn structure_builds(&self) -> usize {
+        self.shards.iter().map(|s| s.structure_builds()).sum()
     }
 
     /// Number of shards of this instance.
@@ -421,7 +441,7 @@ impl PreparedInstance {
     }
 
     /// The sole shard, or an error naming the single-shard-only operation.
-    fn single_shard(&self, op: &str) -> Result<&Database> {
+    fn single_shard(&self, op: &str) -> Result<&Arc<Shard>> {
         match self.shards.as_slice() {
             [single] => Ok(single),
             _ => Err(CoreError::ShardedInstance(op.to_owned())),
@@ -438,9 +458,11 @@ impl PreparedInstance {
     /// components is.  The components of the dirty shards, together with the
     /// brand-new ones, are packed again against `db` and re-chased (sharing
     /// the plan's bag-type memo), and the remaining shards of `self` are
-    /// spliced into the new instance by [`Arc`]-clone — their chase output
-    /// and columnar indexes are not recomputed
-    /// ([`PreprocessStats::reused_shards`] counts them).  A commit that
+    /// spliced into the new instance by [`Arc`]-clone — their chase output,
+    /// columnar indexes and the enumeration structures already built over
+    /// them are not recomputed ([`PreprocessStats::reused_shards`] counts
+    /// them; [`PreparedInstance::structure_builds`] does not move for
+    /// them).  A commit that
     /// merges two components is no exception: both their shards are dirty,
     /// the merged component is chased once.  The freshly chased shards are
     /// ordered *first*, so the time to the first answer of a post-refresh
@@ -580,7 +602,7 @@ impl PreparedInstance {
         // and they are delta-sized, which is what makes post-refresh
         // time-to-first-answer proportional to the delta.  Then the
         // untouched shards of the predecessor, spliced by pointer.
-        let mut reused: Vec<Arc<Database>> = Vec::with_capacity(clean.len());
+        let mut reused: Vec<Arc<Shard>> = Vec::with_capacity(clean.len());
         for idx in clean {
             let shard = &self.shards[idx];
             shard.verify_columnar()?;
@@ -603,13 +625,18 @@ impl PreparedInstance {
     /// Returns the lazy answer cursor for `semantics` — the engine's one
     /// enumeration entry point (Theorems 4.1(1), 5.2 and 6.1 of the paper).
     ///
-    /// The call runs the per-shard enumeration preprocessing (linear in the
-    /// chase) and returns an [`AnswerStream`] whose `next()` is constant
-    /// work, so `answers(sem)?.take(k)` costs `O(k)` beyond preprocessing —
-    /// the complexity guarantee the paper is about, surfaced as an API.  The
-    /// stream owns shared handles to the plan and the shard data: it may
-    /// outlive this instance, be parked between requests (resumable
-    /// pagination), or be dropped mid-way.
+    /// The call itself only checks the tractability gate.  The stream opens
+    /// a cursor over a shard when it reaches it; the first cursor of a kind
+    /// over a shard runs that shard's enumeration preprocessing (linear in
+    /// its chase) and leaves the structure with the shard, so every later
+    /// cursor, `count` and `exists` — of this instance or of a
+    /// [`PreparedInstance::refresh`] successor that reuses the shard —
+    /// starts from it.  After that, `next()` is constant work, so
+    /// `answers(sem)?.take(k)` costs `O(k)` beyond preprocessing — the
+    /// complexity guarantee the paper is about, surfaced as an API.  The
+    /// stream owns shared handles to the plan and the shards: it may outlive
+    /// this instance, be parked between requests (resumable pagination), or
+    /// be dropped mid-way.
     ///
     /// On sharded instances the per-shard streams are chained and the
     /// cross-shard minimality filter for wildcard-only answers plus the
@@ -704,7 +731,7 @@ impl PreparedInstance {
 
     /// The shard vector behind this instance, shared with the answer
     /// streams it produces.
-    pub(crate) fn shared_shards(&self) -> &Arc<Vec<Arc<Database>>> {
+    pub(crate) fn shared_shards(&self) -> &Arc<Vec<Arc<Shard>>> {
         &self.shards
     }
 
@@ -732,9 +759,8 @@ impl PreparedInstance {
         match semantics {
             Semantics::Complete => {
                 let counts = self.map_shards(|idx| {
-                    let structure =
-                        FreeConnexStructure::materialize(skeleton, &self.shards[idx], true)?;
-                    Ok(crate::enumerate::count_answers(&structure))
+                    let structure = self.shards[idx].complete_structure(skeleton)?;
+                    Ok(crate::enumerate::count_answers(structure))
                 })?;
                 if skeleton.boolean {
                     // The stream dedups the Boolean empty tuple across
@@ -755,7 +781,7 @@ impl PreparedInstance {
     fn count_wildcard<T: MergeTuple>(&self, skeleton: &PlanSkeleton) -> Result<u64> {
         let patterns = T::wildcard_only(skeleton)?;
         let parts = self.map_shards(|idx| {
-            let mut cursor = T::open(skeleton, &self.shards, idx)?;
+            let mut cursor = T::open(skeleton, &self.shards[idx])?;
             let mut merge = WildcardMerge::new(Arc::clone(&patterns));
             let mut counted = 0u64;
             loop {
@@ -782,7 +808,9 @@ impl PreparedInstance {
 
     /// Emptiness probe for `semantics` — always equal to
     /// `answers(semantics)?.next().is_some()`, without materialising any
-    /// answer and without running the wildcard enumeration at all:
+    /// answer and without running the wildcard enumeration at all, on the
+    /// structures the shards keep (built here for the shards visited, if no
+    /// cursor or count has built them yet):
     ///
     /// * complete answers need one cursor descent per shard (first hit
     ///   wins);
@@ -792,15 +820,14 @@ impl PreparedInstance {
     ///   dominating ones, so it cannot empty a non-empty union.
     pub fn exists(&self, semantics: Semantics) -> Result<bool> {
         let skeleton = self.plan.skeleton()?;
-        let complete_only = semantics == Semantics::Complete;
         for shard in self.shards.iter() {
-            let structure = FreeConnexStructure::materialize(skeleton, shard, complete_only)?;
-            let found = if complete_only {
-                crate::enumerate::has_answer(&structure)
-            } else if let Some(satisfiable) = structure.boolean_satisfiable {
-                satisfiable
-            } else {
-                !structure.empty
+            let found = match semantics {
+                Semantics::Complete => {
+                    crate::enumerate::has_answer(shard.complete_structure(skeleton)?)
+                }
+                Semantics::MinimalPartial | Semantics::MinimalPartialMulti => {
+                    !shard.prepared_partial(skeleton)?.is_empty()
+                }
             };
             if found {
                 return Ok(true);
@@ -822,25 +849,30 @@ impl PreparedInstance {
     // ------------------------------------------------------------------
 
     /// Builds the constant-delay enumeration structure for complete answers
-    /// (Theorem 4.1(1)).  Requires the query to be acyclic and free-connex
-    /// acyclic, and the instance to be single-shard.
+    /// (Theorem 4.1(1)) — afresh on every call; the copy the shard keeps for
+    /// `answers`, `count` and `exists` is neither read nor filled.  Requires
+    /// the query to be acyclic and free-connex acyclic, and the instance to
+    /// be single-shard.
     pub fn complete_structure(&self) -> Result<FreeConnexStructure> {
         let shard = self.single_shard("complete_structure")?;
         FreeConnexStructure::materialize(self.plan.skeleton()?, shard, true)
     }
 
     /// Builds the enumeration structure for partial answers (labelled nulls
-    /// kept), shared by the wildcard engines.  Single-shard instances only.
+    /// kept), the one Algorithm 1's preprocessing starts from — afresh on
+    /// every call.  Single-shard instances only.
     pub fn partial_structure(&self) -> Result<FreeConnexStructure> {
         let shard = self.single_shard("partial_structure")?;
         FreeConnexStructure::materialize(self.plan.skeleton()?, shard, false)
     }
 
-    /// Builds the Algorithm 1 cursor (linear-time preprocessing of
-    /// Theorem 5.2).  The returned enumerator is an `Iterator` consumed by a
-    /// single enumeration run; build a new one to re-enumerate.
-    /// Single-shard instances only; sharded instances stream via
-    /// [`PreparedInstance::answers`].
+    /// Runs the linear-time preprocessing of Theorem 5.2 — afresh on every
+    /// call, not on the shard's prepared half — and opens an Algorithm 1
+    /// cursor over the result.  The returned enumerator is an `Iterator`
+    /// consumed by a single enumeration run;
+    /// `PartialEnumerator::open(Arc::clone(cursor.prepared()))` opens
+    /// another over the same preprocessing.  Single-shard instances only;
+    /// sharded instances stream via [`PreparedInstance::answers`].
     pub fn partial_enumerator(&self) -> Result<PartialEnumerator> {
         let shard = self.single_shard("partial_enumerator")?;
         PartialEnumerator::with_skeleton(self.plan.skeleton()?, shard)
@@ -852,10 +884,11 @@ impl PreparedInstance {
     /// construction.
     pub fn enumerate_minimal_partial_complete_first(&self) -> Result<Vec<Answer>> {
         if let [shard] = self.shards.as_slice() {
-            let ordered = multi_enum::minimal_partial_answers_complete_first_prepared(
-                self.plan.skeleton()?,
-                shard,
-            )?;
+            let skeleton = self.plan.skeleton()?;
+            let ordered = multi_enum::complete_first(
+                shard.complete_structure(skeleton)?,
+                PartialTuple::open(skeleton, shard)?,
+            );
             return Ok(ordered.into_iter().map(Answer::Partial).collect());
         }
         // Sharded: merge, then stable-partition the complete answers first.
@@ -869,8 +902,9 @@ impl PreparedInstance {
     // Testing.
     // ------------------------------------------------------------------
 
-    /// Builds the all-tester for complete answers (Theorem 4.1(2)); requires
-    /// the query to be free-connex acyclic (acyclicity is *not* required).
+    /// Builds the all-tester for complete answers (Theorem 4.1(2)) — afresh
+    /// on every call; requires the query to be free-connex acyclic
+    /// (acyclicity is *not* required).
     /// Single-shard instances only; on sharded instances use
     /// [`PreparedInstance::test_complete_names`], which tests across shards.
     pub fn all_tester(&self) -> Result<AllTester> {

@@ -12,52 +12,74 @@
 //! variables shared with `v`'s parent to constants), the list `trees(v, h)`
 //! holds all progress trees rooted at `v` that agree with `h`, sorted in
 //! *database-preferring order*: trees with fewer nodes first, and among trees
-//! with the same node set, trees with fewer wildcards first.  The lists are
-//! stored in an arena-backed doubly-linked structure so that Algorithm 1 can
-//! remove arbitrary entries in constant time while other iterations are in
-//! flight (the `prune` step).
+//! with the same node set, trees with fewer wildcards first.
+//!
+//! # Layout
+//!
+//! The structure comes in two halves, the way a plan and its instances do:
+//!
+//! * [`ProgressIndex`] is the **immutable** half, built once per chased
+//!   database and shared by every cursor over it.  It stores each tree
+//!   exactly once: a tree's node set is one of the (query-many) connected
+//!   subtrees of `T₁`, kept once in a shape table together with its sorted
+//!   variables and its continuation-site nodes; a tree itself is four `u32`s
+//!   — its shape, where its pattern values start in one flat value pool,
+//!   where its site list ids start in another, and its list.  The entries of
+//!   a list are contiguous and sorted in database-preferring order, so the
+//!   initial linkage is implicit and [`ProgressIndex::find_in_list`] is a
+//!   binary search over a range.  The tree → entry table behind
+//!   [`ProgressIndex::entry_of`] is an open-addressing table of entry ids
+//!   that hashes and compares against the pools, so it owns no key.
+//! * [`TreeLists`] is the **per-cursor** half: the doubly-linked `prev` /
+//!   `next` arrays, the list heads and the removed flags that Algorithm 1's
+//!   `prune` step edits.  [`ProgressIndex::lists`] produces a fresh one in
+//!   time linear in the number of trees — a few `u32` array fills — which is
+//!   all a second cursor over the same database costs; two cursors never
+//!   see each other's removals.
 
+use crate::error::CoreError;
 use crate::preprocess::FreeConnexStructure;
 use crate::Result;
 use omq_cq::VarId;
 use omq_data::{PartialValue, Value};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::{FxHashMap, FxHasher};
+use std::cmp::Ordering;
+use std::hash::Hasher;
 
-/// One expansion of an extension tuple: the included nodes and the wildcard
-/// pattern over their variables.
-type Expansion = (Vec<usize>, Vec<(VarId, PartialValue)>);
+/// "No entry" / "no list" in the `u32` index arrays.
+const NONE: u32 = u32::MAX;
 
-/// Memoisation table of [`expand`], keyed by `(node, tuple index)`.
-type ExpansionMemo = FxHashMap<(usize, usize), Vec<Expansion>>;
+fn some(index: u32) -> Option<usize> {
+    (index != NONE).then_some(index as usize)
+}
 
-/// A progress tree `(p, g)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProgressTree {
+/// A progress tree `(p, g)`, borrowed from the index's pools.
+#[derive(Debug, Clone, Copy)]
+pub struct ProgressTree<'a> {
     /// The root node (index into the preprocessed structure's nodes).
     pub root: usize,
     /// The included nodes, sorted ascending (always contains `root`).
-    pub nodes: Vec<usize>,
-    /// The assignment `g` of the included nodes' variables, sorted by
-    /// variable identifier; values are database constants or `*`.
-    pub pattern: Vec<(VarId, PartialValue)>,
+    pub nodes: &'a [usize],
+    /// The variables of the included nodes, sorted ascending.
+    pub vars: &'a [VarId],
+    /// The assignment `g`, parallel to `vars`: database constants or `*`.
+    pub values: &'a [PartialValue],
 }
 
-impl ProgressTree {
+impl ProgressTree<'_> {
     /// Number of wildcard positions of the pattern.
     pub fn star_count(&self) -> usize {
-        self.pattern
-            .iter()
-            .filter(|(_, v)| matches!(v, PartialValue::Star))
-            .count()
+        star_count(self.values)
     }
 
     /// Looks up the pattern value of a variable.
     pub fn value_of(&self, var: VarId) -> Option<PartialValue> {
-        self.pattern
-            .iter()
-            .find(|(v, _)| *v == var)
-            .map(|(_, value)| *value)
+        self.vars.binary_search(&var).ok().map(|i| self.values[i])
     }
+}
+
+fn star_count(values: &[PartialValue]) -> usize {
+    values.iter().filter(|v| v.is_star()).count()
 }
 
 /// Converts a database value into a pattern value (`null ↦ *`).
@@ -68,21 +90,6 @@ pub fn pattern_of_value(value: Value) -> PartialValue {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    tree: ProgressTree,
-    prev: Option<usize>,
-    next: Option<usize>,
-    list: usize,
-    removed: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct ListHead {
-    head: Option<usize>,
-    live: usize,
-}
-
 /// A continuation site of a progress tree: after the tree is applied, the
 /// pre-order traversal will next need the `trees(node, h)` list with the
 /// statically known binding `h` — `list` is its id (`None` if no tree exists
@@ -90,29 +97,104 @@ struct ListHead {
 /// enumeration phase never hashes a predecessor binding.
 pub type Site = (usize, Option<usize>);
 
-/// The global `trees(v, h)` data structure.
-#[derive(Debug, Clone)]
+/// One connected subtree of `T₁`: everything about a progress tree that
+/// depends on the query alone.
+#[derive(Debug)]
+struct Shape {
+    root: usize,
+    /// The included nodes, sorted ascending.
+    nodes: Vec<usize>,
+    /// The variables of the included nodes, sorted ascending.
+    vars: Vec<VarId>,
+    /// Parallel to `vars`: a predecessor variable of `root`.  Such a
+    /// variable carries a constant in every tree of this shape (condition
+    /// (1) of progress trees), so `prune` never weakens it.
+    pinned: Vec<bool>,
+    /// The nodes a tree of this shape publishes a site for: the `T₁`
+    /// children of its nodes that are outside it, transitively through
+    /// pass-through nodes (nodes binding no variable of their own).
+    frontier: Vec<usize>,
+}
+
+/// One progress tree of the index.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// Index into the shape table.
+    shape: u32,
+    /// Start of the pattern values in the value pool (one per shape
+    /// variable).
+    values: u32,
+    /// Start of the site list ids in the site pool (one per frontier node).
+    sites: u32,
+    /// The list holding the tree.
+    list: u32,
+}
+
+/// The global `trees(v, h)` data structure — the immutable half; see the
+/// [module docs](self) for the layout.
+#[derive(Debug)]
 pub struct ProgressIndex {
-    arena: Vec<Entry>,
-    lists: Vec<ListHead>,
-    /// `(node, predecessor binding)` → list id.
-    list_ids: FxHashMap<(usize, Vec<Value>), usize>,
-    /// Progress tree → arena entry (every tree occurs in exactly one list).
-    locations: FxHashMap<ProgressTree, usize>,
-    /// All connected subtrees of `T₁`, grouped by root: `(root, node set)`.
-    subtrees: Vec<(usize, Vec<usize>)>,
-    /// Variables of each subtree (union over its nodes), parallel to
-    /// [`ProgressIndex::subtrees`].
-    subtree_vars: Vec<Vec<VarId>>,
-    /// Per arena entry: the continuation sites its pattern enables (frontier
-    /// nodes of the tree, transitively through pass-through nodes whose
-    /// variables are all predecessor variables).
-    entry_sites: Vec<Vec<Site>>,
+    shapes: Vec<Shape>,
+    entries: Vec<Entry>,
+    /// Pattern values of all trees, entry after entry.
+    values: Vec<PartialValue>,
+    /// Site list ids of all trees ([`NONE`] for a binding without trees),
+    /// entry after entry.
+    site_lists: Vec<u32>,
+    /// List `l` holds the entries `list_start[l]..list_start[l + 1]`, in
+    /// database-preferring order.
+    list_start: Vec<u32>,
+    /// Per node: predecessor binding → list id.
+    list_ids: Vec<FxHashMap<Vec<Value>, u32>>,
+    /// Open-addressing table over `(shape, values)`: entry ids, [`NONE`] for
+    /// a free slot; the length is a power of two.
+    slots: Vec<u32>,
     /// Sites available before any tree is applied (the root of `T₁`).
     root_sites: Vec<Site>,
-    /// Per list: its entry ids sorted by `(nodes, pattern)` — the binary
-    /// search structure behind hash-free removals.
-    list_sorted: Vec<Vec<usize>>,
+}
+
+/// The per-cursor half of the `trees(v, h)` lists: the linkage Algorithm 1's
+/// `prune` step edits.  Entries are unlinked in constant time while other
+/// iterations are in flight; a removed entry keeps its `next` pointer, so an
+/// iteration standing on it still finds the rest of its list.
+#[derive(Debug)]
+pub struct TreeLists {
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    head: Vec<u32>,
+    removed: Vec<bool>,
+}
+
+impl TreeLists {
+    /// The first live entry of a list.
+    pub fn head(&self, list_id: usize) -> Option<usize> {
+        self.skip_removed(self.head[list_id])
+    }
+
+    /// The next live entry after `entry` in its list.
+    pub fn next_of(&self, entry: usize) -> Option<usize> {
+        self.skip_removed(self.next[entry])
+    }
+
+    fn skip_removed(&self, mut cursor: u32) -> Option<usize> {
+        while cursor != NONE && self.removed[cursor as usize] {
+            cursor = self.next[cursor as usize];
+        }
+        some(cursor)
+    }
+
+    /// Number of live entries in a list (a walk; not for hot paths).
+    pub fn live_len(&self, list_id: usize) -> usize {
+        std::iter::successors(self.head(list_id), |&e| self.next_of(e)).count()
+    }
+}
+
+/// A tree awaiting its place in a list: its shape and where its values sit
+/// in the scratch pool.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    shape: u32,
+    values: usize,
 }
 
 impl ProgressIndex {
@@ -122,201 +204,270 @@ impl ProgressIndex {
     pub fn build(structure: &FreeConnexStructure) -> Result<Self> {
         let node_count = structure.nodes.len();
         let mut index = ProgressIndex {
-            arena: Vec::new(),
-            lists: Vec::new(),
-            list_ids: FxHashMap::default(),
-            locations: FxHashMap::default(),
-            subtrees: Vec::new(),
-            subtree_vars: Vec::new(),
-            entry_sites: Vec::new(),
+            shapes: Vec::new(),
+            entries: Vec::new(),
+            values: Vec::new(),
+            site_lists: Vec::new(),
+            list_start: vec![0],
+            list_ids: vec![FxHashMap::default(); node_count],
+            slots: Vec::new(),
             root_sites: Vec::new(),
-            list_sorted: Vec::new(),
         };
         if node_count == 0 {
             return Ok(index);
         }
 
-        // ---- All connected subtrees of T₁ (for the prune procedure). ----
-        for root in 0..node_count {
-            for nodes in connected_subtrees_rooted_at(structure, root) {
-                let mut vars: Vec<VarId> = nodes
-                    .iter()
-                    .flat_map(|&n| structure.nodes[n].vars.clone())
-                    .collect();
-                vars.sort();
-                vars.dedup();
-                index.subtrees.push((root, nodes));
-                index.subtree_vars.push(vars);
-            }
-        }
-
-        // ---- Expand every extension tuple into its progress trees. ----
-        let mut memo: ExpansionMemo = FxHashMap::default();
-        let mut per_list: FxHashMap<(usize, Vec<Value>), Vec<ProgressTree>> = FxHashMap::default();
-        let mut seen: FxHashSet<ProgressTree> = FxHashSet::default();
-        for node in 0..node_count {
-            let node_data = &structure.nodes[node];
-            for tuple_idx in 0..node_data.extension.len() {
-                // Predecessor binding: the projection onto the variables shared
-                // with the parent.  Tuples whose predecessor binding contains a
-                // null can only be reached as the interior of a larger
-                // progress tree, never as a root.
-                let pred: Vec<Value> = node_data
-                    .pred_vars
-                    .iter()
-                    .map(|v| {
-                        node_data
-                            .extension
-                            .value_at(tuple_idx, *v)
-                            .expect("pred var present")
-                    })
-                    .collect();
-                if pred.iter().any(|v| v.is_null()) {
-                    continue;
-                }
-                let expansions = expand(structure, node, tuple_idx, &mut memo)?;
-                for (nodes, pattern) in expansions {
-                    let tree = ProgressTree {
-                        root: node,
-                        nodes,
-                        pattern,
-                    };
-                    if seen.insert(tree.clone()) {
-                        per_list.entry((node, pred.clone())).or_default().push(tree);
-                    }
-                }
-            }
-        }
-
-        // ---- Sort each list in database-preferring order and link it. ----
-        let mut keys: Vec<(usize, Vec<Value>)> = per_list.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let mut trees = per_list.remove(&key).expect("key present");
-            trees.sort_by(|a, b| {
-                (a.nodes.len(), a.star_count(), &a.pattern, &a.nodes).cmp(&(
-                    b.nodes.len(),
-                    b.star_count(),
-                    &b.pattern,
-                    &b.nodes,
-                ))
-            });
-            let list_id = index.lists.len();
-            index.lists.push(ListHead {
-                head: None,
-                live: trees.len(),
-            });
-            index.list_ids.insert(key, list_id);
-            let mut previous: Option<usize> = None;
-            for tree in trees {
-                let entry_id = index.arena.len();
-                index.locations.insert(tree.clone(), entry_id);
-                index.arena.push(Entry {
-                    tree,
-                    prev: previous,
-                    next: None,
-                    list: list_id,
-                    removed: false,
-                });
-                match previous {
-                    Some(p) => index.arena[p].next = Some(entry_id),
-                    None => index.lists[list_id].head = Some(entry_id),
-                }
-                previous = Some(entry_id);
-            }
-        }
-
-        // ---- Precompute the hash-free enumeration-phase structures. ----
+        // ---- All connected subtrees of T₁: the shapes. ----
         // A node is *pass-through* if all its variables are predecessor
         // variables: when the traversal reaches it, everything is already
         // bound and it opens no list of its own.
-        let binds_new: Vec<bool> = (0..node_count)
-            .map(|n| {
-                let node = &structure.nodes[n];
-                node.vars.iter().any(|v| !node.pred_vars.contains(v))
+        let binds_new: Vec<bool> = structure
+            .nodes
+            .iter()
+            .map(|node| node.vars.iter().any(|v| !node.pred_vars.contains(v)))
+            .collect();
+        let mut shape_of: FxHashMap<Vec<usize>, u32> = FxHashMap::default();
+        for root in 0..node_count {
+            for nodes in connected_subtrees_rooted_at(structure, root) {
+                shape_of.insert(nodes.clone(), index.shapes.len() as u32);
+                index
+                    .shapes
+                    .push(Shape::new(structure, &binds_new, root, nodes));
+            }
+        }
+
+        // ---- Number the lists: one per node and constant predecessor
+        //      binding.  A tuple whose predecessor binding contains a null
+        //      can only be reached as the interior of a larger progress
+        //      tree, never as a root.  The structure's own predecessor index
+        //      already groups the tuples by binding, so no tuple is hashed;
+        //      ordering the groups by their first tuple keeps the ids
+        //      independent of the hash map's iteration order. ----
+        let mut lists: Vec<(usize, &[usize])> = Vec::new();
+        for (node, data) in structure.nodes.iter().enumerate() {
+            let mut groups: Vec<(&Vec<Value>, &Vec<usize>)> = data
+                .index
+                .iter()
+                .filter(|(binding, _)| !binding.iter().any(|v| v.is_null()))
+                .collect();
+            groups.sort_unstable_by_key(|(_, tuples)| tuples[0]);
+            for (binding, tuples) in groups {
+                index.list_ids[node].insert(binding.clone(), lists.len() as u32);
+                lists.push((node, tuples));
+            }
+        }
+
+        // ---- Expand every list's tuples into its progress trees, sort
+        //      them in database-preferring order, drop the repetitions (two
+        //      tuples that differ in null identities only yield one tree;
+        //      equal trees are adjacent after the sort) and append the list
+        //      to the pools. ----
+        // Per node: the column of each variable in ascending variable
+        // order, and the columns shared with some child.
+        let sorted_cols: Vec<Vec<usize>> = structure
+            .nodes
+            .iter()
+            .map(|node| {
+                let mut cols: Vec<usize> = (0..node.vars.len()).collect();
+                cols.sort_unstable_by_key(|&c| node.extension.vars[c]);
+                cols
             })
             .collect();
-        for entry_id in 0..index.arena.len() {
-            let sites = index.sites_of_tree(structure, &binds_new, entry_id);
-            index.entry_sites.push(sites);
-        }
-        let root = structure.preorder.first().copied();
-        if let Some(root) = root {
-            let list = index.list_ids.get(&(root, Vec::new())).copied();
-            index.root_sites.push((root, list));
-        }
-        index.list_sorted = vec![Vec::new(); index.lists.len()];
-        for (entry_id, entry) in index.arena.iter().enumerate() {
-            index.list_sorted[entry.list].push(entry_id);
-        }
-        for sorted in &mut index.list_sorted {
-            sorted.sort_by(|&a, &b| {
-                let ta = &index.arena[a].tree;
-                let tb = &index.arena[b].tree;
-                (&ta.nodes, &ta.pattern).cmp(&(&tb.nodes, &tb.pattern))
+        let forcing_cols: Vec<Vec<usize>> = structure
+            .nodes
+            .iter()
+            .map(|node| {
+                (0..node.vars.len())
+                    .filter(|&c| {
+                        let var = node.extension.vars[c];
+                        node.children
+                            .iter()
+                            .any(|&child| structure.nodes[child].pred_vars.contains(&var))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut memo: ExpansionMemo = FxHashMap::default();
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut scratch: Vec<PartialValue> = Vec::new();
+        for (list_id, &(node, tuples)) in lists.iter().enumerate() {
+            let data = &structure.nodes[node];
+            let single = shape_of[[node].as_slice()];
+            candidates.clear();
+            scratch.clear();
+            for &tuple_idx in tuples {
+                let tuple = data.extension.tuple(tuple_idx);
+                let start = scratch.len();
+                if forcing_cols[node].iter().all(|&c| !tuple[c].is_null()) {
+                    // The common case: no null is shared with a child, so
+                    // the tuple is a single-node tree — no excursion to
+                    // expand, nothing to hash.
+                    scratch.extend(
+                        sorted_cols[node]
+                            .iter()
+                            .map(|&c| pattern_of_value(tuple[c])),
+                    );
+                    candidates.push(Candidate {
+                        shape: single,
+                        values: start,
+                    });
+                    continue;
+                }
+                expand(structure, node, tuple_idx, &mut memo);
+                for (nodes, pattern) in &memo[&(node, tuple_idx)] {
+                    candidates.push(Candidate {
+                        shape: shape_of[nodes.as_slice()],
+                        values: scratch.len(),
+                    });
+                    scratch.extend(pattern.iter().map(|&(_, value)| value));
+                }
+            }
+            let values_of = |c: &Candidate| {
+                &scratch[c.values..c.values + index.shapes[c.shape as usize].vars.len()]
+            };
+            candidates.sort_unstable_by(|a, b| {
+                database_preferring_order(
+                    &index.shapes[a.shape as usize],
+                    values_of(a),
+                    &index.shapes[b.shape as usize],
+                    values_of(b),
+                )
             });
+            candidates.dedup_by(|b, a| a.shape == b.shape && values_of(a) == values_of(b));
+            for candidate in &candidates {
+                index.entries.push(Entry {
+                    shape: candidate.shape,
+                    values: index.values.len() as u32,
+                    sites: 0,
+                    list: list_id as u32,
+                });
+                let values = values_of(candidate);
+                index.values.extend_from_slice(values);
+            }
+            index.list_start.push(index.entries.len() as u32);
+        }
+        // The pools and the entry table (two slots a tree) are indexed by
+        // `u32`; a tree has at most one value per variable and one site per
+        // node.
+        let widest = structure.query.var_count().max(node_count);
+        if index.entries.len() >= (NONE as usize / 2) / widest.max(1) {
+            return Err(CoreError::Internal(format!(
+                "{} progress trees in one shard overflow the index",
+                index.entries.len()
+            )));
+        }
+
+        // ---- Continuation sites: per tree, the list each frontier node of
+        //      its shape opens under the tree's pattern.  All predecessor
+        //      variables of a frontier node carry constants in the pattern —
+        //      a labelled null would have forced the node *into* the tree —
+        //      so the binding is statically known. ----
+        let mut site_lists: Vec<u32> = Vec::new();
+        let mut binding: Vec<Value> = Vec::new();
+        for entry_id in 0..index.entries.len() {
+            index.entries[entry_id].sites = site_lists.len() as u32;
+            let tree = index.tree(entry_id);
+            let shape = &index.shapes[index.entries[entry_id].shape as usize];
+            for &v in &shape.frontier {
+                binding.clear();
+                for w in &structure.nodes[v].pred_vars {
+                    match tree.value_of(*w) {
+                        Some(PartialValue::Const(c)) => binding.push(Value::Const(c)),
+                        // A wildcard predecessor would have forced `v` into
+                        // the tree; defensively record a dead site.
+                        _ => break,
+                    }
+                }
+                let list = if binding.len() == structure.nodes[v].pred_vars.len() {
+                    index.list_ids[v].get(binding.as_slice()).copied()
+                } else {
+                    None
+                };
+                site_lists.push(list.unwrap_or(NONE));
+            }
+        }
+        index.site_lists = site_lists;
+        if let Some(&root) = structure.preorder.first() {
+            index.root_sites.push((root, index.list_for(root, &[])));
+        }
+
+        // ---- The tree → entry table. ----
+        index.slots = vec![NONE; (2 * index.entries.len()).next_power_of_two()];
+        for entry_id in 0..index.entries.len() {
+            let entry = &index.entries[entry_id];
+            let mut slot = index.slot_of(entry.shape, index.values_of(entry));
+            while index.slots[slot] != NONE {
+                slot = (slot + 1) & (index.slots.len() - 1);
+            }
+            index.slots[slot] = entry_id as u32;
         }
         Ok(index)
     }
 
-    /// Computes the continuation sites of one tree: the `T₁` children of its
-    /// nodes that are outside the tree, transitively through pass-through
-    /// nodes, each with the list id determined by the tree's pattern.  All
-    /// predecessor variables of such a frontier node carry constants in the
-    /// pattern — a labelled null would have forced the node *into* the tree —
-    /// so the binding is statically known.
-    fn sites_of_tree(
-        &self,
-        structure: &FreeConnexStructure,
-        binds_new: &[bool],
-        entry_id: usize,
-    ) -> Vec<Site> {
-        let tree = &self.arena[entry_id].tree;
-        let pattern: FxHashMap<VarId, PartialValue> = tree.pattern.iter().copied().collect();
-        let mut sites: Vec<Site> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        for &n in &tree.nodes {
-            for &child in &structure.nodes[n].children {
-                if !tree.nodes.contains(&child) {
-                    stack.push(child);
-                }
+    /// Where the probe sequence of `(shape, values)` starts in the table.
+    fn slot_of(&self, shape: u32, values: &[PartialValue]) -> usize {
+        let mut hasher = FxHasher::default();
+        hasher.write_u32(shape);
+        for value in values {
+            hasher.write_u64(match value {
+                PartialValue::Const(c) => u64::from(c.0),
+                PartialValue::Star => u64::MAX,
+            });
+        }
+        // The multiplicative hash mixes upwards: take the high bits.
+        (hasher.finish() >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// A fresh linkage over all trees: what a cursor edits while it prunes.
+    pub fn lists(&self) -> TreeLists {
+        let entries = self.entries.len();
+        let mut lists = TreeLists {
+            prev: Vec::with_capacity(entries),
+            next: Vec::with_capacity(entries),
+            head: Vec::with_capacity(self.list_start.len() - 1),
+            removed: vec![false; entries],
+        };
+        for range in self.list_start.windows(2) {
+            let (start, end) = (range[0], range[1]);
+            lists.head.push(if start < end { start } else { NONE });
+            for entry in start..end {
+                lists
+                    .prev
+                    .push(if entry > start { entry - 1 } else { NONE });
+                lists
+                    .next
+                    .push(if entry + 1 < end { entry + 1 } else { NONE });
             }
         }
-        while let Some(v) = stack.pop() {
-            let mut binding: Vec<Value> = Vec::with_capacity(structure.nodes[v].pred_vars.len());
-            let mut constant = true;
-            for w in &structure.nodes[v].pred_vars {
-                match pattern.get(w) {
-                    Some(PartialValue::Const(c)) => binding.push(Value::Const(*c)),
-                    _ => {
-                        // A wildcard predecessor would have forced `v` into
-                        // the tree; defensively record a dead site.
-                        constant = false;
-                        break;
-                    }
-                }
-            }
-            let list = if constant {
-                self.list_ids.get(&(v, binding)).copied()
-            } else {
-                None
-            };
-            sites.push((v, list));
-            if !binds_new[v] {
-                // Pass-through: its children's predecessor variables are all
-                // within `v.vars ⊆ v.pred_vars`, hence still covered by the
-                // tree's pattern.
-                for &child in &structure.nodes[v].children {
-                    stack.push(child);
-                }
-            }
+        lists
+    }
+
+    /// Removes an entry from `lists` (constant-time unlink).  Returns `true`
+    /// iff it was live.
+    pub fn remove_entry(&self, lists: &mut TreeLists, entry_id: usize) -> bool {
+        if std::mem::replace(&mut lists.removed[entry_id], true) {
+            return false;
         }
-        sites
+        let (prev, next) = (lists.prev[entry_id], lists.next[entry_id]);
+        match some(prev) {
+            Some(p) => lists.next[p] = next,
+            None => lists.head[self.entries[entry_id].list as usize] = next,
+        }
+        if let Some(n) = some(next) {
+            lists.prev[n] = prev;
+        }
+        true
     }
 
     /// The continuation sites of an entry's tree.
-    pub fn sites_of(&self, entry: usize) -> &[Site] {
-        &self.entry_sites[entry]
+    pub fn sites_of(&self, entry: usize) -> impl Iterator<Item = Site> + '_ {
+        let Entry { shape, sites, .. } = self.entries[entry];
+        let frontier = &self.shapes[shape as usize].frontier;
+        let lists = &self.site_lists[sites as usize..sites as usize + frontier.len()];
+        frontier
+            .iter()
+            .zip(lists)
+            .map(|(&node, &list)| (node, some(list)))
     }
 
     /// The sites available before any tree is applied (the root of `T₁`).
@@ -324,118 +475,162 @@ impl ProgressIndex {
         &self.root_sites
     }
 
-    /// Finds the entry in `list_id` whose tree has exactly the given node set
-    /// and pattern, by binary search over the presorted list — no hashing.
-    /// Returns removed entries too (removal is idempotent).
+    /// The progress tree stored at an entry.
+    pub fn tree(&self, entry: usize) -> ProgressTree<'_> {
+        let entry = &self.entries[entry];
+        let shape = &self.shapes[entry.shape as usize];
+        ProgressTree {
+            root: shape.root,
+            nodes: &shape.nodes,
+            vars: &shape.vars,
+            values: self.values_of(entry),
+        }
+    }
+
+    /// The pattern values of an entry: one per variable of its shape.
+    fn values_of(&self, entry: &Entry) -> &[PartialValue] {
+        let width = self.shapes[entry.shape as usize].vars.len();
+        &self.values[entry.values as usize..entry.values as usize + width]
+    }
+
+    /// Does `entry_id` hold exactly the tree of shape `shape` with `values`?
+    fn holds(&self, entry_id: usize, shape: usize, values: &[PartialValue]) -> bool {
+        let entry = &self.entries[entry_id];
+        entry.shape as usize == shape && self.values_of(entry) == values
+    }
+
+    /// Finds the entry in `list_id` whose tree has the shape `shape` (see
+    /// [`ProgressIndex::shapes`]) and exactly the given pattern values, by
+    /// binary search over the list's entry range — no hashing.  Knows
+    /// nothing of removals: a [`TreeLists`] may have unlinked the entry.
     pub fn find_in_list(
         &self,
         list_id: usize,
-        nodes: &[usize],
-        pattern: &[(VarId, PartialValue)],
+        shape: usize,
+        values: &[PartialValue],
     ) -> Option<usize> {
-        let sorted = &self.list_sorted[list_id];
-        sorted
-            .binary_search_by(|&e| {
-                let t = &self.arena[e].tree;
-                (t.nodes.as_slice(), t.pattern.as_slice()).cmp(&(nodes, pattern))
-            })
-            .ok()
-            .map(|pos| sorted[pos])
+        let start = self.list_start[list_id] as usize;
+        let end = self.list_start[list_id + 1] as usize;
+        let probe = &self.shapes[shape];
+        let within = self.entries[start..end].partition_point(|entry| {
+            let stored = &self.shapes[entry.shape as usize];
+            database_preferring_order(stored, self.values_of(entry), probe, values)
+                == Ordering::Less
+        });
+        let entry = start + within;
+        (entry < end && self.holds(entry, shape, values)).then_some(entry)
     }
 
-    /// Looks up the arena entry holding exactly `probe` (same root, nodes and
-    /// pattern), live or removed.  One hash lookup — the prune step probes
-    /// every candidate weakening of an output this way, which beats a binary
-    /// search over the list (each probe of which re-compares the node and
-    /// pattern vectors) by a constant factor that matters at once-per-answer
-    /// frequency.
-    pub fn entry_of(&self, probe: &ProgressTree) -> Option<usize> {
-        self.locations.get(probe).copied()
-    }
-
-    /// Removes an entry by id (constant-time unlink).  Returns `true` iff it
-    /// was live.
-    pub fn remove_entry(&mut self, entry_id: usize) -> bool {
-        if self.arena[entry_id].removed {
-            return false;
+    /// Looks up the entry holding exactly the tree of shape `shape` with the
+    /// given pattern values.  One hash probe — the prune step looks up every
+    /// candidate weakening of an output this way, which beats a binary
+    /// search over the list (each probe of which re-compares the pattern) by
+    /// a constant factor that matters at once-per-answer frequency.
+    pub fn entry_of(&self, shape: usize, values: &[PartialValue]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
         }
-        let (prev, next, list) = {
-            let entry = &self.arena[entry_id];
-            (entry.prev, entry.next, entry.list)
-        };
-        self.arena[entry_id].removed = true;
-        match prev {
-            Some(p) => self.arena[p].next = next,
-            None => self.lists[list].head = next,
+        let mut slot = self.slot_of(shape as u32, values);
+        loop {
+            let entry = some(self.slots[slot])?;
+            if self.holds(entry, shape, values) {
+                return Some(entry);
+            }
+            slot = (slot + 1) & (self.slots.len() - 1);
         }
-        if let Some(n) = next {
-            self.arena[n].prev = prev;
-        }
-        self.lists[list].live -= 1;
-        true
     }
 
     /// The list id for `(node, predecessor binding)`, if any tree exists.
     pub fn list_for(&self, node: usize, pred_binding: &[Value]) -> Option<usize> {
-        self.list_ids.get(&(node, pred_binding.to_vec())).copied()
-    }
-
-    /// The first live entry of a list.
-    pub fn head(&self, list_id: usize) -> Option<usize> {
-        let mut cursor = self.lists[list_id].head;
-        while let Some(entry) = cursor {
-            if !self.arena[entry].removed {
-                return Some(entry);
-            }
-            cursor = self.arena[entry].next;
-        }
-        None
-    }
-
-    /// The next live entry after `entry` in its list.
-    pub fn next_of(&self, entry: usize) -> Option<usize> {
-        let mut cursor = self.arena[entry].next;
-        while let Some(e) = cursor {
-            if !self.arena[e].removed {
-                return Some(e);
-            }
-            cursor = self.arena[e].next;
-        }
-        None
-    }
-
-    /// The progress tree stored at an entry.
-    pub fn tree(&self, entry: usize) -> &ProgressTree {
-        &self.arena[entry].tree
-    }
-
-    /// Number of live entries in a list.
-    pub fn live_len(&self, list_id: usize) -> usize {
-        self.lists[list_id].live
+        self.list_ids[node]
+            .get(pred_binding)
+            .map(|&list| list as usize)
     }
 
     /// Total number of progress trees.
     pub fn total_trees(&self) -> usize {
-        self.arena.len()
+        self.entries.len()
     }
 
-    /// Removes a progress tree (wherever it is stored).  Returns `true` iff it
-    /// was present and live.
-    pub fn remove(&mut self, tree: &ProgressTree) -> bool {
-        let Some(&entry_id) = self.locations.get(tree) else {
-            return false;
-        };
-        self.remove_entry(entry_id)
+    /// All connected subtrees of `T₁` — the shapes a progress tree can have —
+    /// as `(root, nodes, variables, pinned)`, the position being the shape
+    /// id [`ProgressIndex::entry_of`] and [`ProgressIndex::find_in_list`]
+    /// take.  `pinned[i]` says that `variables[i]` is a predecessor variable
+    /// of the root, which no tree of the shape maps to a wildcard.
+    pub fn shapes(&self) -> impl Iterator<Item = (usize, &[usize], &[VarId], &[bool])> {
+        self.shapes.iter().map(|shape| {
+            (
+                shape.root,
+                shape.nodes.as_slice(),
+                shape.vars.as_slice(),
+                shape.pinned.as_slice(),
+            )
+        })
     }
+}
 
-    /// All connected subtrees of `T₁` as `(root, nodes)` pairs, together with
-    /// their variables (used by the prune procedure).
-    pub fn subtrees(&self) -> impl Iterator<Item = (usize, &[usize], &[VarId])> {
-        self.subtrees
+impl Shape {
+    fn new(
+        structure: &FreeConnexStructure,
+        binds_new: &[bool],
+        root: usize,
+        nodes: Vec<usize>,
+    ) -> Shape {
+        let mut vars: Vec<VarId> = nodes
             .iter()
-            .zip(&self.subtree_vars)
-            .map(|((root, nodes), vars)| (*root, nodes.as_slice(), vars.as_slice()))
+            .flat_map(|&n| structure.nodes[n].vars.iter().copied())
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let pinned = vars
+            .iter()
+            .map(|v| structure.nodes[root].pred_vars.contains(v))
+            .collect();
+        let mut frontier: Vec<usize> = Vec::new();
+        let mut stack: Vec<usize> = nodes
+            .iter()
+            .flat_map(|&n| structure.nodes[n].children.iter().copied())
+            .filter(|child| !nodes.contains(child))
+            .collect();
+        while let Some(v) = stack.pop() {
+            frontier.push(v);
+            if !binds_new[v] {
+                // Pass-through: its children's predecessor variables are all
+                // within `v.vars ⊆ v.pred_vars`, hence still covered by the
+                // tree's pattern.
+                stack.extend(&structure.nodes[v].children);
+            }
+        }
+        Shape {
+            root,
+            nodes,
+            vars,
+            pinned,
+            frontier,
+        }
     }
+}
+
+/// The database-preferring order of a `trees(v, h)` list, as a total order
+/// on trees: fewer nodes first, then fewer wildcards, then the patterns as
+/// `(variable, value)` sequences, then the node sets.
+fn database_preferring_order(
+    a: &Shape,
+    a_values: &[PartialValue],
+    b: &Shape,
+    b_values: &[PartialValue],
+) -> Ordering {
+    let rank = |shape: &Shape, values| (shape.nodes.len(), star_count(values));
+    rank(a, a_values)
+        .cmp(&rank(b, b_values))
+        .then_with(|| {
+            if std::ptr::eq(a, b) {
+                return a_values.cmp(b_values);
+            }
+            let (a_pairs, b_pairs) = (a.vars.iter().zip(a_values), b.vars.iter().zip(b_values));
+            a_pairs.cmp(b_pairs)
+        })
+        .then_with(|| a.nodes.cmp(&b.nodes))
 }
 
 /// Enumerates the node sets of all connected subtrees of `T₁` rooted at
@@ -466,123 +661,125 @@ fn connected_subtrees_rooted_at(structure: &FreeConnexStructure, root: usize) ->
     result
 }
 
-/// Expands a tuple of a node's extension into the progress trees it generates:
-/// the node itself plus, recursively, every child whose shared variables carry
-/// a labelled null (which forces the excursion to continue into that child).
+/// One expansion of an extension tuple: the included nodes, sorted, and the
+/// pattern over their variables, sorted by variable.
+type Expansion = (Vec<usize>, Vec<(VarId, PartialValue)>);
+
+/// Memoisation table of [`expand`], keyed by `(node, tuple index)`; the
+/// expansions of a tuple are distinct and sorted.
+type ExpansionMemo = FxHashMap<(usize, usize), Vec<Expansion>>;
+
+/// Expands a tuple of a node's extension into the progress trees it
+/// generates — the node itself plus, recursively, every child whose shared
+/// variables carry a labelled null (which forces the excursion to continue
+/// into that child) — and leaves them in `memo`.
 fn expand(
     structure: &FreeConnexStructure,
     node: usize,
     tuple_idx: usize,
     memo: &mut ExpansionMemo,
-) -> Result<Vec<Expansion>> {
-    if let Some(cached) = memo.get(&(node, tuple_idx)) {
-        return Ok(cached.clone());
+) {
+    if memo.contains_key(&(node, tuple_idx)) {
+        return;
     }
     let node_data = &structure.nodes[node];
     let tuple = node_data.extension.tuple(tuple_idx);
-    let own_pattern: Vec<(VarId, PartialValue)> = node_data
+    let mut own_pattern: Vec<(VarId, PartialValue)> = node_data
         .extension
         .vars
         .iter()
         .zip(tuple)
         .map(|(&v, &value)| (v, pattern_of_value(value)))
         .collect();
-
-    // Children forced into the excursion: those sharing a null-valued
-    // variable with this tuple.
-    let mut required: Vec<usize> = Vec::new();
+    own_pattern.sort_unstable();
+    let mut partials: Vec<Expansion> = vec![(vec![node], own_pattern)];
+    let mut key: Vec<Value> = Vec::new();
     for &child in &node_data.children {
+        // Children forced into the excursion: those sharing a null-valued
+        // variable with this tuple.
         let child_data = &structure.nodes[child];
-        let shares_null = child_data.pred_vars.iter().any(|v| {
+        key.clear();
+        key.extend(child_data.pred_vars.iter().map(|v| {
             node_data
                 .extension
                 .value_at(tuple_idx, *v)
-                .map(|value| value.is_null())
-                .unwrap_or(false)
-        });
-        if shares_null {
-            required.push(child);
+                .expect("shared var present in parent")
+        }));
+        if !key.iter().any(|v| v.is_null()) {
+            continue;
         }
-    }
-
-    let mut partials: Vec<(Vec<usize>, FxHashMap<VarId, PartialValue>)> = vec![(
-        vec![node],
-        own_pattern.iter().copied().collect::<FxHashMap<_, _>>(),
-    )];
-    for child in required {
-        let child_data = &structure.nodes[child];
-        // Candidate child tuples: those agreeing with this tuple on the shared
-        // variables (including the concrete null identities).
-        let key: Vec<Value> = child_data
-            .pred_vars
+        // Candidate child tuples: those agreeing with this tuple on the
+        // shared variables (including the concrete null identities).  With
+        // none, the excursion cannot be completed through this child and
+        // the tuple generates no progress tree.  (This cannot happen after
+        // the bottom-up reduction, but is handled defensively.)
+        let candidates: &[usize] = child_data
+            .index
+            .get(key.as_slice())
+            .map_or(&[], Vec::as_slice);
+        for &candidate in candidates {
+            expand(structure, child, candidate, memo);
+        }
+        let mut options: Vec<&Expansion> = candidates
             .iter()
-            .map(|v| {
-                node_data
-                    .extension
-                    .value_at(tuple_idx, *v)
-                    .expect("shared var present in parent")
-            })
+            .flat_map(|&candidate| &memo[&(child, candidate)])
             .collect();
-        let candidates = child_data.index.get(&key).cloned().unwrap_or_default();
-        if candidates.is_empty() {
-            // The excursion cannot be completed through this child: the tuple
-            // generates no progress tree.  (This cannot happen after the
-            // bottom-up reduction, but is handled defensively.)
-            memo.insert((node, tuple_idx), Vec::new());
-            return Ok(Vec::new());
-        }
-        let mut child_options: Vec<Expansion> = Vec::new();
-        let mut seen_child: FxHashSet<Expansion> = FxHashSet::default();
-        for candidate in candidates {
-            for option in expand(structure, child, candidate, memo)? {
-                if seen_child.insert(option.clone()) {
-                    child_options.push(option);
-                }
-            }
-        }
-        let mut extended = Vec::new();
+        options.sort_unstable();
+        options.dedup();
+        let mut extended = Vec::with_capacity(partials.len() * options.len());
         for (nodes, pattern) in &partials {
-            for (child_nodes, child_pattern) in &child_options {
-                let mut merged_nodes = nodes.clone();
-                merged_nodes.extend_from_slice(child_nodes);
-                let mut merged_pattern = pattern.clone();
-                let mut consistent = true;
-                for (v, value) in child_pattern {
-                    match merged_pattern.get(v) {
-                        Some(existing) if existing != value => {
-                            consistent = false;
-                            break;
-                        }
-                        _ => {
-                            merged_pattern.insert(*v, *value);
-                        }
-                    }
-                }
-                if consistent {
-                    extended.push((merged_nodes, merged_pattern));
+            for (child_nodes, child_pattern) in &options {
+                if let Some(merged) = merge_patterns(pattern, child_pattern) {
+                    let mut merged_nodes = nodes.clone();
+                    merged_nodes.extend_from_slice(child_nodes);
+                    extended.push((merged_nodes, merged));
                 }
             }
         }
         partials = extended;
     }
-
-    let mut result: Vec<Expansion> = Vec::new();
-    let mut seen: FxHashSet<Expansion> = FxHashSet::default();
-    for (mut nodes, pattern) in partials {
+    // `partials` may legitimately be empty for dangling tuples (tuples whose
+    // forced excursion cannot be completed); those simply generate no
+    // progress tree.
+    for (nodes, _) in &mut partials {
         nodes.sort_unstable();
-        nodes.dedup();
-        let mut pattern: Vec<(VarId, PartialValue)> = pattern.into_iter().collect();
-        pattern.sort();
-        let item = (nodes, pattern);
-        if seen.insert(item.clone()) {
-            result.push(item);
+    }
+    partials.sort_unstable();
+    partials.dedup();
+    memo.insert((node, tuple_idx), partials);
+}
+
+/// The union of two patterns sorted by variable, or `None` if they disagree
+/// on a shared variable.
+fn merge_patterns(
+    a: &[(VarId, PartialValue)],
+    b: &[(VarId, PartialValue)],
+) -> Option<Vec<(VarId, PartialValue)>> {
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                merged.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                merged.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                if a[i].1 != b[j].1 {
+                    return None;
+                }
+                merged.push(a[i]);
+                i += 1;
+                j += 1;
+            }
         }
     }
-    // `result` may legitimately be empty for dangling tuples (tuples whose
-    // forced excursion cannot be completed); those simply generate no progress
-    // tree.
-    memo.insert((node, tuple_idx), result.clone());
-    Ok(result)
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    Some(merged)
 }
 
 #[cfg(test)]
@@ -616,9 +813,41 @@ mod tests {
         db
     }
 
-    fn structure() -> FreeConnexStructure {
+    /// [`nullful_db`] plus `f` with two isomorphic anonymous chains
+    /// `R(f, n)`, `S(n, m)`: excursions that have to continue into a child.
+    fn excursion_db() -> Database {
+        let mut db = nullful_db();
+        let r = db.schema().relation_id("R").unwrap();
+        let s_rel = db.schema().relation_id("S").unwrap();
+        let f = Value::Const(db.intern_const("f"));
+        let [n3, n4, n5, n6] = [(); 4].map(|()| Value::Null(db.fresh_null()));
+        db.add_fact(Fact::new(r, vec![f, n3])).unwrap();
+        db.add_fact(Fact::new(s_rel, vec![n3, n4])).unwrap();
+        db.add_fact(Fact::new(r, vec![f, n5])).unwrap();
+        db.add_fact(Fact::new(s_rel, vec![n5, n6])).unwrap();
+        db
+    }
+
+    fn structure_over(db: &Database) -> FreeConnexStructure {
         let q = ConjunctiveQuery::parse("q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-        FreeConnexStructure::build(&q, &nullful_db(), false).unwrap()
+        FreeConnexStructure::build(&q, db, false).unwrap()
+    }
+
+    fn structure() -> FreeConnexStructure {
+        structure_over(&nullful_db())
+    }
+
+    /// The entries of a list, in list order.
+    fn walk(lists: &TreeLists, list: usize) -> Vec<usize> {
+        std::iter::successors(lists.head(list), |&e| lists.next_of(e)).collect()
+    }
+
+    /// The shape id of a node set.
+    fn shape_of(index: &ProgressIndex, nodes: &[usize]) -> usize {
+        index
+            .shapes()
+            .position(|(_, shape_nodes, _, _)| shape_nodes == nodes)
+            .expect("a connected subtree")
     }
 
     #[test]
@@ -629,87 +858,148 @@ mod tests {
         // The root node has an empty predecessor binding.
         let root = s.preorder[0];
         let list = index.list_for(root, &[]).expect("root list exists");
-        assert!(index.live_len(list) > 0);
+        let lists = index.lists();
+        assert!(lists.live_len(list) > 0);
+        assert_eq!(index.root_sites(), &[(root, Some(list))]);
         // Lists are sorted in database-preferring order (stars increase).
-        let mut cursor = index.head(list);
         let mut last_key = (0usize, 0usize);
-        while let Some(entry) = cursor {
+        for entry in walk(&lists, list) {
             let tree = index.tree(entry);
             let key = (tree.nodes.len(), tree.star_count());
             assert!(key >= last_key, "database-preferring order violated");
             last_key = key;
-            cursor = index.next_of(entry);
         }
+        // A binding that does not occur has no list.
+        let child = s.nodes[root].children[0];
+        assert_eq!(index.list_for(child, &[]), None);
+    }
+
+    /// `R(f, n)`, `S(n, m)` make the two-node tree `(f, *, *)`, whichever of
+    /// the two atoms roots `T₁`; the two isomorphic excursions of `f` make
+    /// one tree, not two.
+    #[test]
+    fn database_preferring_order_and_lookups_on_the_pools() {
+        let db = excursion_db();
+        let s = structure_over(&db);
+        let q = &s.query;
+        let index = ProgressIndex::build(&s).unwrap();
+        let lists = index.lists();
+        let root = s.preorder[0];
+        let root_list = index.list_for(root, &[]).unwrap();
+        let in_order = walk(&lists, root_list);
+        // Entry ids of a list are contiguous and in list order.
+        assert_eq!(
+            in_order,
+            (in_order[0]..in_order[0] + in_order.len()).collect::<Vec<_>>()
+        );
+        // Exactly the sort the list was specified by: node count, wildcard
+        // count, pattern as (variable, value) pairs, node set — strictly
+        // increasing, so no tree is stored twice.
+        let key = |e: usize| {
+            let t = index.tree(e);
+            let pattern: Vec<_> = t.vars.iter().zip(t.values).collect();
+            (t.nodes.len(), t.star_count(), pattern, t.nodes)
+        };
+        for pair in in_order.windows(2) {
+            assert!(key(pair[0]) < key(pair[1]), "{pair:?} out of order");
+        }
+        // Single-node trees with constants only come first, the two-node
+        // excursion `(f, *, *)` last and once.
+        let first = index.tree(in_order[0]);
+        assert_eq!((first.nodes.len(), first.star_count()), (1, 0));
+        let both: Vec<usize> = {
+            let mut nodes = vec![root, s.nodes[root].children[0]];
+            nodes.sort_unstable();
+            nodes
+        };
+        let excursions: Vec<usize> = in_order
+            .iter()
+            .copied()
+            .filter(|&e| index.tree(e).nodes == both)
+            .collect();
+        assert_eq!(excursions, vec![*in_order.last().unwrap()]);
+        let excursion = index.tree(excursions[0]);
+        assert_eq!(excursion.root, root);
+        assert_eq!(excursion.star_count(), 2);
+        assert_eq!(
+            excursion.value_of(q.var_id("x").unwrap()),
+            Some(PartialValue::Const(db.const_id("f").unwrap()))
+        );
+        // It covers both nodes, so it publishes no site; a single-node root
+        // tree publishes the child's list under its own constants.
+        assert_eq!(index.sites_of(excursions[0]).count(), 0);
+        let child = s.nodes[root].children[0];
+        for (site_node, list) in index.sites_of(in_order[0]) {
+            assert_eq!(site_node, child);
+            let list = list.expect("the reduction leaves a matching child tuple");
+            assert!(lists.live_len(list) > 0);
+        }
+
+        // Every tree is found by both lookups, from its shape and values
+        // alone, in every list; a pattern that is no tree by neither.
+        for list in 0..index.list_start.len() - 1 {
+            for entry in walk(&lists, list) {
+                let tree = index.tree(entry);
+                let shape = shape_of(&index, tree.nodes);
+                assert_eq!(index.entry_of(shape, tree.values), Some(entry));
+                assert_eq!(index.find_in_list(list, shape, tree.values), Some(entry));
+                let mut weakened = tree.values.to_vec();
+                weakened.fill(PartialValue::Star);
+                if weakened != tree.values && index.entry_of(shape, &weakened).is_none() {
+                    assert_eq!(index.find_in_list(list, shape, &weakened), None);
+                }
+            }
+        }
+        let two_node = shape_of(&index, &both);
+        let no_tree = [PartialValue::Star; 3];
+        assert_eq!(index.entry_of(two_node, &no_tree), None);
+        assert_eq!(index.find_in_list(root_list, two_node, &no_tree), None);
     }
 
     #[test]
-    fn excursions_are_captured_as_multi_node_trees() {
+    fn shapes_cover_every_connected_subtree() {
         let s = structure();
         let index = ProgressIndex::build(&s).unwrap();
-        // The tuple R(d, n?) with a null shared variable forces the S node into
-        // the excursion when S is a child of R in T1 (or vice versa); in either
-        // case some progress tree with 2 nodes must exist if the shared
-        // variable can be null... The d/e chain has S(e, n1), so the R-rooted
-        // tree for (d, e) is single-node, while a 2-node tree exists for the
-        // R(d, n2) tuple only if S(n2, _) exists — it does not, so that tuple
-        // is dangling and removed by the bottom-up reduction or yields no
-        // tree.  We simply check structural invariants here; behavioural
-        // correctness is covered by the Algorithm 1 tests.
-        for (root, nodes, vars) in index.subtrees() {
+        // A path of two nodes has the shapes {root}, {root, child}, {child}.
+        assert_eq!(index.shapes().count(), 3);
+        for (root, nodes, vars, pinned) in index.shapes() {
             assert!(nodes.contains(&root));
             assert!(!vars.is_empty());
-        }
-        // Every tree is discoverable through `locations` (removal round-trip).
-        let root = s.preorder[0];
-        let list = index.list_for(root, &[]).unwrap();
-        let entry = index.head(list).unwrap();
-        let tree = index.tree(entry).clone();
-        let mut index = index;
-        assert!(index.remove(&tree));
-        assert!(!index.remove(&tree));
-        // The head moved on.
-        if let Some(new_head) = index.head(list) {
-            assert_ne!(index.tree(new_head), &tree);
-        }
-    }
-
-    #[test]
-    fn removal_relinks_neighbours() {
-        let s = structure();
-        let mut index = ProgressIndex::build(&s).unwrap();
-        let root = s.preorder[0];
-        let list = index.list_for(root, &[]).unwrap();
-        let live_before = index.live_len(list);
-        // Collect the full list, remove the middle element, re-collect.
-        let mut entries = Vec::new();
-        let mut cursor = index.head(list);
-        while let Some(e) = cursor {
-            entries.push(e);
-            cursor = index.next_of(e);
-        }
-        assert_eq!(entries.len(), live_before);
-        if entries.len() >= 3 {
-            let middle = index.tree(entries[1]).clone();
-            assert!(index.remove(&middle));
-            let mut survivors = Vec::new();
-            let mut cursor = index.head(list);
-            while let Some(e) = cursor {
-                survivors.push(e);
-                cursor = index.next_of(e);
+            assert!(vars.windows(2).all(|w| w[0] < w[1]));
+            for (var, &is_pinned) in vars.iter().zip(pinned) {
+                assert_eq!(is_pinned, s.nodes[root].pred_vars.contains(var));
             }
-            assert_eq!(survivors.len(), live_before - 1);
-            assert!(!survivors.contains(&entries[1]));
         }
     }
 
     #[test]
-    fn subtree_enumeration_counts() {
-        // A path R - S in T1 has subtrees {R}, {R,S} rooted at R and {S}
-        // rooted at S (assuming R is the root); a star has more.
-        let s = structure();
+    fn removal_relinks_neighbours_in_one_cursor_only() {
+        let s = structure_over(&excursion_db());
         let index = ProgressIndex::build(&s).unwrap();
-        let count = index.subtrees().count();
-        assert!(count >= s.nodes.len());
+        let root = s.preorder[0];
+        let list = index.list_for(root, &[]).unwrap();
+        let mut lists = index.lists();
+        let untouched = index.lists();
+        let entries = walk(&lists, list);
+        assert_eq!(entries.len(), lists.live_len(list));
+        assert!(entries.len() >= 3);
+        // Removing the middle element relinks its neighbours, once.
+        assert!(index.remove_entry(&mut lists, entries[1]));
+        assert!(!index.remove_entry(&mut lists, entries[1]));
+        let mut survivors = entries.clone();
+        survivors.remove(1);
+        assert_eq!(walk(&lists, list), survivors);
+        // An iteration standing on the removed entry still finds the rest.
+        assert_eq!(lists.next_of(entries[1]), Some(entries[2]));
+        // Removing the head moves the head on.
+        assert!(index.remove_entry(&mut lists, entries[0]));
+        assert_eq!(lists.head(list), Some(entries[2]));
+        // The index and any other linkage over it saw none of this.
+        assert_eq!(walk(&untouched, list), entries);
+        assert_eq!(walk(&index.lists(), list), entries);
+        let tree = index.tree(entries[1]);
+        let shape = shape_of(&index, tree.nodes);
+        assert_eq!(index.entry_of(shape, tree.values), Some(entries[1]));
     }
 
     #[test]
@@ -722,5 +1012,6 @@ mod tests {
         assert!(s.empty);
         let index = ProgressIndex::build(&s).unwrap();
         assert_eq!(index.total_trees(), 0);
+        assert_eq!(index.entry_of(0, &[]), None);
     }
 }

@@ -2,39 +2,61 @@
 //!
 //! `PreparedInstance::answers(Semantics)` is the one enumeration entry point
 //! of the engine: it checks the tractability gate and returns an
-//! [`AnswerStream`], an `Iterator<Item = Answer>` whose per-shard
-//! enumeration *preprocessing* (building the free-connex structures /
-//! Algorithm 1–2 cursors — linear in that shard's chase) runs lazily, the
-//! first time the cursor reaches the shard.  After a shard's preprocessing,
-//! every `next()` within it is constant work.  This is the shape of the
-//! paper's central result — after linear preprocessing, taking the first `k`
-//! answers costs `O(k)` — sharpened per shard: `stream.take(k)` only pays
-//! for the shards it actually enters.  In particular, after an incremental
-//! [`crate::PreparedInstance::refresh`] the freshly chased (delta-sized)
-//! shards come first, so the time to the first answer scales with the delta,
-//! not with `|D|`.
+//! [`AnswerStream`], an `Iterator<Item = Answer>` that walks the instance's
+//! shards one after the other, opening a cursor over a shard when it reaches
+//! it.  What a cursor runs on — the join structure of Theorem 4.1(1), or
+//! Algorithm 1's prepared half — is the result of the paper's *linear
+//! preprocessing*, and it belongs to the shard, not to the stream: the first
+//! cursor of a kind to reach a shard builds it (linear in that shard's
+//! chase), every later one — of this stream, of another stream, of a `count`
+//! or an `exists`, of an instance `refresh`ed from this one — finds it there
+//! (see [`crate::shard`]).  So:
+//!
+//! * **the first stream over an instance** pays each shard's preprocessing on
+//!   the pull that enters the shard; `stream.take(k)` only pays for the
+//!   shards it enters, and after a [`crate::PreparedInstance::refresh`] the
+//!   freshly chased (delta-sized) shards come first, so the time to the
+//!   first answer scales with the delta, not with `|D|`;
+//! * **every later stream** pays, per shard it enters, for opening a cursor:
+//!   nothing for complete answers (the cursor is a stack of indices), and
+//!   for minimal partial answers one fill of the list linkage that
+//!   Algorithm 1's `prune` edits — a few `u32` writes per progress tree of
+//!   the shard.  After that every `next()` is constant work: the paper's
+//!   `O(k)` for the first `k` answers, with the preprocessing paid once per
+//!   shard instead of once per cursor.  (Multi-wildcard cursors do not share
+//!   yet: each still prepares Algorithm 1 for itself — see
+//!   [`crate::MultiEnumerator`].)
 //!
 //! Properties:
 //!
-//! * **Lazy.** No answer is materialised before it is pulled, and no shard's
-//!   enumeration structure is built before the cursor reaches the shard;
-//!   dropping the stream mid-way abandons the remaining work.
+//! * **Lazy.** No answer is materialised before it is pulled, and no cursor
+//!   is opened — hence no shard's structure built — before the stream
+//!   reaches the shard; dropping the stream mid-way abandons the remaining
+//!   work, and what it built stays with the shards.
 //! * **Owning / resumable.** The stream holds clones of the plan's shared
 //!   `Arc` state and of the shard vector, so it is `'static`: it can be
 //!   returned from the function that executed the plan, parked inside a
 //!   paginating request handler, and resumed at any later point — the
-//!   `PreparedInstance` it came from may be dropped freely.
+//!   `PreparedInstance` it came from may be dropped freely.  A parked stream
+//!   therefore pins its shards *and* the structures built over them, plus
+//!   its current cursor's private state; nothing else.
+//! * **Independent.** Cursors share a shard's structures read-only.  What an
+//!   enumeration mutates (the pruned list linkage, Algorithm 2's candidate
+//!   table) is private to its cursor, so any number of streams over one
+//!   instance, interleaved or on different threads, each yield the full
+//!   sequence (`tests/structure_cache.rs`).
 //! * **Shard-sound.** On multi-shard instances the per-shard streams are
 //!   chained lazily and the cross-shard wildcard minimality filter
 //!   (`WildcardMerge`) plus the Boolean empty-tuple dedup are folded *into*
 //!   the cursor, so sharded and sequential instances yield the same answer
 //!   multiset (property-tested in `tests/answer_stream.rs`).
 //!
-//! The tractability gate still fails inside `answers()`; errors from the
-//! per-shard structure builds now surface mid-stream, like the Algorithm 2
-//! tester failures always did: the stream ends and [`AnswerStream::error`]
-//! reports it, which `try_collect`/`for_each_answer` turn back into a
-//! `Result`.
+//! The tractability gate still fails inside `answers()`; an error from a
+//! shard's structure build surfaces mid-stream, like the Algorithm 2 tester
+//! failures always did — and on every stream that reaches the shard, since
+//! the shard keeps the build's result either way: the stream ends and
+//! [`AnswerStream::error`] reports it, which `try_collect`/`for_each_answer`
+//! turn back into a `Result`.
 
 use crate::enumerate::AnswerCursor;
 use crate::error::CoreError;
@@ -42,8 +64,9 @@ use crate::parallel::{MergeTuple, WildcardMerge};
 use crate::plan::{PreparedInstance, QueryPlan};
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::remote::RemoteState;
+use crate::shard::Shard;
 use crate::Result;
-use omq_data::{Answer, Database, MultiTuple, PartialTuple, Semantics, Value};
+use omq_data::{Answer, MultiTuple, PartialTuple, Semantics, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -51,17 +74,17 @@ use std::sync::Arc;
 /// so drain-everything requests (`k = usize::MAX`) do not over-allocate.
 const BATCH_RESERVE_CAP: usize = 1024;
 
-/// One shard of the complete-answer stream: the materialised structure and
+/// One shard of the complete-answer stream: the shard's join structure and
 /// the cursor walking it.
 #[derive(Debug)]
 struct CompleteShard {
-    structure: FreeConnexStructure,
+    structure: Arc<FreeConnexStructure>,
     cursor: AnswerCursor,
 }
 
 /// The semantics-specific machinery behind the stream.  Each variant holds
-/// at most the *current* shard's enumeration state; the next shard's is
-/// built on demand when the current one drains.  One stream exists per
+/// at most the *current* shard's cursor; the next shard's is opened on
+/// demand when the current one drains.  One stream exists per
 /// paginating request, so the size spread between the variants is not worth
 /// an indirection on the per-answer hot path.
 #[allow(clippy::large_enum_variant)]
@@ -123,8 +146,8 @@ pub struct AnswerStream {
     /// The plan, kept for the compiled skeleton the lazy shard builds need.
     plan: QueryPlan,
     /// The shard vector, shared with the instance (and its successors).
-    shards: Arc<Vec<Arc<Database>>>,
-    /// Index of the next shard whose enumeration state has not been built.
+    shards: Arc<Vec<Arc<Shard>>>,
+    /// Index of the next shard no cursor has been opened over yet.
     next_shard: usize,
     inner: Inner,
     error: Option<CoreError>,
@@ -133,8 +156,8 @@ pub struct AnswerStream {
 
 impl AnswerStream {
     /// Builds the stream over a prepared instance.  Only the tractability
-    /// gate runs here; the per-shard enumeration preprocessing (linear in
-    /// each shard's chase) is deferred until the cursor reaches the shard.
+    /// gate runs here; a shard's cursor is opened — and its structure built,
+    /// if no one has yet — when the stream reaches the shard.
     pub(crate) fn build(instance: &PreparedInstance, semantics: Semantics) -> Result<Self> {
         // Fail the intractable cases (and a query too wide for Algorithm 2)
         // eagerly — the skeleton is compiled at plan build time, so this is
@@ -316,13 +339,13 @@ impl AnswerStream {
                 let idx = self.next_shard;
                 self.next_shard += 1;
                 let skeleton = self.plan.skeleton().expect("checked at stream build");
-                let built = FreeConnexStructure::materialize(skeleton, &self.shards[idx], true)
-                    .map(|structure| {
-                        let cursor = AnswerCursor::new(&structure);
-                        CompleteShard { structure, cursor }
-                    });
-                match built {
-                    Ok(shard) => *current = Some(shard),
+                match self.shards[idx].complete_structure(skeleton) {
+                    Ok(structure) => {
+                        *current = Some(CompleteShard {
+                            cursor: AnswerCursor::new(structure),
+                            structure: Arc::clone(structure),
+                        })
+                    }
                     Err(e) => {
                         *done = true;
                         return (produced, Some(e));
@@ -345,7 +368,7 @@ impl<T: MergeTuple> WildcardShards<T> {
     fn pull_batch(
         &mut self,
         skeleton: &PlanSkeleton,
-        shards: &Arc<Vec<Arc<Database>>>,
+        shards: &[Arc<Shard>],
         next_shard: &mut usize,
         k: usize,
         sink: &mut impl FnMut(Answer),
@@ -382,7 +405,7 @@ impl<T: MergeTuple> WildcardShards<T> {
             } else if *next_shard < shards.len() {
                 let idx = *next_shard;
                 *next_shard += 1;
-                match T::open(skeleton, shards, idx) {
+                match T::open(skeleton, &shards[idx]) {
                     Ok(cursor) => *current = Some(cursor),
                     Err(e) => break e,
                 }
