@@ -47,6 +47,7 @@ use crate::ClusterError;
 use omq_core::remote::RemoteShard;
 use omq_core::{AnswerStream, CoreError, QueryPlan};
 use omq_data::{Answer, Database, Semantics};
+use omq_wire::readiness::{Interest, PollSet};
 use omq_wire::{parse_answer, FrameDecoder};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -425,7 +426,10 @@ pub fn execute(
                 pumps.push(std::thread::spawn(move || pump.run()));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+                // Block until a worker knocks or the fleet's deadline passes.
+                let mut set = PollSet::new();
+                set.push(&listener, Interest::READ);
+                set.wait(Some(deadline.saturating_duration_since(Instant::now())))?;
             }
             Err(e) => return Err(e.into()),
         }

@@ -24,11 +24,12 @@
 //! epoch `e`.
 
 use crate::protocol::{
-    answer_wire_len, render_answer, ClientFrame, ErrorCode, FrameDecoder, FrameTooLarge,
-    ServerFrame, TxnOp, MAX_FRAME_LEN, MAX_PAGE, MAX_PAGE_BYTES,
+    ClientFrame, ErrorCode, FrameDecoder, FrameTooLarge, ServerFrame, TxnOp, MAX_FRAME_LEN,
+    MAX_PAGE, MAX_PAGE_BYTES,
 };
 use omq_data::{Answer, Snapshot, Txn};
 use omq_serve::{QueryId, Request, ServingEngine, StreamedResponse};
+use omq_wire::PageWriter;
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::RwLock;
@@ -42,7 +43,7 @@ pub const HIGH_WATER: usize = 256 * 1024;
 
 /// Answers are pulled off a cursor's stream in chunks of at most this many
 /// while filling a page — keeps the batched-pull fast path of
-/// `next_batch` while bounding how many rendered answers can pile up in
+/// `next_batch` while bounding how many pulled answers can pile up in
 /// [`Cursor::pending`] past the page's byte budget.
 const PULL_CHUNK: usize = 1024;
 
@@ -92,17 +93,18 @@ pub struct Shared {
 }
 
 /// An open cursor: the answer stream plus the snapshot it is pinned to
-/// (kept for rendering constants through the pinned interner).
+/// (kept for writing constants out through the pinned interner).
 struct Cursor {
     stream: StreamedResponse,
     snap: Snapshot,
     /// The stream has been pulled dry.  The wire-level `done` flag also
     /// requires [`Cursor::pending`] to be empty.
     exhausted: bool,
-    /// Rendered answers already pulled off the stream but deferred by a
-    /// page's byte cap ([`MAX_PAGE_BYTES`]); the next fetch serves these
-    /// before pulling again.
-    pending: VecDeque<Vec<String>>,
+    /// Answers already pulled off the stream but not yet in a page —
+    /// within a fetch, the chunk being written; across fetches, what a
+    /// page's byte cap ([`MAX_PAGE_BYTES`]) deferred.  The next fetch
+    /// serves these before pulling again.
+    pending: VecDeque<Answer>,
 }
 
 /// Why the connection must close after the write buffer drains.
@@ -162,8 +164,8 @@ impl Connection {
     /// Processes buffered complete frames; returns whether any frame was
     /// consumed.  Backpressure is enforced *here*, not only at the socket
     /// read: once the write buffer passes [`HIGH_WATER`] the pump stops,
-    /// the decoder retains the unconsumed frames, and the event loop calls
-    /// `pump` again on a later sweep once the buffer has drained.
+    /// the decoder retains the unconsumed frames, and the worker calls
+    /// `pump` again after a flush that write readiness triggered.
     pub fn pump(&mut self, shared: &Shared) -> bool {
         let mut progressed = false;
         while self.closing.is_none() && self.pending_out().len() < HIGH_WATER {
@@ -202,12 +204,15 @@ impl Connection {
                 return;
             }
         };
-        let response = self.handle(frame, shared);
-        self.send(&response);
+        if let Some(response) = self.handle(frame, shared) {
+            self.send(&response);
+        }
     }
 
-    fn handle(&mut self, frame: ClientFrame, shared: &Shared) -> ServerFrame {
-        match frame {
+    /// Serves one request.  `None` means the response is already in the
+    /// write buffer: a page is written there directly, not returned.
+    fn handle(&mut self, frame: ClientFrame, shared: &Shared) -> Option<ServerFrame> {
+        Some(match frame {
             ClientFrame::Register {
                 name,
                 ontology,
@@ -216,14 +221,14 @@ impl Connection {
             ClientFrame::Commit { ops } => commit(ops, shared),
             ClientFrame::Pin => {
                 if self.snapshots.len() >= self.quotas.max_snapshots {
-                    return ServerFrame::Error {
+                    return Some(ServerFrame::Error {
                         code: ErrorCode::QuotaExceeded,
                         message: format!(
                             "connection quota of {} pinned snapshots reached; \
                              release one and retry",
                             self.quotas.max_snapshots
                         ),
-                    };
+                    });
                 }
                 let snap = shared.engine.read().expect("engine lock").snapshot();
                 let epoch = snap.epoch();
@@ -242,18 +247,18 @@ impl Connection {
                 limit,
             } => {
                 if self.cursors.len() >= self.quotas.max_cursors {
-                    return ServerFrame::Error {
+                    return Some(ServerFrame::Error {
                         code: ErrorCode::QuotaExceeded,
                         message: format!(
                             "connection quota of {} open cursors reached; \
                              close one and retry",
                             self.quotas.max_cursors
                         ),
-                    };
+                    });
                 }
                 let pinned = match self.resolve_pin(snapshot) {
                     Ok(pinned) => pinned,
-                    Err(response) => return response,
+                    Err(response) => return Some(response),
                 };
                 // A caller-pinned snapshot replays its epoch via a fresh
                 // execute (stable order no matter where the head is); an
@@ -298,7 +303,7 @@ impl Connection {
                     Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
                 }
             }
-            ClientFrame::Fetch { cursor, k } => self.fetch(cursor, k),
+            ClientFrame::Fetch { cursor, k } => return self.fetch(cursor, k).err(),
             ClientFrame::Count {
                 query,
                 semantics,
@@ -306,7 +311,7 @@ impl Connection {
             } => {
                 let pinned = match self.resolve_pin(snapshot) {
                     Ok(pinned) => pinned,
-                    Err(response) => return response,
+                    Err(response) => return Some(response),
                 };
                 let mut request = Request::new(to_query_ref(&query), semantics);
                 if let Some(snap) = &pinned {
@@ -335,7 +340,7 @@ impl Connection {
             } => {
                 let pinned = match self.resolve_pin(snapshot) {
                     Ok(pinned) => pinned,
-                    Err(response) => return response,
+                    Err(response) => return Some(response),
                 };
                 let mut request = Request::new(to_query_ref(&query), semantics);
                 if let Some(snap) = &pinned {
@@ -377,82 +382,79 @@ impl Connection {
                 self.closing = Some(CloseReason::Bye);
                 ServerFrame::Bye
             }
-        }
+        })
     }
 
-    /// One page off a cursor: `O(k)` enumeration work, no engine lock.
+    /// One page off a cursor, written straight into the write buffer:
+    /// `O(k)` enumeration work, no engine lock, no rendered strings.  `Err`
+    /// is the error frame to answer with instead (nothing was written).
     ///
     /// Pages are bounded twice over: by `k` answers and by
     /// [`MAX_PAGE_BYTES`] of encoded payload — constant names are
-    /// client-supplied, so `k` alone bounds nothing.  A byte-capped page
-    /// ships short with `done: false` and parks the already-rendered rest
-    /// in [`Cursor::pending`] for the next fetch; no page frame can ever
-    /// approach [`MAX_FRAME_LEN`].
-    fn fetch(&mut self, handle: u64, k: u64) -> ServerFrame {
+    /// client-supplied, so `k` alone bounds nothing.  The budget is kept on
+    /// the bytes actually written: the answer that would pass it is taken
+    /// back out, the page ships short with `done: false`, and the answer
+    /// waits in [`Cursor::pending`] for the next fetch; no page frame can
+    /// ever approach [`MAX_FRAME_LEN`].
+    fn fetch(&mut self, handle: u64, k: u64) -> Result<(), ServerFrame> {
         let Some(cursor) = self.cursors.get_mut(&handle) else {
-            return ServerFrame::Error {
+            return Err(ServerFrame::Error {
                 code: ErrorCode::UnknownCursor,
                 message: format!("no open cursor {handle} on this connection"),
-            };
+            });
         };
         let k = (k as usize).clamp(1, MAX_PAGE);
-        let mut answers: Vec<Vec<String>> = Vec::new();
+        let db = cursor.snap.database();
+        let mut page = PageWriter::begin(&mut self.outbuf, handle);
         let mut bytes = 0usize;
         loop {
-            // Serve rendered answers first: leftovers a previous page's
-            // byte cap deferred, then whatever the pull below appended.
-            while answers.len() < k {
+            // Serve pulled answers first: leftovers a previous page's byte
+            // cap deferred, then whatever the pull below appended.
+            while page.answers() < k {
                 let Some(front) = cursor.pending.front() else {
                     break;
                 };
                 // +1 for the comma separating answers in the array.
-                let len = answer_wire_len(front) + 1;
-                if answers.is_empty() && len > MAX_SINGLE_ANSWER_BYTES {
+                let len = page.push_answer(front, db) + 1;
+                if page.answers() == 1 && len > MAX_SINGLE_ANSWER_BYTES {
                     // Undeliverable even alone.  Leave it queued so every
                     // retry fails identically; the client's move is to
                     // close the cursor.
-                    return ServerFrame::Error {
+                    page.abort();
+                    return Err(ServerFrame::Error {
                         code: ErrorCode::Internal,
                         message: format!(
                             "answer of {len} encoded bytes exceeds the \
                              {MAX_FRAME_LEN}-byte frame cap; close the cursor"
                         ),
-                    };
+                    });
                 }
-                if !answers.is_empty() && bytes + len > MAX_PAGE_BYTES {
-                    // Page full by bytes; the rest stays queued.
-                    return ServerFrame::Page {
-                        cursor: handle,
-                        answers,
-                        done: false,
-                    };
+                if page.answers() > 1 && bytes + len > MAX_PAGE_BYTES {
+                    // Page full by bytes; this answer and the rest stay
+                    // queued.
+                    page.pop();
+                    page.finish(false);
+                    return Ok(());
                 }
                 bytes += len;
-                answers.push(cursor.pending.pop_front().expect("front checked"));
+                cursor.pending.pop_front();
             }
-            if answers.len() >= k || bytes >= MAX_PAGE_BYTES || cursor.exhausted {
+            if page.answers() >= k || bytes >= MAX_PAGE_BYTES || cursor.exhausted {
                 break;
             }
-            // Pull the next chunk off the stream and render it.
-            let want = (k - answers.len()).min(PULL_CHUNK);
-            self.scratch.clear();
+            // Pull the next chunk off the stream.
+            let want = (k - page.answers()).min(PULL_CHUNK);
             let produced = cursor.stream.next_batch(&mut self.scratch, want);
             if produced < want {
                 cursor.exhausted = true;
             }
-            let db = cursor.snap.database();
-            cursor
-                .pending
-                .extend(self.scratch.iter().map(|answer| render_answer(answer, db)));
+            cursor.pending.extend(self.scratch.drain(..));
             if produced == 0 {
                 break;
             }
         }
-        ServerFrame::Page {
-            cursor: handle,
-            answers,
-            done: cursor.exhausted && cursor.pending.is_empty(),
-        }
+        page.finish(cursor.exhausted && cursor.pending.is_empty());
+        Ok(())
     }
 
     /// Looks up an explicitly pinned snapshot, or `None` for a head request
@@ -619,6 +621,7 @@ fn commit(ops: Vec<TxnOp>, shared: &Shared) -> ServerFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::answer_wire_len;
     use omq_data::Semantics;
 
     fn shared() -> Shared {

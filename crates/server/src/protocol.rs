@@ -41,8 +41,8 @@
 use crate::json::Json;
 use omq_data::Semantics;
 use omq_wire::{
-    bool_field, decode_object, field, opt_u64_field, semantics_field, semantics_name, str_field,
-    u64_field, violation,
+    bool_field, decode_object, decode_page_object, field, opt_u64_field, semantics_field,
+    semantics_name, str_field, u64_field, violation, PageWriter,
 };
 
 // The wire substrate, re-exported so `crate::protocol::{frame_payload, …}`
@@ -541,14 +541,32 @@ impl ServerFrame {
         }
     }
 
-    /// Encodes the frame, length prefix included.
+    /// Encodes the frame, length prefix included.  A page goes through
+    /// [`PageWriter`] — the writer the connection layer streams typed
+    /// answers through — which emits the bytes of [`ServerFrame::to_json`]
+    /// without building the tree.
     pub fn encode(&self) -> Vec<u8> {
+        if let ServerFrame::Page {
+            cursor,
+            answers,
+            done,
+        } = self
+        {
+            let mut out = Vec::new();
+            let mut page = PageWriter::begin(&mut out, *cursor);
+            for answer in answers {
+                page.push_rendered(answer);
+            }
+            page.finish(*done);
+            return out;
+        }
         frame_payload(self.to_json().to_json().as_bytes())
     }
 
-    /// Decodes a frame payload (no length prefix).
+    /// Decodes a frame payload (no length prefix).  The answers of a page
+    /// are pulled off the tokenizer directly, never through a tree.
     pub fn decode(payload: &[u8]) -> Result<ServerFrame, ProtocolViolation> {
-        let doc = decode_object(payload)?;
+        let (doc, answers) = decode_page_object(payload)?;
         let tag = str_field(&doc, "t")?;
         match tag.as_str() {
             "registered" => Ok(ServerFrame::Registered {
@@ -569,29 +587,11 @@ impl ServerFrame {
                 epoch: u64_field(&doc, "epoch")?,
                 semantics: semantics_field(&doc)?,
             }),
-            "page" => {
-                let answers = field(&doc, "answers")?
-                    .as_arr()
-                    .ok_or_else(|| violation("field `answers` must be an array"))?
-                    .iter()
-                    .map(|a| {
-                        a.as_arr()
-                            .ok_or_else(|| violation("answers must be arrays"))?
-                            .iter()
-                            .map(|v| {
-                                v.as_str()
-                                    .map(str::to_owned)
-                                    .ok_or_else(|| violation("answer entries must be strings"))
-                            })
-                            .collect::<Result<Vec<String>, _>>()
-                    })
-                    .collect::<Result<Vec<Vec<String>>, _>>()?;
-                Ok(ServerFrame::Page {
-                    cursor: u64_field(&doc, "cursor")?,
-                    answers,
-                    done: bool_field(&doc, "done")?,
-                })
-            }
+            "page" => Ok(ServerFrame::Page {
+                answers: answers.ok_or_else(|| violation("missing field `answers`"))??,
+                cursor: u64_field(&doc, "cursor")?,
+                done: bool_field(&doc, "done")?,
+            }),
             "counted" => Ok(ServerFrame::Counted {
                 count: u64_field(&doc, "count")?,
                 exists: bool_field(&doc, "exists")?,

@@ -9,10 +9,20 @@
 //!    characters;
 //! 2. **Malformed-payload rejection**: corrupting an encoded payload never
 //!    panics the decoder — it fails cleanly (or yields some valid frame, if
-//!    the corruption happened to preserve well-formedness).
+//!    the corruption happened to preserve well-formedness);
+//! 3. **The page path ≡ the tree path**: `page` frames are written and read
+//!    without a JSON tree (`omq_wire::page`).  The writer's bytes must be
+//!    the tree encoder's, from rendered and from typed answers alike, and
+//!    the reader must accept, reject and return exactly what a decoder over
+//!    the tree does — on well-formed pages, on pages with the wrong shape,
+//!    and on truncated, extended or corrupted bytes.
 
-use omq_data::Semantics;
+use omq_data::{Answer, Database, MultiTuple, MultiValue, PartialTuple, PartialValue, Schema};
+use omq_data::{ConstId, Semantics};
+use omq_server::json::Json;
+use omq_server::protocol::frame_payload;
 use omq_server::{ClientFrame, FrameDecoder, QueryTarget, ServerFrame, TxnOp};
+use omq_wire::{bool_field, decode_object, field, str_field, u64_field, PageWriter};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -135,6 +145,173 @@ fn arb_answer() -> BoxedStrategy<Vec<String>> {
     prop::collection::vec(arb_string(5), 0..4).boxed()
 }
 
+fn arb_page() -> BoxedStrategy<ServerFrame> {
+    (
+        0u64..1 << 40,
+        prop::collection::vec(arb_answer(), 0..5),
+        prop_oneof![Just(true), Just(false)],
+    )
+        .prop_map(|(cursor, answers, done)| ServerFrame::Page {
+            cursor,
+            answers,
+            done,
+        })
+        .boxed()
+}
+
+/// The tree encoder: `ServerFrame::to_json` (a `Json` value) serialised and
+/// framed — what `encode` was before pages got a writer of their own.
+fn tree_encode(frame: &ServerFrame) -> Vec<u8> {
+    frame_payload(frame.to_json().to_json().as_bytes())
+}
+
+/// The tree decoder for pages: parse the whole payload into a `Json` value,
+/// then clone the answers out of it.
+fn tree_decode_page(payload: &[u8]) -> Option<ServerFrame> {
+    let doc = decode_object(payload).ok()?;
+    if str_field(&doc, "t").ok()? != "page" {
+        return None;
+    }
+    let answers = field(&doc, "answers")
+        .ok()?
+        .as_arr()?
+        .iter()
+        .map(|a| {
+            a.as_arr()?
+                .iter()
+                .map(|v| v.as_str().map(str::to_owned))
+                .collect::<Option<Vec<String>>>()
+        })
+        .collect::<Option<Vec<Vec<String>>>>()?;
+    Some(ServerFrame::Page {
+        cursor: u64_field(&doc, "cursor").ok()?,
+        answers,
+        done: bool_field(&doc, "done").ok()?,
+    })
+}
+
+/// Both decoders on one payload: the same page, or neither a page.
+fn assert_decoders_agree(payload: &[u8]) -> Result<(), TestCaseError> {
+    let direct = match ServerFrame::decode(payload) {
+        Ok(frame @ ServerFrame::Page { .. }) => Some(frame),
+        _ => None,
+    };
+    prop_assert_eq!(direct, tree_decode_page(payload));
+    Ok(())
+}
+
+/// Small JSON values of every kind, for putting the wrong thing where a
+/// page expects an array or a string.
+fn arb_json(depth: usize) -> BoxedStrategy<Json> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        Just(Json::Bool(true)),
+        (0i64..1000).prop_map(Json::Int),
+        Just(Json::Num(1.5)),
+        arb_string(4).prop_map(Json::Str),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    prop_oneof![
+        leaf,
+        prop::collection::vec(arb_json(depth - 1), 0..3).prop_map(Json::Arr),
+        prop::collection::vec((arb_string(3), arb_json(depth - 1)), 0..3).prop_map(Json::Obj),
+    ]
+    .boxed()
+}
+
+/// Mostly `usual`, sometimes anything at all.
+fn mostly(usual: BoxedStrategy<Json>) -> BoxedStrategy<Json> {
+    (usual, arb_json(2), 0usize..4)
+        .prop_map(|(usual, other, pick)| if pick == 0 { other } else { usual })
+        .boxed()
+}
+
+/// A page-tagged object whose members are arbitrary JSON: right shape,
+/// wrong shape, members missing, duplicated or out of order.
+fn arb_loose_page() -> BoxedStrategy<Json> {
+    let entry = mostly(arb_string(4).prop_map(Json::Str).boxed());
+    let answer = mostly(
+        prop::collection::vec(entry, 0..4)
+            .prop_map(Json::Arr)
+            .boxed(),
+    );
+    let answers = mostly(
+        prop::collection::vec(answer, 0..4)
+            .prop_map(Json::Arr)
+            .boxed(),
+    );
+    let cursor = mostly((0i64..99).prop_map(Json::Int).boxed());
+    let done = mostly(Just(Json::Bool(false)).boxed());
+    let tag = mostly(Just(Json::str("page")).boxed());
+    // The four members a page has, in any order, between and around up to
+    // three more that may repeat their keys (the first of a key counts).
+    let extra = prop_oneof![
+        (arb_string(3), arb_json(2)),
+        (Just("answers".to_owned()), arb_json(2)),
+        (Just("cursor".to_owned()), arb_json(0)),
+        (Just("t".to_owned()), arb_json(0)),
+    ];
+    (
+        (answers, cursor, done, tag),
+        prop::collection::vec(extra, 0..4),
+        prop::collection::vec(0usize..1000, 7..8),
+    )
+        .prop_map(|((answers, cursor, done, tag), extras, order)| {
+            let mut members = vec![
+                ("answers".to_owned(), answers),
+                ("cursor".to_owned(), cursor),
+                ("done".to_owned(), done),
+                ("t".to_owned(), tag),
+            ];
+            members.extend(extras);
+            let mut keyed: Vec<_> = order.into_iter().zip(members).collect();
+            keyed.sort_by_key(|(at, _)| *at);
+            Json::Obj(keyed.into_iter().map(|(_, member)| member).collect())
+        })
+        .boxed()
+}
+
+/// A database interning `names`, and typed answers of every semantics over
+/// picks from them.
+fn typed_page(names: &[String], picks: &[Vec<usize>]) -> (Database, Vec<Answer>) {
+    let mut schema = Schema::new();
+    schema.add_relation("N", 1).unwrap();
+    let mut builder = Database::builder(schema);
+    for name in names {
+        builder = builder.fact("N", [name.as_str()]);
+    }
+    let db = builder.build().unwrap();
+    let id = |pick: usize| -> ConstId { db.const_id(&names[pick % names.len()]).unwrap() };
+    let answers = picks
+        .iter()
+        .enumerate()
+        .map(|(i, picks)| match i % 3 {
+            0 => Answer::Complete(picks.iter().map(|&p| id(p)).collect()),
+            1 => Answer::Partial(PartialTuple(
+                picks
+                    .iter()
+                    .map(|&p| match p % 4 {
+                        0 => PartialValue::Star,
+                        _ => PartialValue::Const(id(p)),
+                    })
+                    .collect(),
+            )),
+            _ => Answer::Multi(MultiTuple(
+                picks
+                    .iter()
+                    .map(|&p| match p % 4 {
+                        0 => MultiValue::Wild(p as u32),
+                        _ => MultiValue::Const(id(p)),
+                    })
+                    .collect(),
+            )),
+        })
+        .collect();
+    (db, answers)
+}
+
 fn arb_server_frame() -> BoxedStrategy<ServerFrame> {
     use omq_server::ErrorCode;
     prop_oneof![
@@ -244,5 +421,77 @@ proptest! {
         // (the corruption may have produced another well-formed frame).
         let _ = ClientFrame::decode(&payload);
         let _ = ServerFrame::decode(&payload);
+    }
+
+    /// The page writer emits the tree encoder's bytes: empty pages, empty
+    /// answers, every escape, `done` both ways.
+    #[test]
+    fn page_writer_matches_the_tree_encoder(frame in arb_page()) {
+        prop_assert_eq!(frame.encode(), tree_encode(&frame));
+        // Past `i64::MAX` the tree writes the cursor as a float (no handle
+        // gets there); the writer does whatever the tree does.
+        let ServerFrame::Page { cursor, answers, done } = frame else { unreachable!() };
+        let frame = ServerFrame::Page { cursor: u64::MAX - cursor, answers, done };
+        prop_assert_eq!(frame.encode(), tree_encode(&frame));
+    }
+
+    /// …and the same bytes again when it renders typed answers itself, as
+    /// the connection layer has it do, with the size it reports for each
+    /// answer the size `answer_wire_len` predicts.
+    #[test]
+    fn typed_answers_write_the_bytes_of_their_rendering(
+        names in prop::collection::vec(arb_string(6), 1..5),
+        picks in prop::collection::vec(prop::collection::vec(0usize..64, 0..4), 0..6),
+        done in prop_oneof![Just(true), Just(false)],
+    ) {
+        let (db, answers) = typed_page(&names, &picks);
+        let rendered: Vec<Vec<String>> =
+            answers.iter().map(|a| omq_server::render_answer(a, &db)).collect();
+        let mut out = Vec::new();
+        let mut page = PageWriter::begin(&mut out, 7);
+        for (answer, rendered) in answers.iter().zip(&rendered) {
+            prop_assert_eq!(
+                page.push_answer(answer, &db),
+                omq_server::answer_wire_len(rendered)
+            );
+        }
+        page.finish(done);
+        prop_assert_eq!(out, tree_encode(&ServerFrame::Page { cursor: 7, answers: rendered, done }));
+    }
+
+    /// The tokenizer-based page decoder returns what the tree decoder
+    /// returns and rejects what it rejects, whatever sits where the
+    /// answers, their entries, the cursor or the flag should be.
+    #[test]
+    fn page_decoder_agrees_with_the_tree_decoder_on_any_shape(doc in arb_loose_page()) {
+        assert_decoders_agree(doc.to_json().as_bytes())?;
+    }
+
+    /// …and on bytes that are not a document at all: truncated input,
+    /// trailing garbage, flipped bytes.
+    #[test]
+    fn page_decoder_agrees_with_the_tree_decoder_on_damaged_bytes(
+        frame in arb_page(),
+        cut in 0usize..4096,
+        tail in arb_string(3),
+        flips in prop::collection::vec((0usize..4096, 1u8..255), 0..3),
+    ) {
+        let payload = frame.to_json().to_json().into_bytes();
+        assert_decoders_agree(&payload)?;
+        prop_assert!(tree_decode_page(&payload).is_some());
+        assert_decoders_agree(&payload[..cut % payload.len()])?;
+        prop_assert!(ServerFrame::decode(&payload[..cut % payload.len()]).is_err());
+        let mut extended = payload.clone();
+        extended.extend_from_slice(tail.as_bytes());
+        assert_decoders_agree(&extended)?;
+        if !tail.trim_matches([' ', '\n', '\r', '\t']).is_empty() {
+            prop_assert!(ServerFrame::decode(&extended).is_err());
+        }
+        let mut flipped = payload;
+        for (pos, xor) in flips {
+            let idx = pos % flipped.len();
+            flipped[idx] ^= xor;
+        }
+        assert_decoders_agree(&flipped)?;
     }
 }

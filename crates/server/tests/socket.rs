@@ -361,3 +361,151 @@ fn protocol_errors_over_tcp() {
     assert!(saw_error, "the close was reported before hanging up");
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// Waiting.  The server's threads block on readiness with no timeout, so each
+// way a connection can need attention *without its peer sending anything*
+// has to be a wake-up of its own.  A worker that merely blocked until the
+// next request arrived would fail every test below.  (The fourth such way,
+// a fatal close whose error frame the peer never drains, ends at a deadline
+// and needs a socket that is really full: that test lives beside the event
+// loop, in `server.rs`.)
+// ---------------------------------------------------------------------------
+
+/// Blocks until the server has gone a while without waking, i.e. every
+/// thread is parked in its poll set; returns the wake-up count it settled at.
+fn settle(server: &Server) -> u64 {
+    let mut seen = server.wakeups();
+    loop {
+        std::thread::sleep(Duration::from_millis(30));
+        let now = server.wakeups();
+        if now == seen {
+            return now;
+        }
+        seen = now;
+    }
+}
+
+/// A peer that pipelines fetches without reading fills the socket, then the
+/// write buffer up to the high-water mark, and the server parks the rest —
+/// asleep, not sweeping.  Once the peer reads, *write readiness* resumes
+/// the parked frames: no further request arrives to do it.
+#[test]
+fn parked_frames_resume_when_the_peer_starts_reading() {
+    use std::io::{Read, Write};
+
+    const FETCHES: usize = 24;
+    let server = start_server(1);
+    let mut client = connect(&server);
+    client
+        .register_query("pairs", "", "q(x, y) :- Name(x), Name(y)")
+        .expect("register");
+    // 40 constants of 64 KiB: 1 600 answers of 128 KiB, and a fetch of 7
+    // (the byte cap of a page) answers with nearly a megabyte.
+    client
+        .insert_all(
+            "Name",
+            (0..40).map(|i| vec![format!("{i:02}{}", "n".repeat(64 * 1024))]),
+        )
+        .expect("commit");
+    let cursor = client
+        .open_cursor(QueryTarget::Name("pairs".into()), Semantics::Complete, None)
+        .expect("open");
+
+    // Far more than loopback buffers hold, asked for in one burst.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let open = omq_server::ClientFrame::OpenCursor {
+        query: QueryTarget::Name("pairs".into()),
+        semantics: Semantics::Complete,
+        snapshot: None,
+        offset: 0,
+        limit: None,
+    };
+    let mut burst = open.encode();
+    for _ in 0..FETCHES {
+        burst.extend(omq_server::ClientFrame::Fetch { cursor: 1, k: 7 }.encode());
+    }
+    raw.write_all(&burst).unwrap();
+
+    // The server runs into the full socket and goes to sleep on it.
+    // (A late window update may still let a little more through once; a
+    // server that swept its connections would wake hundreds of times.)
+    let parked_at = settle(&server);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        server.wakeups() - parked_at <= 2,
+        "a parked connection costs next to nothing"
+    );
+
+    // Reading is all it takes to get every answer, in order.
+    let mut decoder = omq_server::FrameDecoder::new();
+    let mut buf = vec![0u8; 256 * 1024];
+    let mut frames = Vec::new();
+    while frames.len() < 1 + FETCHES {
+        let n = raw
+            .read(&mut buf)
+            .expect("parked frames were never resumed");
+        assert!(n > 0, "server hung up on a slow reader");
+        decoder.feed(&buf[..n]);
+        while let Some(payload) = decoder.next_frame().unwrap() {
+            frames.push(omq_server::ServerFrame::decode(&payload).unwrap());
+        }
+    }
+    assert!(server.wakeups() > parked_at);
+    assert!(matches!(
+        frames[0],
+        omq_server::ServerFrame::CursorOpened { cursor: 1, .. }
+    ));
+    let mut paged = Vec::new();
+    for frame in &frames[1..] {
+        let omq_server::ServerFrame::Page { answers, done, .. } = frame else {
+            panic!("expected a page, got {frame:?}");
+        };
+        assert!(!done);
+        paged.extend(answers.iter().cloned());
+    }
+    // The same pages a well-behaved client gets one at a time.
+    let mut reference = Vec::new();
+    for _ in 0..FETCHES {
+        reference.extend(client.fetch(cursor, 7).expect("fetch").answers);
+    }
+    assert_eq!(paged.len(), 7 * FETCHES);
+    assert!(paged == reference, "resumed pages differ from paced ones");
+    server.shutdown();
+}
+
+/// A connection accepted while the only worker is blocked on another,
+/// silent connection is served at once: the hand-off wakes the worker.
+#[test]
+fn a_connection_accepted_while_the_worker_is_blocked_is_served() {
+    let server = start_server(1);
+    let _silent = connect(&server);
+    settle(&server);
+    let mut late = Client::connect(server.local_addr()).expect("connect");
+    late.set_timeout(Some(Duration::from_secs(2)))
+        .expect("timeout");
+    let start = std::time::Instant::now();
+    late.pin()
+        .expect("the new connection waited for unrelated traffic");
+    assert!(start.elapsed() < Duration::from_millis(500));
+    server.shutdown();
+}
+
+/// An idle server is asleep, however many connections it holds open.
+#[test]
+fn an_idle_server_with_open_connections_never_wakes() {
+    let server = start_server(2);
+    let mut clients: Vec<Client> = (0..6).map(|_| connect(&server)).collect();
+    for client in &mut clients {
+        client.pin().expect("pin");
+    }
+    let idle_at = settle(&server);
+    assert!(idle_at > 0, "serving the pins was counted");
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(server.wakeups(), idle_at);
+    // Still there when asked.
+    clients[0].pin().expect("pin");
+    assert!(server.wakeups() > idle_at);
+    server.shutdown();
+}

@@ -2,11 +2,16 @@
 //!
 //! The build environment is hermetic (the vendored `serde` is a stub with no
 //! `serde_json`), so the wire protocol carries its payloads through this
-//! small module instead: a [`Json`] tree, a recursive-descent parser with a
-//! depth limit, and a writer that escapes exactly what the parser accepts.
-//! Integers are kept exact ([`Json::Int`]) instead of routing everything
-//! through `f64` — epochs, cursor ids and counts must round-trip without
-//! precision loss.
+//! small module instead: a [`Json`] tree, a pull tokenizer (`Reader`) with
+//! a depth-limited tree builder ([`parse`]) on top, and a writer that
+//! escapes exactly what the tokenizer accepts.  Integers are kept exact
+//! ([`Json::Int`]) instead of routing everything through `f64` — epochs,
+//! cursor ids and counts must round-trip without precision loss.
+//!
+//! The tokenizer is shared within the crate so that a decoder which knows
+//! the shape it expects (a `page` frame's answers, see [`crate::page`]) can
+//! pull strings straight into its own types; [`parse`] is the same tokenizer
+//! building a tree, so the two accept and reject exactly the same documents.
 
 use std::fmt;
 
@@ -117,94 +122,163 @@ impl Json {
 
     /// Serialises the value as compact JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out);
-        out
+        String::from_utf8(out).expect("the writer emits UTF-8")
     }
 
-    fn write(&self, out: &mut String) {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(i) => write_display(out, i),
             Json::Num(x) => {
                 if x.is_finite() {
-                    out.push_str(&x.to_string());
+                    write_display(out, x);
                 } else {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+fn write_display(out: &mut Vec<u8>, value: impl fmt::Display) {
+    use std::io::Write;
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
+}
+
+/// Appends `n` exactly as [`Json::uint`]`(n)` serialises.
+pub(crate) fn write_uint(out: &mut Vec<u8>, n: u64) {
+    match i64::try_from(n) {
+        Ok(i) => write_display(out, i),
+        Err(_) => write_display(out, n as f64),
+    }
+}
+
+/// Appends `s` as a JSON string literal, quotes included — the one escape
+/// routine of the workspace ([`crate::answer_wire_len`] mirrors it).
+/// Everything that needs escaping is ASCII, so the runs between escapes
+/// are copied as bytes.
+pub(crate) fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON document"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value(0)?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    /// The input as a `&str` — scalar decoding slices it at `pos`, which
-    /// every advance keeps on a char boundary (ASCII steps or `len_utf8`).
+/// What kind of value the [`Reader`] is positioned at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// A pull tokenizer over one JSON document.
+///
+/// The caller drives it: ask what comes next ([`Reader::kind`]), then pull
+/// it — a scalar ([`Reader::string`]), a whole subtree as a [`Json`]
+/// ([`Reader::value`]), or a container member by member
+/// ([`Reader::begin_array`] + [`Reader::next_element`],
+/// [`Reader::begin_object`] + [`Reader::next_key`]).  Nesting lives in the
+/// caller's control flow, so the tokenizer itself keeps no stack; `depth`
+/// is passed to [`Reader::value`] so a subtree pulled from inside
+/// containers still trips the same nesting limit as [`parse`].  A reader is
+/// a position in the text and nothing else: clone it to read the same value
+/// a second way.
+#[derive(Debug, Clone)]
+pub(crate) struct Reader<'a> {
+    /// The input as a `&str` — string runs are sliced out of it at
+    /// positions that only ever stop on ASCII bytes, hence char boundaries.
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the document's value.
+    pub(crate) fn new(input: &'a str) -> Self {
+        let mut reader = Reader {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// Checks that only whitespace follows the document's value.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_owned(),
@@ -240,78 +314,130 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
+    /// The kind of the value the reader is positioned at, judged by its
+    /// first byte (nothing is consumed).
+    pub(crate) fn kind(&self) -> Result<Kind, JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Number),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// Pulls the whole value the reader is positioned at as a tree.
+    /// `depth` is how many containers enclose it.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        match self.kind()? {
+            Kind::Null => self.literal("null", Json::Null),
+            Kind::Bool if self.peek() == Some(b't') => self.literal("true", Json::Bool(true)),
+            Kind::Bool => self.literal("false", Json::Bool(false)),
+            Kind::Str => Ok(Json::Str(self.string()?)),
+            Kind::Number => self.number(),
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.begin_array()?;
+                let mut first = true;
+                while self.next_element(&mut first)? {
+                    items.push(self.value(depth + 1)?);
                 }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+                Ok(Json::Arr(items))
+            }
+            Kind::Obj => {
+                let mut members = Vec::new();
+                self.begin_object()?;
+                let mut first = true;
+                while let Some(key) = self.next_key(&mut first)? {
+                    members.push((key, self.value(depth + 1)?));
+                }
+                Ok(Json::Obj(members))
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
+    /// Enters an array; follow with [`Reader::next_element`].
+    pub(crate) fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.expect(b'[')
+    }
+
+    /// Steps to the next array element: `true` leaves the reader positioned
+    /// at it (pull it before calling again), `false` means the closing
+    /// bracket was consumed.  `first` starts out `true`.
+    pub(crate) fn next_element(&mut self, first: &mut bool) -> Result<bool, JsonError> {
+        self.next_member(first, b']', "expected `,` or `]` in array")
+    }
+
+    /// Enters an object; follow with [`Reader::next_key`].
+    pub(crate) fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.expect(b'{')
+    }
+
+    /// Steps to the next object member: `Some(key)` leaves the reader
+    /// positioned at the member's value (pull it before calling again),
+    /// `None` means the closing brace was consumed.  `first` starts out
+    /// `true`.
+    pub(crate) fn next_key(&mut self, first: &mut bool) -> Result<Option<String>, JsonError> {
+        if !self.next_member(first, b'}', "expected `,` or `}` in object")? {
+            return Ok(None);
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// The separator logic shared by arrays and objects: an immediate
+    /// `close` is accepted only before the first member, a comma only
+    /// after one.
+    fn next_member(
+        &mut self,
+        first: &mut bool,
+        close: u8,
+        expected: &str,
+    ) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == close && *first => {
+                self.pos += 1;
+                Ok(false)
             }
+            _ if *first => {
+                *first = false;
+                Ok(true)
+            }
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err(expected)),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Pulls the string the reader is positioned at.
+    pub(crate) fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision.  All
+            // three kinds are ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -363,22 +489,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.  `pos` is always on a char
-                    // boundary, so the slice is O(1) — crucially NOT a
-                    // `from_utf8` revalidation of the whole remaining
-                    // input, which would make long strings parse in O(n²).
-                    let rest = self
-                        .text
-                        .get(self.pos..)
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty input"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }

@@ -20,8 +20,14 @@
 //!   [`answer_wire_len`], and [`parse_answer`], the inverse used by the
 //!   cluster coordinator to fold worker pages back into typed
 //!   [`Answer`](omq_data::Answer)s;
+//! - [`page`] — the one writer of `page` frames ([`PageWriter`]: length
+//!   prefix and JSON appended straight to a connection's write buffer) and
+//!   its reader ([`decode_page_object`]), neither of which builds a tree;
 //! - [`code`] — the wire [`ErrorCode`] vocabulary, partitioned into client
-//!   faults (4xx) and server failures (5xx).
+//!   faults (4xx) and server failures (5xx);
+//! - [`readiness`] — how a network thread waits: a poll set over `poll(2)`
+//!   plus a cross-thread waker.  Unix-only, and the one module of the
+//!   workspace that contains `unsafe` (the `poll` declaration and call).
 //!
 //! # Error discipline (shared by every consumer)
 //!
@@ -32,7 +38,9 @@
 //! ([`FrameTooLarge`]): past it there is no way to find the next frame
 //! boundary, so the connection must close.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `readiness` declares and calls `poll(2)` and is the
+// one module allowed to opt out (CI fails `unsafe` anywhere else).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod classify;
@@ -41,11 +49,15 @@ pub mod answers;
 pub mod code;
 pub mod frame;
 pub mod json;
+pub mod page;
 pub mod payload;
+#[allow(unsafe_code)]
+pub mod readiness;
 
 pub use answers::{answer_wire_len, parse_answer, render_answer};
 pub use code::ErrorCode;
 pub use frame::{frame_payload, FrameDecoder, FrameTooLarge, MAX_FRAME_LEN, MAX_WIRE_INT};
+pub use page::{decode_page_object, PageWriter};
 pub use payload::{
     bool_field, decode_object, field, opt_u64_field, parse_semantics, semantics_field,
     semantics_name, str_field, u64_field, violation, ProtocolViolation,

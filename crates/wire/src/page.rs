@@ -1,0 +1,358 @@
+//! `page` frames without a tree, in both directions.
+//!
+//! A page is the one frame whose size scales with the data — everything
+//! else on the wire is a handful of scalars — so it is the one frame with a
+//! path of its own:
+//!
+//! - [`PageWriter`] appends the length prefix and the JSON of a `page`
+//!   frame directly to a byte buffer (a connection's write buffer),
+//!   escaping constant names in place from typed answers.  The bytes are
+//!   exactly what the tree encoder (`Json` → `to_json` → `frame_payload`)
+//!   produces for the same page; the server's codec property test holds
+//!   the two together.
+//! - [`decode_page_object`] reads an object payload through the pull
+//!   tokenizer, building a tree for every member *except* `answers`, which
+//!   goes straight into `Vec<Vec<String>>`.
+//!
+//! ```text
+//! u32_be(len) {"t":"page","cursor":N,"answers":[["a","*"],…],"done":B}
+//! ```
+
+use crate::json::{self, Json, JsonError, Kind, Reader};
+use crate::payload::{invalid_json, not_an_object, payload_text, violation, ProtocolViolation};
+use omq_data::{Answer, ConstId, Database, MultiValue, PartialValue};
+
+/// Appends one `page` frame to a byte buffer, answer by answer.
+///
+/// [`PageWriter::begin`] reserves the length prefix and writes the
+/// envelope's head; each `push_*` appends one answer and reports its
+/// encoded size, so the caller can keep a byte budget on the bytes actually
+/// written and [`PageWriter::pop`] the answer that broke it;
+/// [`PageWriter::finish`] closes the envelope and fills the prefix in.  On
+/// [`PageWriter::abort`] the buffer is back to what it was.
+#[derive(Debug)]
+pub struct PageWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the frame's length prefix sits in `out`.
+    frame: usize,
+    /// Where the last pushed answer (separator included) starts.
+    last: usize,
+    answers: usize,
+}
+
+impl<'a> PageWriter<'a> {
+    /// Starts a page of cursor `cursor` at the end of `out`.
+    pub fn begin(out: &'a mut Vec<u8>, cursor: u64) -> Self {
+        let frame = out.len();
+        out.extend_from_slice(&[0; 4]);
+        out.extend_from_slice(b"{\"t\":\"page\",\"cursor\":");
+        json::write_uint(out, cursor);
+        out.extend_from_slice(b",\"answers\":[");
+        let last = out.len();
+        PageWriter {
+            out,
+            frame,
+            last,
+            answers: 0,
+        }
+    }
+
+    /// Answers in the page so far.
+    pub fn answers(&self) -> usize {
+        self.answers
+    }
+
+    /// Appends a typed answer, rendering constants by their interned name
+    /// in `db`, the single wildcard as `"*"`, multi-wildcards as `"*k"` —
+    /// the bytes of [`render_answer`](crate::render_answer)'s strings,
+    /// without the strings.  Returns the encoded size of the answer's JSON
+    /// array ([`answer_wire_len`](crate::answer_wire_len) of the rendered
+    /// answer; the separating comma is not counted).
+    pub fn push_answer(&mut self, answer: &Answer, db: &Database) -> usize {
+        let constant = |out: &mut Vec<u8>, c: ConstId| json::write_escaped(db.const_name(c), out);
+        match answer {
+            Answer::Complete(t) => self.push_with(t, |out, &c| constant(out, c)),
+            Answer::Partial(t) => self.push_with(&t.0, |out, v| match v {
+                PartialValue::Const(c) => constant(out, *c),
+                PartialValue::Star => out.extend_from_slice(b"\"*\""),
+            }),
+            Answer::Multi(t) => self.push_with(&t.0, |out, v| match v {
+                MultiValue::Const(c) => constant(out, *c),
+                MultiValue::Wild(k) => {
+                    out.extend_from_slice(b"\"*");
+                    json::write_uint(out, u64::from(*k));
+                    out.push(b'"');
+                }
+            }),
+        }
+    }
+
+    /// Appends an already rendered answer; same return as
+    /// [`PageWriter::push_answer`].
+    pub fn push_rendered(&mut self, answer: &[String]) -> usize {
+        self.push_with(answer, |out, value| json::write_escaped(value, out))
+    }
+
+    fn push_with<T>(&mut self, values: &[T], mut write: impl FnMut(&mut Vec<u8>, &T)) -> usize {
+        self.last = self.out.len();
+        if self.answers > 0 {
+            self.out.push(b',');
+        }
+        let start = self.out.len();
+        self.out.push(b'[');
+        for (i, value) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push(b',');
+            }
+            write(self.out, value);
+        }
+        self.out.push(b']');
+        self.answers += 1;
+        self.out.len() - start
+    }
+
+    /// Takes the last pushed answer back out (once per push).
+    pub fn pop(&mut self) {
+        debug_assert!(self.answers > 0 && self.last < self.out.len());
+        self.out.truncate(self.last);
+        self.answers -= 1;
+    }
+
+    /// Closes the frame: the `done` flag, then the length prefix.
+    pub fn finish(self, done: bool) {
+        self.out.extend_from_slice(if done {
+            b"],\"done\":true}"
+        } else {
+            b"],\"done\":false}"
+        });
+        let len = self.out.len() - self.frame - 4;
+        self.out[self.frame..self.frame + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    }
+
+    /// Drops the frame: the buffer is as it was before [`PageWriter::begin`].
+    pub fn abort(self) {
+        self.out.truncate(self.frame);
+    }
+}
+
+/// An `answers` member as [`decode_page_object`] read it: the rendered
+/// answers, or what about its shape was not a page's.
+pub type DecodedAnswers = Result<Vec<Vec<String>>, ProtocolViolation>;
+
+/// Decodes an object payload like [`decode_object`](crate::decode_object),
+/// except that its first `answers` member is read straight into rendered
+/// answers instead of a tree (and left out of the returned object).
+///
+/// Accepts and rejects exactly the payloads `decode_object` does — member
+/// order, unknown members, duplicate keys (first wins) and whitespace are
+/// all as tolerant, syntax errors as fatal.  An `answers` member that is
+/// well-formed JSON but not an array of arrays of strings is not an error
+/// *here* (only a `page` frame cares): it comes back as the `Err` the
+/// `page` arm should fail with.
+pub fn decode_page_object(
+    payload: &[u8],
+) -> Result<(Json, Option<DecodedAnswers>), ProtocolViolation> {
+    let mut reader = Reader::new(payload_text(payload)?);
+    if reader.kind().map_err(invalid_json)? != Kind::Obj {
+        // Syntax errors outrank the shape complaint, as in `decode_object`.
+        reader.value(0).map_err(invalid_json)?;
+        reader.finish().map_err(invalid_json)?;
+        return Err(not_an_object());
+    }
+    let mut members = Vec::new();
+    let mut answers = None;
+    reader.begin_object().map_err(invalid_json)?;
+    let mut first = true;
+    while let Some(key) = reader.next_key(&mut first).map_err(invalid_json)? {
+        if key == "answers" && answers.is_none() {
+            answers = Some(read_answers(&mut reader).map_err(invalid_json)?);
+        } else {
+            members.push((key, reader.value(1).map_err(invalid_json)?));
+        }
+    }
+    reader.finish().map_err(invalid_json)?;
+    Ok((Json::Obj(members), answers))
+}
+
+/// Why the typed read of an `answers` member stopped.
+enum Unreadable {
+    Syntax(JsonError),
+    Shape(&'static str),
+}
+
+impl From<JsonError> for Unreadable {
+    fn from(e: JsonError) -> Self {
+        Unreadable::Syntax(e)
+    }
+}
+
+/// Reads the value the reader is positioned at as rendered answers.  On a
+/// shape mismatch the value is re-read generically, so a syntax error
+/// further into it still surfaces as one and the reader ends up past the
+/// value either way.
+fn read_answers(reader: &mut Reader<'_>) -> Result<DecodedAnswers, JsonError> {
+    let start = reader.clone();
+    match read_answers_typed(reader) {
+        Ok(answers) => Ok(Ok(answers)),
+        Err(Unreadable::Syntax(e)) => Err(e),
+        Err(Unreadable::Shape(message)) => {
+            *reader = start;
+            reader.value(1)?;
+            Ok(Err(violation(message)))
+        }
+    }
+}
+
+fn read_answers_typed(reader: &mut Reader<'_>) -> Result<Vec<Vec<String>>, Unreadable> {
+    if reader.kind()? != Kind::Arr {
+        return Err(Unreadable::Shape("field `answers` must be an array"));
+    }
+    let mut answers = Vec::new();
+    reader.begin_array()?;
+    let mut first_answer = true;
+    while reader.next_element(&mut first_answer)? {
+        if reader.kind()? != Kind::Arr {
+            return Err(Unreadable::Shape("answers must be arrays"));
+        }
+        // Answers of one page share an arity.
+        let mut answer = Vec::with_capacity(answers.last().map_or(0, Vec::len));
+        reader.begin_array()?;
+        let mut first_value = true;
+        while reader.next_element(&mut first_value)? {
+            if reader.kind()? != Kind::Str {
+                return Err(Unreadable::Shape("answer entries must be strings"));
+            }
+            answer.push(reader.string()?);
+        }
+        answers.push(answer);
+    }
+    Ok(answers)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::answers::{answer_wire_len, render_answer};
+    use crate::frame::frame_payload;
+    use omq_data::{MultiTuple, PartialTuple, Schema};
+
+    fn db() -> Database {
+        let mut schema = Schema::new();
+        schema.add_relation("R", 2).unwrap();
+        Database::builder(schema)
+            .fact("R", ["a\"da", "love\\lace\n\u{1}é\u{1F600}"])
+            .build()
+            .unwrap()
+    }
+
+    /// The tree encoder's bytes for a page, the reference for the writer.
+    fn tree_encoded(cursor: u64, answers: &[Vec<String>], done: bool) -> Vec<u8> {
+        let answers = answers
+            .iter()
+            .map(|a| Json::Arr(a.iter().map(|v| Json::str(v.clone())).collect()))
+            .collect();
+        let doc = Json::obj([
+            ("t", Json::str("page")),
+            ("cursor", Json::uint(cursor)),
+            ("answers", Json::Arr(answers)),
+            ("done", Json::Bool(done)),
+        ]);
+        frame_payload(doc.to_json().as_bytes())
+    }
+
+    #[test]
+    fn typed_answers_write_the_bytes_of_their_rendering() {
+        let db = db();
+        let ada = db.const_id("a\"da").unwrap();
+        let lovelace = db.const_id("love\\lace\n\u{1}é\u{1F600}").unwrap();
+        let answers = [
+            Answer::Complete(vec![ada, lovelace]),
+            Answer::Complete(vec![]),
+            Answer::Partial(PartialTuple(vec![
+                PartialValue::Star,
+                PartialValue::Const(lovelace),
+            ])),
+            Answer::Multi(MultiTuple(vec![
+                MultiValue::Wild(17),
+                MultiValue::Const(ada),
+                MultiValue::Wild(1),
+            ])),
+        ];
+        let rendered: Vec<Vec<String>> = answers.iter().map(|a| render_answer(a, &db)).collect();
+        for done in [true, false] {
+            let mut out = b"earlier frames".to_vec();
+            let mut page = PageWriter::begin(&mut out, u64::MAX);
+            for (answer, rendered) in answers.iter().zip(&rendered) {
+                assert_eq!(page.push_answer(answer, &db), answer_wire_len(rendered));
+            }
+            assert_eq!(page.answers(), answers.len());
+            page.finish(done);
+            assert_eq!(&out[..14], b"earlier frames");
+            assert_eq!(&out[14..], tree_encoded(u64::MAX, &rendered, done));
+        }
+    }
+
+    #[test]
+    fn pop_and_abort_restore_the_buffer() {
+        let answer = vec!["x".to_owned()];
+        let mut out = vec![7u8; 3];
+        let mut page = PageWriter::begin(&mut out, 1);
+        page.push_rendered(&answer);
+        page.pop(); // popping the first answer leaves no stray bracket…
+        page.push_rendered(&answer);
+        page.push_rendered(&answer);
+        page.pop(); // …and popping a later one no stray comma.
+        assert_eq!(page.answers(), 1);
+        page.finish(false);
+        assert_eq!(&out[3..], tree_encoded(1, &[answer], false));
+
+        let page = PageWriter::begin(&mut out, 2);
+        page.abort();
+        assert_eq!(
+            out.len(),
+            3 + tree_encoded(1, &[vec!["x".to_owned()]], false).len()
+        );
+    }
+
+    #[test]
+    fn answers_are_read_wherever_the_member_sits() {
+        let (doc, answers) = decode_page_object(
+            r#" { "answers" : [ ["a","é"] , [ ] ], "t":"page", "answers": 5, "x":[1] } "#
+                .as_bytes(),
+        )
+        .unwrap();
+        assert_eq!(
+            answers.unwrap().unwrap(),
+            vec![vec!["a".to_owned(), "é".to_owned()], vec![]]
+        );
+        // The first `answers` went to the typed read, the duplicate stays
+        // a member like any other.
+        assert_eq!(doc.get("t").and_then(Json::as_str), Some("page"));
+        assert_eq!(doc.get("answers").and_then(Json::as_u64), Some(5));
+        assert!(decode_page_object(b"{}").unwrap().1.is_none());
+    }
+
+    #[test]
+    fn shape_errors_are_deferred_and_syntax_errors_are_not() {
+        for (payload, complaint) in [
+            (&br#"{"answers":7}"#[..], "must be an array"),
+            (br#"{"answers":[["a"],"b"]}"#, "must be arrays"),
+            (br#"{"answers":[["a",null]],"t":"page"}"#, "must be strings"),
+        ] {
+            let (_, answers) = decode_page_object(payload).unwrap();
+            let violation = answers.unwrap().unwrap_err();
+            assert!(violation.message.contains(complaint), "{violation}");
+        }
+        for payload in [
+            &br#"{"answers":[["a"],7,}"#[..],
+            br#"{"answers":[["a",]]}"#,
+            br#"{"answers":[["a"]"#,
+            br#"{"answers":[["a"]]} x"#,
+            br#"[["a"]]"#,
+            br#"[["a"]"#,
+            b"\xff",
+        ] {
+            assert!(decode_page_object(payload).is_err());
+        }
+    }
+}

@@ -37,12 +37,26 @@ pub fn violation(message: impl Into<String>) -> ProtocolViolation {
     }
 }
 
+/// The payload as text, or the complaint that it is not UTF-8.
+pub(crate) fn payload_text(payload: &[u8]) -> Result<&str, ProtocolViolation> {
+    std::str::from_utf8(payload).map_err(|_| violation("frame payload is not UTF-8"))
+}
+
+/// The complaint about a payload that is not a JSON document.
+pub(crate) fn invalid_json(e: json::JsonError) -> ProtocolViolation {
+    violation(format!("invalid JSON: {e}"))
+}
+
+/// The complaint about a payload that is JSON but not an object.
+pub(crate) fn not_an_object() -> ProtocolViolation {
+    violation("frame payload must be a JSON object")
+}
+
 /// Decodes a payload into a JSON object (UTF-8, valid JSON, object-shaped).
 pub fn decode_object(payload: &[u8]) -> Result<Json, ProtocolViolation> {
-    let text = std::str::from_utf8(payload).map_err(|_| violation("frame payload is not UTF-8"))?;
-    let doc = json::parse(text).map_err(|e| violation(format!("invalid JSON: {e}")))?;
+    let doc = json::parse(payload_text(payload)?).map_err(invalid_json)?;
     if !matches!(doc, Json::Obj(_)) {
-        return Err(violation("frame payload must be a JSON object"));
+        return Err(not_an_object());
     }
     Ok(doc)
 }
