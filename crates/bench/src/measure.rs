@@ -27,16 +27,6 @@ pub struct DelayStats {
     pub mean_delay_nanos: u128,
 }
 
-impl DelayStats {
-    /// Answers per second during the enumeration phase.
-    pub fn throughput(&self) -> f64 {
-        if self.enumeration_micros == 0 {
-            return 0.0;
-        }
-        self.answers as f64 / (self.enumeration_micros as f64 / 1e6)
-    }
-}
-
 /// Measures a two-phase computation.
 ///
 /// * `preprocess` builds whatever state the enumeration needs;
@@ -136,7 +126,6 @@ mod tests {
         );
         assert_eq!(stats.answers, 100);
         assert!(stats.max_delay_nanos >= stats.mean_delay_nanos);
-        assert!(stats.throughput() > 0.0);
     }
 
     #[test]

@@ -9,15 +9,9 @@
 //! * **ontologies** (finite sets of TGDs) and **ontology-mediated queries**
 //!   `(O, S, q)`, see [`ontology`] and [`omq`];
 //! * the (bounded, fair, oblivious) **chase**, see [`mod@chase`];
-//! * the **guarded saturation** of the database part and the **query-directed
-//!   chase** `ch^q_O(D)` of Section 3 of the paper, computable in time linear
-//!   in `‖D‖`, see [`qchase`];
-//! * a linear-time **Horn minimal-model solver** (Dowling–Gallier), the proof
-//!   device behind Proposition 3.3, exposed as a reusable substrate, see
-//!   [`horn`];
-//! * **simulations** between instances over unary/binary schemas
-//!   (Appendix A.3), the tool behind the lower-bound constructions, see
-//!   [`simulation`].
+//! * the **query-directed chase** `ch^q_O(D)` of Section 3 of the paper,
+//!   computed in time linear in `‖D‖` by guarded saturation of the database
+//!   part plus a memo of bag types, see [`qchase`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,21 +19,17 @@
 pub mod arena;
 pub mod chase;
 pub mod error;
-pub mod horn;
 pub mod omq;
 pub mod ontology;
 pub mod qchase;
-pub mod simulation;
 pub mod tgd;
 
 pub use arena::FactArena;
 pub use chase::{chase, chase_in, ChaseConfig, ChaseResult};
 pub use error::ChaseError;
-pub use horn::HornFormula;
 pub use omq::OntologyMediatedQuery;
 pub use ontology::Ontology;
 pub use qchase::{query_directed_chase, QchaseConfig, QchasePlan, QueryDirectedChase};
-pub use simulation::{greatest_simulation, simulates};
 pub use tgd::Tgd;
 
 /// Convenient `Result` alias for fallible operations in this crate.

@@ -20,11 +20,6 @@ impl Ontology {
         Self::default()
     }
 
-    /// Creates an ontology from a list of TGDs.
-    pub fn from_tgds(tgds: Vec<Tgd>) -> Self {
-        Ontology { tgds }
-    }
-
     /// Parses an ontology from text: one TGD per line; blank lines and lines
     /// starting with `#` or `%` are ignored.
     pub fn parse(text: &str) -> Result<Self> {

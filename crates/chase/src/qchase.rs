@@ -38,6 +38,9 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::hash_map::Entry;
 use std::sync::{Mutex, RwLock};
 
+/// Fact budget for each individual bag chase (saturation and grafting).
+const MAX_BAG_FACTS: usize = 100_000;
+
 /// Configuration of the query-directed chase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QchaseConfig {
@@ -51,8 +54,6 @@ pub struct QchaseConfig {
     /// Memoise bag chases by bag type (the linear-time trick).  Disable only
     /// for ablation experiments.
     pub memoize: bool,
-    /// Fact budget for each individual bag chase.
-    pub max_bag_facts: usize,
 }
 
 impl Default for QchaseConfig {
@@ -62,7 +63,6 @@ impl Default for QchaseConfig {
             saturation_depth: None,
             max_saturation_rounds: 16,
             memoize: true,
-            max_bag_facts: 100_000,
         }
     }
 }
@@ -346,7 +346,7 @@ impl QchasePlan {
         let mut saturation_converged = false;
         let saturation_config = ChaseConfig {
             max_depth: self.saturation_depth,
-            max_facts: config.max_bag_facts,
+            max_facts: MAX_BAG_FACTS,
         };
         let mut scratch: Vec<Value> = Vec::new();
         while saturation_rounds < config.max_saturation_rounds {
@@ -400,7 +400,7 @@ impl QchasePlan {
         // -------- Phase 2: graft null trees below every guarded set. --------
         let graft_config = ChaseConfig {
             max_depth: self.tree_depth,
-            max_facts: config.max_bag_facts,
+            max_facts: MAX_BAG_FACTS,
         };
         let mut grafted_sets: FxHashSet<Vec<Value>> = FxHashSet::default();
         let mut grafts = 0usize;

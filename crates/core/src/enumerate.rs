@@ -29,7 +29,7 @@
 //! [`JoinCsr`]: crate::preprocess::JoinCsr
 
 use crate::preprocess::{FreeConnexStructure, JoinCsr};
-use omq_data::{kernels, Value};
+use omq_data::Value;
 
 /// The resumable traversal state of one constant-delay enumeration run.
 ///
@@ -363,9 +363,8 @@ fn node_cands<'a>(
 /// `q₁` makes assignments and answers correspond one-to-one, the number of
 /// answers below a depth-`n-2` prefix is exactly the *fan-out* of the last
 /// pre-order node.  That fan-out is a CSR range length, so the deepest level
-/// collapses into [`kernels::sum_csr_lens`] / [`kernels::range_len`] folds
-/// over the offset arrays — `O(prefixes at depth n-2)` work instead of
-/// `O(answers)`, with the leaf level never visited at all.
+/// collapses into folds over the offset arrays — `O(prefixes at depth n-2)`
+/// work instead of `O(answers)`, with the leaf level never visited at all.
 pub fn count_answers(structure: &FreeConnexStructure) -> u64 {
     if let Some(satisfiable) = structure.boolean_satisfiable {
         return u64::from(satisfiable);
@@ -399,11 +398,14 @@ fn count_prefixes(structure: &FreeConnexStructure, cur_tuple: &mut [usize], dept
                 .expect("leaf_keyed_here implies a parent join");
             match cands {
                 // Dense: fan-outs over all rows telescope in O(1).
-                NodeCands::All(len) => kernels::range_len(&leaf_join.offsets, 0, len),
-                // Sparse: fold the fan-outs of the candidate tuple ids with
-                // the chunked CSR kernel.
+                NodeCands::All(len) => u64::from(leaf_join.offsets[len] - leaf_join.offsets[0]),
+                // Sparse: sum the fan-outs of the candidate tuple ids.
                 NodeCands::Csr { join, start, len } => {
-                    kernels::sum_csr_lens(&leaf_join.offsets, &join.tuples[start..start + len])
+                    let offsets = &leaf_join.offsets;
+                    join.tuples[start..start + len]
+                        .iter()
+                        .map(|&k| u64::from(offsets[k as usize + 1] - offsets[k as usize]))
+                        .sum()
                 }
             }
         } else {

@@ -158,22 +158,29 @@ impl Extension {
         // Constant positions resolve to a packed row-id list before the
         // binding loop runs.  A selective constant remaps its CSR fact ids to
         // column rows (one random access per match); a dense one is cheaper
-        // to rediscover with a chunked vectorized column scan
-        // ([`omq_data::kernels::select_eq`]) than to remap row by row.  Any
-        // further constant columns refine the list in place, so the binding
-        // loop below only ever sees rows whose constants already matched.
+        // to rediscover with a sequential column scan than to remap row by
+        // row.  Any further constant columns refine the list in place, so the
+        // binding loop below only ever sees rows whose constants already
+        // matched.
         let mut row_list: Option<Vec<u32>> = None;
         if let Some((best_pos, best_value, narrowed)) = candidates {
-            let mut rows: Vec<u32> = Vec::new();
-            if narrowed.len() * 4 >= cols.rows() {
-                omq_data::kernels::select_eq(col_slices[best_pos], best_value, &mut rows);
+            let mut rows: Vec<u32> = if narrowed.len() * 4 >= cols.rows() {
+                (0u32..)
+                    .zip(col_slices[best_pos])
+                    .filter(|&(_, &v)| v == best_value)
+                    .map(|(row, _)| row)
+                    .collect()
             } else {
-                rows.extend(narrowed.iter().map(|&idx| columnar.row_of_fact(idx)));
-            }
+                narrowed
+                    .iter()
+                    .map(|&idx| columnar.row_of_fact(idx))
+                    .collect()
+            };
             for (pos, slot) in slots.iter().enumerate() {
                 if let Slot::Check(value) = slot {
                     if pos != best_pos {
-                        omq_data::kernels::retain_matching(col_slices[pos], *value, &mut rows);
+                        let column = col_slices[pos];
+                        rows.retain(|&row| column[row as usize] == *value);
                     }
                 }
             }
@@ -392,6 +399,59 @@ mod tests {
         assert_eq!(ext.len(), 2);
         let (_, missing) = atom_of("q(y) :- R('zzz', y)", 0);
         assert!(Extension::of_atom(&missing, &database, &FxHashSet::default()).is_empty());
+
+        // 40 rows `T(h|s_i, v_i, w_{i mod 2})`: `h` heads 32 of them.
+        let mut s = Schema::new();
+        s.add_relation("T", 3).unwrap();
+        let mut builder = Database::builder(s);
+        for i in 0..40 {
+            let head = if i < 32 {
+                "h".to_string()
+            } else {
+                format!("s{i}")
+            };
+            builder = builder.fact("T", [head, format!("v{i}"), format!("w{}", i % 2)]);
+        }
+        let database = builder.build().unwrap();
+        // Dense constant (32 of 40 rows): the column-scan path.
+        assert_matches_facts(&database, "q(y, z) :- T('h', y, z)", 32);
+        // Sparse constant (1 of 40 rows): the CSR-remap path.
+        assert_matches_facts(&database, "q(y, z) :- T('s33', y, z)", 1);
+        // Two constants, narrowed through `w0` (20 rows, dense) and refined
+        // by `h`; then through `v7` (sparse) and refined by `h`.
+        assert_matches_facts(&database, "q(y) :- T('h', y, 'w0')", 16);
+        assert_matches_facts(&database, "q(z) :- T('h', 'v7', z)", 1);
+        assert_matches_facts(&database, "q(z) :- T('h', 'v35', z)", 0);
+    }
+
+    /// The extension of the single atom of `query` (distinct variables, every
+    /// constant in the database) equals `Database::facts_matching` projected
+    /// onto the variable positions, and has `len` rows.
+    fn assert_matches_facts(database: &Database, query: &str, len: usize) {
+        let (_, atom) = atom_of(query, 0);
+        let rel = database.schema().relation_id(&atom.relation).unwrap();
+        let binding: Vec<Option<Value>> = atom
+            .terms
+            .iter()
+            .map(|term| match term {
+                Term::Const(name) => Some(Value::Const(database.const_id(name).unwrap())),
+                Term::Var(_) => None,
+            })
+            .collect();
+        let expected: FxHashSet<Tuple> = database
+            .facts_matching(rel, &binding)
+            .into_iter()
+            .map(|idx| {
+                let args = &database.fact(idx).args;
+                (0..args.len())
+                    .filter(|&p| binding[p].is_none())
+                    .map(|p| args[p])
+                    .collect()
+            })
+            .collect();
+        let ext = Extension::of_atom(&atom, database, &FxHashSet::default());
+        assert_eq!(ext.len(), len, "{query}");
+        assert_eq!(ext.tuple_set(), expected, "{query}");
     }
 
     #[test]

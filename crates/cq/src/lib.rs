@@ -10,7 +10,6 @@
 //! * the acyclicity notions of the paper — *acyclic*, *weakly acyclic*,
 //!   *free-connex acyclic* — together with self-join freeness, connectedness
 //!   and *bad paths*, see [`acyclicity`];
-//! * the **canonical database** `D_q` of a query, see [`canonical`];
 //! * **homomorphism search** from a query into a database (used by the
 //!   brute-force baselines, the chase machinery and the testers), see
 //!   [`homomorphism`].
@@ -20,7 +19,6 @@
 
 pub mod acyclicity;
 pub mod atom;
-pub mod canonical;
 pub mod error;
 pub mod homomorphism;
 pub mod hypergraph;

@@ -308,13 +308,6 @@ impl ConjunctiveQuery {
         }
     }
 
-    /// Returns a copy extended with an extra atom.
-    pub fn with_extra_atom(&self, atom: Atom) -> ConjunctiveQuery {
-        let mut q = self.clone();
-        q.atoms.push(atom);
-        q
-    }
-
     /// Splits the query into its maximal connected components.  Two atoms are
     /// connected if they share a variable or a constant (connectedness "via a
     /// constant", as in the paper).  Each component keeps the answer-variable

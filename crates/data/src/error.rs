@@ -26,6 +26,14 @@ pub enum DataError {
         /// Conflicting arity.
         second: usize,
     },
+    /// A relation symbol was declared with an arity above
+    /// [`crate::schema::MAX_ARITY`].
+    ArityTooLarge {
+        /// Relation symbol name.
+        relation: String,
+        /// The declared arity.
+        arity: usize,
+    },
     /// A tuple of the wrong length was supplied to an operation that expects a
     /// specific length (e.g. answer testing).
     TupleLengthMismatch {
@@ -78,6 +86,11 @@ impl fmt::Display for DataError {
             } => write!(
                 f,
                 "relation `{relation}` declared with conflicting arities {first} and {second}"
+            ),
+            DataError::ArityTooLarge { relation, arity } => write!(
+                f,
+                "relation `{relation}` declared with arity {arity}, above the maximum {}",
+                crate::schema::MAX_ARITY
             ),
             DataError::TupleLengthMismatch { expected, actual } => write!(
                 f,

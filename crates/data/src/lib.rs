@@ -9,11 +9,10 @@
 //! * **schemas** of relation symbols with arities, see [`Schema`];
 //! * **facts** and finite **instances / databases** with dense columnar
 //!   indexes that play the role of the RAM-model lookup tables assumed by the
-//!   paper, see [`Database`] and [`columnar::ColumnarIndex`];
-//! * chunked, auto-vectorizable **scan kernels** over those columnar layouts
-//!   (membership tests, join-partner counting, CSR fan-out sums), see
-//!   [`kernels`];
-//! * the **Gaifman graph** of a database and guarded sets, see [`gaifman`];
+//!   paper, see [`Database`] and [`columnar::ColumnarIndex`]; the database
+//!   also keeps its **Gaifman components** (a union-find over values, see
+//!   [`Database::shard_by_component`]) and answers guarded-set tests
+//!   ([`Database::is_guarded_set`]);
 //! * **wildcard tuples** for partial answers — both the single-wildcard variant
 //!   (`*`) and the multi-wildcard variant (`*1, *2, …`) together with their
 //!   preference orders `⪯` / `≺`, minimality filters, balls and cones, see
@@ -37,9 +36,7 @@ pub mod columnar;
 pub mod database;
 pub mod error;
 pub mod fact;
-pub mod gaifman;
 pub mod interner;
-pub mod kernels;
 pub mod schema;
 pub mod store;
 pub mod value;

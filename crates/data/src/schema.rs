@@ -19,6 +19,13 @@ pub struct Relation {
     pub arity: usize,
 }
 
+/// The largest arity a relation symbol may declare.  Arities can arrive from
+/// the network (a commit's `add_relation`, a cluster worker's setup frame),
+/// and the columnar index allocates per argument position, so an unchecked
+/// arity is an allocation of the client's choosing.  No schema in the
+/// workspace comes near it.
+pub const MAX_ARITY: usize = 64;
+
 /// A schema `S`: a finite set of relation symbols with arities.
 ///
 /// Relation symbols are interned into dense [`RelId`]s so that per-relation
@@ -38,9 +45,15 @@ impl Schema {
 
     /// Adds (or re-uses) a relation symbol with the given arity.
     ///
-    /// Returns an error if the symbol was previously declared with a different
-    /// arity.
+    /// Returns an error if the arity exceeds [`MAX_ARITY`] or the symbol was
+    /// previously declared with a different arity.
     pub fn add_relation(&mut self, name: &str, arity: usize) -> Result<RelId> {
+        if arity > MAX_ARITY {
+            return Err(DataError::ArityTooLarge {
+                relation: name.to_owned(),
+                arity,
+            });
+        }
         if let Some(&id) = self.by_name.get(name) {
             let existing = &self.relations[id.0 as usize];
             if existing.arity != arity {
@@ -123,16 +136,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// Rebuilds the name index (needed after deserialisation).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .relations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name.clone(), RelId(i as u32)))
-            .collect();
-    }
 }
 
 impl fmt::Display for Schema {
@@ -180,6 +183,15 @@ mod tests {
         schema.add_relation("R", 2).unwrap();
         let err = schema.add_relation("R", 3).unwrap_err();
         assert!(matches!(err, DataError::ConflictingArity { .. }));
+    }
+
+    #[test]
+    fn arity_above_the_bound_is_error() {
+        let mut schema = Schema::new();
+        schema.add_relation("Wide", MAX_ARITY).unwrap();
+        let err = schema.add_relation("Wider", MAX_ARITY + 1).unwrap_err();
+        assert!(matches!(err, DataError::ArityTooLarge { arity, .. } if arity == MAX_ARITY + 1));
+        assert_eq!(schema.len(), 1);
     }
 
     #[test]

@@ -207,12 +207,6 @@ impl Snapshot {
         &self.db
     }
 
-    /// A shared handle to the pinned database, e.g. for ad-hoc consumers
-    /// that want to own the `Arc` themselves.
-    pub fn shared_database(&self) -> Arc<Database> {
-        self.db.clone()
-    }
-
     /// Returns `true` iff `self` and `other` pin the very same database
     /// (same `Arc`), which implies equal epochs of one store.
     pub fn ptr_eq(&self, other: &Snapshot) -> bool {

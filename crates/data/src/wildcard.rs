@@ -89,11 +89,6 @@ impl PartialTuple {
         )
     }
 
-    /// Builds a complete tuple (no wildcards) from constants.
-    pub fn from_consts(consts: &[ConstId]) -> Self {
-        PartialTuple(consts.iter().map(|&c| PartialValue::Const(c)).collect())
-    }
-
     /// Tuple length.
     pub fn len(&self) -> usize {
         self.0.len()

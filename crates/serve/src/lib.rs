@@ -79,7 +79,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use omq_chase::{OntologyMediatedQuery, QchaseConfig};
+use omq_chase::OntologyMediatedQuery;
 use omq_core::parallel::map_bounded;
 use omq_core::{AnswerStream, CoreError, PreparedInstance, PreprocessStats, QueryPlan};
 use omq_data::{Answer, ConstId, Database, MultiTuple, PartialTuple};
@@ -436,11 +436,6 @@ impl StreamedResponse {
         self.stream.error()
     }
 
-    /// Unwraps the underlying raw answer cursor (drops the limit bound).
-    pub fn into_stream(self) -> AnswerStream {
-        self.stream
-    }
-
     /// Batched pull: appends up to `k` answers to `out` (clipped to the
     /// request's remaining `limit`) and returns how many were appended.
     /// Equivalent to `k` calls to `next()`, at a lower per-answer cost —
@@ -594,17 +589,6 @@ impl ServingEngine {
         self.register_plan(name, plan)
     }
 
-    /// Compiles `omq` with an explicit chase configuration and catalogues it.
-    pub fn register_query_with(
-        &mut self,
-        name: &str,
-        omq: &OntologyMediatedQuery,
-        config: &QchaseConfig,
-    ) -> Result<QueryId> {
-        let plan = QueryPlan::compile_with(omq, config)?;
-        self.register_plan(name, plan)
-    }
-
     /// Adds an already-compiled plan to the catalogue under `name`, merging
     /// its data schema into the store and warming a prepared instance over
     /// the current head.
@@ -667,11 +651,6 @@ impl ServingEngine {
     /// Looks up a catalogued query by name.
     pub fn query_id(&self, name: &str) -> Option<QueryId> {
         self.by_name.get(name).copied().map(QueryId)
-    }
-
-    /// The name a catalogued query was registered under.
-    pub fn query_name(&self, id: QueryId) -> Option<&str> {
-        self.plans.get(id.0).map(|(name, _)| name.as_str())
     }
 
     /// The compiled plan behind a query id.
@@ -1229,6 +1208,27 @@ mod tests {
             Err(ServeError::Data(DataError::UnknownRelation(_)))
         ));
         assert_eq!(engine.epoch(), epoch);
+    }
+
+    /// An arity from the network is bounded before anything allocates per
+    /// position: the commit is refused, the epoch stays, the warm instance
+    /// keeps serving.
+    #[test]
+    fn an_oversized_arity_is_refused_before_the_warm_refresh() {
+        let mut engine = ServingEngine::new(1);
+        let id = engine.register_query("q", &researcher_omq()).unwrap();
+        seed_store(&mut engine, 5, false);
+        let epoch = engine.epoch();
+        let request = Request::new(id, Semantics::MinimalPartial);
+        let before = engine.count(&request).unwrap().count;
+        assert!(matches!(
+            engine.register_data(Txn::new().add_relation("Z", 1 << 40).insert("Z", ["x"])),
+            Err(ServeError::Data(DataError::ArityTooLarge { arity, .. })) if arity == 1 << 40
+        ));
+        assert_eq!(engine.epoch(), epoch);
+        assert!(engine.store().schema().relation_id("Z").is_none());
+        assert!(engine.warm_instance(id).is_some());
+        assert_eq!(engine.count(&request).unwrap().count, before);
     }
 
     #[test]

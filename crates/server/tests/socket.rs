@@ -187,6 +187,52 @@ fn epochs_advance_and_errors_are_classified() {
     client.bye().expect("bye");
 }
 
+/// A relation arity from the wire is bounded by the schema: a commit that
+/// declares `Z` with arity 2^40 is refused with a 4xx error frame instead of
+/// aborting the process while the warm refresh indexes it, the epoch stays,
+/// and the connection keeps answering.
+#[test]
+fn an_oversized_arity_is_a_schema_mismatch_over_tcp() {
+    let server = start_server(1);
+    let mut client = connect(&server);
+    client
+        .register_query("offices", ONTOLOGY, QUERY)
+        .expect("register");
+    let seeded = client.commit(seed_facts(8)).expect("seed");
+    let target = || QueryTarget::Name("offices".into());
+    let before = client
+        .count(target(), Semantics::MinimalPartial, None)
+        .expect("count before");
+
+    let err = client
+        .commit(vec![
+            TxnOp::AddRelation {
+                relation: "Z".into(),
+                arity: 1 << 40,
+            },
+            TxnOp::Insert {
+                relation: "Z".into(),
+                tuple: vec!["x".into()],
+            },
+        ])
+        .expect_err("oversized arity");
+    match err {
+        ClientError::Server { code, .. } => {
+            assert_eq!(code, ErrorCode::SchemaMismatch);
+            assert!(code.is_client_error());
+        }
+        other => panic!("expected server error, got {other}"),
+    }
+
+    let after = client
+        .count(target(), Semantics::MinimalPartial, None)
+        .expect("count after");
+    assert_eq!(after.epoch, seeded.epoch);
+    assert_eq!(after.count, before.count);
+    client.bye().expect("bye");
+    server.shutdown();
+}
+
 /// The acceptance test: a cursor pinned at epoch `e` replays exactly epoch
 /// `e` while another client commits concurrently — and the paged sequence
 /// is byte-identical to an in-process drain opened at the same pinned

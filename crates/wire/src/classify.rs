@@ -40,6 +40,7 @@ impl ErrorCode {
             DataError::UnknownRelation(_)
             | DataError::ArityMismatch { .. }
             | DataError::ConflictingArity { .. }
+            | DataError::ArityTooLarge { .. }
             | DataError::TupleLengthMismatch { .. }
             | DataError::NonCanonicalWildcards => ErrorCode::SchemaMismatch,
         }

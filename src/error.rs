@@ -192,6 +192,15 @@ mod tests {
                 true,
             ),
             (
+                omq_data::DataError::ArityTooLarge {
+                    relation: "Z".into(),
+                    arity: 1 << 40,
+                }
+                .into(),
+                ErrorCode::SchemaMismatch,
+                true,
+            ),
+            (
                 omq_data::DataError::NonCanonicalWildcards.into(),
                 ErrorCode::SchemaMismatch,
                 true,

@@ -44,8 +44,7 @@
 //!   `examples/live_store.rs`;
 //! * all the substrates required along the way: a relational data model with
 //!   dense columnar indexes, conjunctive-query machinery (join trees,
-//!   acyclicity notions), the chase, the query-directed chase, and a
-//!   linear-time Horn minimal-model solver.
+//!   acyclicity notions), the chase and the query-directed chase.
 //!
 //! ## Quick start: a serving session
 //!
