@@ -48,7 +48,7 @@ use omq_core::remote::RemoteShard;
 use omq_core::{AnswerStream, CoreError, QueryPlan};
 use omq_data::{Answer, Database, Semantics};
 use omq_wire::readiness::{Interest, PollSet};
-use omq_wire::{parse_answer, FrameDecoder};
+use omq_wire::{answer_wire_len, parse_answer, FrameDecoder, MAX_SINGLE_ANSWER_BYTES};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -197,6 +197,16 @@ impl Exchange {
             self.failed = Some(error);
         }
     }
+
+    /// Fails the run if no worker is left to finish the outstanding shards.
+    fn fail_on_fleet_death(&mut self) {
+        let outstanding = self.unfinished();
+        if self.live_workers == 0 && outstanding > 0 {
+            self.fail(CoreError::Internal(format!(
+                "all cluster workers died with {outstanding} shard(s) outstanding"
+            )));
+        }
+    }
 }
 
 struct Shared {
@@ -324,6 +334,14 @@ pub fn execute(
         } else {
             vec![db.export_fact_rows()?]
         };
+    // A row travels whole inside one `facts` frame: refuse one that cannot
+    // fit before any worker is spawned (a worker's decoder would reject the
+    // frame as a corrupt stream, and every worker the shard reached would
+    // die of it).
+    let longest = shard_rows.iter().flatten().map(row_wire_len).max();
+    if let Some(bytes) = longest.filter(|&bytes| bytes > MAX_SINGLE_ANSWER_BYTES) {
+        return Err(ClusterError::FactTooLarge(bytes));
+    }
     let mut works: Vec<ShardWork> = shard_rows
         .into_iter()
         .enumerate()
@@ -448,12 +466,7 @@ pub fn execute(
         let mut ex = shared.lock();
         ex.stats.workers = pumps.len();
         ex.live_workers -= workers - pumps.len();
-        if ex.live_workers == 0 && ex.unfinished() > 0 {
-            let outstanding = ex.unfinished();
-            ex.fail(CoreError::Internal(format!(
-                "all cluster workers died with {outstanding} shard(s) outstanding"
-            )));
-        }
+        ex.fail_on_fleet_death();
     }
     shared.cv.notify_all();
 
@@ -479,6 +492,11 @@ pub fn execute(
             worker_threads,
         },
     })
+}
+
+/// Encoded bytes of a fact row, `[relation, arg…]`.
+fn row_wire_len((relation, args): &FactRow) -> usize {
+    answer_wire_len(std::iter::once(relation).chain(args))
 }
 
 /// One worker connection's pump: the thread that feeds its worker shards
@@ -517,12 +535,7 @@ impl Pump {
                 ex.stats.reassignments += 1;
                 ex.queue_push(work);
             }
-            if ex.live_workers == 0 && ex.unfinished() > 0 {
-                let outstanding = ex.unfinished();
-                ex.fail(CoreError::Internal(format!(
-                    "all cluster workers died with {outstanding} shard(s) outstanding"
-                )));
-            }
+            ex.fail_on_fleet_death();
         }
         drop(ex);
         self.shared.cv.notify_all();
@@ -580,17 +593,19 @@ impl Pump {
 
     /// Ships one shard, starts it, and folds its pages into the exchange.
     fn run_shard(&mut self, work: &ShardWork) -> ShardOutcome {
-        // Ship the rows in byte-bounded batches.  The estimate errs low on
-        // heavily escaped names, which is fine: the budget sits at an eighth
-        // of the frame cap.
+        // Ship the rows in batches of at most `MAX_SHIP_BYTES` of encoded
+        // rows (commas included), each batch at least one row; `execute`
+        // refused any row too long to travel alone.
         let mut shipped_bytes = 0usize;
         let mut start = 0usize;
         loop {
             let mut bytes = 0usize;
             let mut end = start;
-            while end < work.rows.len() && (end == start || bytes < MAX_SHIP_BYTES) {
-                let (rel, args) = &work.rows[end];
-                bytes += 6 + rel.len() + args.iter().map(|a| a.len() + 3).sum::<usize>();
+            while end < work.rows.len() {
+                bytes += row_wire_len(&work.rows[end]) + 1;
+                if end > start && bytes > MAX_SHIP_BYTES {
+                    break;
+                }
                 end += 1;
             }
             let frame = CoordFrame::Facts {
@@ -707,7 +722,7 @@ mod tests {
     use super::*;
     use omq_chase::{Ontology, OntologyMediatedQuery};
     use omq_cq::ConjunctiveQuery;
-    use omq_wire::render_answer;
+    use omq_wire::{render_answer, MAX_FRAME_LEN};
     use std::collections::BTreeMap;
 
     const ONTOLOGY: &str = "Researcher(x) -> exists y. HasOffice(x, y)\n\
@@ -864,6 +879,41 @@ mod tests {
         drop(drained);
         let stats = run.handle.finish();
         assert_eq!(stats.worker_failures, 1);
+    }
+
+    /// `island_db(8)` plus one office wiring whose names are `lens` long.
+    fn db_with_long_names(lens: [usize; 3]) -> Database {
+        let db = island_db(8);
+        let [p, o, b] = [(lens[0], "p"), (lens[1], "o"), (lens[2], "b")].map(|(n, c)| c.repeat(n));
+        let mut rows = db.export_fact_rows().unwrap();
+        rows.push(("HasOffice".to_owned(), vec![p, o.clone()]));
+        rows.push(("InBuilding".to_owned(), vec![o, b]));
+        Database::from_fact_rows(db.schema().clone(), &rows).unwrap()
+    }
+
+    #[test]
+    fn a_fact_row_too_long_for_a_frame_is_refused_before_spawning() {
+        let db = db_with_long_names([MAX_FRAME_LEN, 1, 1]);
+        let err = execute(ONTOLOGY, QUERY, &db, Semantics::Complete, &fast_config())
+            .err()
+            .expect("an over-cap row must be refused");
+        assert!(
+            matches!(err, ClusterError::FactTooLarge(n) if n > MAX_FRAME_LEN),
+            "{err}"
+        );
+        assert_eq!(err.wire_code(), omq_wire::ErrorCode::FrameTooLarge);
+    }
+
+    #[test]
+    fn an_answer_too_long_for_a_frame_fails_its_shard_not_the_fleet() {
+        // Every row fits a frame; the answer joining three names does not.
+        let db = db_with_long_names([MAX_FRAME_LEN / 3; 3]);
+        let run = execute(ONTOLOGY, QUERY, &db, Semantics::Complete, &fast_config()).unwrap();
+        let mut stream = run.stream;
+        stream.by_ref().for_each(drop);
+        let error = stream.error().expect("the shard must fail");
+        assert!(error.to_string().contains("frame cap"), "got: {error}");
+        assert_eq!(run.handle.finish().worker_failures, 0);
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub enum ClusterError {
     Protocol(String),
     /// No worker connected before the timeout.
     NoWorkers(String),
+    /// A fact row of this many encoded bytes, too long to travel in one
+    /// frame (over [`omq_wire::MAX_SINGLE_ANSWER_BYTES`]).
+    FactTooLarge(usize),
 }
 
 impl ClusterError {
@@ -88,6 +91,7 @@ impl ClusterError {
             ClusterError::Data(e) => ErrorCode::for_data(e),
             ClusterError::Protocol(_) => ErrorCode::MalformedFrame,
             ClusterError::NoWorkers(_) => ErrorCode::Internal,
+            ClusterError::FactTooLarge(_) => ErrorCode::FrameTooLarge,
         }
     }
 }
@@ -102,6 +106,11 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Data(e) => write!(f, "{e}"),
             ClusterError::Protocol(msg) => write!(f, "cluster protocol violation: {msg}"),
             ClusterError::NoWorkers(msg) => write!(f, "no cluster workers: {msg}"),
+            ClusterError::FactTooLarge(bytes) => write!(
+                f,
+                "a fact row of {bytes} encoded bytes exceeds the {}-byte cap of one frame",
+                omq_wire::MAX_SINGLE_ANSWER_BYTES
+            ),
         }
     }
 }
@@ -113,7 +122,10 @@ impl std::error::Error for ClusterError {
             ClusterError::Cq(e) => Some(e),
             ClusterError::Core(e) => Some(e),
             ClusterError::Data(e) => Some(e),
-            ClusterError::Io(..) | ClusterError::Protocol(_) | ClusterError::NoWorkers(_) => None,
+            ClusterError::Io(..)
+            | ClusterError::Protocol(_)
+            | ClusterError::NoWorkers(_)
+            | ClusterError::FactTooLarge(_) => None,
         }
     }
 }

@@ -24,14 +24,16 @@
 //!
 //! `error` carries an [`ErrorCode`] like the server's error frame; an error
 //! with a `shard` is a failed evaluation of that shard, an error without one
-//! poisons the whole session (e.g. the setup did not parse).
+//! (the member is omitted) poisons the whole session (e.g. the setup did not
+//! parse).
+//!
+//! Both vocabularies are rows of `omq_wire`'s frame table
+//! ([`omq_wire::frames!`]): each frame is declared once below and its codec
+//! is generated.  The worker's `page` is the server's page with its id
+//! member named `shard`, written by [`omq_wire::PageWriter`].
 
 use omq_data::Semantics;
-use omq_wire::json::Json;
-use omq_wire::{
-    bool_field, decode_object, field, frame_payload, semantics_field, semantics_name, str_field,
-    u64_field, violation, ErrorCode, ProtocolViolation,
-};
+use omq_wire::ErrorCode;
 
 /// Soft cap on the encoded bytes of the `rows` member of one `facts` frame;
 /// the coordinator splits bigger shards across several frames.  Same budget
@@ -48,378 +50,69 @@ pub const PAGE_ANSWERS: usize = 1024;
 /// One fact as it travels: the relation name and the constant names.
 pub type FactRow = (String, Vec<String>);
 
-/// Frames the coordinator sends.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoordFrame {
-    /// The session preamble: ontology and query text plus the full schema
-    /// (shards only carry a subset of the relations; the plan needs all).
-    Setup {
-        /// Ontology text, one TGD per line.
-        ontology: String,
-        /// Query text.
-        query: String,
-        /// `(name, arity)` for every relation of the coordinator's schema.
-        relations: Vec<(String, u64)>,
-    },
-    /// A batch of fact rows for a shard; `last` marks the final batch.
-    Facts {
-        /// Shard id the rows belong to.
-        shard: u64,
-        /// The rows.
-        rows: Vec<FactRow>,
-        /// This is the shard's final batch — it can be built and run.
-        last: bool,
-    },
-    /// Evaluate a fully shipped shard under `semantics`.
-    Run {
-        /// Shard id, previously completed by a `last` facts frame.
-        shard: u64,
-        /// The answer semantics to enumerate.
-        semantics: Semantics,
-    },
-    /// End of session: no more shards will be assigned.
-    Bye,
-}
-
-/// Frames a worker sends.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerFrame {
-    /// Hello: sent once, immediately after connecting.
-    Ready {
-        /// The worker's index, as assigned at spawn time.
-        worker: u64,
-    },
-    /// One page of rendered answers for a running shard.
-    Page {
-        /// Shard id the answers belong to.
-        shard: u64,
-        /// Rendered answers (see [`omq_wire::render_answer`]).
-        answers: Vec<Vec<String>>,
-        /// The shard is fully enumerated; its results may be committed.
-        done: bool,
-    },
-    /// Something failed.  With a shard id: that evaluation failed (and the
-    /// failure is deterministic — rerunning elsewhere would fail the same).
-    /// Without: the session is poisoned (setup failure, protocol error).
-    Error {
-        /// The shard whose evaluation failed, if any.
-        shard: Option<u64>,
-        /// Coarse classification, shared with the serving protocol.
-        code: ErrorCode,
-        /// Human-readable description.
-        message: String,
-    },
-}
-
-fn rows_json(rows: &[FactRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|(rel, args)| {
-                let mut row = Vec::with_capacity(1 + args.len());
-                row.push(Json::str(rel.clone()));
-                row.extend(args.iter().map(|a| Json::str(a.clone())));
-                Json::Arr(row)
-            })
-            .collect(),
-    )
-}
-
-fn parse_rows(doc: &Json) -> Result<Vec<FactRow>, ProtocolViolation> {
-    let arr = field(doc, "rows")?
-        .as_arr()
-        .ok_or_else(|| violation("field `rows` must be an array"))?;
-    arr.iter()
-        .map(|row| {
-            let row = row
-                .as_arr()
-                .ok_or_else(|| violation("each row must be an array"))?;
-            let mut parts = row.iter().map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| violation("row entries must be strings"))
-            });
-            let rel = parts
-                .next()
-                .ok_or_else(|| violation("a row must name its relation"))??;
-            let args = parts.collect::<Result<Vec<_>, _>>()?;
-            Ok((rel, args))
-        })
-        .collect()
-}
-
-fn answers_json(answers: &[Vec<String>]) -> Json {
-    Json::Arr(
-        answers
-            .iter()
-            .map(|a| Json::Arr(a.iter().map(|v| Json::str(v.clone())).collect()))
-            .collect(),
-    )
-}
-
-fn parse_answers(doc: &Json) -> Result<Vec<Vec<String>>, ProtocolViolation> {
-    let arr = field(doc, "answers")?
-        .as_arr()
-        .ok_or_else(|| violation("field `answers` must be an array"))?;
-    arr.iter()
-        .map(|answer| {
-            answer
-                .as_arr()
-                .ok_or_else(|| violation("each answer must be an array"))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| violation("answer values must be strings"))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-impl CoordFrame {
-    fn to_json(&self) -> Json {
-        match self {
-            CoordFrame::Setup {
-                ontology,
-                query,
-                relations,
-            } => Json::obj([
-                ("t", Json::str("setup")),
-                ("ontology", Json::str(ontology.clone())),
-                ("query", Json::str(query.clone())),
-                (
-                    "relations",
-                    Json::Arr(
-                        relations
-                            .iter()
-                            .map(|(name, arity)| {
-                                Json::Arr(vec![Json::str(name.clone()), Json::uint(*arity)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            CoordFrame::Facts { shard, rows, last } => Json::obj([
-                ("t", Json::str("facts")),
-                ("shard", Json::uint(*shard)),
-                ("rows", rows_json(rows)),
-                ("last", Json::Bool(*last)),
-            ]),
-            CoordFrame::Run { shard, semantics } => Json::obj([
-                ("t", Json::str("run")),
-                ("shard", Json::uint(*shard)),
-                ("semantics", Json::str(semantics_name(*semantics))),
-            ]),
-            CoordFrame::Bye => Json::obj([("t", Json::str("bye"))]),
-        }
-    }
-
-    /// Encodes the frame, length prefix included.
-    pub fn encode(&self) -> Vec<u8> {
-        frame_payload(self.to_json().to_json().as_bytes())
-    }
-
-    /// Decodes a frame payload (no length prefix).
-    pub fn decode(payload: &[u8]) -> Result<CoordFrame, ProtocolViolation> {
-        let doc = decode_object(payload)?;
-        match str_field(&doc, "t")?.as_str() {
-            "setup" => {
-                let arr = field(&doc, "relations")?
-                    .as_arr()
-                    .ok_or_else(|| violation("field `relations` must be an array"))?;
-                let relations = arr
-                    .iter()
-                    .map(|entry| {
-                        let pair = entry.as_arr().ok_or_else(|| {
-                            violation("each relation must be a [name, arity] pair")
-                        })?;
-                        match pair {
-                            [name, arity] => Ok((
-                                name.as_str()
-                                    .ok_or_else(|| violation("relation name must be a string"))?
-                                    .to_owned(),
-                                arity.as_u64().ok_or_else(|| {
-                                    violation("relation arity must be a non-negative integer")
-                                })?,
-                            )),
-                            _ => Err(violation("each relation must be a [name, arity] pair")),
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(CoordFrame::Setup {
-                    ontology: str_field(&doc, "ontology")?,
-                    query: str_field(&doc, "query")?,
-                    relations,
-                })
-            }
-            "facts" => Ok(CoordFrame::Facts {
-                shard: u64_field(&doc, "shard")?,
-                rows: parse_rows(&doc)?,
-                last: bool_field(&doc, "last")?,
-            }),
-            "run" => Ok(CoordFrame::Run {
-                shard: u64_field(&doc, "shard")?,
-                semantics: semantics_field(&doc)?,
-            }),
-            "bye" => Ok(CoordFrame::Bye),
-            other => Err(violation(format!("unknown coordinator frame `{other}`"))),
-        }
+omq_wire::frames! {
+    /// Frames the coordinator sends.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CoordFrame {
+        /// The session preamble: ontology and query text plus the full schema
+        /// (shards only carry a subset of the relations; the plan needs all).
+        "setup" => Setup {
+            /// Ontology text, one TGD per line.
+            ontology: String,
+            /// Query text.
+            query: String,
+            /// `(name, arity)` for every relation of the coordinator's schema.
+            relations: Vec<(String, u64)>,
+        },
+        /// A batch of fact rows for a shard; `last` marks the final batch.
+        "facts" => Facts {
+            /// Shard id the rows belong to.
+            shard: u64,
+            /// The rows.
+            rows: Vec<FactRow>,
+            /// This is the shard's final batch — it can be built and run.
+            last: bool,
+        },
+        /// Evaluate a fully shipped shard under `semantics`.
+        "run" => Run {
+            /// Shard id, previously completed by a `last` facts frame.
+            shard: u64,
+            /// The answer semantics to enumerate.
+            semantics: Semantics,
+        },
+        /// End of session: no more shards will be assigned.
+        "bye" => Bye,
     }
 }
 
-impl WorkerFrame {
-    fn to_json(&self) -> Json {
-        match self {
-            WorkerFrame::Ready { worker } => {
-                Json::obj([("t", Json::str("ready")), ("worker", Json::uint(*worker))])
-            }
-            WorkerFrame::Page {
-                shard,
-                answers,
-                done,
-            } => Json::obj([
-                ("t", Json::str("page")),
-                ("shard", Json::uint(*shard)),
-                ("answers", answers_json(answers)),
-                ("done", Json::Bool(*done)),
-            ]),
-            WorkerFrame::Error {
-                shard,
-                code,
-                message,
-            } => Json::obj([
-                ("t", Json::str("error")),
-                (
-                    "shard",
-                    match shard {
-                        Some(s) => Json::uint(*s),
-                        None => Json::Null,
-                    },
-                ),
-                ("code", Json::uint(code.as_u16() as u64)),
-                ("message", Json::str(message.clone())),
-            ]),
-        }
-    }
-
-    /// Encodes the frame, length prefix included.
-    pub fn encode(&self) -> Vec<u8> {
-        frame_payload(self.to_json().to_json().as_bytes())
-    }
-
-    /// Decodes a frame payload (no length prefix).
-    pub fn decode(payload: &[u8]) -> Result<WorkerFrame, ProtocolViolation> {
-        let doc = decode_object(payload)?;
-        match str_field(&doc, "t")?.as_str() {
-            "ready" => Ok(WorkerFrame::Ready {
-                worker: u64_field(&doc, "worker")?,
-            }),
-            "page" => Ok(WorkerFrame::Page {
-                shard: u64_field(&doc, "shard")?,
-                answers: parse_answers(&doc)?,
-                done: bool_field(&doc, "done")?,
-            }),
-            "error" => {
-                let raw = u64_field(&doc, "code")?;
-                let code = u16::try_from(raw)
-                    .ok()
-                    .and_then(ErrorCode::from_u16)
-                    .ok_or_else(|| violation(format!("unknown error code {raw}")))?;
-                Ok(WorkerFrame::Error {
-                    shard: omq_wire::opt_u64_field(&doc, "shard")?,
-                    code,
-                    message: str_field(&doc, "message")?,
-                })
-            }
-            other => Err(violation(format!("unknown worker frame `{other}`"))),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use omq_wire::FrameDecoder;
-
-    #[test]
-    fn frames_round_trip_through_the_shared_codec() {
-        let coord = [
-            CoordFrame::Setup {
-                ontology: "R(x) -> exists y. S(x, y)".to_owned(),
-                query: "q(x) :- S(x, y)".to_owned(),
-                relations: vec![("R".to_owned(), 1), ("S".to_owned(), 2)],
-            },
-            CoordFrame::Facts {
-                shard: 3,
-                rows: vec![
-                    ("R".to_owned(), vec!["ada".to_owned()]),
-                    ("S".to_owned(), vec!["ada".to_owned(), "lab\"1".to_owned()]),
-                ],
-                last: true,
-            },
-            CoordFrame::Run {
-                shard: 3,
-                semantics: Semantics::MinimalPartialMulti,
-            },
-            CoordFrame::Bye,
-        ];
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&coord.iter().flat_map(|f| f.encode()).collect::<Vec<_>>());
-        let mut got = Vec::new();
-        while let Some(payload) = decoder.next_frame().unwrap() {
-            got.push(CoordFrame::decode(&payload).unwrap());
-        }
-        assert_eq!(got, coord);
-
-        let worker = [
-            WorkerFrame::Ready { worker: 2 },
-            WorkerFrame::Page {
-                shard: 3,
-                answers: vec![vec!["ada".to_owned(), "*".to_owned()], vec![]],
-                done: false,
-            },
-            WorkerFrame::Error {
-                shard: Some(3),
-                code: ErrorCode::BadQuery,
-                message: "not free-connex".to_owned(),
-            },
-            WorkerFrame::Error {
-                shard: None,
-                code: ErrorCode::Internal,
-                message: String::new(),
-            },
-        ];
-        let mut decoder = FrameDecoder::new();
-        decoder.feed(&worker.iter().flat_map(|f| f.encode()).collect::<Vec<_>>());
-        let mut got = Vec::new();
-        while let Some(payload) = decoder.next_frame().unwrap() {
-            got.push(WorkerFrame::decode(&payload).unwrap());
-        }
-        assert_eq!(got, worker);
-    }
-
-    #[test]
-    fn malformed_payloads_report_but_do_not_panic() {
-        for payload in [
-            &b"{}"[..],
-            br#"{"t":"setup","ontology":"x"}"#,
-            br#"{"t":"facts","shard":1,"rows":[[1]],"last":true}"#,
-            br#"{"t":"facts","shard":1,"rows":[[]],"last":true}"#,
-            br#"{"t":"run","shard":0,"semantics":"certain"}"#,
-            br#"{"t":"page","shard":0,"answers":[["a"],3],"done":false}"#,
-            br#"{"t":"error","shard":null,"code":999,"message":""}"#,
-            br#"{"t":"warp"}"#,
-            b"\xff\xfe",
-        ] {
-            assert!(CoordFrame::decode(payload).is_err() || WorkerFrame::decode(payload).is_err());
-        }
-        // An empty rows batch is legal (a shard can be empty).
-        let empty = CoordFrame::Facts {
-            shard: 0,
-            rows: Vec::new(),
-            last: true,
-        };
-        let payload = &empty.encode()[4..];
-        assert_eq!(CoordFrame::decode(payload).unwrap(), empty);
+omq_wire::frames! {
+    /// Frames a worker sends.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WorkerFrame {
+        /// Hello: sent once, immediately after connecting.
+        "ready" => Ready {
+            /// The worker's index, as assigned at spawn time.
+            worker: u64,
+        },
+        /// One page of rendered answers for a running shard.
+        "page" => Page {
+            /// Shard id the answers belong to.
+            shard: u64,
+            /// Rendered answers (see [`omq_wire::render_answer`]).
+            answers: Vec<Vec<String>>,
+            /// The shard is fully enumerated; its results may be committed.
+            done: bool,
+        },
+        /// Something failed.  With a shard id: that evaluation failed (and the
+        /// failure is deterministic — rerunning elsewhere would fail the same).
+        /// Without: the session is poisoned (setup failure, protocol error).
+        "error" => Error {
+            /// The shard whose evaluation failed, if any.
+            shard: Option<u64>,
+            /// Coarse classification, shared with the serving protocol.
+            code: ErrorCode,
+            /// Human-readable description.
+            message: String,
+        },
     }
 }

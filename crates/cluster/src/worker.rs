@@ -5,10 +5,10 @@
 //! `ready` frame, and then serves the session: `setup` compiles the plan
 //! once, each shard arrives as `facts` batches and is evaluated on `run` —
 //! chase plus enumeration, exactly the in-process pipeline — with the
-//! answers streamed back as byte-bounded `page` frames rendered through
-//! [`omq_wire::render_answer`].  The worker holds at most one shard's
-//! database at a time; it is dropped as soon as the shard's final page is
-//! out.
+//! answers streamed back as byte-bounded `page` frames written straight
+//! from the typed answers by [`omq_wire::PageWriter`].  The worker holds at
+//! most one shard's database at a time; it is dropped as soon as the
+//! shard's final page is out.
 //!
 //! Deterministic evaluation failures (a query that does not compile, a shard
 //! that fails mid-enumeration) are *reported*, not crashes: an `error` frame
@@ -38,7 +38,7 @@ use crate::messages::{CoordFrame, FactRow, WorkerFrame, MAX_PAGE_BYTES, PAGE_ANS
 use crate::ClusterError;
 use omq_core::{AnswerStream, QueryPlan};
 use omq_data::{Database, Schema, Semantics};
-use omq_wire::{answer_wire_len, render_answer, ErrorCode, FrameDecoder};
+use omq_wire::{ErrorCode, FrameDecoder, PageWriter, MAX_FRAME_LEN, MAX_SINGLE_ANSWER_BYTES};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -241,49 +241,56 @@ impl Session {
                 return Ok(Step::Continue);
             }
         };
-        // Page out: bounded by answer count and encoded bytes.  Rendering
-        // resolves constants through the shard database built above — the
-        // chase only mints nulls, which surface as wildcards, so every
-        // constant in an answer has a name the coordinator also interns.
-        let mut page: Vec<Vec<String>> = Vec::new();
-        let mut page_bytes = 0usize;
+        // Page out through the page writer, bounded by answer count and by
+        // the encoded bytes it reports: an answer that breaks either bound
+        // is taken back out and opens the next page.  Constants are written
+        // by their names in the shard database built above — the chase only
+        // mints nulls, which surface as wildcards, so every constant in an
+        // answer has a name the coordinator also interns.
+        let mut out = Vec::new();
+        let mut page = PageWriter::begin(&mut out, "shard", shard);
+        let mut bytes = 0usize;
         for answer in &mut stream {
-            let rendered = render_answer(&answer, &db);
-            let bytes = answer_wire_len(&rendered);
-            if !page.is_empty()
-                && (page.len() >= self.page_answers || page_bytes + bytes > MAX_PAGE_BYTES)
+            // +1 for the comma separating answers in the array.
+            let mut len = page.push_answer(&answer, &db) + 1;
+            if page.answers() > 1
+                && (page.answers() > self.page_answers || bytes + len > MAX_PAGE_BYTES)
             {
-                let full = std::mem::take(&mut page);
-                page_bytes = 0;
-                if let Step::Stop = self.send_page(shard, full, false)? {
+                page.pop();
+                page.finish(false);
+                if let Step::Stop = self.send_page(&out)? {
                     return Ok(Step::Stop);
                 }
+                out.clear();
+                page = PageWriter::begin(&mut out, "shard", shard);
+                bytes = 0;
+                len = page.push_answer(&answer, &db) + 1;
             }
-            page_bytes += bytes;
-            page.push(rendered);
+            if len > MAX_SINGLE_ANSWER_BYTES {
+                // Undeliverable even alone: a deterministic failure of
+                // this shard, not a frame the coordinator would choke on.
+                page.abort();
+                let message = format!(
+                    "answer of {len} encoded bytes exceeds the {MAX_FRAME_LEN}-byte frame cap"
+                );
+                self.send_error(Some(shard), ErrorCode::Internal, &message)?;
+                return Ok(Step::Continue);
+            }
+            bytes += len;
         }
         if let Some(e) = stream.error() {
+            page.abort();
             let message = e.to_string();
             self.send_error(Some(shard), ErrorCode::for_core(e), &message)?;
             return Ok(Step::Continue);
         }
-        self.send_page(shard, page, true)
+        page.finish(true);
+        self.send_page(&out)
     }
 
-    fn send_page(
-        &mut self,
-        shard: u64,
-        answers: Vec<Vec<String>>,
-        done: bool,
-    ) -> Result<Step, ClusterError> {
-        self.send(
-            &WorkerFrame::Page {
-                shard,
-                answers,
-                done,
-            }
-            .encode(),
-        )?;
+    /// Sends one encoded page frame and counts it against the fault plan.
+    fn send_page(&mut self, page: &[u8]) -> Result<Step, ClusterError> {
+        self.send(page)?;
         self.pages_sent += 1;
         if let Some(limit) = self.fault.die_after_pages {
             if self.pages_sent >= limit {

@@ -28,8 +28,8 @@ use crate::protocol::{
     MAX_PAGE, MAX_PAGE_BYTES,
 };
 use omq_data::{Answer, Snapshot, Txn};
-use omq_serve::{QueryId, Request, ServingEngine, StreamedResponse};
-use omq_wire::PageWriter;
+use omq_serve::{QueryId, Request, ServeError, ServingEngine, StreamedResponse};
+use omq_wire::{PageWriter, MAX_SINGLE_ANSWER_BYTES};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::RwLock;
@@ -46,11 +46,6 @@ pub const HIGH_WATER: usize = 256 * 1024;
 /// `next_batch` while bounding how many pulled answers can pile up in
 /// [`Cursor::pending`] past the page's byte budget.
 const PULL_CHUNK: usize = 1024;
-
-/// Hard ceiling on one rendered answer: even alone in a page it must fit a
-/// frame, with generous allowance for the page envelope.  An answer past
-/// this is undeliverable and the fetch reports an error instead.
-const MAX_SINGLE_ANSWER_BYTES: usize = MAX_FRAME_LEN - 1024;
 
 /// Cap on error-frame messages.  They echo client-supplied text (unknown
 /// tags, names, parse errors over submitted query text), so without a cap
@@ -221,14 +216,8 @@ impl Connection {
             ClientFrame::Commit { ops } => commit(ops, shared),
             ClientFrame::Pin => {
                 if self.snapshots.len() >= self.quotas.max_snapshots {
-                    return Some(ServerFrame::Error {
-                        code: ErrorCode::QuotaExceeded,
-                        message: format!(
-                            "connection quota of {} pinned snapshots reached; \
-                             release one and retry",
-                            self.quotas.max_snapshots
-                        ),
-                    });
+                    let max = self.quotas.max_snapshots;
+                    return Some(quota_error(max, "pinned snapshots", "release"));
                 }
                 let snap = shared.engine.read().expect("engine lock").snapshot();
                 let epoch = snap.epoch();
@@ -242,47 +231,25 @@ impl Connection {
             ClientFrame::OpenCursor {
                 query,
                 semantics,
-                snapshot,
                 offset,
+                snapshot,
                 limit,
             } => {
                 if self.cursors.len() >= self.quotas.max_cursors {
-                    return Some(ServerFrame::Error {
-                        code: ErrorCode::QuotaExceeded,
-                        message: format!(
-                            "connection quota of {} open cursors reached; \
-                             close one and retry",
-                            self.quotas.max_cursors
-                        ),
-                    });
+                    return Some(quota_error(
+                        self.quotas.max_cursors,
+                        "open cursors",
+                        "close",
+                    ));
                 }
-                let pinned = match self.resolve_pin(snapshot) {
-                    Ok(pinned) => pinned,
-                    Err(response) => return Some(response),
-                };
-                // A caller-pinned snapshot replays its epoch via a fresh
-                // execute (stable order no matter where the head is); an
-                // unpinned open evaluates at the head and rides the engine's
-                // warm instance, so post-commit time-to-first-page tracks
-                // the delta, not the database.
-                let mut request = Request::new(to_query_ref(&query), semantics);
-                if let Some(snap) = &pinned {
-                    request = request.at(snap.clone());
-                }
-                request = request.with_offset(offset as usize);
+                let mut request =
+                    Request::new(to_query_ref(&query), semantics).with_offset(offset as usize);
                 if let Some(limit) = limit {
                     request = request.with_limit(limit as usize);
                 }
-                let (snap, opened) = {
-                    let engine = shared.engine.read().expect("engine lock");
-                    // Taken under the same read lock as the serve — commits
-                    // write-lock the engine, so this snapshot is exactly the
-                    // head the stream executes over.
-                    let snap = pinned.unwrap_or_else(|| engine.snapshot());
-                    (snap, engine.serve_stream(&request))
-                };
-                match opened {
-                    Ok(stream) => {
+                match self.read(shared, request, snapshot, ServingEngine::serve_stream) {
+                    Err(response) => response,
+                    Ok((snap, stream)) => {
                         let epoch = stream.epoch().unwrap_or_else(|| snap.epoch());
                         let handle = self.fresh_handle();
                         self.cursors.insert(
@@ -300,7 +267,6 @@ impl Connection {
                             semantics,
                         }
                     }
-                    Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
                 }
             }
             ClientFrame::Fetch { cursor, k } => return self.fetch(cursor, k).err(),
@@ -309,28 +275,14 @@ impl Connection {
                 semantics,
                 snapshot,
             } => {
-                let pinned = match self.resolve_pin(snapshot) {
-                    Ok(pinned) => pinned,
-                    Err(response) => return Some(response),
-                };
-                let mut request = Request::new(to_query_ref(&query), semantics);
-                if let Some(snap) = &pinned {
-                    request = request.at(snap.clone());
-                }
-                let (epoch, counted) = {
-                    let engine = shared.engine.read().expect("engine lock");
-                    let epoch = pinned
-                        .map(|snap| snap.epoch())
-                        .unwrap_or_else(|| engine.snapshot().epoch());
-                    (epoch, engine.count(&request))
-                };
-                match counted {
-                    Ok(response) => ServerFrame::Counted {
-                        count: response.count,
-                        exists: response.exists,
-                        epoch,
+                let request = Request::new(to_query_ref(&query), semantics);
+                match self.read(shared, request, snapshot, ServingEngine::count) {
+                    Err(response) => response,
+                    Ok((snap, counted)) => ServerFrame::Counted {
+                        count: counted.count,
+                        exists: counted.exists,
+                        epoch: snap.epoch(),
                     },
-                    Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
                 }
             }
             ClientFrame::Exists {
@@ -338,44 +290,27 @@ impl Connection {
                 semantics,
                 snapshot,
             } => {
-                let pinned = match self.resolve_pin(snapshot) {
-                    Ok(pinned) => pinned,
-                    Err(response) => return Some(response),
-                };
-                let mut request = Request::new(to_query_ref(&query), semantics);
-                if let Some(snap) = &pinned {
-                    request = request.at(snap.clone());
-                }
-                let (epoch, probed) = {
-                    let engine = shared.engine.read().expect("engine lock");
-                    let epoch = pinned
-                        .map(|snap| snap.epoch())
-                        .unwrap_or_else(|| engine.snapshot().epoch());
-                    (epoch, engine.exists(&request))
-                };
-                match probed {
-                    Ok(exists) => ServerFrame::Exists { exists, epoch },
-                    Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
+                let request = Request::new(to_query_ref(&query), semantics);
+                match self.read(shared, request, snapshot, ServingEngine::exists) {
+                    Err(response) => response,
+                    Ok((snap, exists)) => ServerFrame::Exists {
+                        exists,
+                        epoch: snap.epoch(),
+                    },
                 }
             }
             ClientFrame::CloseCursor { cursor } => {
                 if self.cursors.remove(&cursor).is_some() {
                     ServerFrame::CursorClosed { cursor }
                 } else {
-                    ServerFrame::Error {
-                        code: ErrorCode::UnknownCursor,
-                        message: format!("no open cursor {cursor} on this connection"),
-                    }
+                    unknown_cursor(cursor)
                 }
             }
             ClientFrame::ReleaseSnapshot { snapshot } => {
                 if self.snapshots.remove(&snapshot).is_some() {
                     ServerFrame::SnapshotReleased { snapshot }
                 } else {
-                    ServerFrame::Error {
-                        code: ErrorCode::UnknownSnapshot,
-                        message: format!("no pinned snapshot {snapshot} on this connection"),
-                    }
+                    unknown_snapshot(snapshot)
                 }
             }
             ClientFrame::Bye => {
@@ -398,14 +333,11 @@ impl Connection {
     /// ever approach [`MAX_FRAME_LEN`].
     fn fetch(&mut self, handle: u64, k: u64) -> Result<(), ServerFrame> {
         let Some(cursor) = self.cursors.get_mut(&handle) else {
-            return Err(ServerFrame::Error {
-                code: ErrorCode::UnknownCursor,
-                message: format!("no open cursor {handle} on this connection"),
-            });
+            return Err(unknown_cursor(handle));
         };
         let k = (k as usize).clamp(1, MAX_PAGE);
         let db = cursor.snap.database();
-        let mut page = PageWriter::begin(&mut self.outbuf, handle);
+        let mut page = PageWriter::begin(&mut self.outbuf, "cursor", handle);
         let mut bytes = 0usize;
         loop {
             // Serve pulled answers first: leftovers a previous page's byte
@@ -457,22 +389,31 @@ impl Connection {
         Ok(())
     }
 
-    /// Looks up an explicitly pinned snapshot, or `None` for a head request
-    /// (head requests resolve their data inside the engine, where the warm
-    /// instance fast path lives).
-    fn resolve_pin(&self, handle: Option<u64>) -> Result<Option<Snapshot>, ServerFrame> {
-        match handle {
-            None => Ok(None),
-            Some(handle) => self
-                .snapshots
-                .get(&handle)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| ServerFrame::Error {
-                    code: ErrorCode::UnknownSnapshot,
-                    message: format!("no pinned snapshot {handle} on this connection"),
-                }),
-        }
+    /// Serves one snapshot-pinned read under the engine's read lock and
+    /// returns it with the snapshot it read.  A caller-pinned snapshot
+    /// (`pin`'s handle) replays its epoch via a fresh execute, stable in
+    /// order wherever the head is; a head request resolves its data inside
+    /// the engine, where the warm instance lives, so post-commit
+    /// time-to-first-page tracks the delta, not the database.  The head
+    /// snapshot is taken under the same lock as the serve — commits
+    /// write-lock the engine — so it is exactly the head `serve` read.
+    fn read<T>(
+        &self,
+        shared: &Shared,
+        request: Request,
+        snapshot: Option<u64>,
+        serve: impl FnOnce(&ServingEngine, &Request) -> Result<T, ServeError>,
+    ) -> Result<(Snapshot, T), ServerFrame> {
+        let pin = |h| self.snapshots.get(&h).ok_or_else(|| unknown_snapshot(h));
+        let pinned = snapshot.map(pin).transpose()?;
+        let request = match pinned {
+            Some(snap) => request.at(snap.clone()),
+            None => request,
+        };
+        let engine = shared.engine.read().expect("engine lock");
+        let snap = pinned.cloned().unwrap_or_else(|| engine.snapshot());
+        let served = serve(&engine, &request).map_err(|e| serve_error(&e))?;
+        Ok((snap, served))
     }
 
     fn fresh_handle(&mut self) -> u64 {
@@ -556,6 +497,31 @@ fn to_query_ref(target: &crate::protocol::QueryTarget) -> omq_serve::QueryRef {
     }
 }
 
+fn quota_error(quota: usize, handles: &str, release: &str) -> ServerFrame {
+    ServerFrame::Error {
+        code: ErrorCode::QuotaExceeded,
+        message: format!("connection quota of {quota} {handles} reached; {release} one and retry"),
+    }
+}
+
+fn unknown_cursor(handle: u64) -> ServerFrame {
+    ServerFrame::Error {
+        code: ErrorCode::UnknownCursor,
+        message: format!("no open cursor {handle} on this connection"),
+    }
+}
+
+fn unknown_snapshot(handle: u64) -> ServerFrame {
+    ServerFrame::Error {
+        code: ErrorCode::UnknownSnapshot,
+        message: format!("no pinned snapshot {handle} on this connection"),
+    }
+}
+
+fn serve_error(e: &ServeError) -> ServerFrame {
+    error_frame(crate::errors::wire_code_for_serve(e), e)
+}
+
 fn error_frame(code: ErrorCode, e: &dyn std::fmt::Display) -> ServerFrame {
     ServerFrame::Error {
         code,
@@ -595,7 +561,7 @@ fn register(name: &str, ontology: &str, query: &str, shared: &Shared) -> ServerF
             id: id.index() as u64,
             name: name.to_owned(),
         },
-        Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
+        Err(e) => serve_error(&e),
     }
 }
 
@@ -614,7 +580,7 @@ fn commit(ops: Vec<TxnOp>, shared: &Shared) -> ServerFrame {
             new_facts: receipt.new_facts as u64,
             duplicate_facts: receipt.duplicate_facts as u64,
         },
-        Err(e) => error_frame(crate::errors::wire_code_for_serve(&e), &e),
+        Err(e) => serve_error(&e),
     }
 }
 

@@ -17,12 +17,13 @@
 //!    the tree does — on well-formed pages, on pages with the wrong shape,
 //!    and on truncated, extended or corrupted bytes.
 
+use omq_cluster::WorkerFrame;
 use omq_data::{Answer, Database, MultiTuple, MultiValue, PartialTuple, PartialValue, Schema};
 use omq_data::{ConstId, Semantics};
 use omq_server::json::Json;
 use omq_server::protocol::frame_payload;
-use omq_server::{ClientFrame, FrameDecoder, QueryTarget, ServerFrame, TxnOp};
-use omq_wire::{bool_field, decode_object, field, str_field, u64_field, PageWriter};
+use omq_server::{ClientFrame, FrameDecoder, QueryTarget, ServerFrame, TxnOp, MAX_WIRE_INT as MAX};
+use omq_wire::{decode_object, PageWriter};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -85,7 +86,7 @@ fn arb_txn_op() -> BoxedStrategy<TxnOp> {
 }
 
 fn arb_opt_u64() -> BoxedStrategy<Option<u64>> {
-    prop_oneof![Just(None), (0u64..omq_server::MAX_WIRE_INT).prop_map(Some),].boxed()
+    prop_oneof![Just(None), (0u64..MAX).prop_map(Some),].boxed()
 }
 
 fn arb_client_frame() -> BoxedStrategy<ClientFrame> {
@@ -114,11 +115,7 @@ fn arb_client_frame() -> BoxedStrategy<ClientFrame> {
                     limit,
                 }
             }),
-        (
-            0u64..omq_server::MAX_WIRE_INT,
-            0u64..omq_server::MAX_WIRE_INT
-        )
-            .prop_map(|(cursor, k)| ClientFrame::Fetch { cursor, k }),
+        (0u64..MAX, 0u64..MAX).prop_map(|(cursor, k)| ClientFrame::Fetch { cursor, k }),
         (arb_query_target(), arb_semantics(), arb_opt_u64()).prop_map(
             |(query, semantics, snapshot)| ClientFrame::Count {
                 query,
@@ -133,9 +130,8 @@ fn arb_client_frame() -> BoxedStrategy<ClientFrame> {
                 snapshot
             }
         ),
-        (0u64..omq_server::MAX_WIRE_INT).prop_map(|cursor| ClientFrame::CloseCursor { cursor }),
-        (0u64..omq_server::MAX_WIRE_INT)
-            .prop_map(|snapshot| ClientFrame::ReleaseSnapshot { snapshot }),
+        (0u64..MAX).prop_map(|cursor| ClientFrame::CloseCursor { cursor }),
+        (0u64..MAX).prop_map(|snapshot| ClientFrame::ReleaseSnapshot { snapshot }),
         Just(ClientFrame::Bye),
     ]
     .boxed()
@@ -169,11 +165,11 @@ fn tree_encode(frame: &ServerFrame) -> Vec<u8> {
 /// then clone the answers out of it.
 fn tree_decode_page(payload: &[u8]) -> Option<ServerFrame> {
     let doc = decode_object(payload).ok()?;
-    if str_field(&doc, "t").ok()? != "page" {
+    if doc.get("t")?.as_str()? != "page" {
         return None;
     }
-    let answers = field(&doc, "answers")
-        .ok()?
+    let answers = doc
+        .get("answers")?
         .as_arr()?
         .iter()
         .map(|a| {
@@ -184,9 +180,9 @@ fn tree_decode_page(payload: &[u8]) -> Option<ServerFrame> {
         })
         .collect::<Option<Vec<Vec<String>>>>()?;
     Some(ServerFrame::Page {
-        cursor: u64_field(&doc, "cursor").ok()?,
+        cursor: doc.get("cursor")?.as_u64()?,
         answers,
-        done: bool_field(&doc, "done").ok()?,
+        done: doc.get("done")?.as_bool()?,
     })
 }
 
@@ -316,56 +312,37 @@ fn arb_server_frame() -> BoxedStrategy<ServerFrame> {
     use omq_server::ErrorCode;
     prop_oneof![
         (0u64..1024, arb_string(6)).prop_map(|(id, name)| ServerFrame::Registered { id, name }),
-        (0u64..omq_server::MAX_WIRE_INT, 0u64..1 << 32, 0u64..1 << 32).prop_map(
+        (0u64..MAX, 0u64..1 << 32, 0u64..1 << 32).prop_map(
             |(epoch, new_facts, duplicate_facts)| ServerFrame::Committed {
                 epoch,
                 new_facts,
                 duplicate_facts
             }
         ),
-        (
-            0u64..omq_server::MAX_WIRE_INT,
-            0u64..omq_server::MAX_WIRE_INT
-        )
+        (0u64..MAX, 0u64..MAX)
             .prop_map(|(snapshot, epoch)| ServerFrame::Pinned { snapshot, epoch }),
-        (
-            0u64..omq_server::MAX_WIRE_INT,
-            0u64..omq_server::MAX_WIRE_INT,
-            arb_semantics()
-        )
-            .prop_map(|(cursor, epoch, semantics)| ServerFrame::CursorOpened {
+        (0u64..MAX, 0u64..MAX, arb_semantics()).prop_map(|(cursor, epoch, semantics)| {
+            ServerFrame::CursorOpened {
                 cursor,
                 epoch,
-                semantics
-            }),
-        (
-            0u64..omq_server::MAX_WIRE_INT,
-            prop::collection::vec(arb_answer(), 0..5),
-            prop_oneof![Just(true), Just(false)],
-        )
-            .prop_map(|(cursor, answers, done)| ServerFrame::Page {
-                cursor,
-                answers,
-                done
-            }),
+                semantics,
+            }
+        }),
+        arb_page(),
         (
             0u64..1 << 48,
             prop_oneof![Just(true), Just(false)],
-            0u64..omq_server::MAX_WIRE_INT
+            0u64..MAX
         )
             .prop_map(|(count, exists, epoch)| ServerFrame::Counted {
                 count,
                 exists,
                 epoch
             }),
-        (
-            prop_oneof![Just(true), Just(false)],
-            0u64..omq_server::MAX_WIRE_INT
-        )
+        (prop_oneof![Just(true), Just(false)], 0u64..MAX)
             .prop_map(|(exists, epoch)| ServerFrame::Exists { exists, epoch }),
-        (0u64..omq_server::MAX_WIRE_INT).prop_map(|cursor| ServerFrame::CursorClosed { cursor }),
-        (0u64..omq_server::MAX_WIRE_INT)
-            .prop_map(|snapshot| ServerFrame::SnapshotReleased { snapshot }),
+        (0u64..MAX).prop_map(|cursor| ServerFrame::CursorClosed { cursor }),
+        (0u64..MAX).prop_map(|snapshot| ServerFrame::SnapshotReleased { snapshot }),
         Just(ServerFrame::Bye),
         (0usize..ErrorCode::ALL.len(), arb_string(12)).prop_map(|(i, message)| {
             ServerFrame::Error {
@@ -376,6 +353,21 @@ fn arb_server_frame() -> BoxedStrategy<ServerFrame> {
     ]
     .boxed()
 }
+
+/// Frames that are well-framed but malformed: each is a protocol violation
+/// to both decoders.
+const MALFORMED: &[&[u8]] = &[
+    b"not json",
+    b"[1,2,3]",
+    br#"{"t":"nope"}"#,
+    br#"{"t":"fetch","cursor":"x","k":1}"#,
+    br#"{"t":"fetch","k":1}"#,
+    br#"{"t":"open","query":true,"semantics":"complete"}"#,
+    br#"{"t":"open","query":"q","semantics":"certain"}"#,
+    br#"{"t":"commit","ops":[{"op":"upsert"}]}"#,
+    br#"{"t":"error","code":999,"message":""}"#,
+    b"\xff\xfe",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
@@ -403,11 +395,13 @@ proptest! {
 
     /// Corrupting payload bytes never panics the grammar decoder; it fails
     /// cleanly or yields some other valid frame.  (That the *stream* stays
-    /// framed is the codec's property, tested in `omq-wire`.)
+    /// framed is the codec's property, tested in `omq-wire`.)  The
+    /// malformed requests fail outright.
     #[test]
     fn corrupted_payloads_fail_cleanly(
         frame in arb_client_frame(),
         flips in prop::collection::vec((0usize..4096, 1u8..255), 1..4),
+        malformed in 0usize..MALFORMED.len(),
     ) {
         let mut payload = frame.to_json().to_json().into_bytes();
         for (pos, xor) in flips {
@@ -421,18 +415,24 @@ proptest! {
         // (the corruption may have produced another well-formed frame).
         let _ = ClientFrame::decode(&payload);
         let _ = ServerFrame::decode(&payload);
+        prop_assert!(ClientFrame::decode(MALFORMED[malformed]).is_err());
+        prop_assert!(ServerFrame::decode(MALFORMED[malformed]).is_err());
     }
 
     /// The page writer emits the tree encoder's bytes: empty pages, empty
-    /// answers, every escape, `done` both ways.
+    /// answers, every escape, `done` both ways — for the server's page and
+    /// the cluster worker's alike.
     #[test]
     fn page_writer_matches_the_tree_encoder(frame in arb_page()) {
         prop_assert_eq!(frame.encode(), tree_encode(&frame));
         // Past `i64::MAX` the tree writes the cursor as a float (no handle
         // gets there); the writer does whatever the tree does.
         let ServerFrame::Page { cursor, answers, done } = frame else { unreachable!() };
-        let frame = ServerFrame::Page { cursor: u64::MAX - cursor, answers, done };
+        let frame = ServerFrame::Page { cursor: u64::MAX - cursor, answers: answers.clone(), done };
         prop_assert_eq!(frame.encode(), tree_encode(&frame));
+        // The cluster's page is the same writer under a `shard` id.
+        let page = WorkerFrame::Page { shard: cursor, answers, done };
+        prop_assert_eq!(page.encode(), frame_payload(page.to_json().to_json().as_bytes()));
     }
 
     /// …and the same bytes again when it renders typed answers itself, as
@@ -448,7 +448,7 @@ proptest! {
         let rendered: Vec<Vec<String>> =
             answers.iter().map(|a| omq_server::render_answer(a, &db)).collect();
         let mut out = Vec::new();
-        let mut page = PageWriter::begin(&mut out, 7);
+        let mut page = PageWriter::begin(&mut out, "cursor", 7);
         for (answer, rendered) in answers.iter().zip(&rendered) {
             prop_assert_eq!(
                 page.push_answer(answer, &db),

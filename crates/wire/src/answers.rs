@@ -21,15 +21,13 @@ use omq_data::{Answer, Database, MultiTuple, MultiValue, PartialTuple, PartialVa
 /// writer escapes.  Connection layers use it to cap pages at their byte
 /// budget *before* encoding them, so no outgoing frame can approach
 /// [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN) however large `k` or the
-/// constant names are.
-pub fn answer_wire_len(answer: &[String]) -> usize {
+/// constant names are.  Any JSON array of strings has this length, a
+/// cluster fact row `[relation, arg…]` included.
+pub fn answer_wire_len<S: AsRef<str>>(answer: impl IntoIterator<Item = S>) -> usize {
     let mut len = 2; // the brackets
-    if !answer.is_empty() {
-        len += answer.len() - 1; // the commas
-    }
-    for value in answer {
-        len += 2; // the quotes
-        for c in value.chars() {
+    for (i, value) in answer.into_iter().enumerate() {
+        len += 2 + usize::from(i > 0); // the quotes, and the comma before
+        for c in value.as_ref().chars() {
             len += match c {
                 '"' | '\\' | '\n' | '\r' | '\t' => 2,
                 c if (c as u32) < 0x20 => 6, // \u00xx

@@ -13,8 +13,14 @@
 //!   [`FrameDecoder`] (incremental reassembly under torn reads), the
 //!   [`MAX_FRAME_LEN`] cap and the fatal [`FrameTooLarge`] error;
 //! - [`payload`] — shared payload plumbing: [`ProtocolViolation`] (the
-//!   recoverable half of the fatal-vs-recoverable split), typed field
-//!   accessors and the [`Semantics`](omq_data::Semantics) spelling;
+//!   recoverable half of the fatal-vs-recoverable split) and
+//!   [`decode_object`];
+//! - [`table`] — the frame table: [`frames!`] declares a vocabulary once,
+//!   one row per frame (tag, then documented members in wire order), and
+//!   generates its enum, `to_json`, `encode` and `decode`; [`Member`] says
+//!   how each member type travels.  The server's `ClientFrame`/
+//!   `ServerFrame` and the cluster's `CoordFrame`/`WorkerFrame` are rows
+//!   of it;
 //! - [`answers`] — the rendered-answer convention (constants by interned
 //!   name, `"*"`, `"*k"`): [`render_answer`], the byte-exact
 //!   [`answer_wire_len`], and [`parse_answer`], the inverse used by the
@@ -22,7 +28,9 @@
 //!   [`Answer`](omq_data::Answer)s;
 //! - [`page`] — the one writer of `page` frames ([`PageWriter`]: length
 //!   prefix and JSON appended straight to a connection's write buffer) and
-//!   its reader ([`decode_page_object`]), neither of which builds a tree;
+//!   its reader ([`decode_page_object`]), neither of which builds a tree.
+//!   One page serves both vocabularies: the server's names its `cursor`,
+//!   a cluster worker's its `shard`;
 //! - [`code`] — the wire [`ErrorCode`] vocabulary, partitioned into client
 //!   faults (4xx) and server failures (5xx);
 //! - [`readiness`] — how a network thread waits: a poll set over `poll(2)`
@@ -53,12 +61,11 @@ pub mod page;
 pub mod payload;
 #[allow(unsafe_code)]
 pub mod readiness;
+pub mod table;
 
 pub use answers::{answer_wire_len, parse_answer, render_answer};
 pub use code::ErrorCode;
 pub use frame::{frame_payload, FrameDecoder, FrameTooLarge, MAX_FRAME_LEN, MAX_WIRE_INT};
-pub use page::{decode_page_object, PageWriter};
-pub use payload::{
-    bool_field, decode_object, field, opt_u64_field, parse_semantics, semantics_field,
-    semantics_name, str_field, u64_field, violation, ProtocolViolation,
-};
+pub use page::{decode_page_object, PageWriter, MAX_SINGLE_ANSWER_BYTES};
+pub use payload::{decode_object, violation, ProtocolViolation};
+pub use table::{Entry, Member};

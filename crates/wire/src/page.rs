@@ -2,7 +2,8 @@
 //!
 //! A page is the one frame whose size scales with the data — everything
 //! else on the wire is a handful of scalars — so it is the one frame with a
-//! path of its own:
+//! path of its own, shared by both vocabularies (the server's page names
+//! its `cursor`, the cluster worker's its `shard`):
 //!
 //! - [`PageWriter`] appends the length prefix and the JSON of a `page`
 //!   frame directly to a byte buffer (a connection's write buffer),
@@ -12,15 +13,22 @@
 //!   the two together.
 //! - [`decode_page_object`] reads an object payload through the pull
 //!   tokenizer, building a tree for every member *except* `answers`, which
-//!   goes straight into `Vec<Vec<String>>`.
+//!   goes straight into `Vec<Vec<String>>`.  Every frame of the
+//!   [frame table](crate::table) is read through it.
 //!
 //! ```text
-//! u32_be(len) {"t":"page","cursor":N,"answers":[["a","*"],…],"done":B}
+//! u32_be(len) {"t":"page","<id>":N,"answers":[["a","*"],…],"done":B}
 //! ```
 
+use crate::frame::MAX_FRAME_LEN;
 use crate::json::{self, Json, JsonError, Kind, Reader};
 use crate::payload::{invalid_json, not_an_object, payload_text, violation, ProtocolViolation};
 use omq_data::{Answer, ConstId, Database, MultiValue, PartialValue};
+
+/// Hard ceiling on one rendered answer: even alone in a page it must fit a
+/// frame, with generous allowance for the page envelope.  An answer past
+/// this is undeliverable; the sender reports an error instead.
+pub const MAX_SINGLE_ANSWER_BYTES: usize = MAX_FRAME_LEN - 1024;
 
 /// Appends one `page` frame to a byte buffer, answer by answer.
 ///
@@ -41,12 +49,15 @@ pub struct PageWriter<'a> {
 }
 
 impl<'a> PageWriter<'a> {
-    /// Starts a page of cursor `cursor` at the end of `out`.
-    pub fn begin(out: &'a mut Vec<u8>, cursor: u64) -> Self {
+    /// Starts a page at the end of `out`, its id member named `key`
+    /// (`"cursor"` on the server's wire, `"shard"` on the cluster's).
+    pub fn begin(out: &'a mut Vec<u8>, key: &str, id: u64) -> Self {
         let frame = out.len();
         out.extend_from_slice(&[0; 4]);
-        out.extend_from_slice(b"{\"t\":\"page\",\"cursor\":");
-        json::write_uint(out, cursor);
+        out.extend_from_slice(b"{\"t\":\"page\",");
+        json::write_escaped(key, out);
+        out.push(b':');
+        json::write_uint(out, id);
         out.extend_from_slice(b",\"answers\":[");
         let last = out.len();
         PageWriter {
@@ -232,18 +243,7 @@ fn read_answers_typed(reader: &mut Reader<'_>) -> Result<Vec<Vec<String>>, Unrea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::answers::{answer_wire_len, render_answer};
     use crate::frame::frame_payload;
-    use omq_data::{MultiTuple, PartialTuple, Schema};
-
-    fn db() -> Database {
-        let mut schema = Schema::new();
-        schema.add_relation("R", 2).unwrap();
-        Database::builder(schema)
-            .fact("R", ["a\"da", "love\\lace\n\u{1}é\u{1F600}"])
-            .build()
-            .unwrap()
-    }
 
     /// The tree encoder's bytes for a page, the reference for the writer.
     fn tree_encoded(cursor: u64, answers: &[Vec<String>], done: bool) -> Vec<u8> {
@@ -261,42 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn typed_answers_write_the_bytes_of_their_rendering() {
-        let db = db();
-        let ada = db.const_id("a\"da").unwrap();
-        let lovelace = db.const_id("love\\lace\n\u{1}é\u{1F600}").unwrap();
-        let answers = [
-            Answer::Complete(vec![ada, lovelace]),
-            Answer::Complete(vec![]),
-            Answer::Partial(PartialTuple(vec![
-                PartialValue::Star,
-                PartialValue::Const(lovelace),
-            ])),
-            Answer::Multi(MultiTuple(vec![
-                MultiValue::Wild(17),
-                MultiValue::Const(ada),
-                MultiValue::Wild(1),
-            ])),
-        ];
-        let rendered: Vec<Vec<String>> = answers.iter().map(|a| render_answer(a, &db)).collect();
-        for done in [true, false] {
-            let mut out = b"earlier frames".to_vec();
-            let mut page = PageWriter::begin(&mut out, u64::MAX);
-            for (answer, rendered) in answers.iter().zip(&rendered) {
-                assert_eq!(page.push_answer(answer, &db), answer_wire_len(rendered));
-            }
-            assert_eq!(page.answers(), answers.len());
-            page.finish(done);
-            assert_eq!(&out[..14], b"earlier frames");
-            assert_eq!(&out[14..], tree_encoded(u64::MAX, &rendered, done));
-        }
-    }
-
-    #[test]
     fn pop_and_abort_restore_the_buffer() {
         let answer = vec!["x".to_owned()];
         let mut out = vec![7u8; 3];
-        let mut page = PageWriter::begin(&mut out, 1);
+        let mut page = PageWriter::begin(&mut out, "cursor", 1);
         page.push_rendered(&answer);
         page.pop(); // popping the first answer leaves no stray bracket…
         page.push_rendered(&answer);
@@ -306,7 +274,7 @@ mod tests {
         page.finish(false);
         assert_eq!(&out[3..], tree_encoded(1, &[answer], false));
 
-        let page = PageWriter::begin(&mut out, 2);
+        let page = PageWriter::begin(&mut out, "cursor", 2);
         page.abort();
         assert_eq!(
             out.len(),
