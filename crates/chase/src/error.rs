@@ -16,8 +16,6 @@ pub enum ChaseError {
         /// Conflicting arity.
         second: usize,
     },
-    /// An operation required a guarded ontology but a TGD is not guarded.
-    NotGuarded(String),
     /// The chase exceeded its configured fact budget.
     ChaseBudgetExceeded {
         /// The configured maximum number of facts.
@@ -41,7 +39,6 @@ impl fmt::Display for ChaseError {
                 f,
                 "relation `{relation}` used with conflicting arities {first} and {second}"
             ),
-            ChaseError::NotGuarded(tgd) => write!(f, "TGD is not guarded: {tgd}"),
             ChaseError::ChaseBudgetExceeded { max_facts } => {
                 write!(f, "chase exceeded its budget of {max_facts} facts")
             }

@@ -29,15 +29,15 @@
 //!
 //! Shard results are delivered **exactly once**: pages buffer until the
 //! shard's `done` marker and only then commit.  If a worker's connection
-//! dies (EOF, I/O error, read timeout) its uncommitted shard is thrown away
-//! and requeued for the surviving workers — enumeration is deterministic, so
-//! the replacement run reproduces exactly the answers the discarded partial
-//! buffer held.  An idle pump therefore parks instead of dismissing its
-//! worker while any shard is still unfinished elsewhere: it may yet have to
-//! adopt a dead peer's work.  A worker-*reported* evaluation error is
-//! deterministic by contract and aborts the run instead of retrying.  When
-//! the last worker dies with shards outstanding, the stream ends with an
-//! error.
+//! dies (EOF, I/O error, a read or write timeout) its uncommitted shard is
+//! thrown away and requeued for the surviving workers — enumeration is
+//! deterministic, so the replacement run reproduces exactly the answers the
+//! discarded partial buffer held.  An idle pump therefore parks instead of
+//! dismissing its worker while any shard is still unfinished elsewhere: it
+//! may yet have to adopt a dead peer's work.  A worker-*reported*
+//! evaluation error is deterministic by contract and aborts the run instead
+//! of retrying.  When the last worker dies with shards outstanding, the
+//! stream ends with an error.
 
 use crate::messages::{CoordFrame, FactRow, WorkerFrame, MAX_SHIP_BYTES};
 use crate::worker::{
@@ -92,8 +92,9 @@ pub struct Kill {
 pub struct ClusterConfig {
     /// Number of workers to spawn.
     pub workers: usize,
-    /// Read timeout on worker connections; a worker silent for this long is
-    /// treated as dead and its shard is reassigned.
+    /// Read and write timeout on worker connections; a worker that sends
+    /// nothing, or takes no bytes, for this long is treated as dead and its
+    /// shard is reassigned.
     pub worker_timeout: Duration,
     /// How workers are obtained.
     pub spawn: WorkerSpawn,
@@ -433,6 +434,7 @@ pub fn execute(
                 stream.set_nonblocking(false)?;
                 stream.set_nodelay(true).ok();
                 stream.set_read_timeout(Some(config.worker_timeout))?;
+                stream.set_write_timeout(Some(config.worker_timeout))?;
                 let pump = Pump {
                     stream,
                     decoder: FrameDecoder::new(),
@@ -700,7 +702,8 @@ impl Pump {
     }
 
     /// Blocks for the next worker frame; `None` folds together every way a
-    /// connection can die — EOF, I/O error, read timeout, undecodable frame.
+    /// connection can die while it is read — EOF, I/O error, read timeout,
+    /// undecodable frame (a write timeout fails the write that hit it).
     fn read_worker_frame(&mut self) -> Option<WorkerFrame> {
         let mut buf = [0u8; 64 * 1024];
         loop {

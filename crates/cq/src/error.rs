@@ -18,11 +18,6 @@ pub enum CqError {
         /// Conflicting arity.
         second: usize,
     },
-    /// An operation required an acyclic query but the query is not acyclic.
-    NotAcyclic(String),
-    /// A data-layer error bubbled up (e.g. while building a canonical
-    /// database).
-    Data(omq_data::DataError),
 }
 
 impl fmt::Display for CqError {
@@ -40,23 +35,8 @@ impl fmt::Display for CqError {
                 f,
                 "relation `{relation}` used with conflicting arities {first} and {second}"
             ),
-            CqError::NotAcyclic(what) => write!(f, "query is not acyclic: {what}"),
-            CqError::Data(e) => write!(f, "data error: {e}"),
         }
     }
 }
 
-impl std::error::Error for CqError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CqError::Data(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<omq_data::DataError> for CqError {
-    fn from(e: omq_data::DataError) -> Self {
-        CqError::Data(e)
-    }
-}
+impl std::error::Error for CqError {}

@@ -34,14 +34,6 @@ pub enum DataError {
         /// The declared arity.
         arity: usize,
     },
-    /// A tuple of the wrong length was supplied to an operation that expects a
-    /// specific length (e.g. answer testing).
-    TupleLengthMismatch {
-        /// Expected length.
-        expected: usize,
-        /// Supplied length.
-        actual: usize,
-    },
     /// A multi-wildcard tuple violated the canonical numbering condition
     /// (a wildcard `*_j` with `j > 1` must be preceded by `*_{j-1}`).
     NonCanonicalWildcards,
@@ -91,10 +83,6 @@ impl fmt::Display for DataError {
                 f,
                 "relation `{relation}` declared with arity {arity}, above the maximum {}",
                 crate::schema::MAX_ARITY
-            ),
-            DataError::TupleLengthMismatch { expected, actual } => write!(
-                f,
-                "tuple length mismatch: expected {expected}, got {actual}"
             ),
             DataError::NonCanonicalWildcards => {
                 write!(

@@ -14,9 +14,9 @@
 //!   and server failures (5xx);
 //! - [`conn`] — per-connection state machines holding connection-scoped
 //!   snapshot and cursor handles, socket-free and unit-testable;
-//! - [`server`] — the accept/event loop over nonblocking `std::net`
-//!   sockets: one acceptor, `N` workers that own their connections,
-//!   write-buffer backpressure ([`HIGH_WATER`]) at both the read *and*
+//! - [`server`] — the event loop over nonblocking `std::net` sockets:
+//!   `N` identical workers, each accepting from the shared listener and
+//!   owning the connections it accepted, write-buffer backpressure ([`HIGH_WATER`]) at both the read *and*
 //!   the frame pump so slow readers and pipelined bursts stall their own
 //!   producers and nothing else, page frames byte-capped at
 //!   [`MAX_PAGE_BYTES`] so no response can outgrow the frame limit;

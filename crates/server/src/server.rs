@@ -1,13 +1,16 @@
-//! The TCP event loop: an accept thread plus worker threads, all of which
-//! *block on readiness* when there is nothing to do.
+//! The TCP event loop: `N` worker threads of one kind, each of which
+//! *blocks on readiness* when there is nothing to do.
 //!
 //! The shape is thread-per-core-style over nonblocking `std::net` sockets
-//! (the workspace is hermetic — no async runtime, no epoll crate): an
-//! acceptor thread hands fresh connections round-robin to `N` workers, and
-//! each worker owns its connections outright — read what's there, run the
-//! state machine, flush what fits.  No connection ever migrates between
-//! workers, so there is no cross-worker synchronisation beyond the shared
-//! engine lock and the hand-off inbox.
+//! (the workspace is hermetic — no async runtime, no epoll crate): every
+//! worker waits on the shared listener next to its own connections,
+//! accepts at most one connection per pass, and owns what it accepted
+//! outright — read what's there, run the state machine, flush what fits.
+//! A connect wakes every worker that is waiting and one wins the `accept`
+//! (the others see `WouldBlock`); a worker busy inside a request is not
+//! waiting, so a new connection never queues behind it.  No connection
+//! ever migrates between workers, so there is no cross-worker
+//! synchronisation beyond the shared engine lock.
 //!
 //! **Waiting** is `omq_wire::readiness` and nothing else: no thread in
 //! this module sleeps.  A worker builds a poll set from the *current*
@@ -18,14 +21,15 @@
 //!   backpressure;
 //! - **write interest** only while the write buffer is non-empty — so a
 //!   peer that starts draining again is what resumes a parked connection;
-//! - **timeout** = the earliest pending fatal-drain deadline, otherwise
-//!   none: an idle server makes no system calls at all
-//!   ([`Server::wakeups`] counts the returns from the wait);
-//! - the worker's **waker**, which the acceptor pokes after putting a
-//!   connection in the inbox and [`Server::shutdown`] pokes after raising
-//!   the stop flag.
+//! - the **listener**, except for `ACCEPT_ERROR_BACKOFF` after an
+//!   `accept` failed with something other than `WouldBlock`;
+//! - **timeout** = the earliest pending fatal-drain deadline or the end of
+//!   an accept backoff, otherwise none: an idle server makes no system
+//!   calls at all ([`Server::wakeups`] counts the returns from the wait);
+//! - the **stop signal**, one waker shared by every worker and never
+//!   drained: [`Server::shutdown`] wakes it once, and from then on every
+//!   wait returns at once and its worker exits.
 //!
-//! The acceptor blocks the same way on the listener plus its own waker.
 //! Every connection always has at least one interest registered: one that
 //! is not read has output pending (it is backpressured, or draining its
 //! goodbye), and one with nothing pending and a close requested is closed
@@ -47,16 +51,15 @@ use omq_serve::ServingEngine;
 use omq_wire::readiness::{self, Interest, PollSet, Ready, WakeReceiver, Waker};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor stays away from the listener after `accept`
+/// How long a worker leaves the listener out of its waits after `accept`
 /// failed with something other than `WouldBlock` (descriptor exhaustion,
 /// say): the pending connection keeps the listener readable, so without a
-/// pause the retry would spin.  The pause is a bounded wait on the
-/// acceptor's waker, so shutdown cuts it short.
+/// pause the retry would spin.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long a fatally-errored connection may keep draining its final
@@ -99,84 +102,48 @@ struct Slot {
     fatal_deadline: Option<Instant>,
 }
 
-/// How a worker is reached: the acceptor pushes a connection and wakes,
-/// `shutdown` raises the stop flag and wakes.
-struct Mailbox {
-    inbox: Mutex<Vec<Slot>>,
-    waker: Waker,
-}
-
-impl Mailbox {
-    fn new() -> std::io::Result<(Arc<Mailbox>, WakeReceiver)> {
-        let (waker, receiver) = readiness::waker()?;
-        let mailbox = Mailbox {
-            inbox: Mutex::new(Vec::new()),
-            waker,
-        };
-        Ok((Arc::new(mailbox), receiver))
-    }
-}
-
-/// A running OMQ server: the acceptor, its workers, and the shared engine.
+/// A running OMQ server: its workers and the shared engine.
 ///
 /// Dropping the server shuts it down (see [`Server::shutdown`]); clients
 /// connected at that point see the socket close.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    workers: Vec<Arc<Mailbox>>,
-    acceptor: Waker,
+    stop: Waker,
     wakeups: Arc<AtomicU64>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the configured address and starts the acceptor and worker
-    /// threads over `engine`.
+    /// Binds the configured address and starts the worker threads over
+    /// `engine`.
     pub fn start(engine: ServingEngine, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            engine: RwLock::new(engine),
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let wakeups = Arc::new(AtomicU64::new(0));
         // Everything that can fail comes before the first thread exists: a
         // thread blocked in its poll set is only ever ended through `stop`.
-        let mailboxes = (0..config.workers.max(1))
-            .map(|_| Mailbox::new())
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let (acceptor, acceptor_receiver) = readiness::waker()?;
-
-        let workers: Vec<Arc<Mailbox>> = mailboxes.iter().map(|(m, _)| Arc::clone(m)).collect();
-        let mut threads = Vec::with_capacity(workers.len() + 1);
-        for (mailbox, receiver) in mailboxes {
-            let worker = Worker {
-                mailbox,
-                receiver,
-                shared: Arc::clone(&shared),
-                stop: Arc::clone(&stop),
-                wakeups: Arc::clone(&wakeups),
-            };
-            threads.push(std::thread::spawn(move || worker.run()));
-        }
-        {
-            let workers = workers.clone();
-            let stop = Arc::clone(&stop);
-            let quotas = config.quotas;
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, acceptor_receiver, workers, quotas, stop)
-            }));
-        }
+        let (stop, stopped) = readiness::waker()?;
+        let worker = Worker {
+            listener: Arc::new(listener),
+            stopped: Arc::new(stopped),
+            shared: Arc::new(Shared {
+                engine: RwLock::new(engine),
+            }),
+            quotas: config.quotas,
+            wakeups: Arc::new(AtomicU64::new(0)),
+        };
+        let threads = (0..config.workers.max(1))
+            .map(|_| {
+                let worker = worker.clone();
+                std::thread::spawn(move || worker.run(Vec::new()))
+            })
+            .collect();
         Ok(Server {
-            shared,
+            shared: worker.shared,
             addr,
             stop,
-            workers,
-            acceptor,
-            wakeups,
+            wakeups: worker.wakeups,
             threads,
         })
     }
@@ -194,9 +161,9 @@ impl Server {
         Arc::clone(&self.shared)
     }
 
-    /// Stops the acceptor and workers and joins them.  In-flight
-    /// connections are closed; the engine (and its store) survives inside
-    /// the returned `Arc` if the caller kept one.
+    /// Stops the workers and joins them.  In-flight connections are
+    /// closed; the engine (and its store) survives inside the returned
+    /// `Arc` if the caller kept one.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -210,13 +177,9 @@ impl Server {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Every thread is blocked in its poll set or about to be: the flag
-        // first, then the wake-up that makes it look at the flag.
-        for worker in &self.workers {
-            worker.waker.wake();
-        }
-        self.acceptor.wake();
+        // Nobody drains the signal, so this one wake-up ends every wait
+        // from now on, including those a worker is not in yet.
+        self.stop.wake();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -229,75 +192,42 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    receiver: WakeReceiver,
-    workers: Vec<Arc<Mailbox>>,
-    quotas: ConnectionQuotas,
-    stop: Arc<AtomicBool>,
-) {
-    let mut set = PollSet::new();
-    let mut next = 0usize;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue; // peer already gone
-                }
-                let worker = &workers[next];
-                worker.inbox.lock().expect("inbox lock").push(Slot {
-                    stream,
-                    conn: Connection::with_quotas(quotas),
-                    fatal_deadline: None,
-                });
-                worker.waker.wake();
-                next = (next + 1) % workers.len();
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                // Nothing to accept: wait for the listener.  Anything else:
-                // stay off the listener for a fixed pause first (see
-                // `ACCEPT_ERROR_BACKOFF`).  Either wait ends on shutdown.
-                set.clear();
-                let timeout = if e.kind() == ErrorKind::WouldBlock {
-                    set.push(&listener, Interest::READ);
-                    None
-                } else {
-                    Some(ACCEPT_ERROR_BACKOFF)
-                };
-                set.push(&receiver, Interest::READ);
-                if set.wait(timeout).is_err() {
-                    return; // the poll set itself is broken; see `Worker::run`
-                }
-                receiver.drain();
-            }
-        }
-    }
-}
-
-/// One worker thread: the connections it owns and how it is reached.
+/// What one worker thread shares with the others; the connections it
+/// accepted are its own (see [`Worker::run`]).
+#[derive(Clone)]
 struct Worker {
-    mailbox: Arc<Mailbox>,
-    receiver: WakeReceiver,
+    listener: Arc<TcpListener>,
+    /// The stop signal: readable once [`Server::shutdown`] has woken it,
+    /// and never drained.
+    stopped: Arc<WakeReceiver>,
     shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
+    quotas: ConnectionQuotas,
     wakeups: Arc<AtomicU64>,
 }
 
 impl Worker {
-    fn run(self) {
-        let mut slots: Vec<Slot> = Vec::new();
+    fn run(self, mut slots: Vec<Slot>) {
         let mut set = PollSet::new();
         let mut read_buf = vec![0u8; READ_CHUNK];
+        let mut accept_paused_until: Option<Instant> = None;
         loop {
             // Interest is rebuilt from each connection's state as the last
-            // pass left it; entry `i` is slot `i`, the waker comes last.
+            // pass left it; entry `i` is slot `i`, the stop signal and the
+            // listener come last.
             set.clear();
             for slot in &slots {
                 set.push(&slot.stream, slot.interest());
             }
-            let wake = set.push(&self.receiver, Interest::READ);
-            let deadline = slots.iter().filter_map(|slot| slot.fatal_deadline).min();
+            let stop = set.push(&*self.stopped, Interest::READ);
+            accept_paused_until = accept_paused_until.filter(|&until| until > Instant::now());
+            let listen = accept_paused_until
+                .is_none()
+                .then(|| set.push(&*self.listener, Interest::READ));
+            let deadline = slots
+                .iter()
+                .filter_map(|slot| slot.fatal_deadline)
+                .chain(accept_paused_until)
+                .min();
             let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             if set.wait(timeout).is_err() {
                 // `poll` fails only on a broken argument or kernel memory
@@ -306,16 +236,7 @@ impl Worker {
                 return;
             }
             self.wakeups.fetch_add(1, Ordering::Relaxed);
-            // Drain first, then look at what the wakers change (`stop`
-            // here, the inbox below): a wake-up sent after either look
-            // stays pending and ends the next wait.  Draining after the
-            // look instead could swallow a shutdown's wake-up with `stop`
-            // unseen, and the next wait would have nothing to end it.
-            let woken = set.ready(wake).readable;
-            if woken {
-                self.receiver.drain();
-            }
-            if self.stop.load(Ordering::SeqCst) {
+            if set.ready(stop).readable {
                 return;
             }
 
@@ -328,8 +249,8 @@ impl Worker {
                 }
                 // Contain panics per connection: a request that blows up
                 // takes down its own slot, not the worker — a dead worker
-                // would keep receiving fresh connections from the
-                // acceptor's round-robin and leave them hanging forever.
+                // would take all of its connections with it, and with
+                // `workers: 1` nothing would accept any more.
                 let slot = &mut slots[i];
                 let keep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     serve_slot(slot, ready, &self.shared, &mut read_buf)
@@ -340,10 +261,26 @@ impl Worker {
                 }
             }
 
-            // Adopt newly accepted connections.  Nothing is served here:
+            // At most one new connection per pass; nothing is served here:
             // bytes already waiting make the next wait return at once.
-            if woken {
-                slots.append(&mut self.mailbox.inbox.lock().expect("inbox lock"));
+            if listen.is_some_and(|entry| set.ready(entry).readable) {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        // A peer already gone is dropped here.
+                        if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok()
+                        {
+                            slots.push(Slot {
+                                stream,
+                                conn: Connection::with_quotas(self.quotas),
+                                fatal_deadline: None,
+                            });
+                        }
+                    }
+                    // Another worker won it, or a signal cut the call short.
+                    Err(e)
+                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                    Err(_) => accept_paused_until = Some(Instant::now() + ACCEPT_ERROR_BACKOFF),
+                }
             }
         }
     }
@@ -457,41 +394,34 @@ mod tests {
         }
     }
 
-    /// A shutdown racing a hand-off still ends the worker.  The engine
-    /// lock, held here, parks the worker inside one pass while the next is
-    /// arranged: a burst on its connection *and* a hand-off wake-up, so the
-    /// next wait returns with both and starts a pass — `stop` unset — that
-    /// lasts milliseconds.  The stop flag and its wake-up land inside that
-    /// pass.  A pass that drained the waker at its end would swallow both
-    /// wake-ups without another look at `stop`, and block with nothing left
-    /// to wake it.
+    /// A worker with the given listener and no connections yet, and the
+    /// waker that stops it.
+    fn worker(listener: TcpListener) -> (Worker, Waker) {
+        listener.set_nonblocking(true).unwrap();
+        let (stop, stopped) = readiness::waker().unwrap();
+        let worker = Worker {
+            listener: Arc::new(listener),
+            stopped: Arc::new(stopped),
+            shared: Arc::new(Shared {
+                engine: RwLock::new(ServingEngine::new(1)),
+            }),
+            quotas: ConnectionQuotas::default(),
+            wakeups: Arc::new(AtomicU64::new(0)),
+        };
+        (worker, stop)
+    }
+
+    /// A stop raised while the worker is inside a pass still ends it: the
+    /// signal is never drained, so the wait after that pass returns at
+    /// once.  The engine lock, held here, parks the worker in the pass that
+    /// reads a request, and the stop lands while it is parked there.
     #[test]
     fn a_stop_that_lands_during_a_pass_is_not_lost() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let accept = |client: &TcpStream| {
-            let (stream, peer) = listener.accept().unwrap();
-            assert_eq!(peer, client.local_addr().unwrap());
-            stream.set_nonblocking(true).unwrap();
-            Slot {
-                stream,
-                conn: Connection::new(),
-                fatal_deadline: None,
-            }
-        };
-        let shared = Arc::new(Shared {
-            engine: RwLock::new(ServingEngine::new(1)),
-        });
-        let (mailbox, receiver) = Mailbox::new().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let wakeups = Arc::new(AtomicU64::new(0));
-        let worker = Worker {
-            mailbox: Arc::clone(&mailbox),
-            receiver,
-            shared: Arc::clone(&shared),
-            stop: Arc::clone(&stop),
-            wakeups: Arc::clone(&wakeups),
-        };
+        let (worker, stop) = worker(listener);
+        let shared = Arc::clone(&worker.shared);
+        let wakeups = Arc::clone(&worker.wakeups);
         let wait_for_wakeup = |n: u64| {
             let start = Instant::now();
             while wakeups.load(Ordering::Relaxed) < n {
@@ -499,32 +429,20 @@ mod tests {
                 std::hint::spin_loop();
             }
         };
-        let thread = std::thread::spawn(move || worker.run());
+        let thread = std::thread::spawn(move || worker.run(Vec::new()));
 
-        // Wake-up 1 adopts the first connection.
-        let mut first = TcpStream::connect(addr).unwrap();
-        mailbox.inbox.lock().unwrap().push(accept(&first));
-        mailbox.waker.wake();
-        wait_for_wakeup(1);
-
-        // Wake-up 2 reads one request and parks on the engine lock.
+        // Wake-up 1 accepts the connection; wake-up 2 reads one request and
+        // parks on the engine lock.
         let engine = shared.engine.write().unwrap();
-        first.write_all(&ClientFrame::Pin.encode()).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        wait_for_wakeup(1);
+        client.write_all(&ClientFrame::Pin.encode()).unwrap();
         wait_for_wakeup(2);
         std::thread::sleep(Duration::from_millis(20)); // past its one read
-        let second = TcpStream::connect(addr).unwrap();
-        first
-            .write_all(&ClientFrame::Pin.encode().repeat(1000))
-            .unwrap();
-        mailbox.inbox.lock().unwrap().push(accept(&second));
-        mailbox.waker.wake();
-
-        // Wake-up 3 finds the burst and the hand-off together; the stop
-        // lands while the burst is being served.
+        stop.wake();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!thread.is_finished(), "the worker was not inside a pass");
         drop(engine);
-        wait_for_wakeup(3);
-        stop.store(true, Ordering::SeqCst);
-        mailbox.waker.wake();
 
         let start = Instant::now();
         while !thread.is_finished() {
@@ -544,16 +462,16 @@ mod tests {
     ///
     /// The full socket is arranged by hand — how much the kernel buffers is
     /// not something a peer can control from outside — and the connection
-    /// then handed to a worker the way the acceptor hands over any other.
+    /// then handed to a worker as one it has already accepted.
     #[test]
     fn a_fatal_close_the_peer_never_drains_ends_at_the_grace_deadline() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        let shared = Arc::new(Shared {
-            engine: RwLock::new(ServingEngine::new(1)),
-        });
+        let (worker, stop) = worker(listener);
+        let shared = Arc::clone(&worker.shared);
+        let wakeups = Arc::clone(&worker.wakeups);
         let mut slot = Slot {
             stream,
             conn: Connection::new(),
@@ -584,19 +502,7 @@ mod tests {
         }
         assert!(slot.interest().read && slot.interest().write);
 
-        let (mailbox, receiver) = Mailbox::new().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let wakeups = Arc::new(AtomicU64::new(0));
-        let worker = Worker {
-            mailbox: Arc::clone(&mailbox),
-            receiver,
-            shared,
-            stop: Arc::clone(&stop),
-            wakeups: Arc::clone(&wakeups),
-        };
-        let thread = std::thread::spawn(move || worker.run());
-        mailbox.inbox.lock().unwrap().push(slot);
-        mailbox.waker.wake();
+        let thread = std::thread::spawn(move || worker.run(vec![slot]));
         let start = Instant::now();
         client.write_all(&u32::MAX.to_be_bytes()).unwrap();
 
@@ -619,9 +525,9 @@ mod tests {
                 && hung_up < FATAL_DRAIN_GRACE + Duration::from_millis(250),
             "hung up after {hung_up:?}"
         );
-        // Adoption, the pass that read the prefix and set the deadline,
-        // the deadline: the worker did not spin its way there.
-        assert!(wakeups.load(Ordering::Relaxed) <= 4);
+        // The pass that read the prefix and set the deadline, the
+        // deadline: the worker did not spin its way there.
+        assert!(wakeups.load(Ordering::Relaxed) <= 3);
 
         // What did get through is intact up to the cut: whole error frames,
         // then a clean end of stream or a reset.
@@ -640,8 +546,7 @@ mod tests {
             }
         }
 
-        stop.store(true, Ordering::SeqCst);
-        mailbox.waker.wake();
+        stop.wake();
         thread.join().unwrap();
     }
 }

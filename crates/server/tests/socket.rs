@@ -555,3 +555,58 @@ fn an_idle_server_with_open_connections_never_wakes() {
     assert!(server.wakeups() > idle_at);
     server.shutdown();
 }
+
+/// A worker parked inside a request does not hold up new connections: a
+/// connect wakes every worker that is waiting, and one of those takes it.
+/// One worker of two is parked on the engine lock (held here) by a pin;
+/// four fresh connections in a row are each answered by the other.
+#[test]
+fn new_connections_go_to_a_free_worker() {
+    use std::io::{Read, Write};
+
+    let server = start_server(2);
+    let shared = server.shared_engine();
+    let engine = shared.engine.write().unwrap();
+    let mut parked = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    parked
+        .write_all(&omq_server::ClientFrame::Pin.encode())
+        .unwrap();
+    settle(&server);
+
+    let junk = b"{\"t\":\"open\",\"query\":[]}";
+    let answers: Vec<std::io::Result<omq_server::ServerFrame>> = (0..4)
+        .map(|_| {
+            let mut raw = std::net::TcpStream::connect(server.local_addr())?;
+            raw.set_read_timeout(Some(Duration::from_secs(2)))?;
+            raw.write_all(&(junk.len() as u32).to_be_bytes())?;
+            raw.write_all(junk)?;
+            let mut decoder = omq_server::FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                if let Some(payload) = decoder.next_frame().unwrap() {
+                    return Ok(omq_server::ServerFrame::decode(&payload).unwrap());
+                }
+                match raw.read(&mut buf)? {
+                    0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                    n => decoder.feed(&buf[..n]),
+                }
+            }
+        })
+        .collect();
+    drop(engine);
+
+    for (i, answer) in answers.into_iter().enumerate() {
+        let frame = answer.unwrap_or_else(|e| panic!("connection {i} was not served: {e}"));
+        assert!(
+            matches!(
+                frame,
+                omq_server::ServerFrame::Error {
+                    code: ErrorCode::MalformedFrame,
+                    ..
+                }
+            ),
+            "connection {i} got {frame:?}"
+        );
+    }
+    server.shutdown();
+}

@@ -41,7 +41,6 @@ impl ErrorCode {
             | DataError::ArityMismatch { .. }
             | DataError::ConflictingArity { .. }
             | DataError::ArityTooLarge { .. }
-            | DataError::TupleLengthMismatch { .. }
             | DataError::NonCanonicalWildcards => ErrorCode::SchemaMismatch,
         }
     }
@@ -51,18 +50,14 @@ impl ErrorCode {
         match e {
             CqError::Parse(_)
             | CqError::UnboundAnswerVariable(_)
-            | CqError::ArityConflict { .. }
-            | CqError::NotAcyclic(_) => ErrorCode::BadQuery,
-            CqError::Data(e) => ErrorCode::for_data(e),
+            | CqError::ArityConflict { .. } => ErrorCode::BadQuery,
         }
     }
 
     /// Classifies an ontology/chase-layer error.
     pub fn for_chase(e: &ChaseError) -> ErrorCode {
         match e {
-            ChaseError::Parse(_) | ChaseError::ArityConflict { .. } | ChaseError::NotGuarded(_) => {
-                ErrorCode::BadQuery
-            }
+            ChaseError::Parse(_) | ChaseError::ArityConflict { .. } => ErrorCode::BadQuery,
             // The budget is a server-side resource limit; the query itself
             // may be perfectly valid.
             ChaseError::ChaseBudgetExceeded { .. } => ErrorCode::Internal,
@@ -102,7 +97,7 @@ mod tests {
         // Request-side faults are 4xx…
         assert!(ErrorCode::for_data(&DataError::UnknownRelation("R".into())).is_client_error());
         assert!(ErrorCode::for_cq(&CqError::Parse("…".into())).is_client_error());
-        assert!(ErrorCode::for_chase(&ChaseError::NotGuarded("…".into())).is_client_error());
+        assert!(ErrorCode::for_chase(&ChaseError::Parse("…".into())).is_client_error());
         assert!(ErrorCode::for_core(&CoreError::NotFreeConnex("…".into())).is_client_error());
         // …server-side failures are 5xx, even when nested through layers.
         assert!(!ErrorCode::for_core(&CoreError::Internal("bug".into())).is_client_error());

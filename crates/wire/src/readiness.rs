@@ -10,14 +10,17 @@
 //! allocation), so interest is always derived from the caller's *current*
 //! state — there is no registration to fall out of date.
 //!
-//! A [`Waker`] interrupts a wait from another thread (a hand-off, a
-//! shutdown): it is the write half of a nonblocking socket pair whose read
-//! half, the [`WakeReceiver`], sits in the waiting thread's poll set.
+//! A [`Waker`] ends waits from another thread (a shutdown): it is the
+//! write half of a nonblocking socket pair whose read half, the
+//! [`WakeReceiver`], sits in the poll set of every thread it stops.
+//! Nothing reads the receiver, so a wake-up is never consumed: one wake
+//! ends every later wait, in any number of threads, with no ordering rule
+//! between waking and looking.
 //!
 //! This module is Unix-only and holds the workspace's **only** `unsafe`
 //! code: the `poll(2)` declaration and the one call to it.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -179,35 +182,28 @@ pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
     Ok((Waker { tx }, WakeReceiver { rx }))
 }
 
-/// Interrupts the [`PollSet::wait`] of the thread holding the matching
-/// [`WakeReceiver`].  Usable from any thread through a shared reference.
+/// Ends every [`PollSet::wait`] that has the matching [`WakeReceiver`] in
+/// its set: one wake ends every later wait.  Usable from any thread through
+/// a shared reference.
 #[derive(Debug)]
 pub struct Waker {
     tx: UnixStream,
 }
 
 impl Waker {
-    /// Makes the receiver readable.  Wake-ups coalesce: a full socket
-    /// buffer means one is already pending, which is all a wake-up says.
+    /// Makes the receiver readable, for good.  Waking again changes
+    /// nothing: a full socket buffer means the receiver is readable
+    /// already.
     pub fn wake(&self) {
         let _ = (&self.tx).write(&[1]);
     }
 }
 
 /// The poll-set end of a [`Waker`]: register it with [`Interest::READ`].
+/// It can be shared, and is never read.
 #[derive(Debug)]
 pub struct WakeReceiver {
     rx: UnixStream,
-}
-
-impl WakeReceiver {
-    /// Consumes the pending wake-ups, so the next wait blocks again.  Call
-    /// it *before* looking at whatever state the waker's owner changed — a
-    /// wake-up sent after that look then stays pending.
-    pub fn drain(&self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
-    }
 }
 
 impl AsRawFd for WakeReceiver {
@@ -234,20 +230,28 @@ mod tests {
     }
 
     #[test]
-    fn a_wake_from_another_thread_ends_an_unbounded_wait_and_drains() {
+    fn one_wake_ends_the_waits_of_two_poll_sets_on_the_same_receiver() {
         let (waker, receiver) = waker().unwrap();
-        let mut set = PollSet::new();
-        let index = set.push(&receiver, Interest::READ);
-        let poker = std::thread::spawn(move || {
-            waker.wake();
-            waker.wake(); // coalesces
-            waker
-        });
-        assert_eq!(set.wait(None).unwrap(), 1);
-        assert!(set.ready(index).readable);
-        let _waker = poker.join().unwrap();
-        receiver.drain();
-        assert_eq!(set.wait(Some(Duration::ZERO)).unwrap(), 0);
+        let receiver = std::sync::Arc::new(receiver);
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let receiver = std::sync::Arc::clone(&receiver);
+                std::thread::spawn(move || {
+                    let mut set = PollSet::new();
+                    let index = set.push(&*receiver, Interest::READ);
+                    // Unbounded, and again: the wake-up is not consumed.
+                    for _ in 0..2 {
+                        assert_eq!(set.wait(None).unwrap(), 1);
+                        assert!(set.ready(index).readable);
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        waker.wake();
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod tests {
         let cq: Error = omq_cq::CqError::Parse("bad".into()).into();
         assert!(matches!(cq, Error::Cq(_)));
 
-        let chase: Error = omq_chase::ChaseError::NotGuarded("t".into()).into();
+        let chase: Error = omq_chase::ChaseError::Parse("t".into()).into();
         assert!(matches!(chase, Error::Chase(_)));
 
         // A nested error keeps its full chain: Core -> Chase -> Data.
@@ -225,7 +225,7 @@ mod tests {
                 true,
             ),
             (
-                omq_chase::ChaseError::NotGuarded("t".into()).into(),
+                omq_chase::ChaseError::Parse("t".into()).into(),
                 ErrorCode::BadQuery,
                 true,
             ),
