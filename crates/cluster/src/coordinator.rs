@@ -21,9 +21,10 @@
 //! 4. **Reduce.** Worker pages are parsed back into typed answers against
 //!    the coordinator's interner and buffered per shard; a shard **commits**
 //!    when its `done` page arrives.  The committed buffers feed
-//!    [`AnswerStream::from_remote`], which runs the same cross-shard
-//!    wildcard-minimality merge and Boolean dedup as the in-process parallel
-//!    path — callers drain a perfectly ordinary [`AnswerStream`].
+//!    [`AnswerStream::from_remote`], which chains them as shard cursors of
+//!    the stream in-process execution uses, so the cross-shard
+//!    wildcard-minimality merge and Boolean dedup are the same code —
+//!    callers drain a perfectly ordinary [`AnswerStream`].
 //!
 //! # Fault handling
 //!
@@ -168,7 +169,8 @@ struct Exchange {
     /// largest remaining — longest-processing-time placement.
     queue: Vec<ShardWork>,
     states: Vec<ShardState>,
-    /// Committed answers per shard (typed, coordinator interner).
+    /// Committed answers per shard (typed, coordinator interner), until the
+    /// shard's source moves them out on its first read.
     buffers: Vec<Vec<Answer>>,
     /// Workers still pumping.
     live_workers: usize,
@@ -223,37 +225,32 @@ impl Shared {
 
 /// One shard's answers, pulled from the exchange as they commit: the
 /// [`RemoteShard`] implementation behind the coordinator's answer stream.
+/// A committed buffer is final and this source is its only reader, so the
+/// first read moves it out of the exchange instead of copying it.
 struct ShardSource {
     shard: usize,
-    read: usize,
-    error: Option<CoreError>,
+    /// The committed buffer, once taken.
+    answers: Option<std::vec::IntoIter<Answer>>,
     shared: Arc<Shared>,
 }
 
 impl RemoteShard for ShardSource {
-    fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> usize {
-        if self.error.is_some() {
-            return 0;
-        }
+    fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> Result<usize, CoreError> {
         let mut ex = self.shared.lock();
         loop {
             if let Some(e) = &ex.failed {
-                self.error = Some(e.clone());
-                return 0;
+                return Err(e.clone());
             }
             if ex.states[self.shard] == ShardState::Done {
-                let buffer = &ex.buffers[self.shard];
-                let n = k.min(buffer.len() - self.read);
-                out.extend_from_slice(&buffer[self.read..self.read + n]);
-                self.read += n;
-                return n;
+                let answers = self
+                    .answers
+                    .get_or_insert_with(|| std::mem::take(&mut ex.buffers[self.shard]).into_iter());
+                let before = out.len();
+                out.extend(answers.take(k));
+                return Ok(out.len() - before);
             }
             ex = self.shared.cv.wait(ex).expect("exchange poisoned");
         }
-    }
-
-    fn error(&mut self) -> Option<CoreError> {
-        self.error.take()
     }
 }
 
@@ -478,8 +475,7 @@ pub fn execute(
         .map(|shard| {
             Box::new(ShardSource {
                 shard,
-                read: 0,
-                error: None,
+                answers: None,
                 shared: Arc::clone(&shared),
             }) as Box<dyn RemoteShard>
         })

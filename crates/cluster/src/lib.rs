@@ -8,9 +8,10 @@
 //! (`Database::pack_components`), ships each shard's facts plus the ontology/query text to workers over
 //! the length-prefixed JSON wire shared with `omq-server` (the `omq-wire`
 //! codec), places shards with a work-stealing queue (largest first, idle
-//! workers steal), and folds the returned answer pages through the engine's
-//! own cross-shard reduce — wildcard-minimality merge and Boolean dedup —
-//! so callers drain a perfectly ordinary `AnswerStream`.
+//! workers steal), and chains the returned answer pages as shard cursors of
+//! an ordinary `AnswerStream` — the engine's one chain, whose cross-shard
+//! reduce (wildcard-minimality merge, Boolean dedup) is the code local
+//! shards go through — so callers drain a perfectly ordinary stream.
 //!
 //! The soundness argument is unchanged from the in-process path: for
 //! connected queries under guarded ontologies, Gaifman components chase and

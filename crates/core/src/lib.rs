@@ -25,8 +25,9 @@
 //!   scoped threads (`QueryPlan::execute_tracked`, `execute_parallel`), see
 //!   [`parallel`];
 //! * the **distributed execution seam**: [`RemoteShard`] answer sources and
-//!   `AnswerStream::from_remote`, which run the same cross-shard reduce over
-//!   pages produced by worker processes (used by `omq-cluster`), see
+//!   `AnswerStream::from_remote`, which chains them as one more kind of
+//!   shard cursor, so pages produced by worker processes go through the
+//!   very cross-shard reduce local shards do (used by `omq-cluster`), see
 //!   [`remote`];
 //! * brute-force baselines used by tests and benchmarks, see [`baseline`].
 //!

@@ -199,6 +199,9 @@ pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync + Into<Answer> {
     fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize;
     /// The error that ended the cursor early, if any.
     fn error(cursor: &Self::Cursor) -> Option<&CoreError>;
+    /// The tuple inside an answer of this kind; `None` for an answer of
+    /// another semantics.
+    fn from_answer(answer: Answer) -> Option<Self>;
 }
 
 impl MergeTuple for PartialTuple {
@@ -226,6 +229,12 @@ impl MergeTuple for PartialTuple {
     }
     fn error(_: &Self::Cursor) -> Option<&CoreError> {
         None
+    }
+    fn from_answer(answer: Answer) -> Option<Self> {
+        match answer {
+            Answer::Partial(t) => Some(t),
+            _ => None,
+        }
     }
 }
 
@@ -255,6 +264,12 @@ impl MergeTuple for MultiTuple {
     }
     fn error(cursor: &Self::Cursor) -> Option<&CoreError> {
         cursor.error()
+    }
+    fn from_answer(answer: Answer) -> Option<Self> {
+        match answer {
+            Answer::Multi(t) => Some(t),
+            _ => None,
+        }
     }
 }
 

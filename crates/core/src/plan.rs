@@ -24,7 +24,7 @@ use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::shard::Shard;
 use crate::single_testing;
-use crate::stream::AnswerStream;
+use crate::stream::{AnswerStream, Shards};
 use crate::Result;
 use omq_chase::{OntologyMediatedQuery, QchaseConfig, QchasePlan, QueryDirectedChase};
 use omq_cq::acyclicity::AcyclicityReport;
@@ -643,7 +643,11 @@ impl PreparedInstance {
     /// Boolean empty-tuple dedup run inside the cursor, so sequential and
     /// parallel executions agree (see the `parallel` module docs).
     pub fn answers(&self, semantics: Semantics) -> Result<AnswerStream> {
-        AnswerStream::build(self, semantics)
+        let shards = Shards::Local {
+            shards: Arc::clone(self.shared_shards()),
+            next: 0,
+        };
+        AnswerStream::chain(&self.plan, semantics, shards)
     }
 
     /// Streams the answers of `semantics` to `f` with `ControlFlow`-style

@@ -2,17 +2,19 @@
 //!
 //! `QueryPlan::execute_tracked` (and `execute_parallel`, its twin with a
 //! caller-set worker bound) packs the database's Gaifman components into
-//! shards and chases them on local threads; the cross-shard reduce (the
-//! `WildcardMerge` minimality filter plus the Boolean empty-tuple dedup) is
-//! folded into the [`AnswerStream`] cursor.  A *distributed* executor — the
-//! `omq-cluster` coordinator — does the per-shard chase and enumeration in
-//! other **processes** and only has answer pages, not chased databases, on
-//! hand.  This module is the seam between the two: a [`RemoteShard`] is a
-//! pull-based source of one shard's already-enumerated answers, and
-//! [`AnswerStream::from_remote`] wraps a vector of them in a normal
-//! `AnswerStream` that runs the *same* cross-shard reduce the in-process
-//! sharded cursor uses.  Downstream consumers (the serving layer, pagination,
-//! `try_collect`) cannot tell a cluster execution from a local one.
+//! shards and chases them on local threads; [`AnswerStream`] chains the
+//! shards' cursors and folds the cross-shard reduce (the `WildcardMerge`
+//! minimality filter plus the Boolean empty-tuple dedup) into the chain.  A
+//! *distributed* executor — the `omq-cluster` coordinator — does the
+//! per-shard chase and enumeration in other **processes** and only has
+//! answer pages, not chased databases, on hand.  This module is the seam
+//! between the two: a [`RemoteShard`] is a pull-based source of one shard's
+//! already-enumerated answers, and [`AnswerStream::from_remote`] chains a
+//! vector of them exactly as `PreparedInstance::answers` chains local
+//! shards — a remote source is one more kind of shard cursor in the same
+//! chain, so the reduce is the same code for both.  Downstream consumers
+//! (the serving layer, pagination, `try_collect`) cannot tell a cluster
+//! execution from a local one.
 //!
 //! Soundness inherits from the parallel module's argument (see
 //! [`crate::parallel`]): each source must yield the per-shard-minimal answers
@@ -20,252 +22,77 @@
 //! constant-bearing answers are globally minimal as they stream by, and only
 //! the wildcard-only patterns need the merge's park-and-flush treatment.
 //!
-//! Error contract: a source that ends early reports why through
-//! [`RemoteShard::error`].  A transport fault the executor could not mask
-//! (e.g. every worker died) surfaces here as a [`CoreError`] and terminates
-//! the stream, exactly like a mid-stream builder failure in the local cursor.
+//! Error contract: a source fails by returning `Err` from
+//! [`RemoteShard::next_batch`].  A transport fault the executor could not
+//! mask (e.g. every worker died) surfaces that way as a [`CoreError`] and
+//! terminates the stream, exactly like a mid-stream builder failure in the
+//! local cursor; the answers the failing call appended are dropped.
 
 use crate::error::CoreError;
-use crate::parallel::{MergeTuple, WildcardMerge};
 use crate::plan::QueryPlan;
-use crate::preprocess::PlanSkeleton;
-use crate::stream::AnswerStream;
-use omq_data::{Answer, MultiTuple, PartialTuple, Semantics};
-use std::collections::VecDeque;
+use crate::stream::{AnswerStream, Shards};
+use omq_data::{Answer, Semantics};
 
 /// A pull-based source of one shard's enumerated answers, produced somewhere
 /// else (another process, another machine).
 ///
-/// The contract mirrors [`AnswerStream::next_batch`]:
-///
-/// * `next_batch` appends up to `k` answers to `out` and returns how many
-///   were appended; fewer than `k` means the source ended.
-/// * An ended source is asked [`RemoteShard::error`] once: `Some(e)` means
-///   the shard failed mid-stream (the whole stream reports `e`), `None`
-///   means it was exhausted normally.
-/// * Every answer must be of the [`Semantics`] the stream was built with,
-///   with values resolved against the *coordinator's* database (implementors
-///   translate wire answers by constant name before handing them over).
+/// The stream asks a source for answers only while it needs them: a Boolean
+/// stream stops at the first source that reports the empty tuple, and a
+/// stream dropped mid-way never asks again.  Every answer must be of the
+/// [`Semantics`] the stream was built with, with values resolved against the
+/// *coordinator's* database (implementors translate wire answers by constant
+/// name before handing them over).
 pub trait RemoteShard: Send {
-    /// Pulls up to `k` answers, appending to `out`; returns the number
-    /// appended.  Fewer than `k` means the source ended — check
-    /// [`RemoteShard::error`].
-    fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> usize;
-
-    /// The error that ended this source early, if any.  Called once, after
-    /// `next_batch` returned short.
-    fn error(&mut self) -> Option<CoreError>;
+    /// Pulls up to `k` answers, appending to `out`, and returns how many it
+    /// appended; fewer than `k` means the source is exhausted.  `Err` means
+    /// the shard failed: the whole stream ends with that error, and the
+    /// answers this call appended are dropped.
+    fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> Result<usize, CoreError>;
 }
 
-/// The cross-shard reduce, parameterised by semantics.  The same machinery
-/// `Inner::{Complete,Partial,Multi}` applies to locally chased shards,
-/// repackaged for answers that arrive pre-enumerated.
-enum RemoteReduce {
-    /// Complete answers are shard-disjoint (constants are partitioned across
-    /// components); only the Boolean empty tuple needs deduplication.
-    Complete {
-        boolean: bool,
-        emitted_empty: bool,
-    },
-    /// `None` once flushed.
-    Partial(Option<WildcardMerge<PartialTuple>>),
-    Multi(Option<WildcardMerge<MultiTuple>>),
-}
-
-impl RemoteReduce {
-    fn new(semantics: Semantics, skeleton: &PlanSkeleton) -> crate::Result<Self> {
-        Ok(match semantics {
-            Semantics::Complete => RemoteReduce::Complete {
-                boolean: skeleton.boolean,
-                emitted_empty: false,
-            },
-            Semantics::MinimalPartial => RemoteReduce::Partial(Some(WildcardMerge::new(
-                PartialTuple::wildcard_only(skeleton)?,
-            ))),
-            Semantics::MinimalPartialMulti => RemoteReduce::Multi(Some(WildcardMerge::new(
-                MultiTuple::wildcard_only(skeleton)?,
-            ))),
-        })
-    }
-
-    /// Feeds one per-shard answer through the reduce; released answers are
-    /// queued on `pending`.  Fails if the answer's variant does not match
-    /// the stream's semantics — that is a broken executor, not bad data.
-    fn offer(&mut self, answer: Answer, pending: &mut VecDeque<Answer>) -> Result<(), CoreError> {
-        match (self, answer) {
-            (
-                RemoteReduce::Complete {
-                    boolean,
-                    emitted_empty,
-                },
-                Answer::Complete(t),
-            ) => {
-                if *boolean {
-                    // The empty tuple is the only Boolean answer; every
-                    // satisfiable shard reports it once.
-                    if !*emitted_empty {
-                        *emitted_empty = true;
-                        pending.push_back(Answer::Complete(t));
-                    }
-                } else {
-                    pending.push_back(Answer::Complete(t));
-                }
-                Ok(())
-            }
-            (RemoteReduce::Partial(merge), Answer::Partial(t)) => {
-                merge
-                    .as_mut()
-                    .expect("no offers after flush")
-                    .offer(t, &mut |out| pending.push_back(Answer::Partial(out)));
-                Ok(())
-            }
-            (RemoteReduce::Multi(merge), Answer::Multi(t)) => {
-                merge
-                    .as_mut()
-                    .expect("no offers after flush")
-                    .offer(t, &mut |out| pending.push_back(Answer::Multi(out)));
-                Ok(())
-            }
-            _ => Err(CoreError::Internal(
-                "remote shard emitted an answer of the wrong semantics".to_owned(),
-            )),
-        }
-    }
-
-    /// Releases the surviving wildcard-only answers.  Call once, after every
-    /// source has been drained.
-    fn flush(&mut self, pending: &mut VecDeque<Answer>) {
-        match self {
-            RemoteReduce::Complete { .. } => {}
-            RemoteReduce::Partial(merge) => {
-                if let Some(m) = merge.take() {
-                    m.flush(&mut |t| pending.push_back(Answer::Partial(t)));
-                }
-            }
-            RemoteReduce::Multi(merge) => {
-                if let Some(m) = merge.take() {
-                    m.flush(&mut |t| pending.push_back(Answer::Multi(t)));
-                }
-            }
-        }
-    }
-}
-
-/// Per-pull cap on how many answers are requested from a source at once,
+/// Per-call cap on how many answers are requested from a source at once,
 /// so drain-everything requests (`k = usize::MAX`) stay incremental.
 const REMOTE_PULL_CAP: usize = 4096;
 
-/// The state behind `Inner::Remote` in [`AnswerStream`]: the shard sources,
-/// a cursor over them, and the cross-shard reduce.
-pub(crate) struct RemoteState {
-    sources: Vec<Box<dyn RemoteShard>>,
-    /// Index of the source currently being drained.
-    current: usize,
-    reduce: RemoteReduce,
-    /// Answers released by the reduce but not yet pulled.
-    pending: VecDeque<Answer>,
-    /// Reused landing buffer for source batches.
-    scratch: Vec<Answer>,
-    /// The reduce has been flushed (all sources drained, or the stream
-    /// failed); only `pending` remains.
-    flushed: bool,
-}
-
-impl std::fmt::Debug for RemoteState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteState")
-            .field("sources", &self.sources.len())
-            .field("current", &self.current)
-            .field("pending", &self.pending.len())
-            .field("flushed", &self.flushed)
-            .finish()
-    }
-}
-
-impl RemoteState {
-    pub(crate) fn new(
-        semantics: Semantics,
-        skeleton: &PlanSkeleton,
-        sources: Vec<Box<dyn RemoteShard>>,
-    ) -> crate::Result<Self> {
-        Ok(RemoteState {
-            sources,
-            current: 0,
-            reduce: RemoteReduce::new(semantics, skeleton)?,
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
-            flushed: false,
-        })
-    }
-
-    /// The batched-pull engine: appends up to `k` answers via `sink` and
-    /// returns how many, plus the error that terminated the stream, if any.
-    /// Mirrors the batch loops of the local cursor.
-    pub(crate) fn pull(
-        &mut self,
-        k: usize,
-        sink: &mut impl FnMut(Answer),
-    ) -> (usize, Option<CoreError>) {
-        let mut produced = 0usize;
-        loop {
-            while produced < k {
-                let Some(a) = self.pending.pop_front() else {
-                    break;
-                };
-                sink(a);
-                produced += 1;
-            }
-            if produced == k {
-                return (produced, None);
-            }
-            // `pending` is empty past this point.
-            if self.current < self.sources.len() {
-                let want = (k - produced).min(REMOTE_PULL_CAP);
-                self.scratch.clear();
-                let got = self.sources[self.current].next_batch(&mut self.scratch, want);
-                debug_assert!(
-                    got == self.scratch.len(),
-                    "sources append exactly what they report"
-                );
-                let mut bad = None;
-                for answer in self.scratch.drain(..) {
-                    if let Err(e) = self.reduce.offer(answer, &mut self.pending) {
-                        bad = Some(e);
-                        break;
-                    }
-                }
-                if let Some(e) = bad {
-                    return (produced, Some(self.fail(e)));
-                }
-                if got < want {
-                    // Source ended: failed, or exhausted normally.
-                    if let Some(e) = self.sources[self.current].error() {
-                        return (produced, Some(self.fail(e)));
-                    }
-                    self.current += 1;
-                }
-            } else if !self.flushed {
-                self.reduce.flush(&mut self.pending);
-                self.flushed = true;
-            } else {
-                return (produced, None);
-            }
+/// Pulls up to `k` answers from `source` in calls of at most
+/// [`REMOTE_PULL_CAP`], converting each with `convert` and handing it to
+/// `emit`; returns how many were emitted, fewer than `k` meaning the source
+/// is exhausted.  An answer `convert` rejects is of the wrong semantics —
+/// a broken executor, not bad data — and fails the pull like a source error.
+pub(crate) fn pull_remote<T>(
+    source: &mut dyn RemoteShard,
+    k: usize,
+    convert: impl Fn(Answer) -> Option<T>,
+    mut emit: impl FnMut(T),
+) -> crate::Result<usize> {
+    let mut batch = Vec::new();
+    let mut pulled = 0usize;
+    while pulled < k {
+        let want = (k - pulled).min(REMOTE_PULL_CAP);
+        let got = source.next_batch(&mut batch, want)?;
+        debug_assert!(
+            got == batch.len(),
+            "sources append exactly what they report"
+        );
+        for answer in batch.drain(..) {
+            let Some(t) = convert(answer) else {
+                let wrong = "remote shard emitted an answer of the wrong semantics";
+                return Err(CoreError::Internal(wrong.to_owned()));
+            };
+            emit(t);
+        }
+        pulled += got;
+        if got < want {
+            break;
         }
     }
-
-    /// Puts the state into its terminal failed shape and passes the error
-    /// through: no more pulls from any source, nothing pending.
-    fn fail(&mut self, e: CoreError) -> CoreError {
-        self.current = self.sources.len();
-        self.flushed = true;
-        self.pending.clear();
-        e
-    }
+    Ok(pulled)
 }
 
 impl AnswerStream {
-    /// Builds an [`AnswerStream`] over *remote* shard sources, running the
-    /// cross-shard reduce (wildcard minimality merge, Boolean dedup) locally.
+    /// Builds an [`AnswerStream`] over *remote* shard sources, chained under
+    /// the same cross-shard reduce (wildcard minimality merge, Boolean
+    /// dedup) as the shards of a local instance.
     ///
     /// `plan` must be the plan the remote executors evaluate — it supplies
     /// the tractability gate and the wildcard-only patterns the merge
@@ -277,8 +104,7 @@ impl AnswerStream {
         semantics: Semantics,
         sources: Vec<Box<dyn RemoteShard>>,
     ) -> crate::Result<AnswerStream> {
-        let state = RemoteState::new(semantics, plan.skeleton()?, sources)?;
-        Ok(AnswerStream::with_remote(plan.clone(), semantics, state))
+        AnswerStream::chain(plan, semantics, Shards::Remote(sources.into_iter()))
     }
 }
 
@@ -287,7 +113,9 @@ mod tests {
     use super::*;
     use omq_chase::{Ontology, OntologyMediatedQuery};
     use omq_cq::ConjunctiveQuery;
-    use omq_data::{Database, PartialValue, Schema};
+    use omq_data::{Database, PartialTuple, PartialValue, Schema};
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
     fn office_plan() -> QueryPlan {
         let ontology = Ontology::parse(
@@ -316,7 +144,7 @@ mod tests {
     }
 
     impl RemoteShard for Scripted {
-        fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> usize {
+        fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> Result<usize, CoreError> {
             let mut n = 0;
             while n < k {
                 let Some(a) = self.answers.pop_front() else {
@@ -325,10 +153,13 @@ mod tests {
                 out.push(a);
                 n += 1;
             }
-            n
-        }
-        fn error(&mut self) -> Option<CoreError> {
-            self.error.take()
+            match self.error.take() {
+                Some(e) if n < k => Err(e),
+                error => {
+                    self.error = error;
+                    Ok(n)
+                }
+            }
         }
     }
 
@@ -450,5 +281,107 @@ mod tests {
                 .unwrap();
         assert_eq!(stream.next(), None);
         assert!(matches!(stream.error(), Some(CoreError::Internal(_))));
+    }
+
+    fn failing(message: &str) -> Box<dyn RemoteShard> {
+        Box::new(Scripted {
+            answers: VecDeque::new(),
+            error: Some(CoreError::Internal(message.to_owned())),
+        })
+    }
+
+    /// A source replaying a stream, as a worker replays its shard's stream.
+    struct Replay(AnswerStream);
+
+    impl RemoteShard for Replay {
+        fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> Result<usize, CoreError> {
+            let n = self.0.next_batch(out, k);
+            match self.0.error() {
+                Some(e) => Err(e.clone()),
+                None => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn a_remote_chain_over_replayed_shards_is_the_local_chain() {
+        // Four components: mary's complete chain, john's office, lone mike,
+        // and ann's complete chain in another building.
+        let db = Database::builder(schema())
+            .fact("Researcher", ["mary"])
+            .fact("Researcher", ["john"])
+            .fact("Researcher", ["mike"])
+            .fact("HasOffice", ["mary", "room1"])
+            .fact("HasOffice", ["john", "room4"])
+            .fact("InBuilding", ["room1", "main1"])
+            .fact("HasOffice", ["ann", "room9"])
+            .fact("InBuilding", ["room9", "east"])
+            .build()
+            .unwrap();
+        for head in ["q(x1, x2, x3)", "q(x3)", "q()"] {
+            let ontology = Ontology::parse(
+                "Researcher(x) -> exists y. HasOffice(x, y)\n\
+                 HasOffice(x, y) -> Office(y)\n\
+                 Office(x) -> exists y. InBuilding(x, y)",
+            )
+            .unwrap();
+            let query = ConjunctiveQuery::parse(&format!(
+                "{head} :- HasOffice(x1, x2), InBuilding(x2, x3)"
+            ))
+            .unwrap();
+            let plan =
+                QueryPlan::compile(&OntologyMediatedQuery::new(ontology, query).unwrap()).unwrap();
+            let instance = plan.execute_parallel(&db, 1).unwrap();
+            assert!(
+                instance.shard_count() >= 3,
+                "{head}: {}",
+                instance.shard_count()
+            );
+            for semantics in Semantics::ALL {
+                let local = instance.answers(semantics).unwrap().try_collect().unwrap();
+                assert!(!local.is_empty(), "{head} {semantics:?}");
+                for k in [1, 3, usize::MAX] {
+                    let sources = instance
+                        .shared_shards()
+                        .iter()
+                        .map(|shard| {
+                            let shards = Shards::Local {
+                                shards: Arc::new(vec![Arc::clone(shard)]),
+                                next: 0,
+                            };
+                            let own = AnswerStream::chain(&plan, semantics, shards).unwrap();
+                            Box::new(Replay(own)) as Box<dyn RemoteShard>
+                        })
+                        .collect();
+                    let mut stream = AnswerStream::from_remote(&plan, semantics, sources).unwrap();
+                    let mut remote = Vec::new();
+                    while stream.next_batch(&mut remote, k) == k {}
+                    assert!(stream.error().is_none(), "{head} {semantics:?} k = {k}");
+                    assert_eq!(remote, local, "{head} {semantics:?} k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_boolean_remote_chain_ends_at_the_first_satisfiable_shard() {
+        let ontology = Ontology::new();
+        let query = ConjunctiveQuery::parse("q() :- Researcher(x)").unwrap();
+        let plan =
+            QueryPlan::compile(&OntologyMediatedQuery::new(ontology, query).unwrap()).unwrap();
+        let sat = Answer::Complete(Vec::new());
+        let mut stream = AnswerStream::from_remote(
+            &plan,
+            Semantics::Complete,
+            vec![source(vec![sat.clone()]), failing("worker died")],
+        )
+        .unwrap();
+        let mut page = Vec::new();
+        // The answer set is complete after the first source: the local chain
+        // stops there, and so does the remote one — the dead source is never
+        // asked.
+        assert_eq!(stream.next_batch(&mut page, 16), 1);
+        assert_eq!(page, vec![sat]);
+        assert!(stream.error().is_none(), "{:?}", stream.error());
     }
 }

@@ -50,6 +50,13 @@
 //!   (`WildcardMerge`) plus the Boolean empty-tuple dedup are folded *into*
 //!   the cursor, so sharded and sequential instances yield the same answer
 //!   multiset (property-tested in `tests/answer_stream.rs`).
+//! * **One chain for every source.** A shard of the chain is either one of
+//!   the instance's own shards or a [`crate::RemoteShard`] handing out the
+//!   answers a worker process enumerated over its shard
+//!   ([`AnswerStream::from_remote`]).  Both kinds run through the same
+//!   batch loops, so the cross-shard reduce exists once, and a remote chain
+//!   over sources replaying the per-shard streams yields the local chain's
+//!   sequence (`remote::tests`).
 //!
 //! The tractability gate still fails inside `answers()`; an error from a
 //! shard's structure build surfaces mid-stream, like the Algorithm 2 tester
@@ -61,9 +68,9 @@
 use crate::enumerate::AnswerCursor;
 use crate::error::CoreError;
 use crate::parallel::{MergeTuple, WildcardMerge};
-use crate::plan::{PreparedInstance, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
-use crate::remote::RemoteState;
+use crate::remote::{pull_remote, RemoteShard};
 use crate::shard::Shard;
 use crate::Result;
 use omq_data::{Answer, MultiTuple, PartialTuple, Semantics, Value};
@@ -73,6 +80,57 @@ use std::sync::Arc;
 /// Cap on the eager reservation `next_batch` performs on its output vector,
 /// so drain-everything requests (`k = usize::MAX`) do not over-allocate.
 const BATCH_RESERVE_CAP: usize = 1024;
+
+/// Where a stream's shard cursors come from: the instance's own shards,
+/// opened in order as the stream reaches them, or remote sources, each
+/// already enumerating one shard somewhere else (see [`crate::remote`]).
+pub(crate) enum Shards {
+    Local {
+        /// The shard vector, shared with the instance (and its successors).
+        shards: Arc<Vec<Arc<Shard>>>,
+        /// Index of the next shard no cursor has been opened over yet.
+        next: usize,
+    },
+    Remote(std::vec::IntoIter<Box<dyn RemoteShard>>),
+}
+
+impl Shards {
+    /// The next shard's cursor — `open`ed over the shard if it is local —
+    /// or `None` once every shard has been handed out.
+    fn next<C>(
+        &mut self,
+        open: impl FnOnce(&Arc<Shard>) -> Result<C>,
+    ) -> Option<Result<Cursor<C>>> {
+        match self {
+            Shards::Local { shards, next } => {
+                let shard = shards.get(*next)?;
+                *next += 1;
+                Some(open(shard).map(Cursor::Local))
+            }
+            Shards::Remote(sources) => sources.next().map(|source| Ok(Cursor::Remote(source))),
+        }
+    }
+}
+
+impl std::fmt::Debug for Shards {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Shards::Local { shards, next } => f
+                .debug_struct("Local")
+                .field("shards", &shards.len())
+                .field("next", next)
+                .finish(),
+            Shards::Remote(sources) => f.debug_tuple("Remote").field(&sources.len()).finish(),
+        }
+    }
+}
+
+/// The current shard of a stream: a cursor over a local shard, or a remote
+/// source handing out that shard's answers.
+enum Cursor<C> {
+    Local(C),
+    Remote(Box<dyn RemoteShard>),
+}
 
 /// One shard of the complete-answer stream: the shard's join structure and
 /// the cursor walking it.
@@ -90,7 +148,7 @@ struct CompleteShard {
 #[allow(clippy::large_enum_variant)]
 enum Inner {
     Complete {
-        current: Option<CompleteShard>,
+        current: Option<Cursor<CompleteShard>>,
         /// Boolean query: the empty tuple is emitted at most once across all
         /// shards.
         boolean: bool,
@@ -98,14 +156,11 @@ enum Inner {
     },
     Partial(WildcardShards<PartialTuple>),
     Multi(WildcardShards<MultiTuple>),
-    /// Answers arrive pre-enumerated from remote shard executors; only the
-    /// cross-shard reduce runs here.  See [`crate::remote`].
-    Remote(RemoteState),
 }
 
 /// The state of a wildcard-semantics stream, generic over the tuple kind.
 struct WildcardShards<T: MergeTuple> {
-    current: Option<T::Cursor>,
+    current: Option<Cursor<T::Cursor>>,
     /// `None` once flushed (all shards drained).
     merge: Option<WildcardMerge<T>>,
     /// Answers released by the merge but not yet pulled.
@@ -128,7 +183,6 @@ impl std::fmt::Debug for Inner {
             Inner::Complete { current, .. } => ("Complete", current.is_some()),
             Inner::Partial(shards) => ("Partial", shards.current.is_some()),
             Inner::Multi(shards) => ("Multi", shards.current.is_some()),
-            Inner::Remote(_) => ("Remote", true),
         };
         f.debug_struct("AnswerStreamInner")
             .field("semantics", &name)
@@ -145,28 +199,28 @@ pub struct AnswerStream {
     semantics: Semantics,
     /// The plan, kept for the compiled skeleton the lazy shard builds need.
     plan: QueryPlan,
-    /// The shard vector, shared with the instance (and its successors).
-    shards: Arc<Vec<Arc<Shard>>>,
-    /// Index of the next shard no cursor has been opened over yet.
-    next_shard: usize,
+    /// The shards still to be opened.
+    shards: Shards,
     inner: Inner,
     error: Option<CoreError>,
     emitted: usize,
 }
 
 impl AnswerStream {
-    /// Builds the stream over a prepared instance.  Only the tractability
-    /// gate runs here; a shard's cursor is opened — and its structure built,
-    /// if no one has yet — when the stream reaches the shard.
-    pub(crate) fn build(instance: &PreparedInstance, semantics: Semantics) -> Result<Self> {
+    /// Chains the cursors of `shards` under the cross-shard reduce of
+    /// `semantics`: the one constructor behind `PreparedInstance::answers`
+    /// and [`AnswerStream::from_remote`].  Only the tractability gate runs
+    /// here; a shard's cursor is opened — and a local shard's structure
+    /// built, if no one has yet — when the stream reaches the shard.
+    pub(crate) fn chain(plan: &QueryPlan, semantics: Semantics, shards: Shards) -> Result<Self> {
         // Fail the intractable cases (and a query too wide for Algorithm 2)
         // eagerly — the skeleton is compiled at plan build time, so this is
         // a cheap check, not per-shard work.
-        let skeleton = instance.plan().skeleton()?;
+        let skeleton = plan.skeleton()?;
         let inner = match semantics {
             Semantics::Complete => Inner::Complete {
                 current: None,
-                boolean: instance.omq().query().is_boolean(),
+                boolean: skeleton.boolean,
                 done: false,
             },
             Semantics::MinimalPartial => Inner::Partial(WildcardShards::new(skeleton)?),
@@ -174,29 +228,12 @@ impl AnswerStream {
         };
         Ok(AnswerStream {
             semantics,
-            plan: instance.plan().clone(),
-            shards: Arc::clone(instance.shared_shards()),
-            next_shard: 0,
+            plan: plan.clone(),
+            shards,
             inner,
             error: None,
             emitted: 0,
         })
-    }
-
-    /// Builds a stream over remote shard sources (no local shards; the
-    /// cross-shard reduce runs in [`RemoteState`]).  The public entry point
-    /// is [`AnswerStream::from_remote`] in [`crate::remote`], which performs
-    /// the tractability check before constructing the state.
-    pub(crate) fn with_remote(plan: QueryPlan, semantics: Semantics, state: RemoteState) -> Self {
-        AnswerStream {
-            semantics,
-            plan,
-            shards: Arc::new(Vec::new()),
-            next_shard: 0,
-            inner: Inner::Remote(state),
-            error: None,
-            emitted: 0,
-        }
     }
 
     /// The semantics this stream enumerates.  Every yielded [`Answer`] is of
@@ -262,14 +299,8 @@ impl AnswerStream {
         let skeleton = self.plan.skeleton().expect("checked at stream build");
         let (produced, error) = match &mut self.inner {
             Inner::Complete { .. } => self.batch_complete(k, sink),
-            Inner::Partial(state) => {
-                state.pull_batch(skeleton, &self.shards, &mut self.next_shard, k, sink)
-            }
-            Inner::Multi(state) => {
-                state.pull_batch(skeleton, &self.shards, &mut self.next_shard, k, sink)
-            }
-            // Remote sources carry their own reduce.
-            Inner::Remote(state) => state.pull(k, sink),
+            Inner::Partial(state) => state.pull_batch(skeleton, &mut self.shards, k, sink),
+            Inner::Multi(state) => state.pull_batch(skeleton, &mut self.shards, k, sink),
         };
         self.error = error;
         self.emitted += produced;
@@ -297,37 +328,58 @@ impl AnswerStream {
             if produced == k {
                 return (produced, None);
             }
-            if let Some(shard) = current.as_mut() {
+            if let Some(cursor) = current.as_mut() {
                 // Boolean queries emit at most one (empty) tuple overall.
                 let limit = if *boolean { 1 } else { k - produced };
-                let mut invariant_null = false;
-                let stepped = shard.cursor.fill_with(&shard.structure, limit, |values| {
-                    if invariant_null {
-                        return;
-                    }
-                    let tuple: Option<Vec<_>> = values
-                        .iter()
-                        .map(|v| match v {
-                            Value::Const(c) => Some(*c),
-                            Value::Null(_) => None,
-                        })
-                        .collect();
-                    match tuple {
-                        Some(tuple) => {
-                            sink(Answer::Complete(tuple));
-                            produced += 1;
+                let stepped = match cursor {
+                    Cursor::Local(shard) => {
+                        let mut invariant_null = false;
+                        let stepped = shard.cursor.fill_with(&shard.structure, limit, |values| {
+                            if invariant_null {
+                                return;
+                            }
+                            let tuple: Option<Vec<_>> = values
+                                .iter()
+                                .map(|v| match v {
+                                    Value::Const(c) => Some(*c),
+                                    Value::Null(_) => None,
+                                })
+                                .collect();
+                            match tuple {
+                                Some(tuple) => {
+                                    sink(Answer::Complete(tuple));
+                                    produced += 1;
+                                }
+                                // Cannot happen for structures built with
+                                // the `complete_only` relativisation;
+                                // handled as a reportable invariant
+                                // violation.
+                                None => invariant_null = true,
+                            }
+                        });
+                        if invariant_null {
+                            *done = true;
+                            let error =
+                                CoreError::Internal("complete answer contains a null".to_owned());
+                            return (produced, Some(error));
                         }
-                        // Cannot happen for structures built with the
-                        // `complete_only` relativisation; handled as a
-                        // reportable invariant violation.
-                        None => invariant_null = true,
+                        stepped
                     }
-                });
-                if invariant_null {
-                    *done = true;
-                    let error = CoreError::Internal("complete answer contains a null".to_owned());
-                    return (produced, Some(error));
-                }
+                    Cursor::Remote(source) => {
+                        let complete = |a| matches!(a, Answer::Complete(_)).then_some(a);
+                        let pulled = pull_remote(source.as_mut(), limit, complete, |a| {
+                            sink(a);
+                            produced += 1;
+                        });
+                        match pulled {
+                            Ok(stepped) => stepped,
+                            Err(e) => {
+                                *done = true;
+                                return (produced, Some(e));
+                            }
+                        }
+                    }
+                };
                 if *boolean && stepped > 0 {
                     *done = true;
                     return (produced, None);
@@ -335,25 +387,23 @@ impl AnswerStream {
                 if stepped < limit {
                     *current = None;
                 }
-            } else if self.next_shard < self.shards.len() {
-                let idx = self.next_shard;
-                self.next_shard += 1;
+            } else {
                 let skeleton = self.plan.skeleton().expect("checked at stream build");
-                match self.shards[idx].complete_structure(skeleton) {
-                    Ok(structure) => {
-                        *current = Some(CompleteShard {
-                            cursor: AnswerCursor::new(structure),
-                            structure: Arc::clone(structure),
-                        })
-                    }
-                    Err(e) => {
+                let opened = self.shards.next(|shard| {
+                    let structure = shard.complete_structure(skeleton)?;
+                    Ok(CompleteShard {
+                        cursor: AnswerCursor::new(structure),
+                        structure: Arc::clone(structure),
+                    })
+                });
+                match opened {
+                    Some(Ok(cursor)) => *current = Some(cursor),
+                    // A shard failed to open, or there is none left.
+                    ended => {
                         *done = true;
-                        return (produced, Some(e));
+                        return (produced, ended.and_then(Result::err));
                     }
                 }
-            } else {
-                *done = true;
-                return (produced, None);
             }
         }
     }
@@ -368,8 +418,7 @@ impl<T: MergeTuple> WildcardShards<T> {
     fn pull_batch(
         &mut self,
         skeleton: &PlanSkeleton,
-        shards: &[Arc<Shard>],
-        next_shard: &mut usize,
+        shards: &mut Shards,
         k: usize,
         sink: &mut impl FnMut(Answer),
     ) -> (usize, Option<CoreError>) {
@@ -393,29 +442,44 @@ impl<T: MergeTuple> WildcardShards<T> {
             };
             if let Some(cursor) = current.as_mut() {
                 let want = k - produced;
-                let stepped = T::fill(cursor, want, |t| {
-                    live_merge.offer(t, &mut |out| pending.push_back(out));
-                });
-                if stepped < want {
-                    if let Some(e) = T::error(cursor) {
-                        break e.clone();
+                let stepped = match cursor {
+                    Cursor::Local(cursor) => {
+                        let stepped = T::fill(cursor, want, |t| {
+                            live_merge.offer(t, &mut |out| pending.push_back(out));
+                        });
+                        if stepped < want {
+                            if let Some(e) = T::error(cursor) {
+                                break e.clone();
+                            }
+                        }
+                        stepped
                     }
+                    Cursor::Remote(source) => {
+                        let pulled = pull_remote(source.as_mut(), want, T::from_answer, |t| {
+                            live_merge.offer(t, &mut |out| pending.push_back(out));
+                        });
+                        match pulled {
+                            Ok(stepped) => stepped,
+                            Err(e) => break e,
+                        }
+                    }
+                };
+                if stepped < want {
                     *current = None;
                 }
-            } else if *next_shard < shards.len() {
-                let idx = *next_shard;
-                *next_shard += 1;
-                match T::open(skeleton, &shards[idx]) {
-                    Ok(cursor) => *current = Some(cursor),
-                    Err(e) => break e,
-                }
             } else {
-                merge
-                    .take()
-                    .expect("merge checked live above")
-                    .flush(&mut |out| pending.push_back(out));
-                if pending.is_empty() {
-                    return (produced, None);
+                match shards.next(|shard| T::open(skeleton, shard)) {
+                    Some(Ok(cursor)) => *current = Some(cursor),
+                    Some(Err(e)) => break e,
+                    None => {
+                        merge
+                            .take()
+                            .expect("merge checked live above")
+                            .flush(&mut |out| pending.push_back(out));
+                        if pending.is_empty() {
+                            return (produced, None);
+                        }
+                    }
                 }
             }
         };

@@ -522,7 +522,8 @@ fn parked_frames_resume_when_the_peer_starts_reading() {
 }
 
 /// A connection accepted while the only worker is blocked on another,
-/// silent connection is served at once: the hand-off wakes the worker.
+/// silent connection is served at once: the worker polls the shared
+/// listener next to its connections, so the connect itself wakes it.
 #[test]
 fn a_connection_accepted_while_the_worker_is_blocked_is_served() {
     let server = start_server(1);
