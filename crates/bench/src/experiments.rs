@@ -353,8 +353,7 @@ pub fn e5_partial_enum(quick: bool) -> Table {
                 enumerator
                     .take()
                     .expect("enumerator built in preprocessing")
-                    .enumerate(|_| tick())
-                    .expect("tractable query");
+                    .for_each(|_| tick());
             },
         );
         table.push_row(delay_row(researchers, facts, &stats));

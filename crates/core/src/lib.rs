@@ -16,6 +16,9 @@
 //!   (Theorem 5.2, Algorithm 1), see [`progress`] and [`partial_enum`];
 //! * **enumeration of minimal partial answers with multi-wildcards**
 //!   (Theorem 6.1, Algorithm 2), see [`multi_enum`];
+//! * **complete answers first** (Proposition 2.1):
+//!   `PreparedInstance::enumerate_minimal_partial_complete_first`, the
+//!   minimal partial answers stably partitioned so the complete ones lead;
 //! * **one preprocessing per shard**: the enumeration structures are built
 //!   on first use and kept with the chased shard they derive from, so a
 //!   second cursor, a `count` or a refreshed instance starts from them, see
@@ -30,6 +33,11 @@
 //!   very cross-shard reduce local shards do (used by `omq-cluster`), see
 //!   [`remote`];
 //! * brute-force baselines used by tests and benchmarks, see [`baseline`].
+//!
+//! Both enumerators are opened over a chased [`Shard`] and nothing else:
+//! [`PartialEnumerator::open`] over the shard's prepared half, and
+//! [`MultiEnumerator::open`], which prepares Algorithm 1 over the shard
+//! for itself.  There is no entry point over a raw query and database.
 //!
 //! All three enumeration modes are served by **one lazy cursor API**:
 //! `PreparedInstance::answers(Semantics)` returns an [`AnswerStream`]

@@ -1,6 +1,5 @@
 //! Algorithm 2: enumeration of minimal partial answers with multi-wildcards
-//! (Theorem 6.1 of the paper), plus the "complete answers first" ordering of
-//! Proposition 2.1.
+//! (Theorem 6.1 of the paper).
 //!
 //! The algorithm combines the Algorithm 1 enumerator (minimal partial answers
 //! with a *single* wildcard) with a tester for (not necessarily minimal)
@@ -12,11 +11,13 @@
 //! of `L` at the end (Lemma 6.3 shows this outputs exactly the minimal partial
 //! answers with multi-wildcards, without repetition).
 //!
-//! [`MultiEnumerator`] runs the algorithm as a **pull-based cursor**: the
-//! single-wildcard answers are drawn lazily from the Algorithm 1 cursor, each
-//! drawn answer contributes at most one immediate output (the ball step), and
-//! the `L` flush is itself iterated lazily — so `take(k)` performs `O(k)`
-//! enumeration work and dropping the cursor mid-stream abandons the rest.
+//! [`MultiEnumerator`] runs the algorithm as a **pull-based cursor** over one
+//! chased [`Shard`], opened by [`MultiEnumerator::open`] — the only way in.
+//! The single-wildcard answers are drawn lazily from the Algorithm 1 cursor,
+//! each drawn answer contributes at most one immediate output (the ball
+//! step), and the `L` flush is itself iterated lazily — so `take(k)` performs
+//! `O(k)` enumeration work and dropping the cursor mid-stream abandons the
+//! rest.
 //!
 //! # What one step costs
 //!
@@ -52,16 +53,15 @@
 //! the constant-work test below holds the per-step counts flat as the data
 //! grows.
 
-use crate::enumerate::AnswerIter;
 use crate::error::CoreError;
 use crate::multi_templates::{apply_row, MultiTemplates};
 use crate::partial_enum::PartialEnumerator;
-use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
+use crate::preprocess::PlanSkeleton;
 use crate::shard::Shard;
 use crate::single_testing;
 use crate::Result;
 use omq_cq::{ConjunctiveQuery, Term};
-use omq_data::{Database, MultiTuple, MultiValue, PartialTuple, PartialValue, RelId, Value};
+use omq_data::{Database, MultiTuple, MultiValue, PartialValue, RelId, Value};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -77,24 +77,6 @@ pub(crate) fn check_multi_arity(arity: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// How the cursor reaches the chased database it tests candidates against:
-/// either a caller-provided borrow, or a shared shard (which makes the
-/// cursor `'static` and lets it outlive the `PreparedInstance` it came from).
-#[derive(Debug)]
-enum DbRef<'a> {
-    Borrowed(&'a Database),
-    Shard(Arc<Shard>),
-}
-
-impl DbRef<'_> {
-    fn get(&self) -> &Database {
-        match self {
-            DbRef::Borrowed(db) => db,
-            DbRef::Shard(shard) => shard,
-        }
-    }
 }
 
 /// Work counters of a [`MultiEnumerator`], always on (four integer adds per
@@ -498,21 +480,22 @@ impl ConeStep {
 ///
 /// The cursor draws its single-wildcard answers from a [`PartialEnumerator`]
 /// and owns, besides it, the candidate table and the compiled tester
-/// (query-sized).  Every constructor prepares Algorithm 1 and opens in one
-/// call — for now also the one behind an `AnswerStream` or a count over a
-/// shard.  Opening those over the prepared half the shard keeps is
+/// (query-sized).  [`MultiEnumerator::open`], its one constructor (behind
+/// every `AnswerStream` and count over a shard), prepares Algorithm 1 afresh
+/// and opens in one call.  Opening over the prepared half the shard keeps is
 /// `PartialEnumerator::open(shard.prepared_partial(..))` in place of
-/// `PartialEnumerator::with_skeleton` and nothing else, but it has to wait
-/// for the benchmark to be able to measure it (CHANGES.md, PR 22).
+/// `PartialEnumerator::with_skeleton` in `open` and nothing else; it waits
+/// until the benchmark can measure it (see ROADMAP.md).
 ///
 /// The only fallible step after construction is the candidate tester; a
 /// tester error ends the stream and is reported by
 /// [`MultiEnumerator::error`].
 #[derive(Debug)]
-pub struct MultiEnumerator<'a> {
+pub struct MultiEnumerator {
     /// The Algorithm 1 cursor supplying the single-wildcard answers.
     single: PartialEnumerator,
-    db: DbRef<'a>,
+    /// The chased instance candidates are tested against.
+    shard: Arc<Shard>,
     cone: ConeStep,
     /// `None` while single-wildcard answers are still being consumed;
     /// `Some(i)` once the cursor is flushing `L[i..]`.
@@ -520,38 +503,18 @@ pub struct MultiEnumerator<'a> {
     error: Option<CoreError>,
 }
 
-impl<'a> MultiEnumerator<'a> {
-    /// Preprocesses `query` over the chased instance `d0` and opens a cursor
-    /// over the result.
+impl MultiEnumerator {
+    /// Opens a cursor over a shard: refuses a query wider than
+    /// [`MAX_MULTI_WILDCARD_ARITY`], prepares Algorithm 1 over the shard
+    /// afresh (see the type's docs) and compiles the candidate tester.
     ///
-    /// Requires the query to be acyclic and free-connex acyclic, and of arity
-    /// at most [`MAX_MULTI_WILDCARD_ARITY`].
-    pub fn new(query: &ConjunctiveQuery, d0: &'a Database) -> Result<Self> {
-        let skeleton = PlanSkeleton::compile(query)?;
-        Self::with_skeleton(&skeleton, d0)
-    }
-
-    /// Preprocesses a compiled skeleton over the chased instance `d0` and
-    /// opens a cursor over the result.
-    pub fn with_skeleton(skeleton: &PlanSkeleton, d0: &'a Database) -> Result<Self> {
-        Self::open(skeleton, DbRef::Borrowed(d0))
-    }
-
-    /// Builds a `'static` cursor over a shard (used by the owning
-    /// `AnswerStream`), preparing Algorithm 1 afresh — see the type's docs.
-    pub(crate) fn for_shard(
-        skeleton: &PlanSkeleton,
-        shard: &Arc<Shard>,
-    ) -> Result<MultiEnumerator<'static>> {
-        MultiEnumerator::open(skeleton, DbRef::Shard(Arc::clone(shard)))
-    }
-
-    fn open(skeleton: &PlanSkeleton, db: DbRef<'a>) -> Result<MultiEnumerator<'a>> {
+    /// Requires the query to be acyclic and free-connex acyclic.
+    pub fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<MultiEnumerator> {
         check_multi_arity(skeleton.answer_positions.len())?;
         Ok(MultiEnumerator {
-            single: PartialEnumerator::with_skeleton(skeleton, db.get())?,
-            cone: ConeStep::new(skeleton, db.get()),
-            db,
+            single: PartialEnumerator::with_skeleton(skeleton, shard)?,
+            cone: ConeStep::new(skeleton, shard),
+            shard: Arc::clone(shard),
             flush_pos: None,
             error: None,
         })
@@ -594,12 +557,12 @@ impl<'a> MultiEnumerator<'a> {
         }
         let MultiEnumerator {
             single,
-            db,
+            shard,
             cone,
             flush_pos,
             error,
         } = self;
-        let db = db.get();
+        let db: &Database = shard;
         let mut produced = 0usize;
         while flush_pos.is_none() {
             // Every ā* yields at most one immediate output, so pulling what
@@ -644,7 +607,7 @@ impl<'a> MultiEnumerator<'a> {
     }
 }
 
-impl Iterator for MultiEnumerator<'_> {
+impl Iterator for MultiEnumerator {
     type Item = MultiTuple;
 
     /// [`MultiEnumerator::fill_with`] at `limit = 1`.
@@ -655,106 +618,7 @@ impl Iterator for MultiEnumerator<'_> {
     }
 }
 
-impl std::iter::FusedIterator for MultiEnumerator<'_> {}
-
-/// Enumerates the minimal partial answers with multi-wildcards of `query`
-/// over the chased instance `d0`, invoking `output` exactly once per answer.
-pub fn enumerate_minimal_partial_multi(
-    query: &ConjunctiveQuery,
-    d0: &Database,
-    output: impl FnMut(MultiTuple),
-) -> Result<()> {
-    let skeleton = PlanSkeleton::compile(query)?;
-    enumerate_minimal_partial_multi_prepared(&skeleton, d0, output)
-}
-
-/// [`enumerate_minimal_partial_multi`] over a precompiled skeleton, reusing
-/// the query-side artefacts across databases.  Thin loop over
-/// [`MultiEnumerator`].
-pub fn enumerate_minimal_partial_multi_prepared(
-    skeleton: &PlanSkeleton,
-    d0: &Database,
-    mut output: impl FnMut(MultiTuple),
-) -> Result<()> {
-    let mut cursor = MultiEnumerator::with_skeleton(skeleton, d0)?;
-    for t in &mut cursor {
-        output(t);
-    }
-    match cursor.error() {
-        Some(e) => Err(e.clone()),
-        None => Ok(()),
-    }
-}
-
-/// Convenience: collects the minimal partial answers with multi-wildcards.
-pub fn minimal_partial_multi_answers(
-    query: &ConjunctiveQuery,
-    d0: &Database,
-) -> Result<Vec<MultiTuple>> {
-    let mut out = Vec::new();
-    enumerate_minimal_partial_multi(query, d0, |t| out.push(t))?;
-    Ok(out)
-}
-
-/// Proposition 2.1: enumerate minimal partial answers (single wildcard) with
-/// all complete answers first.
-///
-/// Runs the complete-answer enumerator and the Algorithm 1 enumerator "in
-/// parallel": while complete answers remain, each step outputs one of them and
-/// stores any wildcard answer produced by Algorithm 1; afterwards, wildcard
-/// answers are output directly and stored answers replace the complete ones
-/// Algorithm 1 re-discovers.
-pub fn minimal_partial_answers_complete_first(
-    query: &ConjunctiveQuery,
-    d0: &Database,
-) -> Result<Vec<PartialTuple>> {
-    Ok(complete_first(
-        &FreeConnexStructure::build(query, d0, true)?,
-        PartialEnumerator::new(query, d0)?,
-    ))
-}
-
-/// [`minimal_partial_answers_complete_first`] over structures the caller
-/// already has: the join structure for complete answers and an Algorithm 1
-/// cursor, both over the same chased instance.
-pub(crate) fn complete_first(
-    complete_structure: &FreeConnexStructure,
-    partial: PartialEnumerator,
-) -> Vec<PartialTuple> {
-    let mut complete_iter = AnswerIter::new(complete_structure);
-    let mut output: Vec<PartialTuple> = Vec::new();
-    let mut stored: Vec<PartialTuple> = Vec::new();
-    let mut complete_done = false;
-    for answer in partial {
-        if !complete_done {
-            match complete_iter.next() {
-                Some(complete) => {
-                    output.push(PartialTuple::from_answer(&complete));
-                    if !answer.is_complete() {
-                        stored.push(answer);
-                    }
-                    continue;
-                }
-                None => complete_done = true,
-            }
-        }
-        if answer.is_complete() {
-            // Replace by a stored wildcard answer (there is one for every
-            // complete answer re-discovered after the switch).
-            if let Some(replacement) = stored.pop() {
-                output.push(replacement);
-            } else {
-                output.push(answer);
-            }
-        } else {
-            output.push(answer);
-        }
-    }
-    // Any remaining stored answers (when Algorithm 1 finished before the
-    // complete enumerator did not happen — defensively flush).
-    output.extend(stored);
-    output
-}
+impl std::iter::FusedIterator for MultiEnumerator {}
 
 #[cfg(test)]
 mod tests {
@@ -805,9 +669,25 @@ mod tests {
         assert!(!above.contains(&mt(&[(false, 1), (false, 1)])));
     }
 
+    /// Opens Algorithm 2 over `db` as a shard of its own.
+    fn open(query: &ConjunctiveQuery, db: &Database) -> Result<MultiEnumerator> {
+        let shard = Arc::new(Shard::new(db.clone()));
+        MultiEnumerator::open(&PlanSkeleton::compile(query)?, &shard)
+    }
+
+    /// Drains [`open`], failing if the cursor does.
+    fn answers(query: &ConjunctiveQuery, db: &Database) -> Result<Vec<MultiTuple>> {
+        let mut cursor = open(query, db)?;
+        let answers = (&mut cursor).collect();
+        match cursor.error() {
+            Some(e) => Err(e.clone()),
+            None => Ok(answers),
+        }
+    }
+
     fn check_against_oracle(query_text: &str, db: &Database) {
         let q = ConjunctiveQuery::parse(query_text).unwrap();
-        let fast = minimal_partial_multi_answers(&q, db).unwrap();
+        let fast = answers(&q, db).unwrap();
         let oracle = baseline::cq_minimal_partial_multi(&q, db);
         let fast_set: FxHashSet<MultiTuple> = fast.iter().cloned().collect();
         let oracle_set: FxHashSet<MultiTuple> = oracle.iter().cloned().collect();
@@ -818,7 +698,7 @@ mod tests {
         assert_eq!(fast_set.len(), fast.len(), "duplicates for {query_text}");
         // The lazy cursor yields the same sequence, and every prefix of it is
         // reachable by early termination.
-        let mut cursor = MultiEnumerator::new(&q, db).unwrap();
+        let mut cursor = open(&q, db).unwrap();
         let via_cursor: Vec<MultiTuple> = (&mut cursor).collect();
         assert!(cursor.error().is_none());
         assert_eq!(via_cursor, fast, "cursor diverges for {query_text}");
@@ -829,7 +709,7 @@ mod tests {
         );
         assert_verdicts_are_reference_verdicts(&cursor, &q, db);
         for k in [0, 1, 2, fast.len()] {
-            let prefix: Vec<MultiTuple> = MultiEnumerator::new(&q, db).unwrap().take(k).collect();
+            let prefix: Vec<MultiTuple> = open(&q, db).unwrap().take(k).collect();
             assert_eq!(prefix, fast[..k.min(fast.len())], "take({k}) diverges");
         }
     }
@@ -863,7 +743,7 @@ mod tests {
         let db = example_6_2_db();
         let q = ConjunctiveQuery::parse("q(x0, x1, x2, x3) :- R(x0, x1), S(x0, x2), T(x0, x3)")
             .unwrap();
-        let answers = minimal_partial_multi_answers(&q, &db).unwrap();
+        let answers = answers(&q, &db).unwrap();
         let c = db.const_id("c").unwrap();
         let cprime = db.const_id("cprime").unwrap();
         use MultiValue::{Const, Wild};
@@ -888,27 +768,10 @@ mod tests {
     }
 
     #[test]
-    fn complete_answers_first_ordering() {
-        let db = example_6_2_db();
-        let q = ConjunctiveQuery::parse("q(x, y) :- R(x, y)").unwrap();
-        let ordered = minimal_partial_answers_complete_first(&q, &db).unwrap();
-        // Same set as Algorithm 1 ...
-        let plain = crate::partial_enum::minimal_partial_answers(&q, &db).unwrap();
-        let ordered_set: FxHashSet<PartialTuple> = ordered.iter().cloned().collect();
-        let plain_set: FxHashSet<PartialTuple> = plain.iter().cloned().collect();
-        assert_eq!(ordered_set, plain_set);
-        // ... but all complete answers come first.
-        let first_wildcard = ordered.iter().position(|t| !t.is_complete());
-        if let Some(cut) = first_wildcard {
-            assert!(ordered[cut..].iter().all(|t| !t.is_complete()));
-        }
-    }
-
-    #[test]
     fn boolean_query_multi_wildcards() {
         let db = example_6_2_db();
         let q = ConjunctiveQuery::parse("q() :- R(x, y)").unwrap();
-        let answers = minimal_partial_multi_answers(&q, &db).unwrap();
+        let answers = answers(&q, &db).unwrap();
         assert_eq!(answers, vec![MultiTuple(Vec::new())]);
     }
 
@@ -929,7 +792,8 @@ mod tests {
             })
         };
         let mut out = Vec::new();
-        for a_star in PartialEnumerator::new(query, db).unwrap() {
+        let skeleton = PlanSkeleton::compile(query).unwrap();
+        for a_star in PartialEnumerator::with_skeleton(&skeleton, db).unwrap() {
             for candidate in multi_wildcard_cone(&a_star) {
                 if f_table.contains(&candidate) || !test(&candidate) {
                     continue;
@@ -970,7 +834,7 @@ mod tests {
     /// compiled tester or by the reference itself — is the reference verdict.
     /// (Debug builds also assert this inside the step; this holds in release.)
     fn assert_verdicts_are_reference_verdicts(
-        cursor: &MultiEnumerator<'_>,
+        cursor: &MultiEnumerator,
         query: &ConjunctiveQuery,
         db: &Database,
     ) {
@@ -1080,7 +944,7 @@ mod tests {
     fn hub_drain(plan: &QueryPlan, instance: &PreparedInstance) -> (MultiStats, u64, u64) {
         let skeleton = plan.skeleton().unwrap();
         let db = instance.chased_database();
-        let mut cursor = MultiEnumerator::with_skeleton(skeleton, db).unwrap();
+        let mut cursor = MultiEnumerator::open(skeleton, &instance.shards()[0]).unwrap();
         let answers = (&mut cursor).count() as u64;
         assert!(cursor.error().is_none());
         assert_verdicts_are_reference_verdicts(&cursor, &skeleton.query, db);
@@ -1191,21 +1055,20 @@ mod tests {
             let start = Instant::now();
             let answers = instance.answers(Semantics::MinimalPartialMulti).map(|_| ());
             let count = instance.count(Semantics::MinimalPartialMulti);
+            let exists = instance.exists(Semantics::MinimalPartialMulti);
             best = best.min(start.elapsed());
             assert_eq!(answers, Err(refused.clone()));
             assert_eq!(count, Err(refused.clone()));
+            assert_eq!(exists, Err(refused.clone()));
         }
         assert!(best < Duration::from_millis(1), "refusal took {best:?}");
         let skeleton = plan.skeleton().unwrap();
         let db = instance.chased_database();
         assert_eq!(
-            MultiEnumerator::with_skeleton(skeleton, db).map(|_| ()),
+            MultiEnumerator::open(skeleton, &instance.shards()[0]).map(|_| ()),
             Err(refused.clone())
         );
-        assert_eq!(
-            minimal_partial_multi_answers(&skeleton.query, db),
-            Err(refused)
-        );
+        assert_eq!(answers(&skeleton.query, db), Err(refused));
         // The other two semantics are unaffected.
         for semantics in [Semantics::Complete, Semantics::MinimalPartial] {
             let drained = instance.answers(semantics).unwrap().count() as u64;

@@ -239,7 +239,7 @@ impl MergeTuple for PartialTuple {
 }
 
 impl MergeTuple for MultiTuple {
-    type Cursor = MultiEnumerator<'static>;
+    type Cursor = MultiEnumerator;
     /// One pattern per way of identifying wildcards across the positions
     /// (the multi-wildcard ball of `(*, …, *)`, one canonical tuple per set
     /// partition), from the plan's templates.
@@ -254,7 +254,7 @@ impl MergeTuple for MultiTuple {
         self.preferred_lt(other)
     }
     fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor> {
-        MultiEnumerator::for_shard(skeleton, shard)
+        MultiEnumerator::open(skeleton, shard)
     }
     fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
         cursor.fill_with(limit, emit)

@@ -22,13 +22,12 @@
 //! the list linkage — belongs to the cursor, so opening one costs a few
 //! array fills linear in the number of progress trees, not a rebuild, and
 //! any number of cursors run over one prepared half without seeing each
-//! other.  The callback entry point ([`PartialEnumerator::enumerate`]) is a
-//! thin loop over the iterator.
+//! other.
 
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::progress::{ProgressIndex, TreeLists};
 use crate::Result;
-use omq_cq::{ConjunctiveQuery, VarId};
+use omq_cq::VarId;
 use omq_data::{Database, PartialTuple, PartialValue};
 use std::sync::Arc;
 
@@ -87,17 +86,12 @@ impl PreparedPartial {
     /// Runs the preprocessing of a compiled skeleton over the chased
     /// instance `d0`: the join structure, then the progress trees over it.
     /// This is the one place the two are built together; the per-shard cache
-    /// of a `PreparedInstance` and the "prepare, then open" constructors of
-    /// the cursors all come here.
+    /// of a `PreparedInstance` and [`PartialEnumerator::with_skeleton`] both
+    /// come here.
     pub fn prepare(skeleton: &PlanSkeleton, d0: &Database) -> Result<Self> {
-        Self::from_structure(&FreeConnexStructure::materialize(skeleton, d0, false)?)
-    }
-
-    /// Builds the prepared half from an existing structure (which must have
-    /// been built with `complete_only = false`).
-    pub fn from_structure(structure: &FreeConnexStructure) -> Result<Self> {
+        let structure = FreeConnexStructure::materialize(skeleton, d0, false)?;
         Ok(PreparedPartial {
-            index: ProgressIndex::build(structure)?,
+            index: ProgressIndex::build(&structure)?,
             preorder_vars: structure
                 .preorder
                 .iter()
@@ -170,27 +164,13 @@ pub struct PartialEnumerator {
 }
 
 impl PartialEnumerator {
-    /// Preprocesses `query` over the chased instance `d0` and opens a cursor
-    /// over the result.
-    ///
-    /// Requires the query to be acyclic and free-connex acyclic.
-    pub fn new(query: &ConjunctiveQuery, d0: &Database) -> Result<Self> {
-        Self::from_structure(FreeConnexStructure::build(query, d0, false)?)
-    }
-
     /// Preprocesses a compiled skeleton over the chased instance `d0`
     /// ([`PreparedPartial::prepare`]) and opens a cursor over the result.
+    ///
+    /// Requires the query to be acyclic and free-connex acyclic.
     pub fn with_skeleton(skeleton: &PlanSkeleton, d0: &Database) -> Result<Self> {
         Ok(Self::open(Arc::new(PreparedPartial::prepare(
             skeleton, d0,
-        )?)))
-    }
-
-    /// Prepares from an existing structure (must have been built with
-    /// `complete_only = false`) and opens a cursor over the result.
-    pub fn from_structure(structure: FreeConnexStructure) -> Result<Self> {
-        Ok(Self::open(Arc::new(PreparedPartial::from_structure(
-            &structure,
         )?)))
     }
 
@@ -222,16 +202,6 @@ impl PartialEnumerator {
     /// The prepared half this cursor runs over.
     pub fn prepared(&self) -> &Arc<PreparedPartial> {
         &self.prepared
-    }
-
-    /// Runs the enumeration to completion, invoking `output` for every
-    /// minimal partial answer (exactly once each).  Thin wrapper over the
-    /// [`Iterator`] implementation.
-    pub fn enumerate(mut self, mut output: impl FnMut(PartialTuple)) -> Result<()> {
-        for answer in &mut self {
-            output(answer);
-        }
-        Ok(())
     }
 
     /// The `nextat` helper: the first pre-order position `≥ from` whose node
@@ -506,26 +476,23 @@ impl Iterator for PartialEnumerator {
 
 impl std::iter::FusedIterator for PartialEnumerator {}
 
-/// Convenience function: enumerates the minimal partial answers of `query`
-/// over the chased instance `d0`.
-pub fn minimal_partial_answers(
-    query: &ConjunctiveQuery,
-    d0: &Database,
-) -> Result<Vec<PartialTuple>> {
-    Ok(PartialEnumerator::new(query, d0)?.collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline;
     use crate::error::CoreError;
+    use omq_cq::ConjunctiveQuery;
     use omq_data::{Fact, Schema, Value};
     use rustc_hash::FxHashSet;
 
+    /// Opens Algorithm 1 over `db`.
+    fn open(query: &ConjunctiveQuery, db: &Database) -> Result<PartialEnumerator> {
+        PartialEnumerator::with_skeleton(&PlanSkeleton::compile(query)?, db)
+    }
+
     fn check_against_oracle(query_text: &str, db: &Database) {
         let q = ConjunctiveQuery::parse(query_text).unwrap();
-        let fast: Vec<PartialTuple> = minimal_partial_answers(&q, db).unwrap();
+        let fast: Vec<PartialTuple> = open(&q, db).unwrap().collect();
         let oracle = baseline::cq_minimal_partial(&q, db);
         let fast_set: FxHashSet<PartialTuple> = fast.iter().cloned().collect();
         let oracle_set: FxHashSet<PartialTuple> = oracle.iter().cloned().collect();
@@ -538,13 +505,12 @@ mod tests {
             fast.len(),
             "duplicate answers for {query_text}"
         );
-        // The pull cursor yields the same sequence as the callback run, and
-        // every strict prefix of it is reachable by early termination.
-        let via_iter: Vec<PartialTuple> = PartialEnumerator::new(&q, db).unwrap().collect();
+        // A second cursor yields the same sequence, and every strict prefix
+        // of it is reachable by early termination.
+        let via_iter: Vec<PartialTuple> = open(&q, db).unwrap().collect();
         assert_eq!(via_iter, fast, "iterator diverges for {query_text}");
         for k in [0, 1, 2, fast.len()] {
-            let prefix: Vec<PartialTuple> =
-                PartialEnumerator::new(&q, db).unwrap().take(k).collect();
+            let prefix: Vec<PartialTuple> = open(&q, db).unwrap().take(k).collect();
             assert_eq!(prefix, fast[..k.min(fast.len())], "take({k}) diverges");
         }
     }
@@ -599,7 +565,7 @@ mod tests {
         // Exactly the structure of Example 1.1 after the query-directed chase.
         let db = chaselike_db();
         let q = ConjunctiveQuery::parse("q(x, y, z) :- A(x), R(x, y), S(y, z)").unwrap();
-        let answers = minimal_partial_answers(&q, &db).unwrap();
+        let answers = open(&q, &db).unwrap().collect::<Vec<_>>();
         // a: complete chain a-b-c; d: chain ending in a null; f: fully
         // anonymous chain.
         assert_eq!(answers.len(), 3);
@@ -612,14 +578,14 @@ mod tests {
     fn dropping_the_cursor_mid_stream_is_sound() {
         let db = chaselike_db();
         let q = ConjunctiveQuery::parse("q(x, y, z) :- A(x), R(x, y), S(y, z)").unwrap();
-        let mut cursor = PartialEnumerator::new(&q, &db).unwrap();
+        let mut cursor = open(&q, &db).unwrap();
         let first = cursor.next();
         assert!(first.is_some());
         drop(cursor);
         // A fresh cursor re-enumerates from the start.
         assert_eq!(
-            PartialEnumerator::new(&q, &db).unwrap().count(),
-            minimal_partial_answers(&q, &db).unwrap().len()
+            open(&q, &db).unwrap().count(),
+            open(&q, &db).unwrap().collect::<Vec<_>>().len()
         );
     }
 
@@ -627,8 +593,8 @@ mod tests {
     fn cursors_over_one_prepared_half_are_independent() {
         let db = chaselike_db();
         let q = ConjunctiveQuery::parse("q(x, y, z) :- A(x), R(x, y), S(y, z)").unwrap();
-        let reference = minimal_partial_answers(&q, &db).unwrap();
-        let mut first = PartialEnumerator::new(&q, &db).unwrap();
+        let reference = open(&q, &db).unwrap().collect::<Vec<_>>();
+        let mut first = open(&q, &db).unwrap();
         let mut second = PartialEnumerator::open(Arc::clone(first.prepared()));
         // Interleaved: each prunes its own linkage only.
         let mut seen = (Vec::new(), Vec::new());
@@ -661,7 +627,7 @@ mod tests {
         let n = Value::Null(db.fresh_null());
         db.add_fact(Fact::new(r, vec![a, n])).unwrap();
         let q = ConjunctiveQuery::parse("q(x, y) :- R(x, y)").unwrap();
-        let answers = minimal_partial_answers(&q, &db).unwrap();
+        let answers = open(&q, &db).unwrap().collect::<Vec<_>>();
         assert_eq!(answers.len(), 1);
         assert!(answers[0].is_complete());
         check_against_oracle("q(x, y) :- R(x, y)", &db);
@@ -679,19 +645,19 @@ mod tests {
     fn boolean_and_empty_cases() {
         let db = chaselike_db();
         let boolean = ConjunctiveQuery::parse("q() :- R(x, y), S(y, z)").unwrap();
-        let answers = minimal_partial_answers(&boolean, &db).unwrap();
+        let answers = open(&boolean, &db).unwrap().collect::<Vec<_>>();
         assert_eq!(answers, vec![PartialTuple(Vec::new())]);
 
         let unsat = ConjunctiveQuery::parse("q(x) :- Missing(x)").unwrap();
-        assert!(minimal_partial_answers(&unsat, &db).unwrap().is_empty());
+        assert!(open(&unsat, &db).unwrap().collect::<Vec<_>>().is_empty());
     }
 
     #[test]
     fn fill_values_matches_the_iterator() {
         let db = chaselike_db();
         let q = ConjunctiveQuery::parse("q(x, y, z) :- A(x), R(x, y), S(y, z)").unwrap();
-        let via_iter: Vec<PartialTuple> = PartialEnumerator::new(&q, &db).unwrap().collect();
-        let mut cursor = PartialEnumerator::new(&q, &db).unwrap();
+        let via_iter: Vec<PartialTuple> = open(&q, &db).unwrap().collect();
+        let mut cursor = open(&q, &db).unwrap();
         let mut batched: Vec<PartialTuple> = Vec::new();
         loop {
             let got = cursor.fill_values(2, |values| batched.push(PartialTuple(values.to_vec())));
@@ -705,7 +671,7 @@ mod tests {
 
         // Boolean queries emit one empty slice.
         let boolean = ConjunctiveQuery::parse("q() :- R(x, y), S(y, z)").unwrap();
-        let mut cursor = PartialEnumerator::new(&boolean, &db).unwrap();
+        let mut cursor = open(&boolean, &db).unwrap();
         let mut empties = 0usize;
         assert_eq!(
             cursor.fill_values(8, |values| {
@@ -722,7 +688,7 @@ mod tests {
         let db = chaselike_db();
         let q = ConjunctiveQuery::parse("q(x, z) :- R(x, y), S(y, z)").unwrap();
         assert!(matches!(
-            PartialEnumerator::new(&q, &db),
+            open(&q, &db),
             Err(CoreError::NotEnumerationTractable(_))
         ));
     }

@@ -18,7 +18,7 @@
 
 use crate::all_testing::AllTester;
 use crate::error::CoreError;
-use crate::multi_enum;
+use crate::multi_enum::check_multi_arity;
 use crate::parallel::{available_workers, chase_packs, map_bounded, MergeTuple, WildcardMerge};
 use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
@@ -821,9 +821,15 @@ impl PreparedInstance {
     /// * for the wildcard semantics a non-empty enumeration structure
     ///   already guarantees an answer (Lemma 5.4's progress invariant), and
     ///   the cross-shard minimality filter only ever replaces answers with
-    ///   dominating ones, so it cannot empty a non-empty union.
+    ///   dominating ones, so it cannot empty a non-empty union;
+    /// * a query too wide for Algorithm 2 is refused for the multi-wildcard
+    ///   semantics before any shard is visited, as `answers` and `count`
+    ///   refuse it.
     pub fn exists(&self, semantics: Semantics) -> Result<bool> {
         let skeleton = self.plan.skeleton()?;
+        if semantics == Semantics::MinimalPartialMulti {
+            check_multi_arity(skeleton.answer_positions.len())?;
+        }
         for shard in self.shards.iter() {
             let found = match semantics {
                 Semantics::Complete => {
@@ -883,19 +889,11 @@ impl PreparedInstance {
     }
 
     /// Enumerates the minimal partial answers with all complete answers first
-    /// (Proposition 2.1).  This ordering guarantee is not expressible as a
-    /// plain [`Semantics`]; the method materialises the full answer set by
-    /// construction.
+    /// (Proposition 2.1): the answers of `answers(MinimalPartial)`, stably
+    /// partitioned so the complete ones lead.  This ordering guarantee is not
+    /// expressible as a plain [`Semantics`]; the method materialises the full
+    /// answer set by construction.
     pub fn enumerate_minimal_partial_complete_first(&self) -> Result<Vec<Answer>> {
-        if let [shard] = self.shards.as_slice() {
-            let skeleton = self.plan.skeleton()?;
-            let ordered = multi_enum::complete_first(
-                shard.complete_structure(skeleton)?,
-                PartialTuple::open(skeleton, shard)?,
-            );
-            return Ok(ordered.into_iter().map(Answer::Partial).collect());
-        }
-        // Sharded: merge, then stable-partition the complete answers first.
         let merged = self.answers(Semantics::MinimalPartial)?.try_collect()?;
         let (complete, partial): (Vec<_>, Vec<_>) =
             merged.into_iter().partition(Answer::is_complete);

@@ -1,7 +1,8 @@
 //! A query too wide for the multi-wildcard semantics, over a real socket:
-//! query text arrives from the network, so `open_cursor` must refuse it at
-//! once — a client fault the connection survives — instead of pinning a
-//! worker on a cone of Bell(arity + 1) candidates per answer.
+//! query text arrives from the network, so `open_cursor`, `count` and
+//! `exists` must refuse it at once — a client fault the connection
+//! survives — instead of pinning a worker on a cone of Bell(arity + 1)
+//! candidates per answer.
 
 use omq_core::MAX_MULTI_WILDCARD_ARITY;
 use omq_data::Semantics;
@@ -56,6 +57,9 @@ fn multi_wildcard_cursor_on_a_too_wide_query_is_a_recoverable_client_error() {
             .map(|_| ()),
         client
             .count(target.clone(), Semantics::MinimalPartialMulti, None)
+            .map(|_| ()),
+        client
+            .exists(target.clone(), Semantics::MinimalPartialMulti, None)
             .map(|_| ()),
     ] {
         match attempt.expect_err("arity beyond the cap") {

@@ -281,17 +281,30 @@ fn proposition_2_1_complete_answers_first() {
         ConjunctiveQuery::parse("q(x1, x2, x3) :- HasOffice(x1, x2), InBuilding(x2, x3)").unwrap();
     let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
     let db = office_db(&omq);
-    let instance = prepare(&omq, &db);
-    let ordered = instance.enumerate_minimal_partial_complete_first().unwrap();
-    let first_wildcard = ordered.iter().position(|t| !t.is_complete());
-    let complete_count = ordered.iter().filter(|t| t.is_complete()).count();
-    assert_eq!(
-        complete_count,
-        instance.answers(Semantics::Complete).unwrap().count()
-    );
-    if let Some(cut) = first_wildcard {
-        assert!(ordered[..cut].iter().all(Answer::is_complete));
-        assert!(ordered[cut..].iter().all(|t| !t.is_complete()));
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let sharded = plan.execute_tracked(&db).unwrap();
+    // One shard per researcher's Gaifman component.
+    assert_eq!(sharded.shards().len(), 3);
+    for instance in [prepare(&omq, &db), sharded] {
+        let ordered = instance.enumerate_minimal_partial_complete_first().unwrap();
+        let first_wildcard = ordered.iter().position(|t| !t.is_complete());
+        let complete_count = ordered.iter().filter(|t| t.is_complete()).count();
+        assert_eq!(
+            complete_count,
+            instance.answers(Semantics::Complete).unwrap().count()
+        );
+        if let Some(cut) = first_wildcard {
+            assert!(ordered[..cut].iter().all(Answer::is_complete));
+            assert!(ordered[cut..].iter().all(|t| !t.is_complete()));
+        }
+        // Exactly Algorithm 1's answers, the complete ones stably moved to
+        // the front.
+        let (complete, wildcard): (Vec<Answer>, Vec<Answer>) = instance
+            .answers(Semantics::MinimalPartial)
+            .unwrap()
+            .partition(Answer::is_complete);
+        assert!(!complete.is_empty() && !wildcard.is_empty());
+        assert_eq!(ordered, [complete, wildcard].concat());
     }
 }
 
