@@ -252,7 +252,7 @@ impl Session {
         let mut bytes = 0usize;
         for answer in &mut stream {
             // +1 for the comma separating answers in the array.
-            let mut len = page.push_answer(&answer, &db) + 1;
+            let mut len = page.push_answer(answer.as_answer_ref(), &db) + 1;
             if page.answers() > 1
                 && (page.answers() > self.page_answers || bytes + len > MAX_PAGE_BYTES)
             {
@@ -264,7 +264,7 @@ impl Session {
                 out.clear();
                 page = PageWriter::begin(&mut out, "shard", shard);
                 bytes = 0;
-                len = page.push_answer(&answer, &db) + 1;
+                len = page.push_answer(answer.as_answer_ref(), &db) + 1;
             }
             if len > MAX_SINGLE_ANSWER_BYTES {
                 // Undeliverable even alone: a deterministic failure of

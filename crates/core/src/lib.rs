@@ -77,7 +77,7 @@ pub use enumerate::{collect_answers, AnswerCursor, AnswerIter};
 pub use error::CoreError;
 pub use extension::{Extension, Tuple};
 pub use multi_enum::{MultiEnumerator, MultiStats, MAX_MULTI_WILDCARD_ARITY};
-pub use omq_data::{Answer, Semantics};
+pub use omq_data::{Answer, AnswerRef, Semantics};
 pub use partial_enum::{PartialEnumerator, PreparedPartial};
 pub use plan::{PreparedInstance, PreprocessStats, QueryPlan};
 pub use preprocess::{FreeConnexStructure, JoinCsr, PlanSkeleton};

@@ -57,7 +57,7 @@ use crate::preprocess::PlanSkeleton;
 use crate::shard::Shard;
 use crate::Result;
 use omq_chase::{QchasePlan, QueryDirectedChase};
-use omq_data::{Answer, Database, MultiTuple, PartialTuple, PartialValue};
+use omq_data::{Answer, AnswerRef, Database, MultiTuple, PartialTuple, PartialValue};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -175,7 +175,7 @@ pub fn map_bounded<R: Send, E: Send>(
 /// cross-shard merge, together with the shard enumerator producing it — what
 /// the stream's wildcard batch loop and `PreparedInstance::count` are
 /// generic over.
-pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync + Into<Answer> {
+pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync {
     /// The per-shard enumerator yielding tuples of this kind.
     type Cursor;
     /// Every wildcard-only tuple of the plan's arity, i.e. the patterns
@@ -191,17 +191,16 @@ pub(crate) trait MergeTuple: Clone + PartialEq + Send + Sync + Into<Answer> {
     /// Opens a cursor over the shard's prepared half of Algorithm 1, which
     /// the shard builds on first use (linear in its chase) and keeps.
     fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor>;
-    /// Batched pull of up to `limit` owned tuples; fewer means the cursor
-    /// ended (check [`MergeTuple::error`]).
-    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize;
-    /// [`MergeTuple::fill`] handing out borrowed tuples, allocation-free
-    /// where the enumerator supports it.
+    /// Batched pull of up to `limit` borrowed tuples, allocation-free per
+    /// tuple; fewer means the cursor ended (check [`MergeTuple::error`]).
     fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize;
     /// The error that ended the cursor early, if any.
     fn error(cursor: &Self::Cursor) -> Option<&CoreError>;
     /// The tuple inside an answer of this kind; `None` for an answer of
     /// another semantics.
     fn from_answer(answer: Answer) -> Option<Self>;
+    /// The tuple as a borrowed answer.
+    fn answer_ref(&self) -> AnswerRef<'_>;
 }
 
 impl MergeTuple for PartialTuple {
@@ -221,9 +220,6 @@ impl MergeTuple for PartialTuple {
         let prepared = shard.prepared_partial(skeleton)?;
         Ok(PartialEnumerator::open(Arc::clone(prepared)))
     }
-    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
-        cursor.fill_with(limit, emit)
-    }
     fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize {
         cursor.fill_ref(limit, emit)
     }
@@ -235,6 +231,9 @@ impl MergeTuple for PartialTuple {
             Answer::Partial(t) => Some(t),
             _ => None,
         }
+    }
+    fn answer_ref(&self) -> AnswerRef<'_> {
+        AnswerRef::Partial(&self.0)
     }
 }
 
@@ -256,9 +255,6 @@ impl MergeTuple for MultiTuple {
     fn open(skeleton: &PlanSkeleton, shard: &Arc<Shard>) -> Result<Self::Cursor> {
         MultiEnumerator::open(skeleton, shard)
     }
-    fn fill(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(Self)) -> usize {
-        cursor.fill_with(limit, emit)
-    }
     fn fill_ref(cursor: &mut Self::Cursor, limit: usize, emit: impl FnMut(&Self)) -> usize {
         cursor.fill_ref(limit, emit)
     }
@@ -270,6 +266,9 @@ impl MergeTuple for MultiTuple {
             Answer::Multi(t) => Some(t),
             _ => None,
         }
+    }
+    fn answer_ref(&self) -> AnswerRef<'_> {
+        AnswerRef::Multi(&self.0)
     }
 }
 
@@ -285,12 +284,12 @@ struct PatternState {
 
 /// The cross-shard minimality filter for chained shard enumerations.
 ///
-/// Feed every per-shard minimal answer through [`WildcardMerge::offer`]:
-/// answers with constants are emitted immediately (their shard-local
-/// minimality is global — see the module docs), wildcard-only answers are
-/// parked against the plan's pattern list.  [`WildcardMerge::flush`]
-/// then emits the wildcard-only tuples that were produced by some shard and
-/// dominated by no answer.
+/// Show every per-shard minimal answer to [`WildcardMerge::observe`]:
+/// answers with constants pass immediately (their shard-local minimality is
+/// global — see the module docs), wildcard-only answers are parked against
+/// the plan's pattern list.  [`WildcardMerge::flush`] then releases the
+/// wildcard-only tuples that were produced by some shard and dominated by
+/// no answer.
 #[derive(Debug)]
 pub(crate) struct WildcardMerge<T> {
     /// [`MergeTuple::wildcard_only`] of the plan, shared.
@@ -308,30 +307,20 @@ impl<T: MergeTuple> WildcardMerge<T> {
         }
     }
 
-    /// Offers one per-shard minimal answer to the merge; constant-bearing
-    /// answers are forwarded to `emit` unchanged.
-    pub(crate) fn offer(&mut self, t: T, emit: &mut impl FnMut(T)) {
-        if self.observe(&t) {
-            emit(t);
-        }
-    }
-
-    /// Emits the globally minimal wildcard-only answers.  Call once, after
-    /// every shard stream has been drained.
-    pub(crate) fn flush(self, emit: &mut impl FnMut(T)) {
-        for (tuple, state) in self.patterns.iter().zip(&self.state) {
-            if state.seen && !state.dominated {
-                emit(tuple.clone());
-            }
-        }
+    /// The globally minimal wildcard-only answers (produced by some shard,
+    /// dominated by none): ask once every shard's answers were observed.
+    pub(crate) fn flush(&self) -> impl Iterator<Item = &T> {
+        let survives = |(_, state): &(&T, &PatternState)| state.seen && !state.dominated;
+        (self.patterns.iter().zip(&self.state))
+            .filter(survives)
+            .map(|(t, _)| t)
     }
 
     /// Updates the domination/seen state from a *borrowed* tuple and reports
     /// whether the tuple counts immediately (`true` for constant-bearing
     /// answers, whose shard-local minimality is global) or was parked
     /// against the wildcard patterns (`false`).  Parked tuples are accounted
-    /// for by [`WildcardMerge::flush`] / [`WildcardMerge::survivors`] at the
-    /// end.
+    /// for by [`WildcardMerge::flush`] at the end.
     pub(crate) fn observe(&mut self, t: &T) -> bool {
         for (tuple, state) in self.patterns.iter().zip(&mut self.state) {
             if !state.dominated && t.dominates(tuple) {
@@ -363,13 +352,6 @@ impl<T: MergeTuple> WildcardMerge<T> {
             mine.seen |= theirs.seen;
             mine.dominated |= theirs.dominated;
         }
-    }
-
-    /// Number of globally minimal wildcard-only answers currently parked:
-    /// what [`WildcardMerge::flush`] would emit.  Call once, after every
-    /// shard's answers have been observed.
-    pub(crate) fn survivors(&self) -> u64 {
-        self.state.iter().filter(|p| p.seen && !p.dominated).count() as u64
     }
 }
 
@@ -600,25 +582,20 @@ mod tests {
         let patterns = MultiTuple::wildcard_only(&skeleton).unwrap();
         let mut merge = WildcardMerge::new(Arc::clone(&patterns));
         assert_eq!(merge.patterns.len(), 2);
-        let mut emitted: Vec<MultiTuple> = Vec::new();
         let distinct = MultiTuple(vec![MultiValue::Wild(1), MultiValue::Wild(2)]);
         let identified = MultiTuple(vec![MultiValue::Wild(1), MultiValue::Wild(1)]);
         // Shard 1 yields (*1,*2); shard 2 yields (*1,*1), which dominates it.
-        merge.offer(distinct.clone(), &mut |t| emitted.push(t));
-        merge.offer(identified.clone(), &mut |t| emitted.push(t));
-        assert!(emitted.is_empty());
-        merge.flush(&mut |t| emitted.push(t));
-        assert_eq!(emitted, vec![identified]);
-        // A constant-bearing answer kills every pattern it dominates, even if
-        // the pattern streams by later.
+        // Both are parked, not passed.
+        assert!(!merge.observe(&distinct));
+        assert!(!merge.observe(&identified));
+        assert_eq!(merge.flush().collect::<Vec<_>>(), [&identified]);
+        // A constant-bearing answer passes and kills every pattern it
+        // dominates, even if the pattern streams by later.
         let mut merge = WildcardMerge::new(patterns);
-        let mut emitted: Vec<MultiTuple> = Vec::new();
         let constant = MultiTuple(vec![MultiValue::Const(ConstId(0)), MultiValue::Wild(1)]);
-        merge.offer(constant.clone(), &mut |t| emitted.push(t));
-        merge.offer(distinct.clone(), &mut |t| emitted.push(t));
-        assert_eq!(emitted, vec![constant]);
-        merge.flush(&mut |t| emitted.push(t));
+        assert!(merge.observe(&constant));
+        assert!(!merge.observe(&distinct));
         // (*1,*2) was dominated by (c0,*1); (*1,*1) was never seen.
-        assert_eq!(emitted.len(), 1);
+        assert_eq!(merge.flush().count(), 0);
     }
 }

@@ -807,7 +807,7 @@ impl PreparedInstance {
             total += counted;
             merge.absorb(shard_merge);
         }
-        Ok(total + merge.survivors())
+        Ok(total + merge.flush().count() as u64)
     }
 
     /// Emptiness probe for `semantics` — always equal to
@@ -1275,6 +1275,22 @@ mod tests {
                     assert_eq!(stream.next_batch(&mut batched, k), 0);
                     assert!(stream.next().is_none());
                     assert_eq!(batched, reference);
+                    // The borrowed pull shows the same answers, in the same
+                    // order.
+                    let mut stream = instance.answers(semantics).unwrap();
+                    let mut borrowed: Vec<Answer> = Vec::new();
+                    loop {
+                        let before = borrowed.len();
+                        let got = stream.next_batch_ref(k, |a| borrowed.push(a.to_answer()));
+                        assert_eq!(borrowed.len(), before + got);
+                        assert!(got <= k);
+                        if got == 0 {
+                            break;
+                        }
+                    }
+                    assert_eq!(borrowed, reference, "k = {k}");
+                    assert_eq!(stream.next_batch_ref(k, |_| panic!("exhausted")), 0);
+                    assert_eq!(stream.emitted(), reference.len());
                 }
             }
         }

@@ -50,6 +50,10 @@
 //!   (`WildcardMerge`) plus the Boolean empty-tuple dedup are folded *into*
 //!   the cursor, so sharded and sequential instances yield the same answer
 //!   multiset (property-tested in `tests/answer_stream.rs`).
+//! * **Borrowed.** The pull engine, [`AnswerStream::next_batch_ref`], shows
+//!   its sink each answer where the enumerator keeps it, as an
+//!   [`AnswerRef`]: a page writer sinking it allocates nothing per answer.
+//!   `next`, `next_batch` and `fill` wrap it, copying each answer out.
 //! * **One chain for every source.** A shard of the chain is either one of
 //!   the instance's own shards or a [`crate::RemoteShard`] handing out the
 //!   answers a worker process enumerated over its shard
@@ -73,13 +77,8 @@ use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::remote::{pull_remote, RemoteShard};
 use crate::shard::Shard;
 use crate::Result;
-use omq_data::{Answer, MultiTuple, PartialTuple, Semantics, Value};
-use std::collections::VecDeque;
+use omq_data::{Answer, AnswerRef, ConstId, MultiTuple, PartialTuple, Semantics};
 use std::sync::Arc;
-
-/// Cap on the eager reservation `next_batch` performs on its output vector,
-/// so drain-everything requests (`k = usize::MAX`) do not over-allocate.
-const BATCH_RESERVE_CAP: usize = 1024;
 
 /// Where a stream's shard cursors come from: the instance's own shards,
 /// opened in order as the stream reaches them, or remote sources, each
@@ -149,10 +148,11 @@ struct CompleteShard {
 enum Inner {
     Complete {
         current: Option<Cursor<CompleteShard>>,
-        /// Boolean query: the empty tuple is emitted at most once across all
-        /// shards.
+        /// Boolean query: the empty tuple is emitted at most once overall.
         boolean: bool,
         done: bool,
+        /// The answer the sink is shown, reused across answers.
+        scratch: Vec<ConstId>,
     },
     Partial(WildcardShards<PartialTuple>),
     Multi(WildcardShards<MultiTuple>),
@@ -161,18 +161,17 @@ enum Inner {
 /// The state of a wildcard-semantics stream, generic over the tuple kind.
 struct WildcardShards<T: MergeTuple> {
     current: Option<Cursor<T::Cursor>>,
-    /// `None` once flushed (all shards drained).
-    merge: Option<WildcardMerge<T>>,
-    /// Answers released by the merge but not yet pulled.
-    pending: VecDeque<T>,
+    merge: WildcardMerge<T>,
+    /// How many of the merge's flushed answers have been pulled.
+    flushed: usize,
 }
 
 impl<T: MergeTuple> WildcardShards<T> {
     fn new(skeleton: &PlanSkeleton) -> Result<Self> {
         Ok(WildcardShards {
             current: None,
-            merge: Some(WildcardMerge::new(T::wildcard_only(skeleton)?)),
-            pending: VecDeque::new(),
+            merge: WildcardMerge::new(T::wildcard_only(skeleton)?),
+            flushed: 0,
         })
     }
 }
@@ -222,6 +221,7 @@ impl AnswerStream {
                 current: None,
                 boolean: skeleton.boolean,
                 done: false,
+                scratch: Vec::new(),
             },
             Semantics::MinimalPartial => Inner::Partial(WildcardShards::new(skeleton)?),
             Semantics::MinimalPartialMulti => Inner::Multi(WildcardShards::new(skeleton)?),
@@ -269,30 +269,28 @@ impl AnswerStream {
 
     /// Batched pull: appends up to `k` answers to `out` and returns how many
     /// were appended.  Equivalent to `k` calls to `next()` (same answers, same
-    /// order, resumable mid-stream), but each enumerator refills an internal
-    /// block without re-entering the per-answer dispatch, so the per-answer
-    /// constant is lower.  Fewer than `k` appended means the stream ended —
-    /// exhausted, or failed (check [`AnswerStream::error`]).
+    /// order, resumable mid-stream); the owning wrapper over
+    /// [`AnswerStream::next_batch_ref`].
     pub fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> usize {
-        out.reserve(k.min(BATCH_RESERVE_CAP));
-        self.pull_batch(k, &mut |a| out.push(a))
+        self.next_batch_ref(k, |a| out.push(a.to_answer()))
     }
 
     /// Batched pull into a preallocated buffer: overwrites a prefix of `buf`
     /// and returns its length.  Same semantics as [`AnswerStream::next_batch`]
     /// with `k = buf.len()`.
     pub fn fill(&mut self, buf: &mut [Answer]) -> usize {
-        let mut i = 0usize;
-        let k = buf.len();
-        self.pull_batch(k, &mut |a| {
-            buf[i] = a;
-            i += 1;
+        let mut slots = buf.iter_mut();
+        self.next_batch_ref(slots.len(), |a| {
+            *slots.next().expect("at most buf.len() answers") = a.to_answer();
         })
     }
 
-    /// The one pull engine behind `next`, `next_batch` and `fill`,
-    /// monomorphised over the sink; the only writer of `self.error`.
-    fn pull_batch(&mut self, k: usize, sink: &mut impl FnMut(Answer)) -> usize {
+    /// The stream's one pull engine: shows `sink` up to `k` answers, each
+    /// borrowed from where the enumerator keeps it, and returns how many —
+    /// block refills, no per-answer dispatch, no per-answer allocation.
+    /// Fewer than `k` means the stream ended — exhausted, or failed (check
+    /// [`AnswerStream::error`]).  The only writer of `self.error`.
+    pub fn next_batch_ref(&mut self, k: usize, sink: impl FnMut(AnswerRef<'_>)) -> usize {
         if k == 0 || self.error.is_some() {
             return 0;
         }
@@ -310,12 +308,13 @@ impl AnswerStream {
     fn batch_complete(
         &mut self,
         k: usize,
-        sink: &mut impl FnMut(Answer),
+        mut sink: impl FnMut(AnswerRef<'_>),
     ) -> (usize, Option<CoreError>) {
         let Inner::Complete {
             current,
             boolean,
             done,
+            scratch,
         } = &mut self.inner
         else {
             unreachable!("semantics-checked dispatch");
@@ -335,26 +334,18 @@ impl AnswerStream {
                     Cursor::Local(shard) => {
                         let mut invariant_null = false;
                         let stepped = shard.cursor.fill_with(&shard.structure, limit, |values| {
-                            if invariant_null {
-                                return;
-                            }
-                            let tuple: Option<Vec<_>> = values
-                                .iter()
-                                .map(|v| match v {
-                                    Value::Const(c) => Some(*c),
-                                    Value::Null(_) => None,
+                            // `complete_only` structures hold no null; one
+                            // is reported as an invariant violation.
+                            scratch.clear();
+                            scratch.extend(values.iter().map(|v| {
+                                v.as_const().unwrap_or_else(|| {
+                                    invariant_null = true;
+                                    ConstId(0)
                                 })
-                                .collect();
-                            match tuple {
-                                Some(tuple) => {
-                                    sink(Answer::Complete(tuple));
-                                    produced += 1;
-                                }
-                                // Cannot happen for structures built with
-                                // the `complete_only` relativisation;
-                                // handled as a reportable invariant
-                                // violation.
-                                None => invariant_null = true,
+                            }));
+                            if !invariant_null {
+                                sink(AnswerRef::Complete(scratch));
+                                produced += 1;
                             }
                         });
                         if invariant_null {
@@ -366,11 +357,11 @@ impl AnswerStream {
                         stepped
                     }
                     Cursor::Remote(source) => {
-                        let complete = |a| matches!(a, Answer::Complete(_)).then_some(a);
-                        let pulled = pull_remote(source.as_mut(), limit, complete, |a| {
-                            sink(a);
-                            produced += 1;
-                        });
+                        let pulled =
+                            pull_remote(source.as_mut(), limit, Answer::into_complete, |a| {
+                                sink(AnswerRef::Complete(&a));
+                                produced += 1;
+                            });
                         match pulled {
                             Ok(stepped) => stepped,
                             Err(e) => {
@@ -410,57 +401,46 @@ impl AnswerStream {
 }
 
 impl<T: MergeTuple> WildcardShards<T> {
-    /// The wildcard batch loop: drains `pending`, refills it through the
-    /// merge from the current shard's cursor, opens the next shard when the
-    /// current one is exhausted, and flushes the merge after the last.
-    /// Returns the number of answers sunk and the error that ended the
-    /// stream, if any.
+    /// The wildcard batch loop: pulls the current shard's cursor, passing
+    /// every tuple the merge lets through straight to the sink, opens the
+    /// next shard when the current one is exhausted, and releases what the
+    /// merge flushes after the last.  Returns the answers sunk and the
+    /// error that ended the stream (never pulled again), if any.
     fn pull_batch(
         &mut self,
         skeleton: &PlanSkeleton,
         shards: &mut Shards,
         k: usize,
-        sink: &mut impl FnMut(Answer),
+        mut sink: impl FnMut(AnswerRef<'_>),
     ) -> (usize, Option<CoreError>) {
         let WildcardShards {
             current,
             merge,
-            pending,
+            flushed,
         } = self;
         let mut produced = 0usize;
-        let error = loop {
-            while produced < k {
-                let Some(t) = pending.pop_front() else { break };
-                sink(t.into());
-                produced += 1;
-            }
-            if produced == k {
-                return (produced, None);
-            }
-            let Some(live_merge) = merge.as_mut() else {
-                return (produced, None);
-            };
+        while produced < k {
             if let Some(cursor) = current.as_mut() {
+                // A pulled tuple passes at most once: no overshooting `k`.
                 let want = k - produced;
+                let mut pass = |t: &T| {
+                    if merge.observe(t) {
+                        sink(t.answer_ref());
+                        produced += 1;
+                    }
+                };
                 let stepped = match cursor {
                     Cursor::Local(cursor) => {
-                        let stepped = T::fill(cursor, want, |t| {
-                            live_merge.offer(t, &mut |out| pending.push_back(out));
-                        });
-                        if stepped < want {
-                            if let Some(e) = T::error(cursor) {
-                                break e.clone();
-                            }
+                        let stepped = T::fill_ref(cursor, want, &mut pass);
+                        match T::error(cursor) {
+                            Some(e) if stepped < want => return (produced, Some(e.clone())),
+                            _ => stepped,
                         }
-                        stepped
                     }
                     Cursor::Remote(source) => {
-                        let pulled = pull_remote(source.as_mut(), want, T::from_answer, |t| {
-                            live_merge.offer(t, &mut |out| pending.push_back(out));
-                        });
-                        match pulled {
+                        match pull_remote(source.as_mut(), want, T::from_answer, |t| pass(&t)) {
                             Ok(stepped) => stepped,
-                            Err(e) => break e,
+                            Err(e) => return (produced, Some(e)),
                         }
                     }
                 };
@@ -470,22 +450,21 @@ impl<T: MergeTuple> WildcardShards<T> {
             } else {
                 match shards.next(|shard| T::open(skeleton, shard)) {
                     Some(Ok(cursor)) => *current = Some(cursor),
-                    Some(Err(e)) => break e,
+                    Some(Err(e)) => return (produced, Some(e)),
                     None => {
-                        merge
-                            .take()
-                            .expect("merge checked live above")
-                            .flush(&mut |out| pending.push_back(out));
-                        if pending.is_empty() {
-                            return (produced, None);
+                        // Every shard is drained: what the merge releases,
+                        // past what earlier pulls took of it.
+                        for t in merge.flush().skip(*flushed).take(k - produced) {
+                            sink(t.answer_ref());
+                            produced += 1;
+                            *flushed += 1;
                         }
+                        break;
                     }
                 }
             }
-        };
-        *merge = None;
-        pending.clear();
-        (produced, Some(error))
+        }
+        (produced, None)
     }
 }
 
@@ -494,7 +473,7 @@ impl Iterator for AnswerStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         let mut out = None;
-        self.pull_batch(1, &mut |a| out = Some(a));
+        self.next_batch_ref(1, |a| out = Some(a.to_answer()));
         out
     }
 }

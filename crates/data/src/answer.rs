@@ -7,10 +7,11 @@
 //! `*1, *2, …`.  Downstream crates expose one cursor API over all three —
 //! `PreparedInstance::answers(Semantics)` in `omq-core` — so the semantics
 //! selector ([`Semantics`]) and the typed answer value ([`Answer`]) live
-//! here, next to the tuple types they wrap.
+//! here, next to the tuple types they wrap, together with the borrowed view
+//! of an answer ([`AnswerRef`]) that a batched pull hands its sink.
 
 use crate::value::ConstId;
-use crate::wildcard::{MultiTuple, PartialTuple};
+use crate::wildcard::{MultiTuple, MultiValue, PartialTuple, PartialValue};
 use std::fmt;
 
 /// Which answer semantics an enumeration produces.
@@ -153,6 +154,42 @@ impl Answer {
             Answer::Multi(t) => t.display_with(resolve),
         }
     }
+
+    /// The answer as a borrowed view.
+    #[inline]
+    pub fn as_answer_ref(&self) -> AnswerRef<'_> {
+        match self {
+            Answer::Complete(t) => AnswerRef::Complete(t),
+            Answer::Partial(t) => AnswerRef::Partial(&t.0),
+            Answer::Multi(t) => AnswerRef::Multi(&t.0),
+        }
+    }
+}
+
+/// One answer, borrowed from wherever its producer keeps it: the view an
+/// answer stream's batched pull hands its sink, so a consumer that only
+/// writes the answer out (a page writer, a counter) allocates nothing per
+/// answer.  [`AnswerRef::to_answer`] copies it into an owned [`Answer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerRef<'a> {
+    /// A complete (certain) answer: a tuple of constants.
+    Complete(&'a [ConstId]),
+    /// A minimal partial answer with the single wildcard `*`.
+    Partial(&'a [PartialValue]),
+    /// A minimal partial answer with multi-wildcards `*1, *2, …`.
+    Multi(&'a [MultiValue]),
+}
+
+impl AnswerRef<'_> {
+    /// The owned answer: one allocation, the tuple's.
+    #[inline]
+    pub fn to_answer(self) -> Answer {
+        match self {
+            AnswerRef::Complete(t) => Answer::Complete(t.to_vec()),
+            AnswerRef::Partial(t) => Answer::Partial(PartialTuple(t.to_vec())),
+            AnswerRef::Multi(t) => Answer::Multi(MultiTuple(t.to_vec())),
+        }
+    }
 }
 
 impl From<PartialTuple> for Answer {
@@ -210,6 +247,9 @@ mod tests {
         assert_eq!(complete.len(), 2);
         assert!(!complete.is_empty());
         assert!(Answer::Complete(Vec::new()).is_empty());
+        for answer in [&complete, &partial, &multi] {
+            assert_eq!(&answer.as_answer_ref().to_answer(), answer);
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod store;
 pub mod value;
 pub mod wildcard;
 
-pub use answer::{Answer, Semantics};
+pub use answer::{Answer, AnswerRef, Semantics};
 pub use columnar::{Column, ColumnarIndex};
 pub use database::{Database, DatabaseBuilder};
 pub use error::DataError;

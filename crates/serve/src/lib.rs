@@ -82,7 +82,7 @@
 use omq_chase::OntologyMediatedQuery;
 use omq_core::parallel::map_bounded;
 use omq_core::{AnswerStream, CoreError, PreparedInstance, PreprocessStats, QueryPlan};
-use omq_data::{Answer, ConstId, Database, MultiTuple, PartialTuple};
+use omq_data::{Answer, AnswerRef, ConstId, Database, MultiTuple, PartialTuple};
 use rustc_hash::FxHashMap;
 use std::convert::Infallible;
 use std::fmt;
@@ -441,11 +441,19 @@ impl StreamedResponse {
     /// Equivalent to `k` calls to `next()`, at a lower per-answer cost —
     /// see [`AnswerStream::next_batch`].
     pub fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> usize {
+        self.next_batch_ref(k, |a| out.push(a.to_answer()))
+    }
+
+    /// Borrowed batched pull: shows `sink` up to `k` answers (clipped to
+    /// the request's remaining `limit`) without copying them out of the
+    /// enumerator, and returns how many — see
+    /// [`AnswerStream::next_batch_ref`].
+    pub fn next_batch_ref(&mut self, k: usize, sink: impl FnMut(AnswerRef<'_>)) -> usize {
         let want = match self.remaining {
             Some(n) => k.min(n),
             None => k,
         };
-        let produced = self.stream.next_batch(out, want);
+        let produced = self.stream.next_batch_ref(want, sink);
         if let Some(n) = &mut self.remaining {
             *n -= produced;
         }

@@ -11,6 +11,8 @@ use crate::protocol::{
     ClientFrame, ErrorCode, FrameDecoder, QueryTarget, ServerFrame, TxnOp, MAX_FRAME_LEN,
 };
 use omq_data::Semantics;
+use omq_wire::table::{Member, Object};
+use omq_wire::{ProtocolViolation, Rows};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -93,8 +95,10 @@ pub struct WireCursor {
 /// One fetched page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WirePage {
-    /// Rendered answers (see `protocol::render_answer` for the encoding).
-    pub answers: Vec<Vec<String>>,
+    /// Rendered answers (see `protocol::render_answer` for the encoding),
+    /// read into one buffer: iterate them borrowed ([`Rows::iter`]) or copy
+    /// them out ([`Rows::into_owned`]).
+    pub answers: Rows,
     /// Whether the cursor is exhausted.
     pub done: bool,
 }
@@ -227,14 +231,19 @@ impl Client {
         }
     }
 
-    /// Fetches the next page of at most `k` answers.
+    /// Fetches the next page of at most `k` answers.  The page is read
+    /// straight into [`Rows`]; any other reply (an error frame) is decoded
+    /// as a whole frame.
     pub fn fetch(&mut self, cursor: WireCursor, k: u64) -> Result<WirePage> {
-        match self.call(&ClientFrame::Fetch {
+        let fetch = ClientFrame::Fetch {
             cursor: cursor.handle,
             k,
-        })? {
-            ServerFrame::Page { answers, done, .. } => Ok(WirePage { answers, done }),
-            other => Err(unexpected(&other)),
+        };
+        self.stream.write_all(&fetch.encode())?;
+        let payload = self.read_payload()?;
+        match Object::decode(&payload) {
+            Ok(mut page) if page.is("page") => read_page(&mut page).map_err(protocol),
+            _ => Err(unexpected(&reply(&payload)?)),
         }
     }
 
@@ -324,20 +333,14 @@ impl Client {
     /// error frame becomes [`ClientError::Server`].
     pub fn call(&mut self, frame: &ClientFrame) -> Result<ServerFrame> {
         self.stream.write_all(&frame.encode())?;
-        let frame = self.read_frame()?;
-        match frame {
-            ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
-            other => Ok(other),
-        }
+        let payload = self.read_payload()?;
+        reply(&payload)
     }
 
-    fn read_frame(&mut self) -> Result<ServerFrame> {
+    fn read_payload(&mut self) -> Result<Vec<u8>> {
         loop {
             match self.decoder.next_frame() {
-                Ok(Some(payload)) => {
-                    return ServerFrame::decode(&payload)
-                        .map_err(|v| ClientError::Protocol(v.message));
-                }
+                Ok(Some(payload)) => return Ok(payload),
                 Ok(None) => {}
                 Err(e) => {
                     return Err(ClientError::Protocol(format!(
@@ -355,6 +358,28 @@ impl Client {
             self.decoder.feed(&self.read_buf[..n]);
         }
     }
+}
+
+/// A response payload as a frame; an error frame becomes
+/// [`ClientError::Server`].
+fn reply(payload: &[u8]) -> Result<ServerFrame> {
+    match ServerFrame::decode(payload).map_err(protocol)? {
+        ServerFrame::Error { code, message } => Err(ClientError::Server { code, message }),
+        other => Ok(other),
+    }
+}
+
+/// The members of a `page` frame, its answers left in one buffer.
+fn read_page(page: &mut Object) -> std::result::Result<WirePage, ProtocolViolation> {
+    u64::take(page, "cursor")?;
+    Ok(WirePage {
+        answers: page.take_answers()?,
+        done: bool::take(page, "done")?,
+    })
+}
+
+fn protocol(violation: ProtocolViolation) -> ClientError {
+    ClientError::Protocol(violation.message)
 }
 
 fn unexpected(frame: &ServerFrame) -> ClientError {

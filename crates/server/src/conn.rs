@@ -27,7 +27,8 @@ use crate::protocol::{
     ClientFrame, ErrorCode, FrameDecoder, FrameTooLarge, ServerFrame, TxnOp, MAX_FRAME_LEN,
     MAX_PAGE, MAX_PAGE_BYTES,
 };
-use omq_data::{Answer, Snapshot, Txn};
+use omq_core::CoreError;
+use omq_data::{Answer, AnswerRef, Database, Snapshot, Txn};
 use omq_serve::{QueryId, Request, ServeError, ServingEngine, StreamedResponse};
 use omq_wire::{PageWriter, MAX_SINGLE_ANSWER_BYTES};
 use rustc_hash::FxHashMap;
@@ -43,7 +44,7 @@ pub const HIGH_WATER: usize = 256 * 1024;
 
 /// Answers are pulled off a cursor's stream in chunks of at most this many
 /// while filling a page — keeps the batched-pull fast path of
-/// `next_batch` while bounding how many pulled answers can pile up in
+/// `next_batch_ref` while bounding how many pulled answers can pile up in
 /// [`Cursor::pending`] past the page's byte budget.
 const PULL_CHUNK: usize = 1024;
 
@@ -89,17 +90,119 @@ pub struct Shared {
 
 /// An open cursor: the answer stream plus the snapshot it is pinned to
 /// (kept for writing constants out through the pinned interner).
-struct Cursor {
-    stream: StreamedResponse,
+struct Cursor<S = StreamedResponse> {
+    stream: S,
     snap: Snapshot,
-    /// The stream has been pulled dry.  The wire-level `done` flag also
-    /// requires [`Cursor::pending`] to be empty.
+    /// The stream has been pulled dry (`done` also needs `pending` empty).
     exhausted: bool,
-    /// Answers already pulled off the stream but not yet in a page —
-    /// within a fetch, the chunk being written; across fetches, what a
-    /// page's byte cap ([`MAX_PAGE_BYTES`]) deferred.  The next fetch
-    /// serves these before pulling again.
+    /// The only answers ever copied out of the stream: the one a page's
+    /// byte cap ([`MAX_PAGE_BYTES`]) refused, plus the rest of the chunk it
+    /// was pulled in.  The next fetch serves them before pulling again.
     pending: VecDeque<Answer>,
+}
+
+/// What a cursor pages: a served stream (in tests, any answer stream).
+trait Source {
+    fn next_batch_ref(&mut self, k: usize, sink: impl FnMut(AnswerRef<'_>)) -> usize;
+    fn error(&self) -> Option<&CoreError>;
+}
+
+impl Source for StreamedResponse {
+    fn next_batch_ref(&mut self, k: usize, sink: impl FnMut(AnswerRef<'_>)) -> usize {
+        StreamedResponse::next_batch_ref(self, k, sink)
+    }
+
+    fn error(&self) -> Option<&CoreError> {
+        StreamedResponse::error(self)
+    }
+}
+
+/// Writes one answer into a page of `bytes` encoded bytes, or takes it
+/// back out and returns its size if it passes the page's byte budget (or,
+/// alone on the page, the single-answer cap).
+fn push(
+    page: &mut PageWriter<'_>,
+    bytes: &mut usize,
+    answer: AnswerRef<'_>,
+    db: &Database,
+) -> Option<usize> {
+    // +1 for the comma separating answers in the array.
+    let len = page.push_answer(answer, db) + 1;
+    let fits = if page.answers() == 1 {
+        len <= MAX_SINGLE_ANSWER_BYTES
+    } else {
+        *bytes + len <= MAX_PAGE_BYTES
+    };
+    if fits {
+        *bytes += len;
+        return None;
+    }
+    page.pop();
+    Some(len)
+}
+
+impl<S: Source> Cursor<S> {
+    /// One page of at most `k` answers, written straight into `out` (the
+    /// connection's write buffer): `O(k)` enumeration work, no engine lock,
+    /// no rendered strings, no owned answers.  `Err` is the error frame to
+    /// answer with instead (nothing was written).
+    ///
+    /// Pages are bounded twice over: by `k` answers and by
+    /// [`MAX_PAGE_BYTES`] of encoded payload — constant names are
+    /// client-supplied, so `k` alone bounds nothing.  The budget is kept on
+    /// the bytes actually written: the answer that would pass it is taken
+    /// back out, the page ships short with `done: false`, and the answer
+    /// waits in [`Cursor::pending`] for the next fetch; no page frame can
+    /// ever approach [`MAX_FRAME_LEN`].  A stream cut short by an error (a
+    /// shard build or a remote source failing) never ships `done: true`:
+    /// the fetch that would end it, and every retry, answers with the error.
+    fn page(&mut self, out: &mut Vec<u8>, handle: u64, k: usize) -> Result<(), ServerFrame> {
+        let db = self.snap.database();
+        let mut page = PageWriter::begin(out, "cursor", handle);
+        let (mut bytes, mut refused) = (0usize, None);
+        // Leftovers a previous page's byte cap deferred go first…
+        while let Some(front) = self.pending.front().filter(|_| page.answers() < k) {
+            refused = push(&mut page, &mut bytes, front.as_answer_ref(), db);
+            if refused.is_some() {
+                break;
+            }
+            self.pending.pop_front();
+        }
+        // …then answers straight off the stream, a chunk at a time.
+        while refused.is_none() && page.answers() < k && bytes < MAX_PAGE_BYTES && !self.exhausted {
+            let want = (k - page.answers()).min(PULL_CHUNK);
+            let produced = self.stream.next_batch_ref(want, |answer| {
+                if refused.is_none() {
+                    refused = push(&mut page, &mut bytes, answer, db);
+                }
+                // The answer the page refused, and the rest of its chunk.
+                if refused.is_some() {
+                    self.pending.push_back(answer.to_answer());
+                }
+            });
+            self.exhausted = produced < want;
+        }
+        let done = self.exhausted && self.pending.is_empty();
+        let error = match refused {
+            // Undeliverable even alone.  It stays queued so every retry
+            // fails identically; the client's move is to close the cursor.
+            Some(len) if page.answers() == 0 => Some(ServerFrame::Error {
+                code: ErrorCode::Internal,
+                message: format!(
+                    "answer of {len} encoded bytes exceeds the \
+                     {MAX_FRAME_LEN}-byte frame cap; close the cursor"
+                ),
+            }),
+            None if done => self.stream.error().map(|e| serve_error(&e.clone().into())),
+            _ => None,
+        };
+        if let Some(frame) = error {
+            page.abort();
+            return Err(frame);
+        }
+        page.finish(done);
+        Ok(())
+    }
 }
 
 /// Why the connection must close after the write buffer drains.
@@ -123,8 +226,6 @@ pub struct Connection {
     next_handle: u64,
     closing: Option<CloseReason>,
     quotas: ConnectionQuotas,
-    /// Scratch buffer for batched pulls, recycled across fetches.
-    scratch: Vec<Answer>,
 }
 
 impl Connection {
@@ -145,7 +246,6 @@ impl Connection {
             next_handle: 1,
             closing: None,
             quotas,
-            scratch: Vec::new(),
         }
     }
 
@@ -269,7 +369,13 @@ impl Connection {
                     }
                 }
             }
-            ClientFrame::Fetch { cursor, k } => return self.fetch(cursor, k).err(),
+            ClientFrame::Fetch { cursor: handle, k } => {
+                let Some(cursor) = self.cursors.get_mut(&handle) else {
+                    return Some(unknown_cursor(handle));
+                };
+                let k = (k as usize).clamp(1, MAX_PAGE);
+                return cursor.page(&mut self.outbuf, handle, k).err();
+            }
             ClientFrame::Count {
                 query,
                 semantics,
@@ -318,75 +424,6 @@ impl Connection {
                 ServerFrame::Bye
             }
         })
-    }
-
-    /// One page off a cursor, written straight into the write buffer:
-    /// `O(k)` enumeration work, no engine lock, no rendered strings.  `Err`
-    /// is the error frame to answer with instead (nothing was written).
-    ///
-    /// Pages are bounded twice over: by `k` answers and by
-    /// [`MAX_PAGE_BYTES`] of encoded payload — constant names are
-    /// client-supplied, so `k` alone bounds nothing.  The budget is kept on
-    /// the bytes actually written: the answer that would pass it is taken
-    /// back out, the page ships short with `done: false`, and the answer
-    /// waits in [`Cursor::pending`] for the next fetch; no page frame can
-    /// ever approach [`MAX_FRAME_LEN`].
-    fn fetch(&mut self, handle: u64, k: u64) -> Result<(), ServerFrame> {
-        let Some(cursor) = self.cursors.get_mut(&handle) else {
-            return Err(unknown_cursor(handle));
-        };
-        let k = (k as usize).clamp(1, MAX_PAGE);
-        let db = cursor.snap.database();
-        let mut page = PageWriter::begin(&mut self.outbuf, "cursor", handle);
-        let mut bytes = 0usize;
-        loop {
-            // Serve pulled answers first: leftovers a previous page's byte
-            // cap deferred, then whatever the pull below appended.
-            while page.answers() < k {
-                let Some(front) = cursor.pending.front() else {
-                    break;
-                };
-                // +1 for the comma separating answers in the array.
-                let len = page.push_answer(front, db) + 1;
-                if page.answers() == 1 && len > MAX_SINGLE_ANSWER_BYTES {
-                    // Undeliverable even alone.  Leave it queued so every
-                    // retry fails identically; the client's move is to
-                    // close the cursor.
-                    page.abort();
-                    return Err(ServerFrame::Error {
-                        code: ErrorCode::Internal,
-                        message: format!(
-                            "answer of {len} encoded bytes exceeds the \
-                             {MAX_FRAME_LEN}-byte frame cap; close the cursor"
-                        ),
-                    });
-                }
-                if page.answers() > 1 && bytes + len > MAX_PAGE_BYTES {
-                    // Page full by bytes; this answer and the rest stay
-                    // queued.
-                    page.pop();
-                    page.finish(false);
-                    return Ok(());
-                }
-                bytes += len;
-                cursor.pending.pop_front();
-            }
-            if page.answers() >= k || bytes >= MAX_PAGE_BYTES || cursor.exhausted {
-                break;
-            }
-            // Pull the next chunk off the stream.
-            let want = (k - page.answers()).min(PULL_CHUNK);
-            let produced = cursor.stream.next_batch(&mut self.scratch, want);
-            if produced < want {
-                cursor.exhausted = true;
-            }
-            cursor.pending.extend(self.scratch.drain(..));
-            if produced == 0 {
-                break;
-            }
-        }
-        page.finish(cursor.exhausted && cursor.pending.is_empty());
-        Ok(())
     }
 
     /// Serves one snapshot-pinned read under the engine's read lock and
@@ -589,6 +626,7 @@ mod tests {
     use super::*;
     use crate::protocol::answer_wire_len;
     use omq_data::Semantics;
+    use std::collections::VecDeque;
 
     fn shared() -> Shared {
         Shared {
@@ -739,16 +777,10 @@ mod tests {
         ));
     }
 
-    /// Pages are capped by encoded bytes, not just `k`: large constant
-    /// names split one fetch into several short pages, `done` stays the
-    /// end-of-stream signal, and no page frame approaches the frame cap.
-    #[test]
-    fn pages_split_under_the_byte_cap() {
-        let shared = shared();
+    /// A connection with query `q(x) :- Researcher(x)` registered and the
+    /// given researchers committed, plus a complete-answer cursor over them.
+    fn researchers(shared: &Shared, names: impl IntoIterator<Item = String>) -> (Connection, u64) {
         let mut conn = Connection::new();
-        // 8 facts with ~300 KiB constants ≈ 2.4 MiB rendered — k = 100
-        // must split into ≥ 3 pages under the 1 MiB byte cap.
-        let big = |i: usize| format!("{}{i}", "x".repeat(300 * 1024));
         let frames = [
             ClientFrame::Register {
                 name: "q".into(),
@@ -756,10 +788,10 @@ mod tests {
                 query: "q(x) :- Researcher(x)".into(),
             },
             ClientFrame::Commit {
-                ops: (0..8)
-                    .map(|i| TxnOp::Insert {
+                ops: (names.into_iter())
+                    .map(|name| TxnOp::Insert {
                         relation: "Researcher".into(),
-                        tuple: vec![big(i)],
+                        tuple: vec![name],
                     })
                     .collect(),
             },
@@ -772,39 +804,212 @@ mod tests {
             },
         ];
         for frame in &frames {
-            conn.on_bytes(&frame.encode(), &shared);
+            conn.on_bytes(&frame.encode(), shared);
         }
         let responses = drain(&mut conn);
         let ServerFrame::CursorOpened { cursor, .. } = responses[2] else {
             panic!("expected opened cursor, got {:?}", responses[2]);
         };
-        let mut pages = 0usize;
-        let mut got = Vec::new();
-        conn.on_bytes(&ClientFrame::Fetch { cursor, k: 100 }.encode(), &shared);
-        loop {
-            let responses = drain(&mut conn);
-            let ServerFrame::Page { answers, done, .. } = &responses[0] else {
-                panic!("expected page, got {:?}", responses[0]);
-            };
-            assert!(
-                !answers.is_empty(),
-                "every page before exhaustion makes progress"
-            );
-            let encoded: usize = answers.iter().map(|a| answer_wire_len(a) + 1).sum();
-            assert!(encoded <= MAX_PAGE_BYTES + 1, "page within the byte cap");
-            got.extend(answers.clone());
-            pages += 1;
-            assert!(pages < 32, "no livelock");
-            if *done {
-                break;
+        (conn, cursor)
+    }
+
+    /// The answers a fresh complete-answer stream of `q` yields, rendered,
+    /// in stream order.
+    fn stream_sequence(shared: &Shared) -> Vec<Vec<String>> {
+        let engine = shared.engine.read().unwrap();
+        let request = Request::new(omq_serve::QueryRef::Name("q".into()), Semantics::Complete);
+        let snap = engine.snapshot();
+        let stream = engine.serve_stream(&request).unwrap();
+        stream
+            .map(|a| omq_wire::render_answer(&a, snap.database()))
+            .collect()
+    }
+
+    /// Pages are capped by encoded bytes, not just `k`: large constant
+    /// names split one fetch into several short pages, `done` stays the
+    /// end-of-stream signal, and no page frame approaches the frame cap.
+    /// The cap breaks inside a pulled chunk — what the page refused waits
+    /// for the next fetch, which may itself stop at `k` — and the pages
+    /// still concatenate to the stream's sequence: nothing lost,
+    /// reordered or repeated.
+    #[test]
+    fn pages_split_under_the_byte_cap() {
+        // 8 facts with ~300 KiB constants ≈ 2.4 MiB rendered — k = 100
+        // must split into ≥ 3 pages under the 1 MiB byte cap.
+        let big = |i: usize| format!("{}{i}", "x".repeat(300 * 1024));
+        for (names, ks) in [
+            ((0..8).map(big).collect::<Vec<_>>(), vec![100]),
+            // Small and big constants interleaved, fetched with a `k` that
+            // sometimes stops a page before the cap or the deferred
+            // answers run out.
+            (
+                (0..30)
+                    .map(|i| if i % 4 == 1 { big(i) } else { format!("r{i}") })
+                    .collect(),
+                vec![100, 2, 5, 1, 100, 3],
+            ),
+        ] {
+            let shared = shared();
+            let (mut conn, cursor) = researchers(&shared, names.clone());
+            let mut pages = 0usize;
+            let mut got = Vec::new();
+            loop {
+                let k = ks[pages % ks.len()];
+                conn.on_bytes(&ClientFrame::Fetch { cursor, k }.encode(), &shared);
+                let responses = drain(&mut conn);
+                let ServerFrame::Page { answers, done, .. } = &responses[0] else {
+                    panic!("expected page, got {:?}", responses[0]);
+                };
+                assert!(
+                    !answers.is_empty(),
+                    "every page before exhaustion makes progress"
+                );
+                assert!(answers.len() as u64 <= k);
+                let encoded: usize = answers.iter().map(|a| answer_wire_len(a) + 1).sum();
+                assert!(encoded <= MAX_PAGE_BYTES + 1, "page within the byte cap");
+                got.extend(answers.clone());
+                pages += 1;
+                assert!(pages < 64, "no livelock");
+                if *done {
+                    break;
+                }
             }
-            conn.on_bytes(&ClientFrame::Fetch { cursor, k: 100 }.encode(), &shared);
+            assert!(
+                pages >= 3,
+                "the byte cap split the fetch, got {pages} pages"
+            );
+            assert_eq!(got.len(), names.len(), "no answer lost or duplicated");
+            assert_eq!(got, stream_sequence(&shared), "pages replay the stream");
         }
-        assert!(
-            pages >= 3,
-            "the byte cap split the fetch, got {pages} pages"
-        );
-        assert_eq!(got.len(), 8, "no answer lost or duplicated across pages");
+    }
+
+    /// An answer no page can carry fails the fetch that reaches it, and
+    /// every retry the same way; the connection and the cursor stay up.
+    #[test]
+    fn an_oversized_answer_fails_identically_on_retry() {
+        let shared = shared();
+        let names = ["a", "b", "c"].map(str::to_owned);
+        let (mut conn, cursor) = researchers(&shared, names);
+        // Too long for any frame, so it cannot come in over the wire.
+        let huge = "h".repeat(MAX_SINGLE_ANSWER_BYTES);
+        let txn = Txn::new().insert("Researcher", vec![huge]);
+        shared.engine.write().unwrap().register_data(txn).unwrap();
+        conn.on_bytes(&ClientFrame::CloseCursor { cursor }.encode(), &shared);
+        let open = ClientFrame::OpenCursor {
+            query: crate::protocol::QueryTarget::Name("q".into()),
+            semantics: Semantics::Complete,
+            snapshot: None,
+            offset: 0,
+            limit: None,
+        };
+        conn.on_bytes(&open.encode(), &shared);
+        let ServerFrame::CursorOpened { cursor, .. } = drain(&mut conn)[1] else {
+            panic!("expected opened cursor");
+        };
+        let mut errors = Vec::new();
+        let mut answers = 0usize;
+        while errors.len() < 3 {
+            conn.on_bytes(&ClientFrame::Fetch { cursor, k: 100 }.encode(), &shared);
+            match drain(&mut conn).remove(0) {
+                ServerFrame::Page {
+                    answers: page,
+                    done,
+                    ..
+                } => {
+                    assert!(!done, "the stream cannot end past an undeliverable answer");
+                    assert!(errors.is_empty(), "no page after the failure");
+                    answers += page.len();
+                }
+                error => errors.push(error),
+            }
+        }
+        assert!(answers < 4, "{answers} answers paged");
+        let ServerFrame::Error { code, message } = &errors[0] else {
+            panic!("expected an error frame, got {:?}", errors[0]);
+        };
+        assert_eq!(*code, ErrorCode::Internal);
+        assert!(message.contains("exceeds"), "{message}");
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        assert!(conn.closing().is_none());
+        assert_eq!(conn.cursor_count(), 1);
+    }
+
+    /// Pages straight off any answer stream.
+    impl Source for omq_core::AnswerStream {
+        fn next_batch_ref(&mut self, k: usize, sink: impl FnMut(AnswerRef<'_>)) -> usize {
+            omq_core::AnswerStream::next_batch_ref(self, k, sink)
+        }
+
+        fn error(&self) -> Option<&CoreError> {
+            omq_core::AnswerStream::error(self)
+        }
+    }
+
+    /// A remote source that hands out its answers while it can fill a
+    /// whole pull, then fails, as a shard whose worker died would.
+    struct FailingSource(VecDeque<Answer>);
+
+    impl omq_core::RemoteShard for FailingSource {
+        fn next_batch(&mut self, out: &mut Vec<Answer>, k: usize) -> Result<usize, CoreError> {
+            if self.0.len() < k {
+                return Err(CoreError::Internal("worker lost".to_owned()));
+            }
+            out.extend(self.0.drain(..k));
+            Ok(k)
+        }
+    }
+
+    /// A stream cut short by an error never reads as done: the fetch that
+    /// reaches the end answers with the error, and so does every retry.
+    #[test]
+    fn a_stream_cut_short_answers_with_its_error_not_done() {
+        let shared = shared();
+        let names = (0..5).map(|i| format!("r{i}"));
+        let (_conn, _) = researchers(&shared, names);
+        let snap = shared.engine.read().unwrap().snapshot();
+        let omq = omq_chase::OntologyMediatedQuery::new(
+            omq_chase::Ontology::new(),
+            omq_cq::ConjunctiveQuery::parse("q(x) :- Researcher(x)").unwrap(),
+        )
+        .unwrap();
+        let plan = omq_core::QueryPlan::compile(&omq).unwrap();
+        let answers = plan.execute(snap.database()).unwrap();
+        let answers = answers.answers(Semantics::Complete).unwrap().collect();
+        let source = Box::new(FailingSource(answers));
+        let stream = omq_core::AnswerStream::from_remote(&plan, Semantics::Complete, vec![source]);
+        let mut cursor = Cursor {
+            stream: stream.unwrap(),
+            snap,
+            exhausted: false,
+            pending: VecDeque::new(),
+        };
+        let replies: Vec<ServerFrame> = (0..4)
+            .map(|_| {
+                let mut out = Vec::new();
+                match cursor.page(&mut out, 1, 2) {
+                    Ok(()) => ServerFrame::decode(&out[4..]).unwrap(),
+                    Err(error) => {
+                        assert!(out.is_empty(), "an error writes no page");
+                        error
+                    }
+                }
+            })
+            .collect();
+        // Two full pages, then the failing pull — and its retry — answer
+        // with the error instead of a last page marked done.
+        for page in &replies[..2] {
+            let ServerFrame::Page { answers, done, .. } = page else {
+                panic!("expected a page, got {page:?}");
+            };
+            assert_eq!((answers.len(), *done), (2, false));
+        }
+        for error in &replies[2..] {
+            let ServerFrame::Error { code, message } = error else {
+                panic!("expected the stream's error, got {error:?}");
+            };
+            assert!(!code.is_client_error(), "{code:?}");
+            assert!(message.contains("worker lost"), "{message}");
+        }
     }
 
     /// A pipelined burst stops producing responses at the high-water mark;

@@ -15,7 +15,8 @@
 //!    the tree encoder's, from rendered and from typed answers alike, and
 //!    the reader must accept, reject and return exactly what a decoder over
 //!    the tree does — on well-formed pages, on pages with the wrong shape,
-//!    and on truncated, extended or corrupted bytes.
+//!    and on truncated, extended or corrupted bytes — its one-buffer
+//!    `Rows` included.
 
 use omq_cluster::WorkerFrame;
 use omq_data::{Answer, Database, MultiTuple, MultiValue, PartialTuple, PartialValue, Schema};
@@ -23,7 +24,7 @@ use omq_data::{ConstId, Semantics};
 use omq_server::json::Json;
 use omq_server::protocol::frame_payload;
 use omq_server::{ClientFrame, FrameDecoder, QueryTarget, ServerFrame, TxnOp, MAX_WIRE_INT as MAX};
-use omq_wire::{decode_object, PageWriter};
+use omq_wire::{decode_object, decode_page_object, PageWriter};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -186,13 +187,27 @@ fn tree_decode_page(payload: &[u8]) -> Option<ServerFrame> {
     })
 }
 
-/// Both decoders on one payload: the same page, or neither a page.
+/// Both decoders on one payload: the same page, or neither a page.  On a
+/// page, the page reader's [`Rows`](omq_wire::Rows) hold the tree's
+/// answers both borrowed and copied out.
 fn assert_decoders_agree(payload: &[u8]) -> Result<(), TestCaseError> {
     let direct = match ServerFrame::decode(payload) {
         Ok(frame @ ServerFrame::Page { .. }) => Some(frame),
         _ => None,
     };
-    prop_assert_eq!(direct, tree_decode_page(payload));
+    let tree = tree_decode_page(payload);
+    prop_assert_eq!(&direct, &tree);
+    if let Some(ServerFrame::Page { answers, .. }) = tree {
+        let (_, rows) = decode_page_object(payload).expect("a page is an object");
+        let rows = rows
+            .expect("a page has answers")
+            .expect("of a page's shape");
+        prop_assert_eq!(rows.len(), answers.len());
+        let borrowed: Vec<Vec<&str>> = rows.iter().map(|row| row.iter().collect()).collect();
+        prop_assert_eq!(&borrowed, &answers);
+        prop_assert_eq!(&rows, &answers);
+        prop_assert_eq!(rows.into_owned(), answers);
+    }
     Ok(())
 }
 
@@ -451,7 +466,7 @@ proptest! {
         let mut page = PageWriter::begin(&mut out, "cursor", 7);
         for (answer, rendered) in answers.iter().zip(&rendered) {
             prop_assert_eq!(
-                page.push_answer(answer, &db),
+                page.push_answer(answer.as_answer_ref(), &db),
                 omq_server::answer_wire_len(rendered)
             );
         }

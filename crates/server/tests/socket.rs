@@ -408,6 +408,75 @@ fn protocol_errors_over_tcp() {
     server.shutdown();
 }
 
+/// `Client::fetch` reads a page straight into one buffer and everything
+/// else as a whole frame: an error frame is still a server error, and a
+/// page that is not a well-formed page is still a protocol error.
+#[test]
+fn fetch_tells_pages_from_error_frames_and_malformed_pages() {
+    use omq_server::protocol::frame_payload;
+    use omq_server::{FrameDecoder, WireCursor};
+    use std::io::{Read, Write};
+
+    let server = start_server(1);
+    let mut client = connect(&server);
+    client
+        .register_query("offices", ONTOLOGY, QUERY)
+        .expect("register");
+    client.commit(seed_facts(8)).expect("commit");
+    let unknown = WireCursor {
+        handle: 999,
+        epoch: 0,
+    };
+    match client.fetch(unknown, 4).expect_err("unknown cursor") {
+        ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::UnknownCursor),
+        other => panic!("expected server error, got {other}"),
+    }
+    // The connection survived, and pages still read.
+    let cursor = client
+        .open_cursor(QueryTarget::Id(0), Semantics::MinimalPartial, None)
+        .expect("open");
+    let page = client.fetch(cursor, 2).expect("fetch");
+    assert_eq!(page.answers.len(), 2);
+    client.bye().expect("bye");
+    server.shutdown();
+
+    // A peer answering fetches with pages that are not quite pages.
+    let replies: [&[u8]; 4] = [
+        br#"{"t":"page","cursor":1,"answers":[["a",7]],"done":true}"#,
+        br#"{"t":"page","cursor":1,"answers":[["a"]]}"#,
+        br#"{"t":"page","cursor":1,"answers":[["a"]],"done":true"#,
+        br#"{"t":"pinned","snapshot":1,"epoch":1}"#,
+    ];
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().expect("accept");
+        let mut decoder = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        for reply in replies {
+            while decoder.next_frame().unwrap().is_none() {
+                let n = socket.read(&mut buf).unwrap();
+                assert!(n > 0, "client hung up");
+                decoder.feed(&buf[..n]);
+            }
+            socket.write_all(&frame_payload(reply)).unwrap();
+        }
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let cursor = WireCursor {
+        handle: 1,
+        epoch: 1,
+    };
+    for _ in replies {
+        match client.fetch(cursor, 4).expect_err("not a page") {
+            ClientError::Protocol(_) => {}
+            other => panic!("expected protocol error, got {other}"),
+        }
+    }
+    peer.join().unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Waiting.  The server's threads block on readiness with no timeout, so each
 // way a connection can need attention *without its peer sending anything*

@@ -428,8 +428,15 @@ impl<'a> Reader<'a> {
 
     /// Pulls the string the reader is positioned at.
     pub(crate) fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Pulls the string the reader is positioned at, unescaped onto the
+    /// end of `out`.
+    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.expect(b'"')?;
         loop {
             // Copy the run up to the next byte that needs a decision.  All
             // three kinds are ASCII, so the run ends on a char boundary.
@@ -442,7 +449,7 @@ impl<'a> Reader<'a> {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;

@@ -28,7 +28,8 @@
 //!   [`Answer`](omq_data::Answer)s;
 //! - [`page`] — the one writer of `page` frames ([`PageWriter`]: length
 //!   prefix and JSON appended straight to a connection's write buffer) and
-//!   its reader ([`decode_page_object`]), neither of which builds a tree.
+//!   its reader ([`decode_page_object`], into one buffer: [`Rows`]),
+//!   neither of which builds a tree.
 //!   One page serves both vocabularies: the server's names its `cursor`,
 //!   a cluster worker's its `shard`;
 //! - [`code`] — the wire [`ErrorCode`] vocabulary, partitioned into client
@@ -66,6 +67,6 @@ pub mod table;
 pub use answers::{answer_wire_len, parse_answer, render_answer};
 pub use code::ErrorCode;
 pub use frame::{frame_payload, FrameDecoder, FrameTooLarge, MAX_FRAME_LEN, MAX_WIRE_INT};
-pub use page::{decode_page_object, PageWriter, MAX_SINGLE_ANSWER_BYTES};
+pub use page::{decode_page_object, PageWriter, Row, Rows, MAX_SINGLE_ANSWER_BYTES};
 pub use payload::{decode_object, violation, ProtocolViolation};
 pub use table::{Entry, Member};

@@ -13,8 +13,13 @@
 //!   the two together.
 //! - [`decode_page_object`] reads an object payload through the pull
 //!   tokenizer, building a tree for every member *except* `answers`, which
-//!   goes straight into `Vec<Vec<String>>`.  Every frame of the
-//!   [frame table](crate::table) is read through it.
+//!   is unescaped straight into [`Rows`]: one string holding every value of
+//!   the page back to back, plus `u32` offsets — not a `String` per value
+//!   and a `Vec` per answer.  Every frame of the
+//!   [frame table](crate::table) is read through it; the table's `page`
+//!   rows copy the rows out ([`Rows::into_owned`]), while a client that
+//!   only reads a page (`omq-server`'s `Client::fetch`) keeps them
+//!   borrowed.
 //!
 //! ```text
 //! u32_be(len) {"t":"page","<id>":N,"answers":[["a","*"],…],"done":B}
@@ -23,7 +28,7 @@
 use crate::frame::MAX_FRAME_LEN;
 use crate::json::{self, Json, JsonError, Kind, Reader};
 use crate::payload::{invalid_json, not_an_object, payload_text, violation, ProtocolViolation};
-use omq_data::{Answer, ConstId, Database, MultiValue, PartialValue};
+use omq_data::{AnswerRef, ConstId, Database, MultiValue, PartialValue};
 
 /// Hard ceiling on one rendered answer: even alone in a page it must fit a
 /// frame, with generous allowance for the page envelope.  An answer past
@@ -73,21 +78,22 @@ impl<'a> PageWriter<'a> {
         self.answers
     }
 
-    /// Appends a typed answer, rendering constants by their interned name
-    /// in `db`, the single wildcard as `"*"`, multi-wildcards as `"*k"` —
-    /// the bytes of [`render_answer`](crate::render_answer)'s strings,
-    /// without the strings.  Returns the encoded size of the answer's JSON
+    /// Appends a typed answer, borrowed from wherever its producer keeps it
+    /// (an answer stream's [`AnswerRef`]), rendering constants by their
+    /// interned name in `db`, the single wildcard as `"*"`, multi-wildcards
+    /// as `"*k"` — the bytes of [`render_answer`](crate::render_answer)'s
+    /// strings, without the strings.  Returns the encoded size of the answer's JSON
     /// array ([`answer_wire_len`](crate::answer_wire_len) of the rendered
     /// answer; the separating comma is not counted).
-    pub fn push_answer(&mut self, answer: &Answer, db: &Database) -> usize {
+    pub fn push_answer(&mut self, answer: AnswerRef<'_>, db: &Database) -> usize {
         let constant = |out: &mut Vec<u8>, c: ConstId| json::write_escaped(db.const_name(c), out);
         match answer {
-            Answer::Complete(t) => self.push_with(t, |out, &c| constant(out, c)),
-            Answer::Partial(t) => self.push_with(&t.0, |out, v| match v {
+            AnswerRef::Complete(t) => self.push_with(t, |out, &c| constant(out, c)),
+            AnswerRef::Partial(t) => self.push_with(t, |out, v| match v {
                 PartialValue::Const(c) => constant(out, *c),
                 PartialValue::Star => out.extend_from_slice(b"\"*\""),
             }),
-            Answer::Multi(t) => self.push_with(&t.0, |out, v| match v {
+            AnswerRef::Multi(t) => self.push_with(t, |out, v| match v {
                 MultiValue::Const(c) => constant(out, *c),
                 MultiValue::Wild(k) => {
                     out.extend_from_slice(b"\"*");
@@ -146,13 +152,123 @@ impl<'a> PageWriter<'a> {
     }
 }
 
-/// An `answers` member as [`decode_page_object`] read it: the rendered
-/// answers, or what about its shape was not a page's.
-pub type DecodedAnswers = Result<Vec<Vec<String>>, ProtocolViolation>;
+/// A page's answers read into one buffer: every value of every answer,
+/// unescaped, back to back in one string, with `u32` offsets marking where
+/// each value and each answer ends — three buffers a page, where rendered
+/// answers take a `String` per value and a `Vec` per answer.
+///
+/// [`Rows::iter`] borrows the answers as [`Row`]s of `&str` values;
+/// [`Rows::into_owned`] (and `into_iter`) copies them out as the rendered
+/// answers the frame table's `page` rows hold.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rows {
+    /// Every value, unescaped, back to back.
+    text: String,
+    /// Where each value ends in `text`.
+    ends: Vec<u32>,
+    /// Where each answer's values end in `ends`.
+    rows: Vec<u32>,
+}
+
+impl Rows {
+    /// Number of answers.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the page holds no answer.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `i`-th answer.
+    pub fn get(&self, i: usize) -> Option<Row<'_>> {
+        let last = *self.rows.get(i)? as usize;
+        let first = if i == 0 { 0 } else { self.rows[i - 1] as usize };
+        let start = if first == 0 { 0 } else { self.ends[first - 1] };
+        Some(Row {
+            text: &self.text,
+            start,
+            ends: &self.ends[first..last],
+        })
+    }
+
+    /// The answers, borrowed.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
+        (0..self.len()).map(|i| self.get(i).expect("in range"))
+    }
+
+    /// The answers as rendered answers, one `String` per value.
+    pub fn into_owned(self) -> Vec<Vec<String>> {
+        self.iter().map(|row| row.to_vec()).collect()
+    }
+}
+
+/// Equal to rendered answers holding the same values.
+impl<S: AsRef<str>> PartialEq<Vec<Vec<S>>> for Rows {
+    fn eq(&self, other: &Vec<Vec<S>>) -> bool {
+        self.len() == other.len()
+            && (self.iter().zip(other))
+                .all(|(row, answer)| row.iter().eq(answer.iter().map(AsRef::as_ref)))
+    }
+}
+
+impl IntoIterator for Rows {
+    type Item = Vec<String>;
+    type IntoIter = std::vec::IntoIter<Vec<String>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.into_owned().into_iter()
+    }
+}
+
+/// One answer of [`Rows`]: its values, borrowed from the page's buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    text: &'a str,
+    /// Where the first value starts in `text`.
+    start: u32,
+    /// Where each value ends in `text`.
+    ends: &'a [u32],
+}
+
+impl<'a> Row<'a> {
+    /// Number of values (the answer's arity).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the answer is the empty (Boolean) tuple.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `j`-th value.
+    pub fn get(&self, j: usize) -> Option<&'a str> {
+        let end = *self.ends.get(j)? as usize;
+        let start = if j == 0 { self.start } else { self.ends[j - 1] };
+        Some(&self.text[start as usize..end])
+    }
+
+    /// The values, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> {
+        let row = *self;
+        (0..row.len()).map(move |j| row.get(j).expect("in range"))
+    }
+
+    /// The answer as a rendered answer.
+    pub fn to_vec(&self) -> Vec<String> {
+        self.iter().map(str::to_owned).collect()
+    }
+}
+
+/// An `answers` member as [`decode_page_object`] read it: the answers, or
+/// what about its shape was not a page's.
+pub type DecodedAnswers = Result<Rows, ProtocolViolation>;
 
 /// Decodes an object payload like [`decode_object`](crate::decode_object),
-/// except that its first `answers` member is read straight into rendered
-/// answers instead of a tree (and left out of the returned object).
+/// except that its first `answers` member is read straight into [`Rows`]
+/// instead of a tree (and left out of the returned object).
 ///
 /// Accepts and rejects exactly the payloads `decode_object` does — member
 /// order, unknown members, duplicate keys (first wins) and whitespace are
@@ -176,7 +292,7 @@ pub fn decode_page_object(
     let mut first = true;
     while let Some(key) = reader.next_key(&mut first).map_err(invalid_json)? {
         if key == "answers" && answers.is_none() {
-            answers = Some(read_answers(&mut reader).map_err(invalid_json)?);
+            answers = Some(read_answers(&mut reader, payload.len()).map_err(invalid_json)?);
         } else {
             members.push((key, reader.value(1).map_err(invalid_json)?));
         }
@@ -197,13 +313,14 @@ impl From<JsonError> for Unreadable {
     }
 }
 
-/// Reads the value the reader is positioned at as rendered answers.  On a
-/// shape mismatch the value is re-read generically, so a syntax error
-/// further into it still surfaces as one and the reader ends up past the
-/// value either way.
-fn read_answers(reader: &mut Reader<'_>) -> Result<DecodedAnswers, JsonError> {
+/// Reads the value the reader is positioned at as [`Rows`], whose text
+/// cannot outgrow the `payload_len` bytes it is unescaped from.  On a shape
+/// mismatch the value is re-read generically, so a syntax error further
+/// into it still surfaces as one and the reader ends up past the value
+/// either way.
+fn read_answers(reader: &mut Reader<'_>, payload_len: usize) -> Result<DecodedAnswers, JsonError> {
     let start = reader.clone();
-    match read_answers_typed(reader) {
+    match read_answers_typed(reader, payload_len) {
         Ok(answers) => Ok(Ok(answers)),
         Err(Unreadable::Syntax(e)) => Err(e),
         Err(Unreadable::Shape(message)) => {
@@ -214,30 +331,33 @@ fn read_answers(reader: &mut Reader<'_>) -> Result<DecodedAnswers, JsonError> {
     }
 }
 
-fn read_answers_typed(reader: &mut Reader<'_>) -> Result<Vec<Vec<String>>, Unreadable> {
+fn read_answers_typed(reader: &mut Reader<'_>, payload_len: usize) -> Result<Rows, Unreadable> {
     if reader.kind()? != Kind::Arr {
         return Err(Unreadable::Shape("field `answers` must be an array"));
     }
-    let mut answers = Vec::new();
+    let offset = |n: usize| u32::try_from(n).map_err(|_| Unreadable::Shape("page too large"));
+    let mut rows = Rows {
+        text: String::with_capacity(payload_len),
+        ..Rows::default()
+    };
     reader.begin_array()?;
     let mut first_answer = true;
     while reader.next_element(&mut first_answer)? {
         if reader.kind()? != Kind::Arr {
             return Err(Unreadable::Shape("answers must be arrays"));
         }
-        // Answers of one page share an arity.
-        let mut answer = Vec::with_capacity(answers.last().map_or(0, Vec::len));
         reader.begin_array()?;
         let mut first_value = true;
         while reader.next_element(&mut first_value)? {
             if reader.kind()? != Kind::Str {
                 return Err(Unreadable::Shape("answer entries must be strings"));
             }
-            answer.push(reader.string()?);
+            reader.string_into(&mut rows.text)?;
+            rows.ends.push(offset(rows.text.len())?);
         }
-        answers.push(answer);
+        rows.rows.push(offset(rows.ends.len())?);
     }
-    Ok(answers)
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -289,8 +409,13 @@ mod tests {
                 .as_bytes(),
         )
         .unwrap();
+        let rows = answers.unwrap().unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.get(0).unwrap().iter().collect::<Vec<_>>(), ["a", "é"]);
+        assert!(rows.get(1).unwrap().is_empty());
+        assert!(rows.get(2).is_none());
         assert_eq!(
-            answers.unwrap().unwrap(),
+            rows.into_owned(),
             vec![vec!["a".to_owned(), "é".to_owned()], vec![]]
         );
         // The first `answers` went to the typed read, the duplicate stays

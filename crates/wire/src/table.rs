@@ -25,7 +25,7 @@
 
 use crate::code::ErrorCode;
 use crate::json::Json;
-use crate::page::{decode_page_object, DecodedAnswers};
+use crate::page::{decode_page_object, DecodedAnswers, Rows};
 use crate::payload::{violation, ProtocolViolation};
 use omq_data::Semantics;
 
@@ -55,6 +55,20 @@ impl Object {
     /// Whether the member is absent or `null`.
     pub fn is_absent(&self, key: &str) -> bool {
         matches!(self.doc.get(key), None | Some(Json::Null))
+    }
+
+    /// Whether the payload is a frame tagged `tag`, so that a reader
+    /// expecting one kind of frame can take its members without decoding
+    /// it as the whole vocabulary.
+    pub fn is(&self, tag: &str) -> bool {
+        self.doc.get("t").and_then(Json::as_str) == Some(tag)
+    }
+
+    /// The `answers` member, as [`decode_page_object`] read it: in one
+    /// buffer, without a tree.
+    pub fn take_answers(&mut self) -> Result<Rows, ProtocolViolation> {
+        let answers = self.answers.take();
+        answers.ok_or_else(|| violation("missing field `answers`"))?
     }
 }
 
@@ -168,7 +182,7 @@ impl Member for ErrorCode {
 }
 
 /// Rendered answers (see [`render_answer`](crate::render_answer)): the
-/// `answers` member of a page, read by [`decode_page_object`].
+/// `answers` member of a page, copied out of its [`Rows`].
 impl Member for Vec<Vec<String>> {
     fn put(&self, key: &'static str, members: &mut Vec<(&'static str, Json)>) {
         let answer = |a: &Vec<String>| Json::Arr(a.iter().map(|v| Json::str(v.clone())).collect());
@@ -177,8 +191,7 @@ impl Member for Vec<Vec<String>> {
 
     fn take(object: &mut Object, key: &str) -> Result<Self, ProtocolViolation> {
         debug_assert_eq!(key, "answers", "only `answers` is read without a tree");
-        let answers = object.answers.take();
-        answers.ok_or_else(|| violation(format!("missing field `{key}`")))?
+        object.take_answers().map(Rows::into_owned)
     }
 }
 

@@ -72,8 +72,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     loop {
         let page = client.fetch(cursor, 2)?;
         pages += 1;
-        for answer in &page.answers {
-            println!("    ({})", answer.join(", "));
+        // A page arrives in one buffer; its answers are borrowed from it.
+        for answer in page.answers.iter() {
+            let values: Vec<&str> = answer.iter().collect();
+            println!("    ({})", values.join(", "));
         }
         if page.done {
             break;
