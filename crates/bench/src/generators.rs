@@ -4,6 +4,8 @@
 //!   scaled to arbitrary sizes, with configurable incompleteness (the fraction
 //!   of researchers without a listed office and of offices without a listed
 //!   building controls how many answers carry wildcards);
+//! * [`hub`] — join values of configurable degree (the fan), for the
+//!   degree axis of the chase's linearity (E2);
 //! * [`random_graph`] — Erdős–Rényi style graphs for the triangle reductions;
 //! * [`sparse_boolean_matrix`] — sparse Boolean matrices for the BMM
 //!   reductions;
@@ -90,6 +92,33 @@ pub fn university(config: &UniversityConfig) -> (OntologyMediatedQuery, Database
             if rng.gen_bool(config.building_ratio) {
                 let building = format!("building{}", rng.gen_range(0..config.buildings.max(1)));
                 db.add_named_fact("InBuilding", &[office.as_str(), building.as_str()])
+                    .expect("schema fits");
+            }
+        }
+    }
+    (omq, db)
+}
+
+/// Generates the `hub` OMQ and database: `hubs` join values `h{h}y`, each
+/// with `fan` facts `R(h{h}x{i}, h{h}y)` into it; even hubs also have `fan`
+/// facts `S(h{h}y, h{h}z{i})` out of it.  The database holds
+/// `hubs · fan · 3/2` facts, so trading hubs for fan keeps `‖D‖` fixed while
+/// the degree of every hub value grows.  `hubs` must be even.
+pub fn hub(hubs: usize, fan: usize) -> (OntologyMediatedQuery, Database) {
+    assert!(hubs.is_multiple_of(2), "hubs must be even");
+    let omq = OntologyMediatedQuery::new(
+        Ontology::parse("R(x, y) -> exists z. S(y, z)").expect("static ontology parses"),
+        ConjunctiveQuery::parse("q(x, y, z) :- R(x, y), S(y, z)").expect("static query parses"),
+    )
+    .expect("static OMQ is well-formed");
+    let mut db = Database::new(omq.data_schema().clone());
+    for h in 0..hubs {
+        let y = format!("h{h}y");
+        for i in 0..fan {
+            db.add_named_fact("R", &[format!("h{h}x{i}").as_str(), y.as_str()])
+                .expect("schema fits");
+            if h % 2 == 0 {
+                db.add_named_fact("S", &[y.as_str(), format!("h{h}z{i}").as_str()])
                     .expect("schema fits");
             }
         }
@@ -264,6 +293,15 @@ mod tests {
             ..Default::default()
         });
         assert!(complete.1.len() > incomplete.1.len());
+    }
+
+    #[test]
+    fn hub_keeps_its_size_as_the_fan_grows() {
+        for (hubs, fan) in [(40, 32), (10, 128), (2, 640)] {
+            let (omq, db) = hub(hubs, fan);
+            assert_eq!(db.len(), 1920);
+            assert_eq!(omq.data_schema().len(), 2);
+        }
     }
 
     #[test]

@@ -28,18 +28,37 @@
 //! is what makes the construction linear in `‖D‖`: the number of bag types
 //! depends only on the ontology, not on the data (experiment E2 validates the
 //! linearity empirically, experiment E11 ablates the memoisation).
+//!
+//! **Typing a bag costs O(1) in data complexity.**  Before each pass, one
+//! linear pass over the new facts groups them by their sorted, deduplicated
+//! value set (`ValueSetIndex`); the groups, in first-occurrence order, are
+//! exactly the guarded sets the pass visits.  The facts of `D|_S` are the
+//! groups of the subsets of `S`, and the typer takes the cheaper of two exact
+//! ways to collect them, chosen from `|S|` and the value degrees alone:
+//! `2^|S| − 1` lookups of the nonempty subsets, or reading the
+//! `Σ_{v∈S} deg(v)` facts that mention a value of `S`.  A bag therefore
+//! costs `min(2^|S| − 1, Σ deg)` probes: bounded by the largest arity
+//! whatever the data, and never more than the degree scan.  The degree scan
+//! alone made the chase quadratic around a hub: the `deg(h)` guarded sets
+//! through a value `h` each read all `deg(h)` facts of `h`, `Σ deg(v)²`
+//! reads per pass.
+//! [`QueryDirectedChase::bag_probes`] counts the probes, so the bound is
+//! asserted in counts (`tests/paper_examples.rs`).
 
 use crate::arena::FactArena;
 use crate::chase::{chase_in, ChaseConfig};
 use crate::omq::OntologyMediatedQuery;
 use crate::Result;
 use omq_data::{Database, NullId, RelId, Value};
-use rustc_hash::{FxHashMap, FxHashSet};
-use std::collections::hash_map::Entry;
+use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, RwLock};
 
 /// Fact budget for each individual bag chase (saturation and grafting).
 const MAX_BAG_FACTS: usize = 100_000;
+
+/// "No group" in [`ValueSetIndex`]'s hash chains.
+const NO_GROUP: u32 = u32::MAX;
 
 /// Configuration of the query-directed chase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,15 +100,23 @@ pub struct QueryDirectedChase {
     pub saturation_rounds: usize,
     /// Number of bag-chase memoisation hits.
     pub memo_hits: usize,
+    /// Work spent typing bags, over every pass: value-set lookups plus facts
+    /// read off [`Database::facts_mentioning`].  A bag over `S` costs
+    /// `min(2^|S| − 1, Σ_{v∈S} deg v)`, so this count grows linearly in `|D|`
+    /// whatever the value degrees.
+    pub bag_probes: usize,
     /// `true` if saturation reached a fixpoint within the configured bound.
     pub saturation_converged: bool,
     /// The tree depth that was used for grafting.
     pub tree_depth: usize,
 }
 
-/// A canonical, data-independent signature of a bag: facts with constants
-/// replaced by their index in the (sorted) bag domain.
-type BagSignature = Vec<(RelId, Vec<usize>)>;
+/// A canonical, data-independent signature of a bag, flattened: for every
+/// fact of the bag in sorted order, its relation id followed by the index of
+/// each argument in the (sorted) bag domain.  The relation fixes the arity,
+/// so the flat form is as injective as the nested one, and a probe looks it
+/// up as a borrowed `&[u32]`.
+type BagSignature = Box<[u32]>;
 
 /// A grafted tree template: facts whose arguments are either an index into the
 /// bag domain or a local null identifier.
@@ -99,7 +126,14 @@ enum TemplateArg {
     LocalNull(usize),
 }
 
-type GraftTemplate = Vec<(RelId, Vec<TemplateArg>)>;
+/// The null trees a bag type grows.  Local nulls are numbered `0..nulls` in
+/// first-occurrence order, so one graft instantiates `LocalNull(n)` as the
+/// `n`-th of a block of `nulls` fresh nulls.
+#[derive(Debug, Clone, Default)]
+struct GraftTemplate {
+    facts: Vec<(RelId, Vec<TemplateArg>)>,
+    nulls: u32,
+}
 
 /// The memoised, data-independent state of a [`QchasePlan`]: the bag-type →
 /// derived-facts tables discovered so far, valid for every database whose
@@ -112,6 +146,242 @@ struct PlanMemo {
     fingerprint: Option<Vec<(String, usize)>>,
     ground: FxHashMap<BagSignature, Vec<(RelId, Vec<usize>)>>,
     graft: FxHashMap<BagSignature, GraftTemplate>,
+}
+
+/// The facts of a database grouped by their sorted, deduplicated value set,
+/// in first-occurrence order — the guarded sets a chase pass visits, and the
+/// lookup table that types their bags.  Grows with the database: a pass
+/// indexes only the facts appended since the last one.  Every buffer is
+/// reused across passes and, through the plan's buffer pool, across chases.
+#[derive(Debug, Default)]
+struct ValueSetIndex {
+    /// Facts `0..covered` of the database are indexed.
+    covered: usize,
+    /// Every group's value set, back to back: group `g` owns
+    /// `values[value_starts[g]..value_starts[g + 1]]`.
+    values: Vec<Value>,
+    value_starts: Vec<u32>,
+    /// Hash of a value set → the newest group with that hash; older groups
+    /// with the same hash follow `same_hash`.
+    heads: FxHashMap<u64, u32>,
+    same_hash: Vec<u32>,
+    /// The group of every indexed fact.
+    group_of: Vec<u32>,
+    /// Group `g`'s facts, ascending: `members[member_starts[g]..member_starts[g + 1]]`.
+    member_starts: Vec<u32>,
+    members: Vec<u32>,
+    /// Number of facts mentioning each value, by dense value code.
+    degree: Vec<u32>,
+    /// The group of the empty value set (the nullary facts), if any.
+    nullary: Option<u32>,
+    /// One fact's sorted values while it is being indexed.
+    sorted: Vec<Value>,
+}
+
+impl ValueSetIndex {
+    /// Forgets every group but keeps the buffers.
+    fn clear(&mut self) {
+        self.covered = 0;
+        self.values.clear();
+        self.value_starts.clear();
+        self.heads.clear();
+        self.same_hash.clear();
+        self.group_of.clear();
+        self.member_starts.clear();
+        self.members.clear();
+        self.degree.clear();
+        self.nullary = None;
+    }
+
+    /// Indexes the facts `db` gained since the last call: one pass over them,
+    /// then a counting sort of all facts by group.
+    fn extend(&mut self, db: &Database) {
+        if self.covered == db.len() {
+            return;
+        }
+        if self.value_starts.is_empty() {
+            self.value_starts.push(0);
+        }
+        self.degree.resize(db.adom().len(), 0);
+        let mut sorted = std::mem::take(&mut self.sorted);
+        for fact in &db.facts()[self.covered..] {
+            sorted.clear();
+            sorted.extend_from_slice(&fact.args);
+            sorted.sort_unstable();
+            sorted.dedup();
+            for &v in &sorted {
+                let code = db.value_code(v).expect("a fact's values have codes");
+                self.degree[code as usize] += 1;
+            }
+            let group = self.find_or_insert(&sorted);
+            self.group_of.push(group);
+        }
+        self.sorted = sorted;
+        self.covered = db.len();
+
+        let groups = self.groups();
+        self.member_starts.clear();
+        self.member_starts.resize(groups + 1, 0);
+        for &g in &self.group_of {
+            self.member_starts[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            self.member_starts[g + 1] += self.member_starts[g];
+        }
+        self.members.clear();
+        self.members.resize(self.group_of.len(), 0);
+        // Fill with `member_starts[g]` as group `g`'s cursor, which leaves
+        // it at the start of `g + 1`; shifting by one restores the starts.
+        for (idx, &g) in self.group_of.iter().enumerate() {
+            let slot = &mut self.member_starts[g as usize];
+            self.members[*slot as usize] = idx as u32;
+            *slot += 1;
+        }
+        for g in (1..=groups).rev() {
+            self.member_starts[g] = self.member_starts[g - 1];
+        }
+        self.member_starts[0] = 0;
+    }
+
+    fn hash(values: &[Value]) -> u64 {
+        let mut hasher = FxHasher::default();
+        values.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// The group of the value set `sorted`, if some fact has exactly it.
+    fn find(&self, sorted: &[Value]) -> Option<u32> {
+        let mut g = *self.heads.get(&Self::hash(sorted))?;
+        while g != NO_GROUP {
+            if self.value_set(g) == sorted {
+                return Some(g);
+            }
+            g = self.same_hash[g as usize];
+        }
+        None
+    }
+
+    fn find_or_insert(&mut self, sorted: &[Value]) -> u32 {
+        if let Some(g) = self.find(sorted) {
+            return g;
+        }
+        let g = u32::try_from(self.groups()).expect("value-set index overflow");
+        self.values.extend_from_slice(sorted);
+        self.value_starts
+            .push(u32::try_from(self.values.len()).expect("value-set index overflow"));
+        let older = self.heads.insert(Self::hash(sorted), g);
+        self.same_hash.push(older.unwrap_or(NO_GROUP));
+        if sorted.is_empty() {
+            self.nullary = Some(g);
+        }
+        g
+    }
+
+    /// Number of groups (distinct guarded sets, the empty one included).
+    fn groups(&self) -> usize {
+        self.same_hash.len()
+    }
+
+    /// The sorted value set of group `g`.
+    fn value_set(&self, g: u32) -> &[Value] {
+        let g = g as usize;
+        &self.values[self.value_starts[g] as usize..self.value_starts[g + 1] as usize]
+    }
+
+    /// The facts of group `g`, ascending.
+    fn members(&self, g: u32) -> &[u32] {
+        let g = g as usize;
+        &self.members[self.member_starts[g] as usize..self.member_starts[g + 1] as usize]
+    }
+
+    /// The nullary facts.
+    fn nullary_facts(&self) -> &[u32] {
+        self.nullary.map_or(&[], |g| self.members(g))
+    }
+
+    /// Number of facts mentioning `v`.
+    fn degree(&self, db: &Database, v: Value) -> usize {
+        let code = db.value_code(v).expect("a guarded set's values have codes");
+        self.degree[code as usize] as usize
+    }
+}
+
+/// Reused buffers for typing one bag: its facts and its signature.
+#[derive(Debug, Default)]
+struct BagTyper {
+    /// The facts of the bag `D|_S` that mention a value.
+    facts: Vec<u32>,
+    /// The bag's [`BagSignature`], built in place.
+    key: Vec<u32>,
+    /// One subset of `S` while it is being looked up.
+    subset: Vec<Value>,
+}
+
+impl BagTyper {
+    /// Collects the facts of `D|_S` for the guarded set `set` (sorted) into
+    /// `facts` and its signature into `key`, by the cheaper of the two exact
+    /// methods; returns the probes spent.
+    fn type_bag(&mut self, db: &Database, index: &ValueSetIndex, set: &[Value]) -> usize {
+        self.facts.clear();
+        let lookups = u32::try_from(set.len())
+            .ok()
+            .and_then(|n| 1usize.checked_shl(n))
+            .map_or(usize::MAX, |all| all - 1);
+        let reads: usize = set.iter().map(|&v| index.degree(db, v)).sum();
+        let probes = if lookups <= reads {
+            for mask in 1..=lookups {
+                self.subset.clear();
+                self.subset.extend(
+                    set.iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask >> i & 1 == 1)
+                        .map(|(_, &v)| v),
+                );
+                if let Some(g) = index.find(&self.subset) {
+                    self.facts.extend_from_slice(index.members(g));
+                }
+            }
+            lookups
+        } else {
+            // A fact over `S` is taken at its smallest value, so once.
+            for &v in set {
+                for &idx in db.facts_mentioning(v) {
+                    let args = &db.fact(idx).args;
+                    if args.iter().all(|a| set.binary_search(a).is_ok())
+                        && args.iter().min() == Some(&v)
+                    {
+                        self.facts.push(idx as u32);
+                    }
+                }
+            }
+            reads
+        };
+
+        let position = |v: &Value| set.binary_search(v).expect("bag value") as u32;
+        self.facts.sort_unstable_by(|&a, &b| {
+            let (a, b) = (db.fact(a as usize), db.fact(b as usize));
+            a.rel
+                .cmp(&b.rel)
+                .then_with(|| a.args.iter().map(position).cmp(b.args.iter().map(position)))
+        });
+        self.key.clear();
+        for &idx in &self.facts {
+            let fact = db.fact(idx as usize);
+            self.key.push(fact.rel.0);
+            self.key.extend(fact.args.iter().map(position));
+        }
+        probes
+    }
+}
+
+/// The per-execution buffers a [`QchasePlan`] pools: the round staging arena,
+/// the arena every bag chase runs in, the value-set index and the typer.
+#[derive(Debug, Default)]
+struct ChaseBuffers {
+    stage: FactArena,
+    bag_arena: FactArena,
+    index: ValueSetIndex,
+    typer: BagTyper,
 }
 
 /// A compiled, reusable query-directed chase for one OMQ.
@@ -138,11 +408,10 @@ pub struct QchasePlan {
     /// serialize; the write lock is taken only to set the fingerprint on the
     /// first run and to publish newly discovered bag types.
     memo: RwLock<PlanMemo>,
-    /// Recycled staging arenas: each [`QchasePlan::chase_many`] call checks
-    /// out a pair (round staging + bag chases), so the per-round and per-bag
-    /// staging buffers are allocated once per concurrent execution, not once
-    /// per chase.
-    arenas: Mutex<Vec<FactArena>>,
+    /// Recycled per-execution buffers: each [`QchasePlan::chase_many`] call
+    /// checks one set out, so the staging arenas and the value-set index are
+    /// allocated once per concurrent execution, not once per chase.
+    buffers: Mutex<Vec<ChaseBuffers>>,
 }
 
 impl QchasePlan {
@@ -166,26 +435,8 @@ impl QchasePlan {
             tree_depth,
             saturation_depth,
             memo: RwLock::new(PlanMemo::default()),
-            arenas: Mutex::new(Vec::new()),
+            buffers: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Checks a cleared arena out of the pool (or makes a fresh one).
-    fn acquire_arena(&self) -> FactArena {
-        self.arenas
-            .lock()
-            .expect("qchase arena pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns an arena to the pool for the next `chase_many` call.
-    fn release_arena(&self, mut arena: FactArena) {
-        arena.clear();
-        self.arenas
-            .lock()
-            .expect("qchase arena pool poisoned")
-            .push(arena);
     }
 
     /// The OMQ this plan chases for.
@@ -285,31 +536,24 @@ impl QchasePlan {
         };
         let snapshot_ground = local.ground.len();
         let snapshot_graft = local.graft.len();
-        // One pair of pooled staging arenas serves the whole batch: `stage`
-        // buffers each saturation round / graft batch, `bag_arena` is threaded
-        // through every bag chase.
-        let mut stage = self.acquire_arena();
-        let mut bag_arena = self.acquire_arena();
-        let mut out = Vec::with_capacity(parts.len());
-        for part in parts {
-            let chased = self.chase_prepared(
-                part,
-                &mut local.ground,
-                &mut local.graft,
-                &mut stage,
-                &mut bag_arena,
-            );
-            match chased {
-                Ok(chased) => out.push(chased),
-                Err(e) => {
-                    self.release_arena(stage);
-                    self.release_arena(bag_arena);
-                    return Err(e);
-                }
-            }
-        }
-        self.release_arena(stage);
-        self.release_arena(bag_arena);
+        // One pooled set of buffers serves the whole batch.
+        let mut buffers = self
+            .buffers
+            .lock()
+            .expect("qchase buffer pool poisoned")
+            .pop()
+            .unwrap_or_default();
+        let chased: Result<Vec<QueryDirectedChase>> = parts
+            .into_iter()
+            .map(|part| self.chase_prepared(part, &mut local, &mut buffers))
+            .collect();
+        buffers.stage.clear();
+        buffers.bag_arena.clear();
+        self.buffers
+            .lock()
+            .expect("qchase buffer pool poisoned")
+            .push(buffers);
+        let out = chased?;
         // Publish only on a miss: a fully warm batch leaves the tables at
         // their snapshot size and never upgrades to the write lock.
         if shareable && (local.ground.len() > snapshot_ground || local.graft.len() > snapshot_graft)
@@ -330,16 +574,22 @@ impl QchasePlan {
     fn chase_prepared(
         &self,
         mut result: Database,
-        ground_memo: &mut FxHashMap<BagSignature, Vec<(RelId, Vec<usize>)>>,
-        graft_memo: &mut FxHashMap<BagSignature, GraftTemplate>,
-        stage: &mut FactArena,
-        bag_arena: &mut FactArena,
+        memo: &mut PlanMemo,
+        buffers: &mut ChaseBuffers,
     ) -> Result<QueryDirectedChase> {
         let ontology = self.omq.ontology();
-        let config = &self.config;
+        let memoize = self.config.memoize;
         let original_adom: FxHashSet<Value> = result.adom().iter().copied().collect();
+        let ChaseBuffers {
+            stage,
+            bag_arena,
+            index,
+            typer,
+        } = buffers;
+        index.clear();
 
         let mut memo_hits = 0usize;
+        let mut bag_probes = 0usize;
 
         // -------- Phase 1: guarded saturation of the database part. --------
         let mut saturation_rounds = 0usize;
@@ -348,44 +598,42 @@ impl QchasePlan {
             max_depth: self.saturation_depth,
             max_facts: MAX_BAG_FACTS,
         };
-        let mut scratch: Vec<Value> = Vec::new();
-        while saturation_rounds < config.max_saturation_rounds {
+        let mut values: Vec<Value> = Vec::new();
+        while saturation_rounds < self.config.max_saturation_rounds {
             saturation_rounds += 1;
             stage.clear();
-            let mut seen_bags: FxHashSet<Vec<Value>> = FxHashSet::default();
-            let fact_count = result.len();
-            for idx in 0..fact_count {
-                let guard_values = sorted_values(&result.fact(idx).args);
-                if !seen_bags.insert(guard_values.clone()) {
-                    continue;
-                }
-                let (signature, ordering) = bag_signature(&result, &guard_values);
-                let derived_cold;
-                let derived: &[(RelId, Vec<usize>)] = if config.memoize {
-                    match ground_memo.entry(signature) {
-                        Entry::Occupied(cached) => {
-                            memo_hits += 1;
-                            cached.into_mut()
-                        }
-                        Entry::Vacant(slot) => slot.insert(derive_ground(
+            index.extend(&result);
+            for g in 0..index.groups() as u32 {
+                let ordering = index.value_set(g);
+                bag_probes += typer.type_bag(&result, index, ordering);
+                let cached = memo.ground.get(typer.key.as_slice());
+                let mut miss = None;
+                let derived = match cached {
+                    Some(derived) => {
+                        memo_hits += 1;
+                        derived
+                    }
+                    None => {
+                        let bag = bag_database(&result, &typer.facts, index.nullary_facts())?;
+                        miss.insert(derive_ground(
                             &result,
-                            &ordering,
+                            &bag,
+                            ordering,
                             ontology,
                             &saturation_config,
                             bag_arena,
-                        )?),
+                        )?)
                     }
-                } else {
-                    derived_cold =
-                        derive_ground(&result, &ordering, ontology, &saturation_config, bag_arena)?;
-                    &derived_cold
                 };
-                for (rel, positions) in derived {
-                    scratch.clear();
-                    scratch.extend(positions.iter().map(|&i| ordering[i]));
-                    if !result.contains_fact_ref(*rel, &scratch) {
-                        stage.push_fact(*rel, &scratch);
+                for (rel, positions) in derived.iter() {
+                    values.clear();
+                    values.extend(positions.iter().map(|&i| ordering[i]));
+                    if !result.contains_fact_ref(*rel, &values) {
+                        stage.push_fact(*rel, &values);
                     }
+                }
+                if let Some(derived) = miss.filter(|_| memoize) {
+                    memo.ground.insert(typer.key.as_slice().into(), derived);
                 }
             }
             if stage.is_empty() {
@@ -402,52 +650,49 @@ impl QchasePlan {
             max_depth: self.tree_depth,
             max_facts: MAX_BAG_FACTS,
         };
-        let mut grafted_sets: FxHashSet<Vec<Value>> = FxHashSet::default();
         let mut grafts = 0usize;
-        let fact_count = result.len();
         stage.clear();
-        for idx in 0..fact_count {
-            let guard_values = sorted_values(&result.fact(idx).args);
-            if !grafted_sets.insert(guard_values.clone()) {
-                continue;
-            }
-            let (signature, ordering) = bag_signature(&result, &guard_values);
-            let template_cold;
-            let template: &GraftTemplate = if config.memoize {
-                match graft_memo.entry(signature) {
-                    Entry::Occupied(cached) => {
-                        memo_hits += 1;
-                        cached.into_mut()
-                    }
-                    Entry::Vacant(slot) => slot.insert(derive_template(
+        index.extend(&result);
+        for g in 0..index.groups() as u32 {
+            let ordering = index.value_set(g);
+            bag_probes += typer.type_bag(&result, index, ordering);
+            let cached = memo.graft.get(typer.key.as_slice());
+            let mut miss = None;
+            let template = match cached {
+                Some(template) => {
+                    memo_hits += 1;
+                    template
+                }
+                None => {
+                    let bag = bag_database(&result, &typer.facts, index.nullary_facts())?;
+                    miss.insert(derive_template(
                         &result,
-                        &ordering,
+                        &bag,
+                        ordering,
                         ontology,
                         &graft_config,
                         bag_arena,
-                    )?),
+                    )?)
                 }
-            } else {
-                template_cold =
-                    derive_template(&result, &ordering, ontology, &graft_config, bag_arena)?;
-                &template_cold
             };
-            if template.is_empty() {
-                continue;
+            if !template.facts.is_empty() {
+                grafts += 1;
+                // One block of fresh nulls: local null `n` is `base + n`.
+                let base = result.null_counter();
+                if template.nulls > 0 {
+                    result.reserve_null(NullId(base + template.nulls - 1));
+                }
+                for (rel, args) in &template.facts {
+                    values.clear();
+                    values.extend(args.iter().map(|a| match a {
+                        TemplateArg::BagConst(i) => ordering[*i],
+                        TemplateArg::LocalNull(n) => Value::Null(NullId(base + *n as u32)),
+                    }));
+                    stage.push_fact(*rel, &values);
+                }
             }
-            grafts += 1;
-            // Instantiate the template with fresh nulls.
-            let mut null_map: FxHashMap<usize, NullId> = FxHashMap::default();
-            for (rel, args) in template {
-                scratch.clear();
-                scratch.extend(args.iter().map(|a| match a {
-                    TemplateArg::BagConst(i) => ordering[*i],
-                    TemplateArg::LocalNull(n) => {
-                        let id = *null_map.entry(*n).or_insert_with(|| result.fresh_null());
-                        Value::Null(id)
-                    }
-                }));
-                stage.push_fact(*rel, &scratch);
+            if let Some(template) = miss.filter(|_| memoize) {
+                memo.graft.insert(typer.key.as_slice().into(), template);
             }
         }
         stage.flush_into(&mut result)?;
@@ -458,6 +703,7 @@ impl QchasePlan {
             grafts,
             saturation_rounds,
             memo_hits,
+            bag_probes,
             saturation_converged,
             tree_depth: self.tree_depth,
         })
@@ -478,61 +724,43 @@ pub fn query_directed_chase(
     QchasePlan::new(omq, config)?.chase(db)
 }
 
-fn sorted_values(args: &[Value]) -> Vec<Value> {
-    let mut values: Vec<Value> = args.to_vec();
-    values.sort();
-    values.dedup();
-    values
+/// The bag `D|_S` as a database of its own: the facts the typer collected
+/// plus the nullary ones, added in database order (the order its chase fires
+/// in).
+fn bag_database(db: &Database, facts: &[u32], nullary: &[u32]) -> Result<Database> {
+    let mut ordered = [facts, nullary].concat();
+    ordered.sort_unstable();
+    let mut bag = db.derived_empty();
+    for idx in ordered {
+        let fact = db.fact(idx as usize);
+        bag.add_fact_ref(fact.rel, &fact.args)?;
+    }
+    Ok(bag)
 }
 
-/// Computes the canonical signature of the bag over `values` together with the
-/// ordering of the bag domain used by the signature.
-fn bag_signature(db: &Database, values: &[Value]) -> (BagSignature, Vec<Value>) {
-    let ordering: Vec<Value> = values.to_vec();
-    let index: FxHashMap<Value, usize> =
-        ordering.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let keep: FxHashSet<Value> = ordering.iter().copied().collect();
-    let mut signature: BagSignature = Vec::new();
-    // Collect the facts over the bag domain via the value index of the
-    // database (linear in the number of such facts).
-    let mut fact_indices: FxHashSet<usize> = FxHashSet::default();
-    for v in &ordering {
-        for &idx in db.facts_mentioning(*v) {
-            fact_indices.insert(idx);
-        }
-    }
-    for idx in fact_indices {
-        let fact = db.fact(idx);
-        if fact.args.iter().all(|a| keep.contains(a)) {
-            signature.push((fact.rel, fact.args.iter().map(|a| index[a]).collect()));
-        }
-    }
-    signature.sort();
-    (signature, ordering)
-}
-
-/// Chases the bag over `ordering` and returns the derived ground facts as
-/// positional patterns.
+/// Chases `bag`, the bag over `ordering`, and returns the derived ground
+/// facts as positional patterns.
 fn derive_ground(
     db: &Database,
+    bag: &Database,
     ordering: &[Value],
     ontology: &crate::ontology::Ontology,
     config: &ChaseConfig,
     arena: &mut FactArena,
 ) -> Result<Vec<(RelId, Vec<usize>)>> {
-    let keep: FxHashSet<Value> = ordering.iter().copied().collect();
-    let bag = db.restrict_to(&keep);
-    let chased = chase_in(&bag, ontology, config, arena)?;
-    let index: FxHashMap<Value, usize> =
-        ordering.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let chased = chase_in(bag, ontology, config, arena)?;
     let mut out = Vec::new();
     for fact in chased.database.facts() {
-        if fact.is_ground() && fact.args.iter().all(|a| index.contains_key(a)) {
-            // The relation ids of the bag coincide with those of `db` because
-            // `restrict_to` clones the schema and `chase` only appends new
-            // relations after the existing ones.
-            let positions: Vec<usize> = fact.args.iter().map(|a| index[a]).collect();
-            if !bag.contains_fact(fact) {
+        let positions: Option<Vec<usize>> = fact
+            .args
+            .iter()
+            .map(|a| ordering.binary_search(a).ok())
+            .collect();
+        // The relation ids of the bag coincide with those of `db` because
+        // the bag clones its schema and `chase` only appends new relations
+        // after the existing ones.
+        if let Some(positions) = positions {
+            if fact.is_ground() && !bag.contains_fact(fact) {
                 out.push((remap_rel(&chased.database, db, fact.rel), positions));
             }
         }
@@ -542,22 +770,19 @@ fn derive_ground(
     Ok(out)
 }
 
-/// Chases the bag over `ordering` and returns the facts containing nulls as a
-/// graft template.
+/// Chases `bag`, the bag over `ordering`, and returns the facts containing
+/// nulls as a graft template.
 fn derive_template(
     db: &Database,
+    bag: &Database,
     ordering: &[Value],
     ontology: &crate::ontology::Ontology,
     config: &ChaseConfig,
     arena: &mut FactArena,
 ) -> Result<GraftTemplate> {
-    let keep: FxHashSet<Value> = ordering.iter().copied().collect();
-    let bag = db.restrict_to(&keep);
-    let chased = chase_in(&bag, ontology, config, arena)?;
-    let index: FxHashMap<Value, usize> =
-        ordering.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    let chased = chase_in(bag, ontology, config, arena)?;
     let mut null_ids: FxHashMap<NullId, usize> = FxHashMap::default();
-    let mut out: GraftTemplate = Vec::new();
+    let mut facts = Vec::new();
     for fact in chased.database.facts() {
         if !fact.has_null() {
             continue;
@@ -566,16 +791,21 @@ fn derive_template(
             .args
             .iter()
             .map(|a| match a {
-                Value::Const(_) => TemplateArg::BagConst(index[a]),
+                Value::Const(_) => {
+                    TemplateArg::BagConst(ordering.binary_search(a).expect("a bag constant"))
+                }
                 Value::Null(n) => {
                     let next = null_ids.len();
                     TemplateArg::LocalNull(*null_ids.entry(*n).or_insert(next))
                 }
             })
             .collect();
-        out.push((remap_rel(&chased.database, db, fact.rel), args));
+        facts.push((remap_rel(&chased.database, db, fact.rel), args));
     }
-    Ok(out)
+    Ok(GraftTemplate {
+        facts,
+        nulls: null_ids.len() as u32,
+    })
 }
 
 /// Maps a relation id of the chased bag back to the corresponding id in `db`
@@ -885,6 +1115,105 @@ mod tests {
             }
         });
         assert!(plan.memoized_bag_types() > 0);
+    }
+
+    /// Every group's facts, brute force: the facts whose distinct values
+    /// are exactly the group's value set.
+    fn facts_with_value_set(db: &Database, set: &[Value]) -> Vec<u32> {
+        (0..db.len() as u32)
+            .filter(|&i| {
+                let mut values = db.fact(i as usize).args.clone();
+                values.sort_unstable();
+                values.dedup();
+                values == set
+            })
+            .collect()
+    }
+
+    #[test]
+    fn value_set_index_groups_facts_in_first_occurrence_order() {
+        let mut db = office_db();
+        let mut index = ValueSetIndex::default();
+        index.extend(&db);
+        // Researcher(mary), Researcher(john), Researcher(mike), then the
+        // three binary facts: six distinct value sets.
+        assert_eq!(index.groups(), 6);
+        let mary = Value::Const(db.const_id("mary").unwrap());
+        assert_eq!(index.value_set(0), &[mary]);
+        assert_eq!(index.degree(&db, mary), 2);
+        // A new fact over an old value set joins its group; a nullary fact
+        // opens the empty one.
+        db.add_relation("Flag", 0).unwrap();
+        db.add_named_fact("HasOffice", &["mary", "mary"]).unwrap();
+        db.add_named_fact::<&str>("Flag", &[]).unwrap();
+        index.extend(&db);
+        assert_eq!(index.groups(), 7);
+        assert_eq!(index.members(0), &[0, 6]);
+        assert_eq!(index.degree(&db, mary), 3);
+        assert_eq!(index.nullary_facts(), &[7]);
+        for g in 0..index.groups() as u32 {
+            assert_eq!(index.find(index.value_set(g)), Some(g));
+            assert_eq!(
+                index.members(g),
+                facts_with_value_set(&db, index.value_set(g))
+            );
+        }
+        assert_eq!(
+            index.find(&[mary, Value::Const(db.const_id("main1").unwrap())]),
+            None
+        );
+    }
+
+    #[test]
+    fn bag_typing_takes_the_cheaper_exact_method() {
+        // `hub` carries facts R(x_i, hub) for eight x_i and S(hub, z): its
+        // guarded sets {x_i, hub} are typed by three subset lookups, the
+        // isolated pair {a, b} by reading its two facts.
+        let mut s = Schema::new();
+        s.add_relation("R", 2).unwrap();
+        s.add_relation("S", 2).unwrap();
+        s.add_relation("U", 1).unwrap();
+        let mut db = Database::new(s);
+        for i in 0..8 {
+            db.add_named_fact("R", &[format!("x{i}").as_str(), "hub"])
+                .unwrap();
+        }
+        db.add_named_fact("S", &["hub", "z"]).unwrap();
+        db.add_named_fact("U", &["hub"]).unwrap();
+        db.add_named_fact("R", &["a", "b"]).unwrap();
+        let mut index = ValueSetIndex::default();
+        index.extend(&db);
+        let mut typer = BagTyper::default();
+        for g in 0..index.groups() as u32 {
+            let set = index.value_set(g);
+            let probes = typer.type_bag(&db, &index, set);
+            let degrees: usize = set.iter().map(|&v| db.facts_mentioning(v).len()).sum();
+            assert_eq!(probes, ((1usize << set.len()) - 1).min(degrees));
+            // Either way the bag is exactly the facts over `set`.
+            let mut collected = typer.facts.clone();
+            collected.sort_unstable();
+            let expected: Vec<u32> = (0..db.len() as u32)
+                .filter(|&i| db.fact(i as usize).args.iter().all(|a| set.contains(a)))
+                .collect();
+            assert_eq!(collected, expected);
+        }
+        let hub = Value::Const(db.const_id("hub").unwrap());
+        let x0 = Value::Const(db.const_id("x0").unwrap());
+        let mut set = vec![x0, hub];
+        set.sort_unstable();
+        assert_eq!(typer.type_bag(&db, &index, &set), 3);
+        // R(x0, hub) and U(hub), sorted by relation: R = 0, U = 2.
+        let (x0_at, hub_at) = (
+            set.binary_search(&x0).unwrap() as u32,
+            set.binary_search(&hub).unwrap() as u32,
+        );
+        assert_eq!(typer.key, [0, x0_at, hub_at, 2, hub_at]);
+        let a = Value::Const(db.const_id("a").unwrap());
+        let b = Value::Const(db.const_id("b").unwrap());
+        let mut pair = vec![a, b];
+        pair.sort_unstable();
+        assert_eq!(typer.type_bag(&db, &index, &pair), 2);
+        assert_eq!(typer.facts.len(), 1);
     }
 
     #[test]

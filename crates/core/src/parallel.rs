@@ -97,7 +97,7 @@ pub(crate) fn available_workers(pieces: usize) -> usize {
 /// Chases the packs `parts` of one database on `min(parts, workers)` workers
 /// and returns the chases in pack order.  The packs are cut into contiguous
 /// runs balanced by fact count, one [`QchasePlan::chase_many`] per run — one
-/// memo snapshot, one arena pair and at most one publish per worker — so one
+/// memo snapshot, one buffer set and at most one publish per worker — so one
 /// worker is one `chase_many` over all packs on the calling thread.
 pub(crate) fn chase_packs(
     chase: &QchasePlan,

@@ -55,6 +55,9 @@ pub struct PreprocessStats {
     pub grafts: usize,
     /// Bag-memoisation hits during the chase.
     pub memo_hits: usize,
+    /// Work the chase spent typing bags (value-set lookups and facts read,
+    /// see `QueryDirectedChase::bag_probes`): linear in `|D|` at any degree.
+    pub bag_probes: usize,
     /// Number of shards the execution ran over (1 for sequential).  Every
     /// shard is a union of whole Gaifman components.
     pub shards: usize,
@@ -258,6 +261,7 @@ impl QueryPlan {
             stats.chased_facts += part.database.len();
             stats.grafts += part.grafts;
             stats.memo_hits += part.memo_hits;
+            stats.bag_probes += part.bag_probes;
             shards.push(Arc::new(Shard::new(part.database)));
         }
         for shard in reused {

@@ -7,7 +7,7 @@ use crate::interner::Interner;
 use crate::schema::{RelId, Schema};
 use crate::value::{ConstId, NullId, Value};
 use crate::Result;
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
@@ -596,19 +596,6 @@ impl Database {
         self.adom.iter().any(|v| v.is_null())
     }
 
-    /// Restriction `D|_S`: the facts that mention only values from `keep`.
-    pub fn restrict_to(&self, keep: &FxHashSet<Value>) -> Database {
-        let mut out = Database::new(self.schema.clone());
-        out.consts = self.consts.clone();
-        out.next_null = self.next_null;
-        for fact in &self.facts {
-            if fact.args.iter().all(|v| keep.contains(v)) {
-                out.add_fact(fact.clone()).expect("schema preserved");
-            }
-        }
-        out
-    }
-
     /// Returns `true` iff `values` is a *guarded set*: some fact mentions all
     /// of them.
     pub fn is_guarded_set(&self, values: &[Value]) -> bool {
@@ -1002,16 +989,6 @@ mod tests {
             ],
         );
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn restrict_to_subset() {
-        let db = office_db();
-        let mary = Value::Const(db.const_id("mary").unwrap());
-        let room1 = Value::Const(db.const_id("room1").unwrap());
-        let keep: FxHashSet<Value> = [mary, room1].into_iter().collect();
-        let restricted = db.restrict_to(&keep);
-        assert_eq!(restricted.len(), 2); // Researcher(mary), HasOffice(mary,room1)
     }
 
     #[test]

@@ -337,8 +337,9 @@ fn lemma_3_2_query_directed_chase_preserves_answers() {
 
 /// Proposition 3.3: the query-directed chase is linear in `|D|` — checked in
 /// counts, not on a clock.  One compiled plan over `university` at n, 2n and
-/// 4n researchers: the chase output and the grafted null trees grow in
-/// proportion to the input, and the memoised bag types stop growing after the
+/// 4n researchers: the chase output, the grafted null trees and the work of
+/// typing bags grow in proportion to the input, and the memoised bag types
+/// stop growing after the
 /// first database, because they depend on the ontology and the query alone —
 /// which is why the chase is linear.
 #[test]
@@ -367,6 +368,7 @@ fn proposition_3_3_chase_output_is_linear_in_counts() {
         for (name, now, then) in [
             ("chased_facts", stats.chased_facts, base.chased_facts),
             ("grafts", stats.grafts, base.grafts),
+            ("bag_probes", stats.bag_probes, base.bag_probes),
         ] {
             let ratio = now as f64 / (then as f64 * growth);
             assert!(
@@ -375,4 +377,70 @@ fn proposition_3_3_chase_output_is_linear_in_counts() {
             );
         }
     }
+}
+
+/// Proposition 3.3 along the degree axis: at a fixed `‖D‖` of 1 920 facts,
+/// `hub` data whose join values have degree 32, 128 and 640 cost the chase
+/// the same bag-typing work per input fact.  Scanning every fact of every
+/// value of a guarded set instead grows with the degree (Σ deg² per pass).
+#[test]
+fn proposition_3_3_bag_typing_does_not_grow_with_the_degree() {
+    use omq_bench::generators::hub;
+
+    let mut per_fact = Vec::new();
+    for (hubs, fan) in [(40, 32), (10, 128), (2, 640)] {
+        let (omq, db) = hub(hubs, fan);
+        let stats = *prepare(&omq, &db).stats();
+        assert_eq!(stats.input_facts, 1_920);
+        assert!(stats.bag_probes > 0);
+        per_fact.push((fan, stats.bag_probes as f64 / stats.input_facts as f64));
+    }
+    let (_, base) = per_fact[0];
+    for &(fan, now) in &per_fact[1..] {
+        let ratio = now / base;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "fan {fan}: {now:.2} bag probes per fact against {base:.2} at fan 32 ({ratio:.3}×)"
+        );
+    }
+}
+
+/// A wide fact never costs more to type than reading the facts of its
+/// values: a guarded set of 48 values has 2^48 − 1 nonempty subsets, so its
+/// bag is collected from the facts mentioning its values, as before.
+#[test]
+fn wide_guarded_sets_cost_at_most_their_degree_scan() {
+    let vars: Vec<String> = (0..48).map(|i| format!("x{i}")).collect();
+    let ontology =
+        Ontology::parse(&format!("W({}) -> exists y. A(x0, y)", vars.join(", "))).unwrap();
+    let query = ConjunctiveQuery::parse("q(x, y) :- A(x, y)").unwrap();
+    let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
+    let mut db = Database::new(omq.data_schema().clone());
+    for f in 0..300 {
+        let args: Vec<String> = (0..48).map(|i| format!("f{f}v{i}")).collect();
+        db.add_named_fact("W", &args).unwrap();
+    }
+    // What one pass reads when it scans `facts_mentioning` for every value
+    // of every guarded set.
+    let scan: usize = db
+        .facts()
+        .iter()
+        .map(|fact| {
+            fact.distinct_values()
+                .into_iter()
+                .map(|v| db.facts_mentioning(v).len())
+                .sum::<usize>()
+        })
+        .sum();
+    assert_eq!(scan, 300 * 48);
+    let chased = query_directed_chase(&db, &omq, &QchaseConfig::default()).unwrap();
+    // Saturation derives no ground fact, so both passes see the input.
+    assert_eq!(chased.saturation_rounds, 1);
+    assert_eq!(chased.grafts, 300);
+    assert!(
+        chased.bag_probes <= 2 * scan,
+        "{} bag probes against {} for two scanning passes",
+        chased.bag_probes,
+        2 * scan
+    );
 }
