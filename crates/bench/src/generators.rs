@@ -6,6 +6,8 @@
 //!   building controls how many answers carry wildcards);
 //! * [`hub`] — join values of configurable degree (the fan), for the
 //!   degree axis of the chase's linearity (E2);
+//! * [`chain`] — a derivation one saturation round deeper per fact, for the
+//!   depth axis (E2);
 //! * [`random_graph`] — Erdős–Rényi style graphs for the triangle reductions;
 //! * [`sparse_boolean_matrix`] — sparse Boolean matrices for the BMM
 //!   reductions;
@@ -122,6 +124,25 @@ pub fn hub(hubs: usize, fan: usize) -> (OntologyMediatedQuery, Database) {
                     .expect("schema fits");
             }
         }
+    }
+    (omq, db)
+}
+
+/// Generates the `chain` OMQ and database: the one-rule ontology
+/// `A(x), R(x, y) -> A(y)` (EL's `∃R⁻.A ⊑ A`) with `q(x) :- A(x)`, over
+/// `A(a0)` and the chain `R(a0, a1), …, R(a{n-1}, an)`.  The answer `ai` is
+/// derived `i` saturation rounds deep, and there are `n + 1` answers.
+pub fn chain(n: usize) -> (OntologyMediatedQuery, Database) {
+    let omq = OntologyMediatedQuery::new(
+        Ontology::parse("A(x), R(x, y) -> A(y)").expect("static ontology parses"),
+        ConjunctiveQuery::parse("q(x) :- A(x)").expect("static query parses"),
+    )
+    .expect("static OMQ is well-formed");
+    let mut db = Database::new(omq.data_schema().clone());
+    db.add_named_fact("A", &["a0"]).expect("schema fits");
+    for i in 0..n {
+        db.add_named_fact("R", &[format!("a{i}"), format!("a{}", i + 1)])
+            .expect("schema fits");
     }
     (omq, db)
 }

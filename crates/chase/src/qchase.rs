@@ -29,36 +29,42 @@
 //! depends only on the ontology, not on the data (experiment E2 validates the
 //! linearity empirically, experiment E11 ablates the memoisation).
 //!
-//! **Typing a bag costs O(1) in data complexity.**  Before each pass, one
-//! linear pass over the new facts groups them by their sorted, deduplicated
-//! value set (`ValueSetIndex`); the groups, in first-occurrence order, are
-//! exactly the guarded sets the pass visits.  The facts of `D|_S` are the
-//! groups of the subsets of `S`, and the typer takes the cheaper of two exact
-//! ways to collect them, chosen from `|S|` and the value degrees alone:
-//! `2^|S| − 1` lookups of the nonempty subsets, or reading the
-//! `Σ_{v∈S} deg(v)` facts that mention a value of `S`.  A bag therefore
-//! costs `min(2^|S| − 1, Σ deg)` probes: bounded by the largest arity
-//! whatever the data, and never more than the degree scan.  The degree scan
-//! alone made the chase quadratic around a hub: the `deg(h)` guarded sets
-//! through a value `h` each read all `deg(h)` facts of `h`, `Σ deg(v)²`
-//! reads per pass.
-//! [`QueryDirectedChase::bag_probes`] counts the probes, so the bound is
-//! asserted in counts (`tests/paper_examples.rs`).
+//! **Typing a bag costs O(1) in data complexity.**  `ValueSetIndex` keeps
+//! the facts grouped by their sorted, deduplicated value set, in
+//! first-occurrence order: the guarded sets a pass visits.  The facts of
+//! `D|_S` are the groups of the subsets of `S`, collected the cheaper of two
+//! exact ways, chosen from `|S|` and the value degrees alone: `2^|S| − 1`
+//! subset lookups, or reading the groups of each value of `S` (at most
+//! `Σ_{v∈S} deg(v)`).  [`QueryDirectedChase::bag_probes`] counts the probes,
+//! so the bound is asserted in counts (`tests/paper_examples.rs`).
+//!
+//! **Saturation rounds are semi-naive.**  The first types every group; a
+//! later one types, ascending, only the groups whose bag the last round
+//! changed: those whose value set contains the value set `T` of a fact it
+//! added (found among the groups of `T`'s lowest-degree value; a new group
+//! contains its own), or all of them after a new nullary fact, which is in
+//! every bag.  A clean group's bag is one an earlier round typed and whose
+//! derivations that round added, so the rounds stage exactly what full
+//! passes would.  Every round but the last adds a ground fact over an input
+//! guarded set, of which there are finitely many: the rounds end by
+//! construction.  A round costs O(facts added + groups re-typed × their
+//! probe bound); no round reads the whole fact table, so a chain n rounds
+//! deep costs O(n).
 
 use crate::arena::FactArena;
 use crate::chase::{chase_in, ChaseConfig};
 use crate::omq::OntologyMediatedQuery;
 use crate::Result;
 use omq_data::{Database, NullId, RelId, Value};
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
+use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, RwLock};
 
 /// Fact budget for each individual bag chase (saturation and grafting).
 const MAX_BAG_FACTS: usize = 100_000;
 
-/// "No group" in [`ValueSetIndex`]'s hash chains.
-const NO_GROUP: u32 = u32::MAX;
+/// "No group" in [`ValueSetIndex`]'s hash chains, "no node" in [`AppendLists`].
+const NONE: u32 = u32::MAX;
 
 /// Configuration of the query-directed chase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +74,6 @@ pub struct QchaseConfig {
     /// Depth of the bag chase used during saturation.  `None` uses
     /// `max(tree_depth, 4)`.
     pub saturation_depth: Option<usize>,
-    /// Upper bound on the number of saturation rounds (safety valve).
-    pub max_saturation_rounds: usize,
     /// Memoise bag chases by bag type (the linear-time trick).  Disable only
     /// for ablation experiments.
     pub memoize: bool,
@@ -80,7 +84,6 @@ impl Default for QchaseConfig {
         QchaseConfig {
             tree_depth: None,
             saturation_depth: None,
-            max_saturation_rounds: 16,
             memoize: true,
         }
     }
@@ -92,21 +95,18 @@ pub struct QueryDirectedChase {
     /// The constructed instance `ch^q_O(D)`; it contains the original database
     /// facts, the derived ground facts and the grafted null trees.
     pub database: Database,
-    /// The active domain of the *original* database.
-    pub original_adom: FxHashSet<Value>,
     /// Number of grafted trees.
     pub grafts: usize,
     /// Number of saturation rounds executed.
     pub saturation_rounds: usize,
     /// Number of bag-chase memoisation hits.
     pub memo_hits: usize,
-    /// Work spent typing bags, over every pass: value-set lookups plus facts
-    /// read off [`Database::facts_mentioning`].  A bag over `S` costs
-    /// `min(2^|S| − 1, Σ_{v∈S} deg v)`, so this count grows linearly in `|D|`
-    /// whatever the value degrees.
+    /// Work spent typing bags, over every pass: value-set lookups, or the
+    /// degrees of the values whose groups a scan reads.  A bag over `S` costs
+    /// `min(2^|S| − 1, Σ_{v∈S} deg v)`, and a saturation round after the first
+    /// types only the bags the last round changed, so this count grows
+    /// linearly in `|D|` whatever the value degrees and the derivation depth.
     pub bag_probes: usize,
-    /// `true` if saturation reached a fixpoint within the configured bound.
-    pub saturation_converged: bool,
     /// The tree depth that was used for grafting.
     pub tree_depth: usize,
 }
@@ -148,10 +148,48 @@ struct PlanMemo {
     graft: FxHashMap<BagSignature, GraftTemplate>,
 }
 
+/// Append-only lists of `u32` items in append order: `lists` holds each
+/// list's first and last node, `nodes` each item and the node after it.
+#[derive(Debug, Default)]
+struct AppendLists {
+    lists: Vec<(u32, u32)>,
+    nodes: Vec<(u32, u32)>,
+}
+
+impl AppendLists {
+    fn clear(&mut self) {
+        self.lists.clear();
+        self.nodes.clear();
+    }
+
+    fn push(&mut self, list: usize, item: u32) {
+        if list >= self.lists.len() {
+            self.lists.resize(list + 1, (NONE, NONE));
+        }
+        let node = u32::try_from(self.nodes.len()).expect("value-set index overflow");
+        self.nodes.push((item, NONE));
+        let (first, last) = &mut self.lists[list];
+        match std::mem::replace(last, node) {
+            NONE => *first = node,
+            prev => self.nodes[prev as usize].1 = node,
+        }
+    }
+
+    fn iter(&self, list: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut node = self.lists.get(list).map_or(NONE, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let (item, next) = *self.nodes.get(node as usize)?;
+            node = next;
+            Some(item)
+        })
+    }
+}
+
 /// The facts of a database grouped by their sorted, deduplicated value set,
 /// in first-occurrence order — the guarded sets a chase pass visits, and the
 /// lookup table that types their bags.  Grows with the database: a pass
-/// indexes only the facts appended since the last one.  Every buffer is
+/// indexes only the facts appended since the last one, and reads neither
+/// the whole fact table nor the database's own indexes.  Every buffer is
 /// reused across passes and, through the plan's buffer pool, across chases.
 #[derive(Debug, Default)]
 struct ValueSetIndex {
@@ -167,13 +205,13 @@ struct ValueSetIndex {
     same_hash: Vec<u32>,
     /// The group of every indexed fact.
     group_of: Vec<u32>,
-    /// Group `g`'s facts, ascending: `members[member_starts[g]..member_starts[g + 1]]`.
-    member_starts: Vec<u32>,
-    members: Vec<u32>,
+    /// Each group's facts, ascending.
+    members: AppendLists,
+    /// The groups whose value set holds a value, ascending, by dense value
+    /// code.
+    groups_with: AppendLists,
     /// Number of facts mentioning each value, by dense value code.
     degree: Vec<u32>,
-    /// The group of the empty value set (the nullary facts), if any.
-    nullary: Option<u32>,
     /// One fact's sorted values while it is being indexed.
     sorted: Vec<Value>,
 }
@@ -187,60 +225,32 @@ impl ValueSetIndex {
         self.heads.clear();
         self.same_hash.clear();
         self.group_of.clear();
-        self.member_starts.clear();
         self.members.clear();
+        self.groups_with.clear();
         self.degree.clear();
-        self.nullary = None;
     }
 
-    /// Indexes the facts `db` gained since the last call: one pass over them,
-    /// then a counting sort of all facts by group.
+    /// Indexes the facts `db` gained since the last call, in one pass over them.
     fn extend(&mut self, db: &Database) {
-        if self.covered == db.len() {
-            return;
-        }
         if self.value_starts.is_empty() {
             self.value_starts.push(0);
         }
         self.degree.resize(db.adom().len(), 0);
         let mut sorted = std::mem::take(&mut self.sorted);
-        for fact in &db.facts()[self.covered..] {
+        for idx in self.covered..db.len() {
             sorted.clear();
-            sorted.extend_from_slice(&fact.args);
+            sorted.extend_from_slice(&db.fact(idx).args);
             sorted.sort_unstable();
             sorted.dedup();
             for &v in &sorted {
-                let code = db.value_code(v).expect("a fact's values have codes");
-                self.degree[code as usize] += 1;
+                self.degree[code(db, v)] += 1;
             }
-            let group = self.find_or_insert(&sorted);
+            let group = self.find_or_insert(db, &sorted);
             self.group_of.push(group);
+            self.members.push(group as usize, idx as u32);
         }
         self.sorted = sorted;
         self.covered = db.len();
-
-        let groups = self.groups();
-        self.member_starts.clear();
-        self.member_starts.resize(groups + 1, 0);
-        for &g in &self.group_of {
-            self.member_starts[g as usize + 1] += 1;
-        }
-        for g in 0..groups {
-            self.member_starts[g + 1] += self.member_starts[g];
-        }
-        self.members.clear();
-        self.members.resize(self.group_of.len(), 0);
-        // Fill with `member_starts[g]` as group `g`'s cursor, which leaves
-        // it at the start of `g + 1`; shifting by one restores the starts.
-        for (idx, &g) in self.group_of.iter().enumerate() {
-            let slot = &mut self.member_starts[g as usize];
-            self.members[*slot as usize] = idx as u32;
-            *slot += 1;
-        }
-        for g in (1..=groups).rev() {
-            self.member_starts[g] = self.member_starts[g - 1];
-        }
-        self.member_starts[0] = 0;
     }
 
     fn hash(values: &[Value]) -> u64 {
@@ -252,7 +262,7 @@ impl ValueSetIndex {
     /// The group of the value set `sorted`, if some fact has exactly it.
     fn find(&self, sorted: &[Value]) -> Option<u32> {
         let mut g = *self.heads.get(&Self::hash(sorted))?;
-        while g != NO_GROUP {
+        while g != NONE {
             if self.value_set(g) == sorted {
                 return Some(g);
             }
@@ -261,7 +271,7 @@ impl ValueSetIndex {
         None
     }
 
-    fn find_or_insert(&mut self, sorted: &[Value]) -> u32 {
+    fn find_or_insert(&mut self, db: &Database, sorted: &[Value]) -> u32 {
         if let Some(g) = self.find(sorted) {
             return g;
         }
@@ -270,9 +280,9 @@ impl ValueSetIndex {
         self.value_starts
             .push(u32::try_from(self.values.len()).expect("value-set index overflow"));
         let older = self.heads.insert(Self::hash(sorted), g);
-        self.same_hash.push(older.unwrap_or(NO_GROUP));
-        if sorted.is_empty() {
-            self.nullary = Some(g);
+        self.same_hash.push(older.unwrap_or(NONE));
+        for &v in sorted {
+            self.groups_with.push(code(db, v), g);
         }
         g
     }
@@ -289,21 +299,56 @@ impl ValueSetIndex {
     }
 
     /// The facts of group `g`, ascending.
-    fn members(&self, g: u32) -> &[u32] {
-        let g = g as usize;
-        &self.members[self.member_starts[g] as usize..self.member_starts[g + 1] as usize]
+    fn members(&self, g: u32) -> impl Iterator<Item = u32> + '_ {
+        self.members.iter(g as usize)
     }
 
     /// The nullary facts.
-    fn nullary_facts(&self) -> &[u32] {
-        self.nullary.map_or(&[], |g| self.members(g))
+    fn nullary_facts(&self) -> impl Iterator<Item = u32> + '_ {
+        self.find(&[]).into_iter().flat_map(|g| self.members(g))
     }
 
     /// Number of facts mentioning `v`.
     fn degree(&self, db: &Database, v: Value) -> usize {
-        let code = db.value_code(v).expect("a guarded set's values have codes");
-        self.degree[code as usize] as usize
+        self.degree[code(db, v)] as usize
     }
+
+    /// Into `dirty`, ascending: the groups whose value set contains that of
+    /// a fact `from..` (found among the groups of its lowest-degree value),
+    /// or every group if one of those facts is nullary.  `marked` is
+    /// scratch, all `false` between calls.
+    fn changed_groups(
+        &self,
+        db: &Database,
+        from: usize,
+        marked: &mut Vec<bool>,
+        dirty: &mut Vec<u32>,
+    ) {
+        dirty.clear();
+        marked.resize(self.groups(), false);
+        for &source in &self.group_of[from..] {
+            let set = self.value_set(source);
+            let Some(&rarest) = set.iter().min_by_key(|&&v| self.degree(db, v)) else {
+                dirty.extend(0..self.groups() as u32);
+                break;
+            };
+            for g in self.groups_with.iter(code(db, rarest)) {
+                let superset = self.value_set(g);
+                if !marked[g as usize] && set.iter().all(|v| superset.binary_search(v).is_ok()) {
+                    marked[g as usize] = true;
+                    dirty.push(g);
+                }
+            }
+        }
+        dirty.iter().for_each(|&g| marked[g as usize] = false);
+        dirty.sort_unstable();
+        dirty.dedup();
+    }
+}
+
+/// The dense code of a value of `db`.
+fn code(db: &Database, v: Value) -> usize {
+    db.value_code(v).expect("an indexed value has a code") as usize
 }
 
 /// Reused buffers for typing one bag: its facts and its signature.
@@ -338,19 +383,18 @@ impl BagTyper {
                         .map(|(_, &v)| v),
                 );
                 if let Some(g) = index.find(&self.subset) {
-                    self.facts.extend_from_slice(index.members(g));
+                    self.facts.extend(index.members(g));
                 }
             }
             lookups
         } else {
-            // A fact over `S` is taken at its smallest value, so once.
+            // A group over `S` is taken at its smallest value, so once; a
+            // value has at most as many groups as facts.
             for &v in set {
-                for &idx in db.facts_mentioning(v) {
-                    let args = &db.fact(idx).args;
-                    if args.iter().all(|a| set.binary_search(a).is_ok())
-                        && args.iter().min() == Some(&v)
-                    {
-                        self.facts.push(idx as u32);
+                for g in index.groups_with.iter(code(db, v)) {
+                    let values = index.value_set(g);
+                    if values[0] == v && values.iter().all(|a| set.binary_search(a).is_ok()) {
+                        self.facts.extend(index.members(g));
                     }
                 }
             }
@@ -375,13 +419,16 @@ impl BagTyper {
 }
 
 /// The per-execution buffers a [`QchasePlan`] pools: the round staging arena,
-/// the arena every bag chase runs in, the value-set index and the typer.
+/// the arena every bag chase runs in, the value-set index, the typer, and a
+/// saturation round's dirty groups with their scratch marks.
 #[derive(Debug, Default)]
 struct ChaseBuffers {
     stage: FactArena,
     bag_arena: FactArena,
     index: ValueSetIndex,
     typer: BagTyper,
+    dirty: Vec<u32>,
+    marked: Vec<bool>,
 }
 
 /// A compiled, reusable query-directed chase for one OMQ.
@@ -579,12 +626,13 @@ impl QchasePlan {
     ) -> Result<QueryDirectedChase> {
         let ontology = self.omq.ontology();
         let memoize = self.config.memoize;
-        let original_adom: FxHashSet<Value> = result.adom().iter().copied().collect();
         let ChaseBuffers {
             stage,
             bag_arena,
             index,
             typer,
+            dirty,
+            marked,
         } = buffers;
         index.clear();
 
@@ -593,17 +641,18 @@ impl QchasePlan {
 
         // -------- Phase 1: guarded saturation of the database part. --------
         let mut saturation_rounds = 0usize;
-        let mut saturation_converged = false;
         let saturation_config = ChaseConfig {
             max_depth: self.saturation_depth,
             max_facts: MAX_BAG_FACTS,
         };
         let mut values: Vec<Value> = Vec::new();
-        while saturation_rounds < self.config.max_saturation_rounds {
+        index.extend(&result);
+        dirty.clear();
+        dirty.extend(0..index.groups() as u32);
+        loop {
             saturation_rounds += 1;
             stage.clear();
-            index.extend(&result);
-            for g in 0..index.groups() as u32 {
+            for &g in dirty.iter() {
                 let ordering = index.value_set(g);
                 bag_probes += typer.type_bag(&result, index, ordering);
                 let cached = memo.ground.get(typer.key.as_slice());
@@ -614,7 +663,7 @@ impl QchasePlan {
                         derived
                     }
                     None => {
-                        let bag = bag_database(&result, &typer.facts, index.nullary_facts())?;
+                        let bag = bag_database(&result, &typer.facts, index)?;
                         miss.insert(derive_ground(
                             &result,
                             &bag,
@@ -637,22 +686,22 @@ impl QchasePlan {
                 }
             }
             if stage.is_empty() {
-                saturation_converged = true;
                 break;
             }
+            let from = result.len();
             stage.flush_into(&mut result)?;
-            // Adding facts can change bag types, so the memo must be kept
-            // keyed by full bag signatures (it is) — no invalidation needed.
+            index.extend(&result);
+            index.changed_groups(&result, from, marked, dirty);
         }
 
         // -------- Phase 2: graft null trees below every guarded set. --------
+        // The index is current: every saturation flush was indexed.
         let graft_config = ChaseConfig {
             max_depth: self.tree_depth,
             max_facts: MAX_BAG_FACTS,
         };
         let mut grafts = 0usize;
         stage.clear();
-        index.extend(&result);
         for g in 0..index.groups() as u32 {
             let ordering = index.value_set(g);
             bag_probes += typer.type_bag(&result, index, ordering);
@@ -664,7 +713,7 @@ impl QchasePlan {
                     template
                 }
                 None => {
-                    let bag = bag_database(&result, &typer.facts, index.nullary_facts())?;
+                    let bag = bag_database(&result, &typer.facts, index)?;
                     miss.insert(derive_template(
                         &result,
                         &bag,
@@ -699,12 +748,10 @@ impl QchasePlan {
 
         Ok(QueryDirectedChase {
             database: result,
-            original_adom,
             grafts,
             saturation_rounds,
             memo_hits,
             bag_probes,
-            saturation_converged,
             tree_depth: self.tree_depth,
         })
     }
@@ -727,8 +774,8 @@ pub fn query_directed_chase(
 /// The bag `D|_S` as a database of its own: the facts the typer collected
 /// plus the nullary ones, added in database order (the order its chase fires
 /// in).
-fn bag_database(db: &Database, facts: &[u32], nullary: &[u32]) -> Result<Database> {
-    let mut ordered = [facts, nullary].concat();
+fn bag_database(db: &Database, facts: &[u32], index: &ValueSetIndex) -> Result<Database> {
+    let mut ordered: Vec<u32> = facts.iter().copied().chain(index.nullary_facts()).collect();
     ordered.sort_unstable();
     let mut bag = db.derived_empty();
     for idx in ordered {
@@ -824,6 +871,7 @@ mod tests {
     use crate::ontology::Ontology;
     use omq_cq::ConjunctiveQuery;
     use omq_data::{Fact, Schema};
+    use rustc_hash::FxHashSet;
 
     fn office_omq() -> OntologyMediatedQuery {
         let ontology = Ontology::parse(
@@ -859,7 +907,6 @@ mod tests {
         let omq = office_omq();
         let db = office_db();
         let q = query_directed_chase(&db, &omq, &QchaseConfig::default()).unwrap();
-        assert!(q.saturation_converged);
         assert!(q.grafts > 0);
         let d0 = &q.database;
         // Original facts are preserved.
@@ -1148,13 +1195,13 @@ mod tests {
         db.add_named_fact::<&str>("Flag", &[]).unwrap();
         index.extend(&db);
         assert_eq!(index.groups(), 7);
-        assert_eq!(index.members(0), &[0, 6]);
+        assert_eq!(index.members(0).collect::<Vec<_>>(), [0, 6]);
         assert_eq!(index.degree(&db, mary), 3);
-        assert_eq!(index.nullary_facts(), &[7]);
+        assert_eq!(index.nullary_facts().collect::<Vec<_>>(), [7]);
         for g in 0..index.groups() as u32 {
             assert_eq!(index.find(index.value_set(g)), Some(g));
             assert_eq!(
-                index.members(g),
+                index.members(g).collect::<Vec<_>>(),
                 facts_with_value_set(&db, index.value_set(g))
             );
         }
@@ -1162,6 +1209,67 @@ mod tests {
             index.find(&[mary, Value::Const(db.const_id("main1").unwrap())]),
             None
         );
+    }
+
+    /// The groups a brute-force pass finds changed by facts `from..`: those
+    /// whose value set contains a new fact's, all of them after a nullary one.
+    fn supersets_of_new_facts(db: &Database, index: &ValueSetIndex, from: usize) -> Vec<u32> {
+        (0..index.groups() as u32)
+            .filter(|&g| {
+                let set = index.value_set(g);
+                db.facts()[from..]
+                    .iter()
+                    .any(|fact| fact.args.iter().all(|a| set.contains(a)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn changed_groups_are_the_supersets_of_the_new_value_sets() {
+        let mut db = office_db();
+        let mut index = ValueSetIndex::default();
+        index.extend(&db);
+        let (mut marked, mut dirty) = (Vec::new(), Vec::new());
+        // Office(room1) opens {room1} and re-types {mary, room1} and
+        // {room1, main1}; HasOffice(mike, room9) opens {mike, room9} only.
+        db.add_relation("Office", 1).unwrap();
+        let from = db.len();
+        db.add_named_fact("Office", &["room1"]).unwrap();
+        db.add_named_fact("HasOffice", &["mike", "room9"]).unwrap();
+        index.extend(&db);
+        index.changed_groups(&db, from, &mut marked, &mut dirty);
+        assert_eq!(dirty, supersets_of_new_facts(&db, &index, from));
+        assert_eq!(dirty.len(), 4);
+        assert!(marked.iter().all(|&m| !m));
+        // Nothing new, nothing dirty; a nullary fact is in every bag.
+        index.changed_groups(&db, db.len(), &mut marked, &mut dirty);
+        assert!(dirty.is_empty());
+        db.add_relation("Flag", 0).unwrap();
+        let from = db.len();
+        db.add_named_fact::<&str>("Flag", &[]).unwrap();
+        index.extend(&db);
+        index.changed_groups(&db, from, &mut marked, &mut dirty);
+        assert_eq!(dirty, (0..index.groups() as u32).collect::<Vec<_>>());
+        assert!(marked.iter().all(|&m| !m));
+    }
+
+    #[test]
+    fn saturation_rounds_follow_the_derivation_depth() {
+        // A(x), R(x, y) -> A(y) over A(a0) and a chain of 40 R facts: one
+        // round per link plus the one that finds nothing new.
+        let ontology = Ontology::parse("A(x), R(x, y) -> A(y)").unwrap();
+        let query = ConjunctiveQuery::parse("q(x) :- A(x)").unwrap();
+        let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
+        let mut db = Database::new(omq.data_schema().clone());
+        db.add_named_fact("A", &["a0"]).unwrap();
+        for i in 0..40 {
+            db.add_named_fact("R", &[format!("a{i}"), format!("a{}", i + 1)])
+                .unwrap();
+        }
+        let q = query_directed_chase(&db, &omq, &QchaseConfig::default()).unwrap();
+        assert_eq!(q.saturation_rounds, 41);
+        let a = q.database.schema().relation_id("A").unwrap();
+        assert_eq!(q.database.facts_of(a).len(), 41);
     }
 
     #[test]

@@ -27,13 +27,6 @@ pub enum CoreError {
     /// execution.  Use the shard-aware `answers`/`count`/`test`, or evaluate
     /// per shard.
     ShardedInstance(String),
-    /// The guarded saturation of the query-directed chase was cut off by
-    /// `QchaseConfig::max_saturation_rounds` before reaching its fixpoint;
-    /// answers over the truncated chase could be silently incomplete.
-    SaturationNotConverged {
-        /// Saturation rounds executed before the cut-off.
-        rounds: usize,
-    },
     /// The query is too wide for the multi-wildcard semantics: Algorithm 2
     /// inspects Bell(arity + 1) candidates per answer, so it is only served
     /// up to [`crate::MAX_MULTI_WILDCARD_ARITY`].  The other two semantics
@@ -73,11 +66,6 @@ impl fmt::Display for CoreError {
                 f,
                 "`{op}` exposes a single chased database and is only defined on single-shard \
                  instances; this instance is sharded — use the shard-aware methods"
-            ),
-            CoreError::SaturationNotConverged { rounds } => write!(
-                f,
-                "guarded saturation did not reach a fixpoint within {rounds} round(s); \
-                 raise `max_saturation_rounds`"
             ),
             CoreError::MultiWildcardArityTooLarge { arity, max } => write!(
                 f,

@@ -518,10 +518,6 @@ mod tests {
             parallel.complete_structure(),
             Err(crate::CoreError::ShardedInstance(_))
         ));
-        assert!(matches!(
-            parallel.partial_enumerator().map(|_| ()),
-            Err(crate::CoreError::ShardedInstance(_))
-        ));
         // The shard-aware testers still work.
         assert!(parallel
             .test_complete_names(&["mary", "room1", "main1"])

@@ -20,7 +20,6 @@ use crate::all_testing::AllTester;
 use crate::error::CoreError;
 use crate::multi_enum::check_multi_arity;
 use crate::parallel::{available_workers, chase_packs, map_bounded, MergeTuple, WildcardMerge};
-use crate::partial_enum::PartialEnumerator;
 use crate::preprocess::{FreeConnexStructure, PlanSkeleton};
 use crate::shard::Shard;
 use crate::single_testing;
@@ -81,11 +80,9 @@ pub struct PreprocessStats {
 struct PlanInner {
     omq: OntologyMediatedQuery,
     report: AcyclicityReport,
-    /// The reduced-relation layout; `None` when the query is not
+    /// The reduced-relation layout, or why the query is not
     /// enumeration-tractable (testing modes still work).
-    skeleton: Option<PlanSkeleton>,
-    /// Why skeleton compilation failed, for error reporting on demand.
-    skeleton_error: Option<String>,
+    skeleton: Result<PlanSkeleton>,
     chase: QchasePlan,
 }
 
@@ -116,17 +113,13 @@ impl QueryPlan {
             ));
         }
         let report = omq.classify();
-        let (skeleton, skeleton_error) = match PlanSkeleton::compile(omq.query()) {
-            Ok(skeleton) => (Some(skeleton), None),
-            Err(e) => (None, Some(e.to_string())),
-        };
+        let skeleton = PlanSkeleton::compile(omq.query());
         let chase = QchasePlan::new(omq, config)?;
         Ok(QueryPlan {
             inner: Arc::new(PlanInner {
                 omq: omq.clone(),
                 report,
                 skeleton,
-                skeleton_error,
                 chase,
             }),
         })
@@ -145,14 +138,7 @@ impl QueryPlan {
     /// The compiled reduced-relation layout, or an error if the query is not
     /// both acyclic and free-connex acyclic.
     pub fn skeleton(&self) -> Result<&PlanSkeleton> {
-        self.inner.skeleton.as_ref().ok_or_else(|| {
-            CoreError::NotEnumerationTractable(
-                self.inner
-                    .skeleton_error
-                    .clone()
-                    .unwrap_or_else(|| self.inner.omq.query().to_string()),
-            )
-        })
+        self.inner.skeleton.as_ref().map_err(CoreError::clone)
     }
 
     /// The reusable query-directed chase plan.
@@ -225,12 +211,10 @@ impl QueryPlan {
     }
 
     /// The one assembly point behind [`QueryPlan::execute`], the sharded
-    /// executor and [`PreparedInstance::refresh`]: rejects a chase whose
-    /// saturation was cut off by `max_saturation_rounds` (its answer set
-    /// would be silently incomplete), folds the per-part chase statistics,
-    /// puts every freshly chased part behind its own [`Arc`]'d [`Shard`] —
-    /// fresh shards lead, `reused` ones follow, with whatever structures they
-    /// have built — and attaches the provenance.
+    /// executor and [`PreparedInstance::refresh`]: folds the per-part chase
+    /// statistics, puts every freshly chased part behind its own [`Arc`]'d
+    /// [`Shard`] — fresh shards lead, `reused` ones follow, with whatever
+    /// structures they have built — and attaches the provenance.
     /// `rechased_facts` is how many of `db`'s facts went into `fresh`.
     pub(crate) fn assemble(
         &self,
@@ -253,11 +237,6 @@ impl QueryPlan {
         };
         let mut shards = Vec::with_capacity(fresh.len() + reused.len());
         for part in fresh {
-            if !part.saturation_converged {
-                return Err(CoreError::SaturationNotConverged {
-                    rounds: part.saturation_rounds,
-                });
-            }
             stats.chased_facts += part.database.len();
             stats.grafts += part.grafts;
             stats.memo_hits += part.memo_hits;
@@ -880,18 +859,6 @@ impl PreparedInstance {
         FreeConnexStructure::materialize(self.plan.skeleton()?, shard, false)
     }
 
-    /// Runs the linear-time preprocessing of Theorem 5.2 — afresh on every
-    /// call, not on the shard's prepared half — and opens an Algorithm 1
-    /// cursor over the result.  The returned enumerator is an `Iterator`
-    /// consumed by a single enumeration run;
-    /// `PartialEnumerator::open(Arc::clone(cursor.prepared()))` opens
-    /// another over the same preprocessing.  Single-shard instances only;
-    /// sharded instances stream via [`PreparedInstance::answers`].
-    pub fn partial_enumerator(&self) -> Result<PartialEnumerator> {
-        let shard = self.single_shard("partial_enumerator")?;
-        PartialEnumerator::with_skeleton(self.plan.skeleton()?, shard)
-    }
-
     /// Enumerates the minimal partial answers with all complete answers first
     /// (Proposition 2.1): the answers of `answers(MinimalPartial)`, stably
     /// partitioned so the complete ones lead.  This ordering guarantee is not
@@ -1089,40 +1056,6 @@ mod tests {
                 .unwrap();
             assert_eq!(streamed, instance.answers(semantics).unwrap().count());
         }
-    }
-
-    #[test]
-    fn a_cut_off_saturation_is_an_error_on_every_entry_point() {
-        let omq = office_omq();
-        let unsaturated = QchaseConfig {
-            max_saturation_rounds: 0,
-            ..QchaseConfig::default()
-        };
-        let plan = QueryPlan::compile_with(&omq, &unsaturated).unwrap();
-        let cut_off = |result: Result<PreparedInstance>, rounds: usize| {
-            assert_eq!(
-                result.map(|_| ()).unwrap_err(),
-                CoreError::SaturationNotConverged { rounds }
-            );
-        };
-        cut_off(plan.execute(db_one()), 0);
-        cut_off(plan.execute_parallel(db_one(), 2), 0);
-        cut_off(plan.execute_tracked(db_one()), 0);
-        // `refresh` needs a predecessor, which zero rounds never produce: with
-        // one round, data that derives no ground fact converges (the round
-        // stages nothing), and a delta that does derive one (`Office(room4)`)
-        // is cut off before the confirming second round.
-        let one_round = QchaseConfig {
-            max_saturation_rounds: 1,
-            ..QchaseConfig::default()
-        };
-        let plan = QueryPlan::compile_with(&omq, &one_round).unwrap();
-        let mut store = store_with(&[("Researcher", &["mary"]), ("Researcher", &["john"])]);
-        let base = plan.execute_tracked(store.snapshot()).unwrap();
-        let receipt = store
-            .commit(omq_data::Txn::new().insert("HasOffice", ["john", "room4"]))
-            .unwrap();
-        cut_off(base.refresh(store.snapshot(), &receipt), 1);
     }
 
     #[test]
@@ -1603,10 +1536,14 @@ mod tests {
             .build()
             .unwrap();
         let instance = plan.execute(&db).unwrap();
-        assert!(matches!(
-            instance.answers(Semantics::Complete),
-            Err(CoreError::NotEnumerationTractable(_))
-        ));
+        let refused = instance
+            .answers(Semantics::Complete)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(refused, CoreError::NotEnumerationTractable(_)));
+        // The reason is stated once, then the query.
+        let reason = "enumeration with constant delay is not supported: ";
+        assert_eq!(refused.to_string().matches(reason).count(), 1, "{refused}");
         // Single-testing still works.
         assert!(instance.test_complete_names(&["a", "c"]).unwrap());
         assert!(!instance.test_complete_names(&["a", "b"]).unwrap());

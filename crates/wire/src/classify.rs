@@ -77,10 +77,7 @@ impl ErrorCode {
             CoreError::ArityMismatch { .. } | CoreError::UnknownConstant(_) => {
                 ErrorCode::SchemaMismatch
             }
-            // The round limit is a server-side setting, like the chase budget.
-            CoreError::ShardedInstance(_)
-            | CoreError::SaturationNotConverged { .. }
-            | CoreError::Internal(_) => ErrorCode::Internal,
+            CoreError::ShardedInstance(_) | CoreError::Internal(_) => ErrorCode::Internal,
             CoreError::Cq(e) => ErrorCode::for_cq(e),
             CoreError::Chase(e) => ErrorCode::for_chase(e),
             CoreError::Data(e) => ErrorCode::for_data(e),

@@ -255,11 +255,6 @@ mod tests {
                 false,
             ),
             (
-                omq_core::CoreError::SaturationNotConverged { rounds: 16 }.into(),
-                ErrorCode::Internal,
-                false,
-            ),
-            (
                 omq_serve::ServeError::UnknownQueryName("q".into()).into(),
                 ErrorCode::UnknownQuery,
                 true,

@@ -444,3 +444,121 @@ fn wide_guarded_sets_cost_at_most_their_degree_scan() {
         2 * scan
     );
 }
+
+/// `omq_bench::generators::chain`'s facts as a transaction: `A(a0)` (when
+/// `range` starts at 0) and `R(ai, ai+1)` for `i` in `range`.
+fn chain_txn(range: std::ops::Range<usize>) -> Txn {
+    let mut txn = Txn::new();
+    if range.start == 0 {
+        txn = txn.insert("A", ["a0"]);
+    }
+    for i in range {
+        txn = txn.insert("R", [format!("a{i}"), format!("a{}", i + 1)]);
+    }
+    txn
+}
+
+/// However deep the derivations run, the chase saturates: an `n`-fact chain
+/// has its `n + 1` answers through `execute`, `execute_parallel`, a tracked
+/// refresh chain committing one `R` fact at a time (every one at n = 16, the
+/// last two at n = 100 000) and a `ServingEngine` store.
+#[test]
+fn propagation_depth_chains_are_answered_on_every_entry_point() {
+    use omq_bench::generators::chain;
+
+    let (omq, _) = chain(0);
+    let plan = QueryPlan::compile(&omq).unwrap();
+    let complete = |instance: &PreparedInstance| instance.count(Semantics::Complete).unwrap();
+    for n in [16, 100_000] {
+        let (_, db) = chain(n);
+        let answers = n as u64 + 1;
+        assert_eq!(
+            complete(&plan.execute(&db).unwrap()),
+            answers,
+            "execute, n = {n}"
+        );
+        assert_eq!(
+            complete(&plan.execute_parallel(&db, 2).unwrap()),
+            answers,
+            "execute_parallel, n = {n}"
+        );
+
+        let bulk = if n > 16 { n - 2 } else { 0 };
+        let mut store = Store::new(omq.data_schema().clone());
+        store.commit(chain_txn(0..bulk)).unwrap();
+        let mut tracked = plan.execute_tracked(store.snapshot()).unwrap();
+        assert_eq!(complete(&tracked), bulk as u64 + 1);
+        for i in bulk..n {
+            let receipt = store.commit(chain_txn(i..i + 1)).unwrap();
+            tracked = tracked.refresh(store.snapshot(), &receipt).unwrap();
+            assert_eq!(complete(&tracked), i as u64 + 2, "refresh, n = {n}");
+        }
+
+        let mut engine = ServingEngine::new(2);
+        let id = engine.register_query("chain", &omq).unwrap();
+        engine.register_data(chain_txn(0..n)).unwrap();
+        let served = engine
+            .count(&Request::new(id, Semantics::Complete))
+            .unwrap();
+        assert_eq!(served.count, answers, "ServingEngine, n = {n}");
+    }
+    for n in 0..=12 {
+        let (_, db) = chain(n);
+        let brute = BruteForce::new(&omq, &db, &ChaseConfig::default()).unwrap();
+        assert!(!brute.truncated);
+        let expected: BTreeSet<String> = brute
+            .complete_answers()
+            .iter()
+            .map(|tuple| {
+                let names: Vec<&str> = tuple
+                    .iter()
+                    .map(|v| brute.chased.const_name(v.as_const().unwrap()))
+                    .collect();
+                format!("({})", names.join(","))
+            })
+            .collect();
+        assert_eq!(expected.len(), n + 1);
+        let instance = plan.execute(&db).unwrap();
+        assert_eq!(
+            rendered(&instance, Semantics::Complete),
+            expected,
+            "n = {n}"
+        );
+    }
+}
+
+/// Proposition 3.3 along the derivation depth: chains of 1 000, 4 000 and
+/// 16 000 facts whose one answer-deriving rule fires a round deeper per fact
+/// cost the chase the same bag-typing work and the same memo hits per input
+/// fact.  Re-typing every guarded set in every round instead grows with the
+/// chain (rounds × groups).
+#[test]
+fn proposition_3_3_saturation_work_does_not_grow_with_the_derivation_depth() {
+    use omq_bench::generators::chain;
+
+    let plan = QueryPlan::compile(&chain(0).0).unwrap();
+    let mut per_fact = Vec::new();
+    for n in [1_000, 4_000, 16_000] {
+        let stats = *plan.execute(&chain(n).1).unwrap().stats();
+        assert_eq!(stats.input_facts, n + 1);
+        let facts = stats.input_facts as f64;
+        per_fact.push((
+            n,
+            stats.bag_probes as f64 / facts,
+            stats.memo_hits as f64 / facts,
+        ));
+    }
+    let (_, probes, hits) = per_fact[0];
+    for &(n, now_probes, now_hits) in &per_fact[1..] {
+        for (name, now, base) in [
+            ("bag probes", now_probes, probes),
+            ("memo hits", now_hits, hits),
+        ] {
+            let ratio = now / base;
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "n = {n}: {now:.2} {name} per fact against {base:.2} at n = 1 000 ({ratio:.3}×)"
+            );
+        }
+    }
+}
