@@ -36,16 +36,6 @@ impl Default for ChaseConfig {
     }
 }
 
-impl ChaseConfig {
-    /// A configuration with the given depth bound and the default fact budget.
-    pub fn with_depth(max_depth: usize) -> Self {
-        ChaseConfig {
-            max_depth,
-            ..Default::default()
-        }
-    }
-}
-
 /// The result of a bounded chase.
 #[derive(Debug, Clone)]
 pub struct ChaseResult {
@@ -262,7 +252,11 @@ mod tests {
         let mut s = Schema::new();
         s.add_relation("A", 1).unwrap();
         let db = Database::builder(s).fact("A", ["a"]).build().unwrap();
-        let result = chase(&db, &ontology, &ChaseConfig::with_depth(3)).unwrap();
+        let config = ChaseConfig {
+            max_depth: 3,
+            ..ChaseConfig::default()
+        };
+        let result = chase(&db, &ontology, &config).unwrap();
         assert!(result.truncated);
         // Depth bound 3: nulls at depth 1, 2, 3 exist.
         assert_eq!(result.null_depth.values().copied().max().unwrap_or(0), 3);

@@ -109,15 +109,6 @@ impl Ontology {
             .map(|r| r.values().copied().max().unwrap_or(0))
             .unwrap_or(0)
     }
-
-    /// The maximum number of variables in any single TGD.
-    pub fn max_tgd_vars(&self) -> usize {
-        self.tgds
-            .iter()
-            .map(|t| t.var_names().len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl fmt::Display for Ontology {
@@ -151,7 +142,6 @@ mod tests {
         assert_eq!(rels.len(), 4);
         assert_eq!(rels["HasOffice"], 2);
         assert_eq!(o.max_arity(), 2);
-        assert!(o.max_tgd_vars() >= 2);
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //! exact ways, chosen from `|S|` and the value degrees alone: `2^|S| − 1`
 //! subset lookups, or reading the groups of each value of `S` (at most
 //! `Σ_{v∈S} deg(v)`).  [`QueryDirectedChase::bag_probes`] counts the probes,
-//! so the bound is asserted in counts (`tests/paper_examples.rs`).
+//! so the bound is asserted in counts (`tests/paper_examples.rs`).  The
+//! nullary facts are in every bag and so in every bag's signature: a bag
+//! typed with `Flag()` present never answers for one typed without it.
 //!
 //! **Saturation rounds are semi-naive.**  The first types every group; a
 //! later one types, ascending, only the groups whose bag the last round
@@ -354,7 +356,7 @@ fn code(db: &Database, v: Value) -> usize {
 /// Reused buffers for typing one bag: its facts and its signature.
 #[derive(Debug, Default)]
 struct BagTyper {
-    /// The facts of the bag `D|_S` that mention a value.
+    /// The facts of the bag `D|_S`, the nullary ones included.
     facts: Vec<u32>,
     /// The bag's [`BagSignature`], built in place.
     key: Vec<u32>,
@@ -365,9 +367,12 @@ struct BagTyper {
 impl BagTyper {
     /// Collects the facts of `D|_S` for the guarded set `set` (sorted) into
     /// `facts` and its signature into `key`, by the cheaper of the two exact
-    /// methods; returns the probes spent.
+    /// methods; returns the probes spent.  The nullary facts are in every
+    /// bag, so they are in its signature too; reading them is one lookup per
+    /// bag, not a probe of `S`.
     fn type_bag(&mut self, db: &Database, index: &ValueSetIndex, set: &[Value]) -> usize {
         self.facts.clear();
+        self.facts.extend(index.nullary_facts());
         let lookups = u32::try_from(set.len())
             .ok()
             .and_then(|n| 1usize.checked_shl(n))
@@ -663,7 +668,7 @@ impl QchasePlan {
                         derived
                     }
                     None => {
-                        let bag = bag_database(&result, &typer.facts, index)?;
+                        let bag = bag_database(&result, &typer.facts)?;
                         miss.insert(derive_ground(
                             &result,
                             &bag,
@@ -713,7 +718,7 @@ impl QchasePlan {
                     template
                 }
                 None => {
-                    let bag = bag_database(&result, &typer.facts, index)?;
+                    let bag = bag_database(&result, &typer.facts)?;
                     miss.insert(derive_template(
                         &result,
                         &bag,
@@ -771,11 +776,10 @@ pub fn query_directed_chase(
     QchasePlan::new(omq, config)?.chase(db)
 }
 
-/// The bag `D|_S` as a database of its own: the facts the typer collected
-/// plus the nullary ones, added in database order (the order its chase fires
-/// in).
-fn bag_database(db: &Database, facts: &[u32], index: &ValueSetIndex) -> Result<Database> {
-    let mut ordered: Vec<u32> = facts.iter().copied().chain(index.nullary_facts()).collect();
+/// The bag `D|_S` as a database of its own: the facts the typer collected,
+/// added in database order (the order its chase fires in).
+fn bag_database(db: &Database, facts: &[u32]) -> Result<Database> {
+    let mut ordered = facts.to_vec();
     ordered.sort_unstable();
     let mut bag = db.derived_empty();
     for idx in ordered {
@@ -1069,6 +1073,28 @@ mod tests {
         // while chasing an earlier one, within a single snapshot/publish.
         assert!(batch.iter().skip(1).any(|c| c.memo_hits > 0));
         assert!(plan.chase_many(Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_nullary_fact_keys_the_bag_type() {
+        let ontology = Ontology::parse("P(x), Flag() -> Q(x)").unwrap();
+        let query = ConjunctiveQuery::parse("q(x) :- Q(x)").unwrap();
+        let omq = OntologyMediatedQuery::new(ontology, query).unwrap();
+        let plan = QchasePlan::new(&omq, &QchaseConfig::default()).unwrap();
+        let derived = |flag: bool| {
+            let mut db = Database::new(omq.data_schema().clone());
+            db.add_named_fact("P", &["a"]).unwrap();
+            if flag {
+                db.add_named_fact::<&str>("Flag", &[]).unwrap();
+            }
+            let chased = plan.chase(&db).unwrap().database;
+            let q = chased.schema().relation_id("Q").unwrap();
+            chased.facts_of(q).len()
+        };
+        // Either order: the bag {P(a)} with `Flag()` and without are two
+        // types, so neither run answers from the other's memo entry.
+        assert_eq!((derived(true), derived(false)), (1, 0));
+        assert_eq!((derived(false), derived(true)), (0, 1));
     }
 
     #[test]

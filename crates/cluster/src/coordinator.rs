@@ -8,8 +8,10 @@
 //!    by), sized so that there are roughly four per worker and the placement
 //!    below has slack to balance skew.  The soundness argument is
 //!    `omq-core`'s (components never interact under a guarded chase,
-//!    connected queries never join across them); a disconnected query or a
-//!    single-component database degrades to one shard on one worker.
+//!    connected queries never join across them), and so is the gate:
+//!    `QueryPlan::shard_keys` decides whether the plan may shard.  A plan
+//!    that may not (a disconnected query, a nullary atom) or a database
+//!    with one component or none degrades to one shard on one worker.
 //! 2. **Ship.** Each shard is exported as named fact rows
 //!    (`Database::export_fact_rows` — names survive re-interning, ids do
 //!    not) and sent over the wire in byte-bounded `facts` batches.
@@ -316,22 +318,20 @@ pub fn execute(
     let omq = omq_chase::OntologyMediatedQuery::new(parsed_ontology, parsed_query)?;
     let plan = QueryPlan::compile(&omq)?;
 
-    // Shard into packs of whole Gaifman components, with the same gate as
-    // in-process sharded execution: a disconnected query joins across
-    // components and must run as one shard.
+    // Shard into packs of whole Gaifman components behind the plan's one
+    // sharding gate, the one in-process sharded execution reads.
     let workers = config.workers.max(1);
-    let shard_rows: Vec<Vec<FactRow>> =
-        if workers > 1 && omq.query().is_connected() && !db.is_empty() {
-            let keys = db.component_keys();
+    let shard_rows: Vec<Vec<FactRow>> = match (workers > 1).then(|| plan.shard_keys(db)).flatten() {
+        Some(keys) => {
             let capacity = db.len().div_ceil(workers * SHARD_FACTOR);
             let offsets = db.pack_components(&keys, capacity);
             offsets
                 .windows(2)
                 .map(|pack| db.pack_database(&keys[pack[0]..pack[1]]).export_fact_rows())
                 .collect::<Result<_, omq_data::DataError>>()?
-        } else {
-            vec![db.export_fact_rows()?]
-        };
+        }
+        None => vec![db.export_fact_rows()?],
+    };
     // A row travels whole inside one `facts` frame: refuse one that cannot
     // fit before any worker is spawned (a worker's decoder would reject the
     // frame as a corrupt stream, and every worker the shard reached would

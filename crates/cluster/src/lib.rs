@@ -5,7 +5,8 @@
 //! (`QueryPlan::execute_tracked`, threads in one address space) out to
 //! **processes**: a coordinator packs the database's Gaifman components into
 //! shards by the rule the in-process executor uses
-//! (`Database::pack_components`), ships each shard's facts plus the ontology/query text to workers over
+//! (`Database::pack_components`), behind the same gate
+//! (`QueryPlan::shard_keys`), ships each shard's facts plus the ontology/query text to workers over
 //! the length-prefixed JSON wire shared with `omq-server` (the `omq-wire`
 //! codec), places shards with a work-stealing queue (largest first, idle
 //! workers steal), and chains the returned answer pages as shard cursors of
@@ -14,7 +15,8 @@
 //! shards go through — so callers drain a perfectly ordinary stream.
 //!
 //! The soundness argument is unchanged from the in-process path: for
-//! connected queries under guarded ontologies, Gaifman components chase and
+//! connected queries under guarded ontologies, with no nullary atom in
+//! either, Gaifman components chase and
 //! enumerate independently (paper §3, Prop. 3.3), constant-bearing answers
 //! are globally minimal whenever they are shard-locally minimal, and only
 //! wildcard-only tuples need the cross-shard merge.

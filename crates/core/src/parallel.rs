@@ -24,10 +24,21 @@
 //! For a *connected* query (atoms connected via shared variables or
 //! constants), every homomorphic image of the body is connected and thus
 //! falls inside one component, so the answer set over `D` is the union of
-//! the per-shard answer sets.  The sharded executor behind
-//! [`QueryPlan::execute_tracked`] and [`QueryPlan::execute_parallel`] checks
-//! the connectivity gate and falls back to the sequential path when it
-//! fails.
+//! the per-shard answer sets.
+//!
+//! A **nullary** atom breaks both halves.  Its fact has no value, so it is
+//! in every component at once: a trigger may join `N()` with facts of any
+//! component, and a rule `A(x) -> N()` lets one component's facts fire
+//! another's (`N(), B(x) -> C(x)`).  No partition of the components puts
+//! such a fact where every reader sees it, so a plan whose OMQ — ontology
+//! or query — has a nullary atom runs as one shard.  Conversely a plan that
+//! shards has no nullary atom, so no trigger and no query atom reads a
+//! nullary fact, and leaving those facts out of every shard changes
+//! nothing.  [`QueryPlan::shard_keys`] is the one gate: decided at compile
+//! time (a connected query, no nullary atom), read by the sharded executor
+//! behind [`QueryPlan::execute_tracked`] and [`QueryPlan::execute_parallel`]
+//! and by the cluster coordinator, each falling back to one shard when it
+//! says no.
 //!
 //! # Cross-shard minimality of wildcard answers
 //!

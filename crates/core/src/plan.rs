@@ -64,9 +64,9 @@ pub struct PreprocessStats {
     /// [`PreparedInstance::refresh`] (0 for fresh executions).  Their chase
     /// output and columnar indexes were not recomputed.
     pub reused_shards: usize,
-    /// Gaifman components of the input behind the shards (the nullary
-    /// pseudo-component included): `components / shards` is how many
-    /// components a shard holds on average.
+    /// Gaifman components of the input behind the shards (a nullary fact is
+    /// in none): `components / shards` is how many components a shard holds
+    /// on average.
     pub components: usize,
     /// Input facts this execution chased: all of them for the `execute*`
     /// entry points, the re-packed ones — the dirty components, their
@@ -84,6 +84,8 @@ struct PlanInner {
     /// enumeration-tractable (testing modes still work).
     skeleton: Result<PlanSkeleton>,
     chase: QchasePlan,
+    /// The one sharding gate, see [`QueryPlan::shard_keys`].
+    may_shard: bool,
 }
 
 /// A compiled evaluation plan for one OMQ, reusable across databases.
@@ -115,14 +117,33 @@ impl QueryPlan {
         let report = omq.classify();
         let skeleton = PlanSkeleton::compile(omq.query());
         let chase = QchasePlan::new(omq, config)?;
+        let tgds = omq.ontology().tgds().iter();
+        let atoms = tgds.flat_map(|t| [t.body(), t.head()]).flatten();
+        let may_shard =
+            omq.query().is_connected() && atoms.chain(omq.query().atoms()).all(|a| a.arity() > 0);
         Ok(QueryPlan {
             inner: Arc::new(PlanInner {
                 omq: omq.clone(),
                 report,
                 skeleton,
                 chase,
+                may_shard,
             }),
         })
+    }
+
+    /// The one sharding gate: the component keys ([`Database::component_keys`])
+    /// to shard `db` by, or `None` if this plan runs over `db` as one shard.
+    ///
+    /// A plan may shard when its query is connected and no atom of its OMQ
+    /// is nullary (see the `parallel` module docs for why); that is decided
+    /// once, at compile time.  A nullary fact is in no component, so a plan
+    /// that shards never reads one, and a database with no component —
+    /// empty, or nullary facts only — runs as one shard too.  In-process
+    /// sharded execution and the cluster coordinator both read this.
+    pub fn shard_keys(&self, db: &Database) -> Option<Vec<u32>> {
+        let keys = self.inner.may_shard.then(|| db.component_keys())?;
+        (!keys.is_empty()).then_some(keys)
     }
 
     /// The OMQ this plan evaluates.
@@ -180,13 +201,13 @@ impl QueryPlan {
     /// component.  The shards, their order and the answer sequence are a
     /// function of the database alone, whatever the worker count.
     ///
-    /// Sharding is only sound for connected query bodies (see the `parallel`
-    /// module docs); for a disconnected query — or an empty database, which
-    /// has no components to key — this falls back to the sequential
-    /// [`QueryPlan::execute`] and the resulting instance carries no
-    /// provenance, so `refresh` on it degrades to a full re-execution
-    /// (still tracked, so the *next* refresh is incremental again when
-    /// possible).
+    /// Sharding is only sound for a connected query over an OMQ with no
+    /// nullary atom (see the `parallel` module docs); for any other plan —
+    /// or a database with no component to key — this falls back to the
+    /// sequential [`QueryPlan::execute`] (see [`QueryPlan::shard_keys`]) and
+    /// the resulting instance carries no provenance, so `refresh` on it
+    /// degrades to a full re-execution (still tracked, so the *next* refresh
+    /// is incremental again when possible).
     pub fn execute_tracked(&self, db: impl AsRef<Database>) -> Result<PreparedInstance> {
         self.execute_sharded(db.as_ref(), available_workers)
     }
@@ -199,12 +220,12 @@ impl QueryPlan {
         db: &Database,
         workers: impl FnOnce(usize) -> usize,
     ) -> Result<PreparedInstance> {
-        if !self.omq().query().is_connected() || db.is_empty() {
+        let Some(keys) = self.shard_keys(db) else {
             return self.execute(db);
-        }
+        };
         let start = Instant::now();
         let mut provenance = Provenance::new(db);
-        let parts = provenance.pack(db, &db.component_keys());
+        let parts = provenance.pack(db, &keys);
         let workers = workers(parts.len());
         let chased = chase_packs(&self.inner.chase, parts, workers)?;
         self.assemble(db, db.len(), start, chased, Vec::new(), Some(provenance))
@@ -264,7 +285,7 @@ impl QueryPlan {
 /// it.  [`PreparedInstance::refresh`] re-canonicalises these keys against
 /// the refreshed database's component partition to decide which shards can
 /// be reused.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Provenance {
     /// `Database::revision` of the source at execution time.
     source_revision: u64,
@@ -272,9 +293,9 @@ pub(crate) struct Provenance {
     /// the meantime (e.g. `add_relation` in a later transaction) invalidates
     /// the chase outputs' relation-id layout.
     schema_len: usize,
-    /// The component keys of every shard, shard after shard: a canonical
-    /// component root, or `None` for the nullary pseudo-component.
-    keys: Vec<Option<u32>>,
+    /// The component keys (canonical component roots) of every shard, shard
+    /// after shard.
+    keys: Vec<u32>,
     /// Shard `i` holds the components `keys[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<usize>,
     /// Input facts per shard — what compaction sizes a shard by.
@@ -305,17 +326,16 @@ impl Provenance {
 
     /// Records one shard of `facts` input facts holding the components
     /// `members`.
-    fn push(&mut self, members: &[Option<u32>], facts: usize) {
+    fn push(&mut self, members: &[u32], facts: usize) {
         self.keys.extend_from_slice(members);
         self.offsets.push(self.keys.len());
         self.facts.push(facts);
     }
 
-    /// Packs the components `keys` of `db` (canonical-root order, the
-    /// nullary key last) by [`Database::pack_components`], records the packs
-    /// as the next shards and returns their extracted databases, ready to
-    /// chase.
-    fn pack(&mut self, db: &Database, keys: &[Option<u32>]) -> Vec<Database> {
+    /// Packs the components `keys` of `db` (canonical-root order) by
+    /// [`Database::pack_components`], records the packs as the next shards
+    /// and returns their extracted databases, ready to chase.
+    fn pack(&mut self, db: &Database, keys: &[u32]) -> Vec<Database> {
         let offsets = db.pack_components(keys, db.pack_capacity());
         let mut parts = Vec::with_capacity(offsets.len() - 1);
         for pack in offsets.windows(2) {
@@ -450,7 +470,8 @@ impl PreparedInstance {
     /// the merged component is chased once.  The freshly chased shards are
     /// ordered *first*, so the time to the first answer of a post-refresh
     /// [`PreparedInstance::answers`] stream scales with the delta's chase,
-    /// not with `|D|`.
+    /// not with `|D|`.  A nullary delta fact is in no component and dirties
+    /// no shard: a plan that shards has no nullary atom to read it.
     ///
     /// What is re-chased ([`PreprocessStats::rechased_facts`]) is, per dirty
     /// component, at most the larger of the component and one pack's
@@ -465,8 +486,8 @@ impl PreparedInstance {
     /// Falls back to a full (tracked) re-execution whenever incremental
     /// maintenance would be unsound or the lineage cannot be verified:
     ///
-    /// * `self` carries no provenance (sequential execution, disconnected
-    ///   query, or empty source database);
+    /// * `self` carries no provenance (sequential execution, a plan that
+    ///   may not shard, or a source database with no component);
     /// * the commit added relation symbols, or the schema length changed
     ///   (chase outputs bake in relation ids);
     /// * the receipt does not chain `self`'s source revision to `db`'s
@@ -500,50 +521,52 @@ impl PreparedInstance {
         {
             return self.plan.execute_tracked(db);
         }
-        if receipt.new_facts == 0 {
-            // No-effect commit: the head did not change, share everything.
+        let start = Instant::now();
+        // Dirty set: the keys of the components the delta facts landed in,
+        // under the *new* head's partition.  A nullary fact is in no
+        // component, and no atom of a plan that shards reads one.
+        let mut dirty: FxHashSet<u32> = FxHashSet::default();
+        let delta = &db.facts()[receipt.base_facts..];
+        for &v in delta.iter().filter_map(|f| f.args.first()) {
+            // A fact argument always has a component root; treat a miss as
+            // lineage corruption and rebuild.
+            let Some(root) = db.component_root(v) else {
+                return self.plan.execute_tracked(db);
+            };
+            dirty.insert(root);
+        }
+        if dirty.is_empty() {
+            // Nothing the plan reads changed: share every shard.
             let mut stats = self.stats;
+            stats.input_facts = db.len();
             stats.chase_micros = 0;
             stats.reused_shards = self.shards.len();
             stats.rechased_facts = 0;
+            let provenance = Provenance {
+                source_revision: db.revision(),
+                ..Provenance::clone(prov)
+            };
             return Ok(PreparedInstance {
                 plan: self.plan.clone(),
                 shards: Arc::clone(&self.shards),
                 stats,
-                provenance: self.provenance.clone(),
-            });
-        }
-        let start = Instant::now();
-        // Dirty set: the keys of the components the delta facts landed in,
-        // under the *new* head's partition (`None`: a nullary fact).
-        let mut dirty: FxHashSet<Option<u32>> = FxHashSet::default();
-        for fact in &db.facts()[receipt.base_facts..] {
-            dirty.insert(match fact.args.first() {
-                Some(&v) => match db.component_root(v) {
-                    Some(root) => Some(root),
-                    // A fact argument always has a component root; treat a
-                    // miss as lineage corruption and rebuild.
-                    None => return self.plan.execute_tracked(db),
-                },
-                None => None,
+                provenance: Some(Arc::new(provenance)),
             });
         }
         // Re-canonicalise every old component key against the new partition:
         // components a delta fact bridged collapse onto one (dirty) root.
-        let mut roots: Vec<Option<u32>> = Vec::with_capacity(prov.keys.len());
-        for key in &prov.keys {
-            roots.push(match key {
-                Some(old_root) => match db.component_root_of_code(*old_root) {
-                    Some(root) => Some(root),
-                    None => return self.plan.execute_tracked(db),
-                },
-                None => None,
-            });
-        }
+        let roots: Option<Vec<u32>> = prov
+            .keys
+            .iter()
+            .map(|&old_root| db.component_root_of_code(old_root))
+            .collect();
+        let Some(roots) = roots else {
+            return self.plan.execute_tracked(db);
+        };
         // What to chase again: the dirty keys — those no shard owns are
         // brand-new components — and every pack-mate of one, in canonical
         // root order and without the duplicates a merge leaves.
-        let mut rechase: BTreeSet<Option<u32>> = dirty.iter().copied().collect();
+        let mut rechase: BTreeSet<u32> = dirty.iter().copied().collect();
         let mut clean: Vec<usize> = Vec::with_capacity(prov.shards());
         for idx in 0..prov.shards() {
             let members = &roots[prov.range(idx)];
@@ -572,11 +595,7 @@ impl PreparedInstance {
         // Pack and re-chase them from the new head.  Each extracted pack
         // carries *all* facts of its components (old and new), so grown,
         // merged and brand-new components are handled uniformly.
-        let mut keys: Vec<Option<u32>> = rechase.into_iter().collect();
-        if keys.first() == Some(&None) {
-            // The nullary key sorts first but is packed last.
-            keys.rotate_left(1);
-        }
+        let keys: Vec<u32> = rechase.into_iter().collect();
         let mut provenance = Provenance::new(db);
         let parts = provenance.pack(db, &keys);
         let chased = self.plan.chase_plan().chase_many(parts)?;
@@ -1377,15 +1396,46 @@ mod tests {
     }
 
     #[test]
-    fn refresh_tracks_the_nullary_pseudo_component_inside_a_pack() {
+    fn a_nullary_atom_anywhere_in_the_omq_runs_the_plan_as_one_shard() {
+        let mut db = db_one();
+        for (name, arity) in [("N", 0), ("A", 1), ("C", 1)] {
+            db.add_relation(name, arity).unwrap();
+        }
+        db.add_named_fact::<&str>("N", &[]).unwrap();
+        for (ontology, query, may_shard) in [
+            ("Researcher(x) -> A(x)", "q(x) :- A(x)", true),
+            ("Researcher(x) -> N()", "q(x) :- A(x)", false),
+            ("N(), Researcher(x) -> C(x)", "q(x) :- C(x)", false),
+            // A one-atom query is connected, nullary or not.
+            ("Researcher(x) -> A(x)", "q() :- N()", false),
+        ] {
+            let omq = OntologyMediatedQuery::new(
+                Ontology::parse(ontology).unwrap(),
+                ConjunctiveQuery::parse(query).unwrap(),
+            )
+            .unwrap();
+            let plan = QueryPlan::compile(&omq).unwrap();
+            assert_eq!(plan.shard_keys(&db).is_some(), may_shard, "{ontology}");
+            let parallel = plan.execute_parallel(&db, 2).unwrap();
+            assert_eq!(parallel.shard_count() > 1, may_shard, "{ontology}");
+            let sequential = plan.execute(&db).unwrap();
+            for semantics in Semantics::ALL {
+                assert_eq!(
+                    answer_set(&parallel, semantics),
+                    answer_set(&sequential, semantics)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_nullary_fact_the_omq_does_not_mention_is_in_no_shard_and_dirties_none() {
         let omq = office_omq();
         let plan = QueryPlan::compile(&omq).unwrap();
         let mut schema = schema();
         schema.add_relation("Flag", 0).unwrap();
         schema.add_relation("Mark", 0).unwrap();
         let mut store = omq_data::Store::new(schema);
-        // Fifteen lone researchers and a nullary fact: sixteen facts, so two
-        // facts a pack, the last one holding `s14` and the nullary fact.
         let none: [&str; 0] = [];
         let mut load = omq_data::Txn::new();
         for i in 0..15 {
@@ -1393,32 +1443,31 @@ mod tests {
         }
         store.commit(load.insert("Flag", none)).unwrap();
         let base = plan.execute_tracked(store.snapshot()).unwrap();
-        assert_eq!(base.stats().components, 16);
-        assert_eq!(base.shard_count(), 8);
-        // A delta into `s14` dirties that pack: its two-fact component and
-        // the nullary fact are chased again, as a pack each.
-        let receipt = store
-            .commit(omq_data::Txn::new().insert("HasOffice", ["s14", "room"]))
-            .unwrap();
-        let grown = base.refresh(store.snapshot(), &receipt).unwrap();
-        assert_eq!(grown.stats().reused_shards, 7);
-        assert_eq!(grown.stats().rechased_facts, 3);
-        assert_eq!(grown.shard_count(), 9);
-        // A nullary fact arriving dirties the nullary key's shard alone.
+        assert_eq!(base.stats().components, 15);
+        let sharded: usize = base.shards().iter().map(|s| s.len()).sum();
+        assert_eq!(
+            sharded,
+            plan.execute(store.snapshot()).unwrap().stats().chased_facts - 1
+        );
+        // A nullary fact arriving dirties no shard, and the next refresh
+        // still chains onto this one.
         let receipt = store
             .commit(omq_data::Txn::new().insert("Mark", none))
             .unwrap();
+        let marked = base.refresh(store.snapshot(), &receipt).unwrap();
+        assert_eq!(marked.stats().reused_shards, base.shard_count());
+        assert_eq!(marked.stats().rechased_facts, 0);
+        let receipt = store
+            .commit(omq_data::Txn::new().insert("HasOffice", ["s14", "room"]))
+            .unwrap();
         let head = store.snapshot();
-        let marked = grown.refresh(&head, &receipt).unwrap();
-        assert_eq!(marked.stats().reused_shards, 8);
-        assert_eq!(marked.stats().rechased_facts, 2);
-        assert_eq!(marked.stats().components, 16);
+        let grown = marked.refresh(&head, &receipt).unwrap();
+        assert_eq!(grown.stats().reused_shards, base.shard_count() - 1);
         let scratch = plan.execute(&head).unwrap();
-        assert_eq!(marked.stats().chased_facts, scratch.stats().chased_facts);
         for semantics in Semantics::ALL {
             assert_eq!(
                 answer_set(&scratch, semantics),
-                answer_set(&marked, semantics)
+                answer_set(&grown, semantics)
             );
         }
     }

@@ -37,7 +37,7 @@ use crate::Result;
 use omq_cq::acyclicity::{self, guard_node_id, AcyclicityReport};
 use omq_cq::hypergraph::Hypergraph;
 use omq_cq::{ConjunctiveQuery, VarId};
-use omq_data::{Database, Value};
+use omq_data::Database;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::{Arc, OnceLock};
 
@@ -456,15 +456,6 @@ impl FreeConnexStructure {
         Ok(structure)
     }
 
-    /// Expands an assignment of the distinct answer variables to the full
-    /// answer tuple (repeated answer variables repeat their value).
-    pub fn expand_answer(&self, assignment: &FxHashMap<VarId, Value>) -> Vec<Value> {
-        self.answer_positions
-            .iter()
-            .map(|v| assignment[v])
-            .collect()
-    }
-
     /// The number of `q₁` nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -479,7 +470,7 @@ impl FreeConnexStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omq_data::Schema;
+    use omq_data::{Schema, Value};
 
     fn db() -> Database {
         let mut s = Schema::new();
@@ -629,17 +620,9 @@ mod tests {
     }
 
     #[test]
-    fn answer_expansion_handles_repeats() {
+    fn repeated_answer_positions_share_their_source() {
         let q = ConjunctiveQuery::parse("q(x, x, y) :- R(x, y)").unwrap();
         let s = FreeConnexStructure::build(&q, &db(), true).unwrap();
-        let x = q.var_id("x").unwrap();
-        let y = q.var_id("y").unwrap();
-        let a = Value::Const(db().const_id("a").unwrap());
-        let b = Value::Const(db().const_id("b").unwrap());
-        let mut assignment = FxHashMap::default();
-        assignment.insert(x, a);
-        assignment.insert(y, b);
-        assert_eq!(s.expand_answer(&assignment), vec![a, a, b]);
         // Repeated answer positions share their source node and column.
         assert_eq!(s.answer_sources[0], s.answer_sources[1]);
     }

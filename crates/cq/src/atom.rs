@@ -57,15 +57,6 @@ impl Atom {
         self.terms.iter().any(|t| t.as_var() == Some(v))
     }
 
-    /// The positions (0-based) at which variable `v` occurs.
-    pub fn positions_of(&self, v: VarId) -> Vec<usize> {
-        self.terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (t.as_var() == Some(v)).then_some(i))
-            .collect()
-    }
-
     /// Applies a variable renaming/substitution to the atom's terms.
     pub fn map_terms(&self, f: impl FnMut(&Term) -> Term) -> Atom {
         Atom {
@@ -99,7 +90,6 @@ mod tests {
         assert_eq!(a.constants(), vec!["a"]);
         assert!(a.mentions(VarId(0)));
         assert!(!a.mentions(VarId(7)));
-        assert_eq!(a.positions_of(VarId(0)), vec![0, 3]);
     }
 
     #[test]

@@ -195,14 +195,6 @@ impl ConjunctiveQuery {
         self.relations().map(|_| ())
     }
 
-    /// Returns a Boolean version of the query (all answer variables become
-    /// quantified).
-    pub fn boolean_version(&self) -> ConjunctiveQuery {
-        let mut q = self.clone();
-        q.answer_vars.clear();
-        q
-    }
-
     /// Returns the query obtained by substituting the answer variables by the
     /// given constant names position-wise (used for single-testing).  The
     /// result is a Boolean query.
@@ -266,14 +258,6 @@ impl ConjunctiveQuery {
             q.push_atom(mapped);
         }
         Ok(q)
-    }
-
-    /// Returns a copy where the answer variables in `to_quantify` become
-    /// quantified (they remain in the body).
-    pub fn quantify_answer_vars(&self, to_quantify: &FxHashSet<VarId>) -> ConjunctiveQuery {
-        let mut q = self.clone();
-        q.answer_vars.retain(|v| !to_quantify.contains(v));
-        q
     }
 
     /// Returns a copy with the given variables identified: every variable is
@@ -492,12 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn boolean_version_and_substitution() {
+    fn substitution_grounds_every_answer_variable() {
         let q = sample();
-        let b = q.boolean_version();
-        assert!(b.is_boolean());
-        assert_eq!(b.atoms().len(), 2);
-
         let grounded = q
             .substitute_answer_constants(&[
                 "mary".to_owned(),
@@ -550,15 +530,6 @@ mod tests {
         let identified = q.identify_vars(&[vec![x, y]]);
         assert_eq!(identified.answer_vars()[0], identified.answer_vars()[1]);
         assert_eq!(identified.body_vars().len(), 2);
-    }
-
-    #[test]
-    fn quantify_answer_vars() {
-        let q = sample();
-        let x2 = q.var_id("x2").unwrap();
-        let quantified = q.quantify_answer_vars(&[x2].into_iter().collect());
-        assert_eq!(quantified.arity(), 2);
-        assert_eq!(quantified.quantified_vars(), vec![x2]);
     }
 
     #[test]

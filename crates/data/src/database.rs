@@ -82,8 +82,6 @@ pub struct Database {
     /// Per-fact `next` pointer of the intrusive component fact lists
     /// (`NO_CODE` terminates a list).
     comp_next: Vec<u32>,
-    /// Indices of nullary facts (no arguments): the pseudo-component.
-    nullary_facts: Vec<u32>,
     next_null: u32,
     /// Monotone mutation counter: bumped by every operation that changes the
     /// fact table or the schema (`add_fact`, `add_relation`, `absorb`).  The
@@ -112,7 +110,6 @@ impl Clone for Database {
             comp_head: self.comp_head.clone(),
             comp_tail: self.comp_tail.clone(),
             comp_next: self.comp_next.clone(),
-            nullary_facts: self.nullary_facts.clone(),
             next_null: self.next_null,
             revision: self.revision,
         }
@@ -137,7 +134,6 @@ impl Database {
             comp_head: Vec::new(),
             comp_tail: Vec::new(),
             comp_next: Vec::new(),
-            nullary_facts: Vec::new(),
             next_null: 0,
             revision: 0,
         }
@@ -308,20 +304,18 @@ impl Database {
         }
         // Maintain the incremental component index: all argument values of a
         // fact are Gaifman-connected, so union their codes and append the
-        // fact to the surviving root's intrusive list.
+        // fact to the surviving root's intrusive list.  A nullary fact has
+        // no value and is in no component.
         self.comp_next.push(NO_CODE);
-        match fact.args.first() {
-            Some(&head) => {
-                let code = self.value_code(head).expect("code assigned above");
-                let mut root = self.find_compress(code);
-                for &v in &fact.args[1..] {
-                    let code = self.value_code(v).expect("code assigned above");
-                    let other = self.find_compress(code);
-                    root = self.union_roots(root, other);
-                }
-                self.append_to_component(root, idx as u32);
+        if let Some(&head) = fact.args.first() {
+            let code = self.value_code(head).expect("code assigned above");
+            let mut root = self.find_compress(code);
+            for &v in &fact.args[1..] {
+                let code = self.value_code(v).expect("code assigned above");
+                let other = self.find_compress(code);
+                root = self.union_roots(root, other);
             }
-            None => self.nullary_facts.push(idx as u32),
+            self.append_to_component(root, idx as u32);
         }
         self.by_relation[fact.rel.0 as usize].push(idx);
         let key = Self::fact_key(fact.rel, &fact.args);
@@ -441,12 +435,6 @@ impl Database {
         // Mutations drop the index, so a reachable index is always current.
         debug_assert_eq!(index.revision(), self.revision);
         index
-    }
-
-    /// The columnar index if it has already been built (and not invalidated
-    /// by a mutation) — never triggers a build.
-    pub fn columnar_if_built(&self) -> Option<&ColumnarIndex> {
-        self.columnar.get()
     }
 
     /// Verifies that the built columnar index (if any) matches this
@@ -586,27 +574,9 @@ impl Database {
         self.adom.iter().filter_map(|v| v.as_const()).collect()
     }
 
-    /// The labelled nulls of the active domain.
-    pub fn adom_nulls(&self) -> Vec<NullId> {
-        self.adom.iter().filter_map(|v| v.as_null()).collect()
-    }
-
     /// Returns `true` iff the instance mentions at least one labelled null.
     pub fn has_nulls(&self) -> bool {
         self.adom.iter().any(|v| v.is_null())
-    }
-
-    /// Returns `true` iff `values` is a *guarded set*: some fact mentions all
-    /// of them.
-    pub fn is_guarded_set(&self, values: &[Value]) -> bool {
-        if values.is_empty() {
-            return true;
-        }
-        let candidates = self.facts_mentioning(values[0]);
-        candidates.iter().any(|&idx| {
-            let fact = &self.facts[idx];
-            values.iter().all(|v| fact.args.contains(v))
-        })
     }
 
     /// Copies all facts of `other` into `self` (schemas are merged).
@@ -684,30 +654,24 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// The stable key of every Gaifman component: the canonical component
-    /// roots in ascending order, then `None` for the nullary
-    /// pseudo-component if there are nullary facts.  Keys survive later
+    /// roots in ascending order.  A nullary fact has no value and is in no
+    /// component, so it has no key: a plan that may read one runs as one
+    /// shard (`QueryPlan::shard_keys` in `omq-core`).  Keys survive later
     /// inserts up to re-canonicalisation
     /// ([`Database::component_root_of_code`]), which is what lets
     /// delta-chase maintenance recognise untouched components across
     /// revisions of one database lineage.
-    pub fn component_keys(&self) -> Vec<Option<u32>> {
+    pub fn component_keys(&self) -> Vec<u32> {
         // Non-empty fact lists live only at canonical roots.
-        let roots =
-            (0..self.comp_head.len() as u32).filter(|&c| self.comp_head[c as usize] != NO_CODE);
-        roots
-            .map(Some)
-            .chain((!self.nullary_facts.is_empty()).then_some(None))
+        (0..self.comp_head.len() as u32)
+            .filter(|&c| self.comp_head[c as usize] != NO_CODE)
             .collect()
     }
 
-    /// Number of facts of the component with key `key` (a canonical root,
-    /// or `None` for the nullary pseudo-component), read off the intrusive
-    /// fact list in time proportional to the component.
-    pub fn component_len(&self, key: Option<u32>) -> usize {
-        match key {
-            Some(root) => self.component_list(root).count(),
-            None => self.nullary_facts.len(),
-        }
+    /// Number of facts of the component rooted at `root`, read off the
+    /// intrusive fact list in time proportional to the component.
+    pub fn component_len(&self, root: u32) -> usize {
+        self.component_list(root).count()
     }
 
     /// Most facts a pack of *several* components holds when this database is
@@ -725,15 +689,15 @@ impl Database {
     /// derived from its worker count.
     ///
     /// The rule is next-fit over `keys` in the order given (callers list
-    /// them as [`Database::component_keys`] does: canonical roots ascending,
-    /// the nullary key last): a component joins the open pack if the pack
+    /// them as [`Database::component_keys`] does, canonical roots
+    /// ascending): a component joins the open pack if the pack
     /// then holds at most the capacity, otherwise it opens a new one, so a
     /// component larger than the capacity is a pack by itself.  The number
     /// of packs is thereby bounded by the data's size — any two neighbouring
     /// packs hold more than the capacity between them — instead of by its
     /// component count.  Every pack is a union of whole components, which is
     /// all sharding needs to be sound (no fact spans two packs).
-    pub fn pack_components(&self, keys: &[Option<u32>], capacity: usize) -> Vec<usize> {
+    pub fn pack_components(&self, keys: &[u32], capacity: usize) -> Vec<usize> {
         let mut offsets = vec![0];
         let mut open = 0usize;
         for (i, &key) in keys.iter().enumerate() {
@@ -754,13 +718,10 @@ impl Database {
     /// database over a clone of the schema, sharing this database's interner
     /// snapshot, with the facts in global insertion order.  Time
     /// proportional to the extracted facts (plus their sort).
-    pub fn pack_database(&self, keys: &[Option<u32>]) -> Database {
+    pub fn pack_database(&self, keys: &[u32]) -> Database {
         let mut indices: Vec<u32> = Vec::new();
-        for &key in keys {
-            match key {
-                Some(root) => indices.extend(self.component_list(root)),
-                None => indices.extend_from_slice(&self.nullary_facts),
-            }
+        for &root in keys {
+            indices.extend(self.component_list(root));
         }
         // Unions concatenate lists, so restore global insertion order; a key
         // listed twice must not copy its facts twice.
@@ -776,13 +737,11 @@ impl Database {
     }
 
     /// Number of connected components of the Gaifman graph (values that
-    /// occur in no fact do not count; nullary facts contribute at most one
-    /// pseudo-component).
+    /// occur in no fact do not count, and a nullary fact is in none).
     pub fn component_count(&self) -> usize {
         // Non-empty fact lists live only at canonical roots, and every
         // active-domain value occurs in a fact.
-        let rooted = self.comp_head.iter().filter(|&&h| h != NO_CODE).count();
-        rooted + usize::from(!self.nullary_facts.is_empty())
+        self.comp_head.iter().filter(|&&h| h != NO_CODE).count()
     }
 
     /// Partitions the facts by Gaifman connected component into independent
@@ -791,15 +750,18 @@ impl Database {
     /// [`Database::shares_interner_with`]), so constant identifiers coincide
     /// across all shards and with the parent.
     ///
-    /// The union of the shards' fact sets is exactly this database's fact
-    /// set, and no fact mentions values from two shards.  An empty database
+    /// The union of the shards' fact sets is exactly this database's facts
+    /// with arguments (a nullary fact is in no component), and no fact
+    /// mentions values from two shards.  A database with no component
     /// yields a single empty shard.
     pub fn shard_by_component(&self) -> Vec<Database> {
-        if self.is_empty() {
+        let keys = self.component_keys();
+        if keys.is_empty() {
             return vec![self.derived_empty()];
         }
-        let keys = self.component_keys();
-        keys.iter().map(|&key| self.pack_database(&[key])).collect()
+        keys.iter()
+            .map(|&root| self.pack_database(&[root]))
+            .collect()
     }
 
     /// Renders a fact for display.
@@ -959,17 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn adom_and_guarded_sets() {
+    fn adom_holds_every_value_once() {
         let db = office_db();
         // mary, john, mike, room1, room4, main1
         assert_eq!(db.adom().len(), 6);
-        let mary = Value::Const(db.const_id("mary").unwrap());
-        let room1 = Value::Const(db.const_id("room1").unwrap());
-        let main1 = Value::Const(db.const_id("main1").unwrap());
-        assert!(db.is_guarded_set(&[mary, room1]));
-        assert!(db.is_guarded_set(&[room1]));
-        assert!(db.is_guarded_set(&[]));
-        assert!(!db.is_guarded_set(&[mary, main1]));
     }
 
     #[test]
@@ -1005,7 +960,7 @@ mod tests {
         assert!(db.has_nulls());
         // Only NullId(100) was inserted into a fact; fresh_null() alone does not
         // extend the active domain.
-        assert_eq!(db.adom_nulls().len(), 1);
+        assert_eq!(db.adom().iter().filter(|v| v.is_null()).count(), 1);
     }
 
     #[test]
@@ -1125,7 +1080,8 @@ mod tests {
                 .windows(2)
                 .map(|w| db.pack_database(&keys[w[0]..w[1]]).len())
                 .collect();
-            assert_eq!(lens.iter().sum::<usize>(), db.len());
+            // Every fact but the nullary one, which is in no component.
+            assert_eq!(lens.iter().sum::<usize>(), db.len() - 1);
             // No pack above the capacity holds two components.
             for (w, &len) in offsets.windows(2).zip(&lens) {
                 assert!(len <= capacity || w[1] - w[0] == 1, "{len} > {capacity}");
@@ -1144,14 +1100,28 @@ mod tests {
     }
 
     #[test]
-    fn nullary_facts_form_one_pseudo_component() {
+    fn a_nullary_fact_is_in_no_component() {
         let mut db = office_db();
-        db.add_relation("Flag", 0).unwrap();
-        db.add_fact(Fact::new(db.schema().relation_id("Flag").unwrap(), vec![]))
-            .unwrap();
-        assert_eq!(db.component_count(), 4);
+        let keys = db.component_keys();
+        let flag = db.add_relation("Flag", 0).unwrap();
+        db.add_fact(Fact::new(flag, vec![])).unwrap();
+        // No key, no pack and no shard holds it.
+        assert_eq!(db.component_keys(), keys);
+        assert_eq!(db.component_count(), 3);
+        let packed: usize = keys.iter().map(|&root| db.component_len(root)).sum();
+        assert_eq!(packed, db.len() - 1);
+        assert_eq!(db.pack_database(&keys).len(), db.len() - 1);
         let shards = db.shard_by_component();
-        assert_eq!(shards.iter().map(Database::len).sum::<usize>(), db.len());
+        assert_eq!(
+            shards.iter().map(Database::len).sum::<usize>(),
+            db.len() - 1
+        );
+        // Nullary facts alone make no component: one empty shard.
+        let mut flags = db.derived_empty();
+        flags.add_fact(Fact::new(flag, vec![])).unwrap();
+        assert!(flags.component_keys().is_empty());
+        assert_eq!(flags.component_count(), 0);
+        assert!(flags.shard_by_component()[0].is_empty());
     }
 
     #[test]
@@ -1168,10 +1138,9 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending roots");
         let lens: Vec<usize> = keys.iter().map(|&k| db.component_len(k)).collect();
         assert_eq!(lens.iter().sum::<usize>(), db.len());
-        for &key in &keys {
-            let root = key.expect("no nullary facts in the office db");
-            let shard = db.pack_database(&[key]);
-            assert_eq!(shard.len(), db.component_len(key));
+        for &root in &keys {
+            let shard = db.pack_database(&[root]);
+            assert_eq!(shard.len(), db.component_len(root));
             assert!(shard.shares_interner_with(&db));
             for fact in shard.facts() {
                 assert_eq!(db.component_root(fact.args[0]), Some(root));
@@ -1179,7 +1148,7 @@ mod tests {
         }
         // Extracting a component yields exactly its facts, insertion order.
         let root = db.component_root(mary).unwrap();
-        let extracted = db.pack_database(&[Some(root)]);
+        let extracted = db.pack_database(&[root]);
         let expected: Vec<Fact> = [0usize, 3, 5].map(|i| db.fact(i).clone()).into();
         assert_eq!(extracted.facts(), expected);
         // A bridging fact merges two components: both old roots
@@ -1192,8 +1161,8 @@ mod tests {
         assert_eq!(db.component_root_of_code(old_mary), Some(merged));
         assert_eq!(db.component_root_of_code(old_mike), Some(merged));
         assert_eq!(db.component_count(), 2);
-        assert_eq!(db.component_len(Some(merged)), 5);
-        let extracted = db.pack_database(&[Some(merged)]);
+        assert_eq!(db.component_len(merged), 5);
+        let extracted = db.pack_database(&[merged]);
         let order: Vec<String> = extracted
             .facts()
             .iter()
@@ -1205,29 +1174,6 @@ mod tests {
             .collect();
         assert_eq!(order, expected, "global insertion order survives a merge");
         assert_eq!(db.component_root_of_code(u32::MAX - 1), None);
-    }
-
-    #[test]
-    fn the_nullary_pseudo_component_is_one_key_and_sorts_last() {
-        let mut db = office_db();
-        db.add_relation("Flag", 0).unwrap();
-        db.add_relation("Mark", 0).unwrap();
-        db.add_fact(Fact::new(db.schema().relation_id("Flag").unwrap(), vec![]))
-            .unwrap();
-        db.add_fact(Fact::new(db.schema().relation_id("Mark").unwrap(), vec![]))
-            .unwrap();
-        let nullary = db.pack_database(&[None]);
-        let expected: Vec<Fact> = [6usize, 7].map(|i| db.fact(i).clone()).into();
-        assert_eq!(nullary.facts(), expected);
-        let keys = db.component_keys();
-        assert_eq!(keys.len(), 4);
-        assert_eq!(keys.iter().filter(|k| k.is_none()).count(), 1);
-        assert_eq!(keys.last().unwrap(), &None);
-        assert_eq!(db.component_len(None), 2);
-        assert_eq!(db.pack_database(&[None]).len(), 2);
-        assert_eq!(db.component_count(), 4);
-        let packed: usize = keys.iter().map(|&k| db.component_len(k)).sum();
-        assert_eq!(packed, db.len());
     }
 
     /// A database of `singles` one-fact components, then one component per
@@ -1256,7 +1202,7 @@ mod tests {
     }
 
     /// The packs of the whole database, as key slices.
-    fn packs_of(db: &Database) -> Vec<Vec<Option<u32>>> {
+    fn packs_of(db: &Database) -> Vec<Vec<u32>> {
         let keys = db.component_keys();
         let offsets = db.pack_components(&keys, db.pack_capacity());
         offsets
@@ -1273,11 +1219,12 @@ mod tests {
         assert_eq!(db.pack_capacity(), 64);
         let packs = packs_of(&db);
         // Every component key sits in exactly one pack…
-        let flat: Vec<Option<u32>> = packs.iter().flatten().copied().collect();
+        let flat: Vec<u32> = packs.iter().flatten().copied().collect();
         assert_eq!(flat, db.component_keys());
-        // …and the extracted packs partition the fact set exactly.
+        // …and the extracted packs partition the facts with arguments
+        // exactly: the nullary fact is in no component.
         let parts: Vec<Database> = packs.iter().map(|p| db.pack_database(p)).collect();
-        assert_eq!(parts.iter().map(Database::len).sum::<usize>(), db.len());
+        assert_eq!(parts.iter().map(Database::len).sum::<usize>(), db.len() - 1);
         for part in &parts {
             assert!(part.shares_interner_with(&db));
             assert!(part.facts().iter().all(|f| db.contains_fact(f)));
@@ -1302,8 +1249,6 @@ mod tests {
         }
         // The count is bounded by the size, not by the 705 components.
         assert!(parts.len() <= db.len() / 32 + 1, "{} packs", parts.len());
-        // The nullary fact is one key, packed last like any other component.
-        assert_eq!(packs.last().unwrap().last().unwrap(), &None);
         // Facts keep their global insertion order inside a pack.
         let first: Vec<String> = parts[0]
             .facts()
@@ -1360,10 +1305,10 @@ mod tests {
         assert!(err.to_string().contains("stale columnar index"));
         // The owning database never serves a stale index: the mutation
         // dropped it, so the typed check passes before and after a rebuild.
-        assert!(db.columnar_if_built().is_none());
+        assert!(db.columnar.get().is_none());
         assert!(db.verify_columnar().is_ok());
         let _ = db.columnar();
-        assert!(db.columnar_if_built().is_some());
+        assert!(db.columnar.get().is_some());
         assert!(db.verify_columnar().is_ok());
     }
 

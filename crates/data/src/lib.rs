@@ -11,8 +11,9 @@
 //!   indexes that play the role of the RAM-model lookup tables assumed by the
 //!   paper, see [`Database`] and [`columnar::ColumnarIndex`]; the database
 //!   also keeps its **Gaifman components** (a union-find over values, see
-//!   [`Database::shard_by_component`]) and answers guarded-set tests
-//!   ([`Database::is_guarded_set`]);
+//!   [`Database::component_keys`]) and packs them into shards
+//!   ([`Database::pack_components`]); a nullary fact has no value and is in
+//!   no component;
 //! * **wildcard tuples** for partial answers — both the single-wildcard variant
 //!   (`*`) and the multi-wildcard variant (`*1, *2, …`) together with their
 //!   preference orders `⪯` / `≺`, minimality filters, balls and cones, see

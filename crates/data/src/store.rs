@@ -250,14 +250,6 @@ impl Store {
         }
     }
 
-    /// Wraps an existing database as epoch 0 of a store (bulk preload).
-    pub fn from_database(db: Database) -> Self {
-        Store {
-            head: Arc::new(db),
-            epoch: 0,
-        }
-    }
-
     /// The schema of the current head.
     pub fn schema(&self) -> &Schema {
         self.head.schema()
@@ -452,8 +444,6 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fact::Fact;
-    use crate::value::Value;
 
     fn office_schema() -> Schema {
         let mut s = Schema::new();
@@ -690,19 +680,6 @@ mod tests {
         assert!(store.merge_schema(&conflicting).is_err());
         assert_eq!(store.schema().len(), before);
         assert!(store.schema().relation_id("Fresh").is_none());
-    }
-
-    #[test]
-    fn from_database_preloads_epoch_zero() {
-        let mut db = Database::new(office_schema());
-        db.add_named_fact("Researcher", &["mary"]).unwrap();
-        let store = Store::from_database(db);
-        assert_eq!(store.epoch(), 0);
-        assert_eq!(store.len(), 1);
-        let snap = store.snapshot();
-        let rel = snap.schema().relation_id("Researcher").unwrap();
-        let mary = Value::Const(snap.const_id("mary").unwrap());
-        assert!(snap.contains_fact(&Fact::new(rel, vec![mary])));
     }
 
     #[test]

@@ -490,18 +490,16 @@ pub struct ServingEngine {
     /// Warm prepared instances over the store head, aligned with `plans`.
     /// Kept fresh by [`ServingEngine::register_data`] via incremental
     /// `PreparedInstance::refresh`; an entry is `None` when warming failed
-    /// (the slow per-request path still serves the query).
+    /// (the slow per-request path still serves the query).  The store only
+    /// moves through `register_data` and `register_plan`, and both bring
+    /// `warm` to the new head, so it is always at the head epoch.
     warm: Vec<Option<Arc<PreparedInstance>>>,
-    /// The store epoch `warm` was computed at; `u64::MAX` marks the cache
-    /// invalidated (e.g. after raw [`ServingEngine::store_mut`] access).
-    warm_epoch: u64,
 }
 
 impl ServingEngine {
     /// Creates an engine with an empty store and a pool of `workers` threads
     /// for batch serving (clamped to at least one).  The store schema grows
-    /// automatically as queries are registered; see
-    /// [`ServingEngine::with_store`] to start from preloaded data.
+    /// automatically as queries are registered.
     pub fn new(workers: usize) -> Self {
         ServingEngine {
             store: Store::new(omq_data::Schema::new()),
@@ -509,21 +507,7 @@ impl ServingEngine {
             by_name: FxHashMap::default(),
             workers: workers.max(1),
             warm: Vec::new(),
-            warm_epoch: 0,
         }
-    }
-
-    /// Replaces the engine's store (e.g. with a bulk-preloaded one).  Any
-    /// queries already registered keep their plans; their data schemas are
-    /// re-merged into the new store and their warm instances are rebuilt
-    /// over the new head.
-    pub fn with_store(mut self, store: Store) -> Result<Self> {
-        self.store = store;
-        for (_, plan) in &self.plans {
-            self.store.merge_schema(plan.omq().data_schema())?;
-        }
-        self.rewarm_all();
-        Ok(self)
     }
 
     /// Number of worker threads used by [`ServingEngine::serve_batch`].
@@ -535,17 +519,6 @@ impl ServingEngine {
     /// [`ServingEngine::register_data`]).
     pub fn store(&self) -> &Store {
         &self.store
-    }
-
-    /// Mutable access to the store, for operations beyond
-    /// [`ServingEngine::register_data`] (bulk preloads, manual schema
-    /// merges).  Handing out raw access invalidates the engine's warm
-    /// prepared cache; the next [`ServingEngine::register_data`] rebuilds it.
-    pub fn store_mut(&mut self) -> &mut Store {
-        // The epoch counter starts at 0 and increments, so `u64::MAX` can
-        // never equal a real epoch: a permanent "stale" mark until rewarmed.
-        self.warm_epoch = u64::MAX;
-        &mut self.store
     }
 
     /// Pins the current store head (see [`Store::snapshot`]): cheap, and
@@ -586,7 +559,6 @@ impl ServingEngine {
             };
         }
         self.warm = warm;
-        self.warm_epoch = self.store.epoch();
         Ok(receipt)
     }
 
@@ -608,10 +580,10 @@ impl ServingEngine {
         let id = self.plans.len();
         self.plans.push((name.to_owned(), plan));
         self.by_name.insert(name.to_owned(), id);
-        if schema_grew || self.warm_epoch != self.store.epoch() {
+        if schema_grew {
             // The merge moved the epoch (older warm instances bake in the
-            // previous relation-id layout), or the cache was invalidated:
-            // rebuild everything over the current head.
+            // previous relation-id layout): rebuild everything over the
+            // current head.
             self.rewarm_all();
         } else {
             let head = self.store.snapshot();
@@ -642,7 +614,6 @@ impl ServingEngine {
             .iter()
             .map(|(_, plan)| Self::warm_one(plan, &head))
             .collect();
-        self.warm_epoch = self.store.epoch();
     }
 
     /// The warm prepared instance cached for `id` at the current store
@@ -650,9 +621,6 @@ impl ServingEngine {
     /// instance; it is refreshed incrementally by
     /// [`ServingEngine::register_data`].
     pub fn warm_instance(&self, id: QueryId) -> Option<Arc<PreparedInstance>> {
-        if self.warm_epoch != self.store.epoch() {
-            return None;
-        }
         self.warm.get(id.0).cloned().flatten()
     }
 
@@ -711,10 +679,8 @@ impl ServingEngine {
                 // fresh incrementally across commits), so the request only
                 // pays for opening its cursor — after a delta commit, time
                 // to the first answer is proportional to the delta.
-                if self.warm_epoch == pinned.epoch() {
-                    if let Some(instance) = self.warm.get(id.0).and_then(Option::as_ref) {
-                        return Ok((id, Some(pinned.epoch()), Arc::clone(instance)));
-                    }
+                if let Some(instance) = self.warm.get(id.0).and_then(Option::as_ref) {
+                    return Ok((id, Some(pinned.epoch()), Arc::clone(instance)));
                 }
                 (pinned.database(), Some(pinned.epoch()))
             }
@@ -1294,33 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn with_store_preloads_and_remerges_schemas() {
-        let omq = researcher_omq();
-        let mut schema = omq_data::Schema::new();
-        schema.add_relation("Researcher", 1).unwrap();
-        let mut store = Store::new(schema);
-        store
-            .commit(Txn::new().insert("Researcher", ["pre"]))
-            .unwrap();
-        let mut engine = ServingEngine::new(2);
-        let id = engine.register_query("q", &omq).unwrap();
-        let mut engine = engine.with_store(store).unwrap();
-        // The re-merge added the query's remaining relations.
-        assert!(engine.store().schema().relation_id("HasOffice").is_some());
-        let response = engine
-            .serve_one(&Request::new(id, Semantics::MinimalPartial))
-            .unwrap();
-        assert_eq!(response.answers.len(), 1); // (pre, *)
-        engine
-            .register_data(Txn::new().insert("HasOffice", ["pre", "office"]))
-            .unwrap();
-        let response = engine
-            .serve_one(&Request::new(id, Semantics::Complete))
-            .unwrap();
-        assert_eq!(response.answers.len(), 1); // (pre, office)
-    }
-
-    #[test]
     fn warm_cache_serves_the_head_and_refreshes_incrementally() {
         let omq = office_omq();
         let mut engine = ServingEngine::new(2);
@@ -1369,14 +1308,6 @@ mod tests {
             .map(|a| a.into_partial().unwrap())
             .collect();
         assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), want);
-
-        // Raw store access invalidates the cache; the next commit rebuilds.
-        let _ = engine.store_mut();
-        assert!(engine.warm_instance(id).is_none());
-        engine
-            .register_data(Txn::new().insert("Researcher", ["post"]))
-            .unwrap();
-        assert!(engine.warm_instance(id).is_some());
     }
 
     #[test]

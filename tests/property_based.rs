@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
 const UNARY: [&str; 2] = ["A", "B"];
 const BINARY: [&str; 2] = ["R", "S"];
+const NULLARY: [&str; 2] = ["F", "G"];
 
 #[derive(Debug, Clone)]
 struct RandomAtom {
@@ -72,11 +73,34 @@ impl RandomQuery {
     }
 }
 
+/// A full guarded TGD with a nullary atom in its body or head, or one whose
+/// nullary body invents a null.  The chase of any set of them ends.
+fn tgd_strategy() -> impl Strategy<Value = String> {
+    let unary = (0..UNARY.len(), 0..UNARY.len());
+    let nullary = (0..NULLARY.len(), 0..NULLARY.len());
+    (0..6usize, unary, 0..BINARY.len(), nullary).prop_map(|(shape, (u, v), b, (n, m))| {
+        let (u, v, b, n, m) = (UNARY[u], UNARY[v], BINARY[b], NULLARY[n], NULLARY[m]);
+        match shape {
+            0 => format!("{u}(x) -> {n}()"),
+            1 => format!("{b}(x, y) -> {n}()"),
+            2 => format!("{n}(), {u}(x) -> {v}(x)"),
+            3 => format!("{b}(x, y), {n}() -> {u}(y)"),
+            4 => format!("{n}() -> {m}()"),
+            _ => format!("{n}() -> exists y. {u}(y)"),
+        }
+    })
+}
+
+fn ontology_strategy() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(tgd_strategy(), 0..4)
+}
+
 #[derive(Debug, Clone)]
 struct RandomDb {
     unary_facts: Vec<(usize, usize)>,
     binary_facts: Vec<(usize, usize, usize)>,
     nulls: Vec<(usize, usize, usize)>,
+    nullary_facts: Vec<usize>,
 }
 
 fn db_strategy() -> impl Strategy<Value = RandomDb> {
@@ -84,12 +108,16 @@ fn db_strategy() -> impl Strategy<Value = RandomDb> {
         prop::collection::vec((0..UNARY.len(), 0..5usize), 0..8),
         prop::collection::vec((0..BINARY.len(), 0..5usize, 0..5usize), 0..10),
         prop::collection::vec((0..BINARY.len(), 0..5usize, 0..3usize), 0..4),
+        prop::collection::vec(0..NULLARY.len(), 0..2),
     )
-        .prop_map(|(unary_facts, binary_facts, nulls)| RandomDb {
-            unary_facts,
-            binary_facts,
-            nulls,
-        })
+        .prop_map(
+            |(unary_facts, binary_facts, nulls, nullary_facts)| RandomDb {
+                unary_facts,
+                binary_facts,
+                nulls,
+                nullary_facts,
+            },
+        )
 }
 
 impl RandomDb {
@@ -103,7 +131,13 @@ impl RandomDb {
         for r in BINARY {
             schema.add_relation(r, 2).unwrap();
         }
+        for r in NULLARY {
+            schema.add_relation(r, 0).unwrap();
+        }
         let mut db = Database::new(schema);
+        for &r in &self.nullary_facts {
+            db.add_named_fact::<&str>(NULLARY[r], &[]).unwrap();
+        }
         for (r, c) in &self.unary_facts {
             db.add_named_fact(UNARY[*r], &[format!("c{c}")]).unwrap();
         }
@@ -122,12 +156,23 @@ impl RandomDb {
     }
 }
 
-/// The answers of `q` over `database` under `semantics`, through a plan with
-/// an empty ontology: the chase adds nothing, so the enumerators run over
-/// the generated instance itself, nulls included.
-fn answers(q: &ConjunctiveQuery, database: &Database, semantics: Semantics) -> AnswerStream {
-    let omq = OntologyMediatedQuery::new(Ontology::new(), q.clone()).unwrap();
-    QueryPlan::compile(&omq)
+/// The OMQ of `q` under the generated `rules`, and the brute-force baseline
+/// over `database`: the bounded chase is the whole chase, as the rules'
+/// chase ends.
+fn omq_and_oracle(
+    rules: &[String],
+    q: &ConjunctiveQuery,
+    database: &Database,
+) -> (OntologyMediatedQuery, BruteForce) {
+    let ontology = Ontology::parse(&rules.join("\n")).unwrap();
+    let omq = OntologyMediatedQuery::new(ontology, q.clone()).unwrap();
+    let oracle = BruteForce::new(&omq, database, &ChaseConfig::default()).unwrap();
+    (omq, oracle)
+}
+
+/// The answers of `omq` over `database` under `semantics`.
+fn answers(omq: &OntologyMediatedQuery, database: &Database, semantics: Semantics) -> AnswerStream {
+    QueryPlan::compile(omq)
         .unwrap()
         .execute(database)
         .unwrap()
@@ -179,18 +224,23 @@ proptest! {
     }
 
     /// Algorithm 1 produces exactly the minimal partial answers, without
-    /// repetition.
+    /// repetition, under rules with nullary atoms.
     #[test]
-    fn algorithm_1_matches_oracle(query in query_strategy(), db in db_strategy()) {
+    fn algorithm_1_matches_oracle(
+        query in query_strategy(),
+        db in db_strategy(),
+        rules in ontology_strategy(),
+    ) {
         let Some(q) = query.to_cq() else { return Ok(()); };
         let database = db.to_database();
         if !AcyclicityReport::classify(&q).enumeration_tractable() {
             return Ok(());
         }
-        let fast: Vec<PartialTuple> = answers(&q, &database, Semantics::MinimalPartial)
+        let (omq, brute) = omq_and_oracle(&rules, &q, &database);
+        let fast: Vec<PartialTuple> = answers(&omq, &database, Semantics::MinimalPartial)
             .map(|a| a.into_partial().expect("partial semantics"))
             .collect();
-        let oracle = baseline::cq_minimal_partial(&q, &database);
+        let oracle = brute.minimal_partial();
         let fast_set: BTreeSet<PartialTuple> = fast.iter().cloned().collect();
         let oracle_set: BTreeSet<PartialTuple> = oracle.iter().cloned().collect();
         prop_assert_eq!(&fast_set, &oracle_set);
@@ -198,18 +248,23 @@ proptest! {
     }
 
     /// Algorithm 2 produces exactly the minimal partial answers with
-    /// multi-wildcards, without repetition.
+    /// multi-wildcards, without repetition, under rules with nullary atoms.
     #[test]
-    fn algorithm_2_matches_oracle(query in query_strategy(), db in db_strategy()) {
+    fn algorithm_2_matches_oracle(
+        query in query_strategy(),
+        db in db_strategy(),
+        rules in ontology_strategy(),
+    ) {
         let Some(q) = query.to_cq() else { return Ok(()); };
         let database = db.to_database();
         if !AcyclicityReport::classify(&q).enumeration_tractable() {
             return Ok(());
         }
-        let fast: Vec<MultiTuple> = answers(&q, &database, Semantics::MinimalPartialMulti)
+        let (omq, brute) = omq_and_oracle(&rules, &q, &database);
+        let fast: Vec<MultiTuple> = answers(&omq, &database, Semantics::MinimalPartialMulti)
             .map(|a| a.into_multi().expect("multi semantics"))
             .collect();
-        let oracle = baseline::cq_minimal_partial_multi(&q, &database);
+        let oracle = brute.minimal_partial_multi();
         let fast_set: BTreeSet<MultiTuple> = fast.iter().cloned().collect();
         let oracle_set: BTreeSet<MultiTuple> = oracle.iter().cloned().collect();
         prop_assert_eq!(&fast_set, &oracle_set);
@@ -320,14 +375,16 @@ proptest! {
     }
 
     /// The chase produces a model of the ontology (when not truncated), and
-    /// the query-directed chase only derives sound ground facts.
+    /// the query-directed chase only derives sound ground facts, under
+    /// rules with nullary atoms too.
     #[test]
-    fn chase_soundness(db in db_strategy()) {
-        let ontology = Ontology::parse(
+    fn chase_soundness(db in db_strategy(), rules in ontology_strategy()) {
+        let ontology = Ontology::parse(&format!(
             "A(x) -> exists y. R(x, y)\n\
              R(x, y) -> B(y)\n\
-             B(x) -> exists y. S(x, y)",
-        ).unwrap();
+             B(x) -> exists y. S(x, y)\n{}",
+            rules.join("\n"),
+        )).unwrap();
         let database = {
             // Restrict to constants only (input databases contain no nulls).
             let raw = db.to_database();

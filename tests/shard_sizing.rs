@@ -177,7 +177,7 @@ fn shards_follow_the_size_and_a_delta_rechases_its_component() {
 
     // A three-fact delta into cluster 0's building component.
     let hq = Value::Const(head.const_id("c0hq").unwrap());
-    let component = head.component_len(head.component_root(hq));
+    let component = head.component_len(head.component_root(hq).unwrap());
     assert_eq!(component, 81);
     let receipt = store
         .commit(
